@@ -82,7 +82,7 @@ class ExperimentConfig:
     expensive_cap: int = 5000
     timing: bool = True
     qp_max_iter: int = 500
-    qp_tol: float = 1e-8
+    qp_tol: float = 1e-8  # relative Frank-Wolfe gap, or step length, at which qprel stops
 
     def __post_init__(self):
         self.methods = tuple(self.methods)
@@ -175,7 +175,7 @@ def _gate_expensive(method: str, hash_name: str, n: int, config: ExperimentConfi
         return
     if not config.allow_expensive:
         raise ExperimentError(
-            "qprel over the full dataset (nh) builds an n x n gram matrix; pass allow_expensive to opt in"
+            "qprel over the full dataset (nh) solves an n-variable QP per query; pass allow_expensive to opt in"
         )
     if n > config.expensive_cap:
         raise ExperimentError(

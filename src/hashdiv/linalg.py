@@ -101,9 +101,13 @@ class CappedSimplex:
 def project_capped_simplex(v, k: int) -> np.ndarray:
     """Euclidean projection of v onto {a : sum(a) = k, 0 <= a <= 1}.
 
-    Solves sum_i clip(v_i - tau, 0, 1) = k for the scalar tau by bisecting
-    the sorted breakpoint grid {v_i, v_i - 1}; exact in exact arithmetic,
-    no tolerance knob. O(n log n).
+    The projection is clip(v - tau, 0, 1) with tau solving
+    mass(tau) = sum_i clip(v_i - tau, 0, 1) = k. mass is piecewise linear
+    and non-increasing with breakpoints {v_i - 1, v_i}; sort + cumsum
+    evaluates it at every breakpoint at once and tau is interpolated on the
+    segment that brackets k (Wang & Lu, "Projection onto the capped
+    simplex", arXiv 1503.01002). Exact in exact arithmetic, no tolerance
+    knob. O(n log n).
     """
     v = np.asarray(v, dtype=float).ravel()
     n = v.size
@@ -111,26 +115,25 @@ def project_capped_simplex(v, k: int) -> np.ndarray:
         raise ValueError(f"budget k={k} out of range (0, {n}]")
     if k == n:
         return np.ones(n)
-
-    def mass(tau: float) -> float:
-        return float(np.clip(v - tau, 0.0, 1.0).sum())
-
-    bps = np.concatenate([v - 1.0, v])
+    s = np.sort(v)
+    s1 = s - 1.0
+    csum = np.zeros(n + 1)
+    np.cumsum(s, out=csum[1:])
+    bps = np.concatenate([s1, s])
     bps.sort()
-    # mass is non-increasing in tau: mass(bps[0]) = n >= k, mass(bps[-1]) = 0.
-    lo, hi = 0, bps.size - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if mass(bps[mid]) >= k:
-            lo = mid
-        else:
-            hi = mid
-    mid_tau = 0.5 * (bps[lo] + bps[hi])
-    free = (v - mid_tau > 0.0) & (v - mid_tau < 1.0)
-    n_ones = int(np.count_nonzero(v - mid_tau >= 1.0))
-    nf = int(np.count_nonzero(free))
-    if nf == 0:
-        tau = mid_tau  # mass is flat (= n_ones = k) on this segment
+    # at tau = b: v_i <= b clip to 0, v_i - 1 > b clip to 1, the rest are
+    # free; comparing against s1 rather than b + 1 keeps the counts exact
+    lo = s.searchsorted(bps, side="right")
+    hi = s1.searchsorted(bps, side="right")
+    free = hi - lo
+    mass = (n - hi) + (csum[hi] - csum[lo]) - bps * free
+    # mass(bps[0]) = n > k and mass(bps[-1]) = 0 < k, so j + 1 < 2n
+    j = np.count_nonzero(mass >= k) - 1
+    # tau = b + shift, with the free values taken relative to b: v - b is
+    # exact near b, so the result sums to k even when |v| is large
+    b = bps[j]
+    if free[j] == 0:
+        shift = 0.5 * (bps[j + 1] - b)  # mass is flat (= k) on this segment
     else:
-        tau = (n_ones + v[free].sum() - k) / nf
-    return np.clip(v - tau, 0.0, 1.0)
+        shift = (n - hi[j] + (s[lo[j]:hi[j]] - b).sum() - k) / free[j]
+    return np.clip((v - b) - shift, 0.0, 1.0)

@@ -8,14 +8,17 @@ Two objective conventions coexist and are kept separate on purpose:
   * evaluate_objective implements the distance/diversity trade-off
     lam * sum_i |q - x_i|^2 - (1 - lam) * sum_{ij} |x_i - x_j|^2
     with the diversity term as the full ordered double sum.
-  * qp_relax_solve minimizes the quadratic form lam * c^T a + a^T G a
-    (c_i = -q.x_i, G the candidate Gram matrix) over the capped simplex;
-    this form absorbs constants differently, so its lam is not numerically
-    interchangeable with the one above.
+  * qp_relax_solve minimizes the quadratic form lam * c^T a + |X^T a|^2
+    (c_i = -q.x_i, X the candidate vectors as rows, so |X^T a|^2 = a^T G a
+    for the Gram matrix G, which is never formed) over the capped simplex
+    by spectral projected gradient with face steps; this form absorbs
+    constants differently, so its lam is not numerically interchangeable
+    with the one above.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +74,7 @@ class QpSolveReport:
     relaxed_objective: float
     iterations: int
     converged: bool
+    gap: float  # Frank-Wolfe gap at alpha: relaxed_objective - gap <= relaxed optimum
 
 
 def _sq_dists_to_query(problem: SelectionProblem) -> np.ndarray:
@@ -171,18 +175,52 @@ def select_rerank(problem: SelectionProblem, pool_factor: float = 3.0) -> Select
     return _result(problem, picked)
 
 
-def qp_relax_solve(
-    problem: SelectionProblem,
-    step_rule: str | float = "lipschitz",
-    max_iter: int = 500,
-    tol: float = 1e-8,
-) -> QpSolveReport:
-    """Projected gradient descent on lam * c^T a + a^T G a over the capped
-    simplex {sum a = k, 0 <= a <= 1}.
+def _fw_gap(grad: np.ndarray, alpha: np.ndarray, k: int) -> float:
+    """Frank-Wolfe duality gap g.a - min over the capped simplex of g.z; the
+    minimizer puts weight 1 on the k smallest gradient entries (Jaggi,
+    ICML 2013). For a convex objective f(a) - gap lower-bounds the minimum."""
+    return float(grad @ alpha - np.partition(grad, k - 1)[:k].sum())
 
-    step_rule "lipschitz" uses eta = 1 / (2 |G|_F); |G|_F upper-bounds the
-    spectral norm so the objective decreases monotonically (G is a Gram
-    matrix, the problem is convex). A float step_rule is used verbatim.
+
+def _face_step(X: np.ndarray, alpha: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Minimize |X^T a - target|^2 over the face of the capped simplex that
+    alpha lies on: the coordinates strictly inside (0, 1) move by the
+    min-norm least-squares step delta with sum(delta) = 0, cut short where a
+    coordinate reaches a bound. The objective is convex along delta with its
+    minimum at the full step, so the cut step still descends. This is the
+    face phase of GPCG (More & Toraldo, SIAM J. Optim. 1991); as X^T a has
+    only d entries, a direct least-squares solve replaces its conjugate
+    gradients."""
+    free = np.flatnonzero((alpha > 0.0) & (alpha < 1.0))
+    if free.size < 2:
+        return alpha
+    B = X[free].T
+    # with centered columns the step moves X^T a as B @ delta does for any
+    # sum(delta) = 0; centering delta again removes the rounding that an
+    # ill-conditioned B leaves in its sum
+    delta = np.linalg.lstsq(B - B.mean(axis=1, keepdims=True), target - X.T @ alpha, rcond=1e-10)[0]
+    delta -= delta.mean()
+    a = alpha[free]
+    with np.errstate(divide="ignore"):
+        room = np.where(delta > 0, 1.0 - a, a) / np.abs(delta)
+    out = alpha.copy()
+    out[free] = np.clip(a + min(1.0, float(room.min())) * delta, 0.0, 1.0)
+    return out
+
+
+def qp_relax_solve(problem: SelectionProblem, max_iter: int = 500, tol: float = 1e-8) -> QpSolveReport:
+    """Minimize f(a) = lam * c^T a + |X^T a|^2 over the capped simplex
+    {sum a = k, 0 <= a <= 1}, started at a = k/m.
+
+    Each iteration takes one spectral projected gradient step (Birgin,
+    Martinez & Raydan, SIAM J. Optim. 2000): it projects a - s g, moves
+    along d = proj - a by the exact line minimizer
+    t = min(1, -g.d / (2 |X^T d|^2)) and sets the next s to the
+    Barzilai-Borwein step |d|^2 / (2 |X^T d|^2), clamped to [1e-10, 1e10],
+    the first s being 1 / (2 lambda_max(X^T X)). The step picks the face;
+    a face step (_face_step) then minimizes on it. Neither step raises f.
+    f is convex, so the iterate is converged once the Frank-Wolfe gap is at
+    most tol * max(1, |f|) or the gradient step t |d| is at most tol.
     """
     m = problem.size
     if m == 0:
@@ -190,45 +228,37 @@ def qp_relax_solve(
     if problem.k > m:
         raise ValueError(f"k={problem.k} exceeds candidate count {m}")
     X = problem.vectors
-    G = X @ X.T
-    c = -(X @ problem.query)
-    k, lam = problem.k, problem.lam
+    k = problem.k
+    # lam * c = -2 X target, so f(a) = |X^T a - target|^2 - |target|^2
+    target = 0.5 * problem.lam * problem.query
 
-    def objective(a: np.ndarray) -> float:
-        return float(lam * (c @ a) + a @ G @ a)
-
-    if m == k:
-        alpha = np.ones(m)
-        return QpSolveReport(alpha=alpha, relaxed_objective=objective(alpha), iterations=0, converged=True)
-
-    if step_rule == "lipschitz":
-        fro = float(np.linalg.norm(G, "fro"))
-        eta = 1.0 / (2.0 * fro) if fro > 0 else 1.0
-    else:
-        eta = float(step_rule)
-        if eta <= 0:
-            raise ValueError("step size must be positive")
+    def evaluate(a: np.ndarray) -> tuple[np.ndarray, float, float]:
+        xa = X.T @ a
+        grad = 2.0 * (X @ (xa - target))
+        f = float(xa @ (xa - 2.0 * target))
+        return grad, f, _fw_gap(grad, a, k)
 
     alpha = np.full(m, k / m)
-    converged = False
+    grad, f, gap = evaluate(alpha)
+    converged = gap <= tol * max(1.0, abs(f))
+    top = float(np.linalg.eigvalsh(X.T @ X)[-1])
+    step = 1.0 / (2.0 * top) if top > 0 else 1.0
     it = 0
-    for it in range(1, max_iter + 1):
-        grad = lam * c + 2.0 * (G @ alpha)
-        new = project_capped_simplex(alpha - eta * grad, k)
-        if np.linalg.norm(new - alpha) <= tol:
-            alpha = new
-            converged = True
-            break
-        alpha = new
-    return QpSolveReport(alpha=alpha, relaxed_objective=objective(alpha), iterations=it, converged=converged)
+    while not converged and it < max_iter:
+        it += 1
+        d = project_capped_simplex(alpha - step * grad, k) - alpha
+        xd = X.T @ d
+        curv = float(xd @ xd)
+        dd = float(d @ d)
+        t = 1.0 if curv <= 0 else min(1.0, max(0.0, -float(grad @ d) / (2.0 * curv)))
+        step = 1e10 if curv <= 0 else min(1e10, max(1e-10, dd / (2.0 * curv)))
+        alpha = _face_step(X, alpha + t * d, target)
+        grad, f, gap = evaluate(alpha)
+        converged = gap <= tol * max(1.0, abs(f)) or t * math.sqrt(dd) <= tol
+    return QpSolveReport(alpha=alpha, relaxed_objective=f, iterations=it, converged=converged, gap=gap)
 
 
-def select_qp_rel(
-    problem: SelectionProblem,
-    step_rule: str | float = "lipschitz",
-    max_iter: int = 500,
-    tol: float = 1e-8,
-) -> SelectionResult:
+def select_qp_rel(problem: SelectionProblem, max_iter: int = 500, tol: float = 1e-8) -> SelectionResult:
     """Round the relaxed solution: keep the k largest fractional weights
     (ties by ascending id). With fewer candidates than k the whole pool is
     returned underfilled (the relaxation is only solvable for k <= n)."""
@@ -236,7 +266,7 @@ def select_qp_rel(
         return _result(problem, [])
     if problem.k >= problem.size:
         return _result(problem, list(range(problem.size)))
-    report = qp_relax_solve(problem, step_rule=step_rule, max_iter=max_iter, tol=tol)
+    report = qp_relax_solve(problem, max_iter=max_iter, tol=tol)
     order = np.lexsort((problem.ids, -report.alpha))
     return _result(problem, list(order[: problem.k]))
 

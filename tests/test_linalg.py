@@ -175,3 +175,28 @@ class TestCappedSimplexProjection:
             out = project_capped_simplex(v, k)
             oracle = brute_force_projection(v, k)
             np.testing.assert_allclose(out, oracle, atol=2e-3)
+
+    @given(
+        st.lists(st.one_of(st.floats(-5, 5), st.sampled_from([-1.0, 0.0, 0.25, 1.0, 2.0])), min_size=2, max_size=40),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_kkt_conditions(self, vals, data):
+        # the projection is clip(v - tau, 0, 1) for one tau: free coordinates
+        # share tau, zeros have v_i <= tau, ones have v_i >= tau + 1
+        v = np.array(vals)
+        n = v.size
+        k = data.draw(st.sampled_from([1, n - 1]) | st.integers(1, n - 1))
+        a = project_capped_simplex(v, k)
+        assert abs(a.sum() - k) <= 1e-12 * n
+        free = (a > 0.0) & (a < 1.0)
+        zeros, ones = v[a == 0.0], v[a == 1.0]
+        assert free.sum() + zeros.size + ones.size == n
+        if free.any():
+            taus = v[free] - a[free]
+            assert np.ptp(taus) <= 1e-12
+            lo, hi = taus.max(), taus.min() + 1.0
+        else:
+            lo = hi = ones.min() - 1.0  # k >= 1, so with no free coordinate some are ones
+        assert np.all(zeros <= lo + 1e-12)
+        assert np.all(ones >= hi - 1e-12)

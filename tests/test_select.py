@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from itertools import combinations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hashdiv.hashing import PLAIN, new_family
+from hashdiv.lsh import build, query
 from hashdiv.select import (
     SelectionProblem,
     evaluate_objective,
@@ -262,6 +264,41 @@ class TestQpRelax:
         prob = SelectionProblem(np.array([1.0, 0.0]), np.empty(0, dtype=int), np.empty((0, 2)), k=1, lam=0.5)
         with pytest.raises(ValueError):
             qp_relax_solve(prob)
+
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.integers(1, 10),
+        st.integers(2, 6),
+        st.integers(1, 10),
+        st.floats(0.0, 1.0),
+        st.booleans(),
+    )
+    # a degenerate instance on which projected gradient steps alone still had
+    # a relative gap of 1.4e-8 after 500 iterations
+    @example(seed=1012, n=6, d=3, k=1, lam=1.0, clustered=False)
+    @settings(max_examples=100, deadline=None)
+    def test_converges_with_certified_bound(self, seed, n, d, k, lam, clustered):
+        k = min(k, n)
+        prob = random_problem(seed, n=n, d=d, k=k, lam=lam, clustered=clustered)
+        rep = qp_relax_solve(prob)
+        assert rep.converged
+        assert abs(rep.alpha.sum() - k) <= 1e-9
+        assert np.all(rep.alpha >= -1e-12) and np.all(rep.alpha <= 1.0 + 1e-12)
+        assert rep.gap >= -1e-12
+        best = min(eq2_objective(prob.query, prob.vectors, s, lam) for s in combinations(range(n), k))
+        assert rep.relaxed_objective - rep.gap <= best + 1e-12
+
+    def test_converges_on_hashed_toy_candidates(self, small_toy):
+        index = build(small_toy, new_family(PLAIN, 8, 6, small_toy.d, seed=0))
+        reports = []
+        for q in small_toy.vectors:
+            ids = query(index, q).ids
+            prob = SelectionProblem(q, ids, small_toy.dense_rows(ids), k=10, lam=0.5)
+            if prob.size > prob.k:
+                reports.append(qp_relax_solve(prob, max_iter=500))
+        assert len(reports) >= 150
+        assert np.mean([r.converged for r in reports]) >= 0.95
+        assert np.median([r.iterations for r in reports]) <= 100
 
 
 class TestSelectQpRel:
