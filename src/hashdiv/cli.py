@@ -12,6 +12,8 @@ import dataclasses
 import json
 import sys
 
+import numpy as np
+
 from . import lsh
 from .data import ToyConfig, load_dense, make_toy, save_dense
 from .experiment import (
@@ -64,8 +66,12 @@ def _cmd_index_build(args) -> int:
     )
     index = lsh.build(dataset, family)
     lsh.save_index(index, args.out)
-    buckets = sum(len(t) for t in index.tables)
-    print(f"indexed {dataset.n} points into {buckets} non-empty buckets across {args.L} tables", file=sys.stderr)
+    sizes = index.bucket_sizes()
+    print(
+        f"indexed {dataset.n} points into {sizes.size} non-empty buckets across {args.L} tables "
+        f"(bucket size max {sizes.max()}, p99 {np.percentile(sizes, 99):g})",
+        file=sys.stderr,
+    )
     return 0
 
 

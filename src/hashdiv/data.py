@@ -7,6 +7,7 @@ rows outright instead of letting NaNs leak into the hash stage.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -115,6 +116,24 @@ class Dataset:
         if sp.issparse(rows):
             return np.asarray(rows.todense())
         return rows
+
+    @cached_property
+    def digest(self) -> bytes:
+        """sha256 of the vectors (shape, then the float64 values, or the CSR
+        arrays of a sparse matrix). An index blob records it so that it
+        loads only against the dataset it was built over."""
+        h = hashlib.sha256(repr((self.vectors.shape, self.is_sparse)).encode())
+        if self.is_sparse:
+            m = sp.csr_matrix(self.vectors)
+            if not m.has_sorted_indices:
+                m = m.sorted_indices()
+            parts = (m.indptr.astype(np.int64, copy=False), m.indices.astype(np.int64, copy=False),
+                     m.data.astype(np.float64, copy=False))
+        else:
+            parts = (self.vectors.astype(np.float64, copy=False),)
+        for part in parts:
+            h.update(np.ascontiguousarray(part))
+        return h.digest()
 
     @cached_property
     def subtopic_count_per_category(self) -> dict[int, int]:

@@ -3,14 +3,23 @@
 
 Bucket lookup is exact-key only; no multi-probe. Candidate order is fixed
 (ascending id) so the downstream greedy selectors are deterministic.
+
+The tables are static, so they are stored flat, in the manner of FALCONN
+(Andoni et al., NeurIPS 2015): table t is its sorted unique keys
+keys[table_bounds[t]:table_bounds[t + 1]], and the bucket of keys[j] is
+ids[offsets[j]:offsets[j + 1]]. Table t's buckets fill ids[t*n:(t+1)*n],
+ids ascending inside each bucket. The same arrays are written to and
+read from the blob as raw bytes.
 """
 
 from __future__ import annotations
 
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .data import Dataset
 from .hashing import (
@@ -23,7 +32,10 @@ from .hashing import (
     new_family,
 )
 
-_MAGIC = b"HDVI"
+_MAGIC = b"HDV2"
+# magic, n, d, L, bucket count, family length, sha256 of the dataset's
+# vectors, crc32 of everything after the header, crc32 of the header so far
+_HEADER = struct.Struct("<4sQQQQQ32sII")
 
 
 @dataclass(frozen=True)
@@ -32,26 +44,32 @@ class CandidateSet:
     before dedup, the per-query cost measure."""
 
     ids: np.ndarray
-    probed_tables: int
     touched: int
 
 
 @dataclass
 class LshIndex:
-    """L maps (packed key -> array of point ids); only non-empty buckets are
-    stored. Immutable after build; queries are safe to run concurrently."""
+    """Flat tables (see the module docstring): `keys` (B,) uint64,
+    `offsets` (B + 1,) and `ids` (L * n,) int64, `table_bounds` (L + 1,)
+    bucket numbers. Only non-empty buckets are stored. Immutable after
+    build; queries are safe to run concurrently."""
 
     family: HashFamily
-    tables: list[dict[int, np.ndarray]]
     dataset: Dataset
+    keys: np.ndarray
+    offsets: np.ndarray
+    ids: np.ndarray
+    table_bounds: np.ndarray
 
+    def __post_init__(self):
+        # per-table views, so a lookup slices nothing
+        bounds = self.table_bounds.tolist()
+        self._table_keys = [self.keys[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        self._bounds = bounds
 
-def _group_by_key(keys: np.ndarray) -> dict[int, np.ndarray]:
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    uniq, starts = np.unique(sorted_keys, return_index=True)
-    bounds = np.append(starts, keys.size)
-    return {int(k): order[bounds[i] : bounds[i + 1]] for i, k in enumerate(uniq)}
+    def bucket_sizes(self) -> np.ndarray:
+        """Point count of every non-empty bucket, table by table."""
+        return np.diff(self.offsets)
 
 
 def build(dataset: Dataset, family: HashFamily) -> LshIndex:
@@ -60,9 +78,22 @@ def build(dataset: Dataset, family: HashFamily) -> LshIndex:
         raise ValueError("cannot index an empty dataset")
     if dataset.d != family.d:
         raise ValueError(f"dataset dimension {dataset.d} != family dimension {family.d}")
-    keys = hash_matrix(family, dataset.vectors)  # (n, L)
-    tables = [_group_by_key(keys[:, t]) for t in range(family.L)]
-    return LshIndex(family=family, tables=tables, dataset=dataset)
+    n = dataset.n
+    keys = hash_matrix(family, dataset.vectors).T  # (L, n)
+    order = np.argsort(keys, axis=1, kind="stable")
+    sorted_keys = np.take_along_axis(keys, order, axis=1).ravel()
+    first = np.ones(sorted_keys.size, dtype=bool)
+    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    first[::n] = True  # every table opens a bucket
+    starts = np.flatnonzero(first)
+    return LshIndex(
+        family=family,
+        dataset=dataset,
+        keys=sorted_keys[starts],
+        offsets=np.append(starts, sorted_keys.size),
+        ids=order.ravel(),
+        table_bounds=np.searchsorted(starts, np.arange(family.L + 1) * n),
+    )
 
 
 def query(index: LshIndex, q, max_candidates: int | None = None, radius: float | None = None) -> CandidateSet:
@@ -73,13 +104,24 @@ def query(index: LshIndex, q, max_candidates: int | None = None, radius: float |
     radius keeps only points within exact distance radius of q.
     """
     vec = q.vector if hasattr(q, "vector") else q
+    if not np.isfinite(vec.data if sp.issparse(vec) else vec).all():
+        raise ValueError("query has a NaN or infinite coordinate")
     keys = hash_vector(index.family, vec)
-    buckets = [index.tables[t].get(int(keys[t])) for t in range(index.family.L)]
-    buckets = [b for b in buckets if b is not None]
+    buckets = []
+    for lo, table, key in zip(index._bounds, index._table_keys, keys):
+        j = int(table.searchsorted(key))
+        if j < table.size and table[j] == key:
+            buckets.append(index.ids[index.offsets[lo + j] : index.offsets[lo + j + 1]])
     touched = int(sum(b.size for b in buckets))
     if not buckets:
-        return CandidateSet(ids=np.empty(0, dtype=int), probed_tables=index.family.L, touched=0)
-    ids = np.unique(np.concatenate(buckets))
+        return CandidateSet(ids=np.empty(0, dtype=int), touched=0)
+    # np.unique's hash-table path costs more than the sort on a few hundred ids
+    ids = np.concatenate(buckets)
+    ids.sort()
+    distinct = np.empty(ids.size, dtype=bool)
+    distinct[0] = True
+    np.not_equal(ids[1:], ids[:-1], out=distinct[1:])
+    ids = ids[distinct]
     if radius is not None or max_candidates is not None:
         diffs = index.dataset.dense_rows(ids) - np.asarray(
             vec.todense() if hasattr(vec, "todense") else vec
@@ -91,7 +133,7 @@ def query(index: LshIndex, q, max_candidates: int | None = None, radius: float |
         if max_candidates is not None and ids.size > max_candidates:
             nearest = np.lexsort((ids, dists))[:max_candidates]
             ids = np.sort(ids[nearest])
-    return CandidateSet(ids=ids, probed_tables=index.family.L, touched=touched)
+    return CandidateSet(ids=ids, touched=touched)
 
 
 @dataclass(frozen=True)
@@ -106,6 +148,21 @@ class TuneResult:
 
 _L_GRID = tuple(range(8, 65, 4))
 _TABLE_GRID = tuple(range(1, 33))
+
+
+# trailing-zero count of a power of two 2^z (z < 64) by the biased exponent
+# 127 + z of its float32 value, which holds it exactly; 0 (equal keys)
+# has exponent 0 and maps to 64
+_TRAILING_ZEROS = np.full(256, 64, dtype=np.uint8)
+_TRAILING_ZEROS[127:191] = np.arange(64)
+
+
+def _shared_prefix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Number of low bits on which keys a and b agree (64 if a == b): the
+    trailing zeros of a ^ b, read off its lowest set bit."""
+    x = a ^ b
+    x &= -x
+    return _TRAILING_ZEROS[x.astype(np.float32).view(np.uint32) >> np.uint32(23)]
 
 
 def tune(
@@ -130,6 +187,10 @@ def tune(
 
     Because hyperplane (t, b) depends only on (seed, t, b), every grid pair
     is a prefix of the one maximal family, so the dataset is hashed once.
+    Point i shares query q's bucket at (l, table t) iff their table-t keys
+    agree on the low l bits, so one shared-prefix length per (q, i, t)
+    answers every l; its running max over tables gives the union for
+    every L.
     """
     if not 0.0 < target_recall < 1.0:
         raise ValueError("target_recall must lie strictly between 0 and 1")
@@ -146,47 +207,52 @@ def tune(
     max_l, max_L = _L_GRID[-1], _TABLE_GRID[-1]
     family = new_family(PLAIN, max_l, max_L, dataset.d, seed=seed)
     all_keys = hash_matrix(family, dataset.vectors)          # (n, max_L)
-    q_keys = all_keys[q_ids]
 
     # leave-one-out ground truth: at_k nearest neighbors excluding the query
     dense = dataset.dense_rows(np.arange(n))
     true_nn = []
     for qi, qv in zip(q_ids, qvecs):
-        d2 = np.einsum("ij,ij->i", dense - qv, dense - qv)
-        order = np.argsort(d2, kind="stable")[: at_k + 1]
-        neighbors = [i for i in order.tolist() if i != qi][:at_k]
-        true_nn.append(set(neighbors))
+        diff = dense - qv
+        order = np.argsort(np.einsum("ij,ij->i", diff, diff), kind="stable")[: at_k + 1]
+        true_nn.append([i for i in order.tolist() if i != qi][:at_k])
+    true_nn = np.array(true_nn, dtype=np.intp).reshape(q_ids.size, -1)
 
+    # per table L (1-based) and query: hits among true_nn, union size and
+    # touched entries, each for every l of the grid
+    nq = q_ids.size
+    ls = np.array(_L_GRID)
+    rows = np.arange(nq)[:, None]
+    union = np.zeros((nq, n), dtype=np.uint8)   # longest prefix shared in any table so far
+    touched_hist = np.zeros((nq, 65), dtype=np.int64)
+    hits, cands, touched = [], [], []
+
+    def at_least(hist: np.ndarray) -> np.ndarray:
+        return hist[:, ::-1].cumsum(axis=1)[:, ::-1][:, ls]   # (nq, len(ls)): count of prefix >= l
+
+    for t in range(max_L):
+        shared = _shared_prefix(all_keys[q_ids, t][:, None], all_keys[:, t][None, :])
+        touched_hist += np.bincount((shared + rows * 65).ravel(), minlength=nq * 65).reshape(nq, 65)
+        np.maximum(union, shared, out=union)
+        hits.append((union[rows, true_nn][:, :, None] >= ls).sum(axis=1))
+        union_hist = np.bincount((union + rows * 65).ravel(), minlength=nq * 65).reshape(nq, 65)
+        cands.append(at_least(union_hist) - 1)   # the query itself always collides
+        touched.append(at_least(touched_hist))
+
+    at = min(at_k, n - 1) or 1
     candidate_cap = 4.0 * n ** (1.0 / (1.0 + epsilon))
     best = None          # feasible and under the candidate cap, lowest touched
     best_over_cap = None  # feasible, lowest touched
     fallback = None      # highest recall
-    for l in _L_GRID:
-        mask = np.uint64((1 << l) - 1)
-        masked = all_keys & mask
-        tables = [_group_by_key(masked[:, t]) for t in range(max_L)]
-        mq = q_keys & mask
-        # per query, accumulate the bucket union as L grows
-        unions = [set() for _ in range(q_ids.size)]
-        touched = np.zeros(q_ids.size)
-        for L_idx, table in enumerate(tables):
-            L = L_idx + 1
-            for qi in range(q_ids.size):
-                bucket = table.get(int(mq[qi, L_idx]))
-                if bucket is not None:
-                    unions[qi].update(bucket.tolist())
-                    touched[qi] += bucket.size
-            if L not in _TABLE_GRID:
-                continue
-            at = min(at_k, n - 1) or 1
-            recalls = np.array([len((u - {int(q)}) & t10) / at for u, t10, q in zip(unions, true_nn, q_ids)])
+    for li, l in enumerate(_L_GRID):
+        for L in _TABLE_GRID:
+            recalls = hits[L - 1][:, li] / at
             recall = float(recalls.mean())
             # one-sided confidence margin: the pair must clear the target by
             # the sample error, or the selected-at-threshold pair would miss
             # the target on fresh queries about half the time
             margin = 1.64 * float(recalls.std()) / np.sqrt(recalls.size)
-            mean_cand = float(np.mean([len(u - {int(q)}) for u, q in zip(unions, q_ids)]))
-            mean_touched = float(np.mean(touched))
+            mean_cand = float(np.mean(cands[L - 1][:, li]))
+            mean_touched = float(np.mean(touched[L - 1][:, li]))
             entry = TuneResult(l, L, True, recall, mean_cand, mean_touched)
             if recall >= target_recall + margin:
                 if mean_cand <= candidate_cap:
@@ -203,41 +269,59 @@ def tune(
     return TuneResult(fallback.l, fallback.L, False, fallback.recall, fallback.mean_candidates, fallback.expected_touched)
 
 
+def _arrays_offset(fam_len: int) -> int:
+    """Where the arrays start: after the header and the family blob,
+    rounded up to 8 bytes so that they load aligned."""
+    end = _HEADER.size + fam_len
+    return end + (-end % 8)
+
+
 def index_to_bytes(index: LshIndex) -> bytes:
+    """Header, family blob, zero padding to 8 bytes, then keys, offsets,
+    table_bounds and ids as raw little-endian 64-bit arrays."""
     fam = family_to_bytes(index.family)
-    out = [_MAGIC, struct.pack("<QQ", len(fam), index.dataset.n), fam]
-    for table in index.tables:
-        out.append(struct.pack("<Q", len(table)))
-        for key in sorted(table):
-            ids = np.ascontiguousarray(table[key], dtype=np.int64)
-            out.append(struct.pack("<QQ", key, ids.size))
-            out.append(ids.tobytes())
-    return b"".join(out)
+    ds = index.dataset
+    body = [fam, bytes(_arrays_offset(len(fam)) - _HEADER.size - len(fam))] + [
+        memoryview(np.ascontiguousarray(a, dtype=dt))
+        for a, dt in ((index.keys, "<u8"), (index.offsets, "<i8"), (index.table_bounds, "<i8"), (index.ids, "<i8"))
+    ]
+    body_crc = 0
+    for part in body:
+        body_crc = zlib.crc32(part, body_crc)
+    fields = (_MAGIC, ds.n, ds.d, index.family.L, index.keys.size, len(fam), ds.digest, body_crc)
+    header = _HEADER.pack(*fields, 0)[:-4]
+    return b"".join([header, struct.pack("<I", zlib.crc32(header)), *body])
 
 
 def index_from_bytes(blob: bytes, dataset: Dataset) -> LshIndex:
-    if blob[:4] != _MAGIC:
+    if len(blob) < _HEADER.size:
+        raise ValueError(f"truncated index blob: {len(blob)} bytes, the header alone is {_HEADER.size}")
+    magic, n, d, L, buckets, fam_len, digest, body_crc, header_crc = _HEADER.unpack_from(blob)
+    if magic != _MAGIC:
         raise ValueError("not an index blob (bad magic)")
-    off = 4
-    fam_len, n = struct.unpack_from("<QQ", blob, off)
-    off += 16
+    if zlib.crc32(memoryview(blob)[: _HEADER.size - 4]) != header_crc:
+        raise ValueError("corrupt index blob: header checksum mismatch")
+    arrays_at = _arrays_offset(fam_len)
+    size = arrays_at + 8 * (2 * buckets + L + 2 + L * n)
+    if len(blob) < size:
+        raise ValueError(f"truncated index blob: {len(blob)} bytes, its header describes {size}")
+    if len(blob) > size:
+        raise ValueError(f"corrupt index blob: {len(blob)} bytes, its header describes {size}")
+    if zlib.crc32(memoryview(blob)[_HEADER.size :]) != body_crc:
+        raise ValueError("corrupt index blob: checksum mismatch")
     if n != dataset.n:
         raise ValueError(f"index built over {n} points, dataset has {dataset.n}")
-    family = family_from_bytes(blob[off : off + fam_len])
-    off += fam_len
-    tables = []
-    for _ in range(family.L):
-        (n_buckets,) = struct.unpack_from("<Q", blob, off)
-        off += 8
-        table = {}
-        for _ in range(n_buckets):
-            key, count = struct.unpack_from("<QQ", blob, off)
-            off += 16
-            ids = np.frombuffer(blob, dtype=np.int64, count=count, offset=off).copy()
-            off += count * 8
-            table[int(key)] = ids
-        tables.append(table)
-    return LshIndex(family=family, tables=tables, dataset=dataset)
+    if d != dataset.d:
+        raise ValueError(f"index built over {d}-dimensional points, dataset has dimension {dataset.d}")
+    if digest != dataset.digest:
+        raise ValueError("index built over a different dataset: the digest of its vectors does not match")
+    family = family_from_bytes(blob[_HEADER.size : _HEADER.size + fam_len])
+    parts = []
+    for dtype, count in (("<u8", buckets), ("<i8", buckets + 1), ("<i8", L + 1), ("<i8", L * n)):
+        parts.append(np.frombuffer(blob, dtype=dtype, count=count, offset=arrays_at))
+        arrays_at += 8 * count
+    keys, offsets, bounds, ids = parts
+    return LshIndex(family=family, dataset=dataset, keys=keys, offsets=offsets, ids=ids, table_bounds=bounds)
 
 
 def save_index(index: LshIndex, path) -> None:

@@ -50,6 +50,10 @@ class SelectionProblem:
             raise ValueError("ids and vectors disagree on candidate count")
         if self.ids.size and np.any(np.diff(self.ids) <= 0):
             raise ValueError("candidate ids must be distinct and ascending")
+        if not np.isfinite(self.query).all():
+            raise ValueError("query has a NaN or infinite coordinate")
+        if not np.isfinite(self.vectors).all():
+            raise ValueError("a candidate vector has a NaN or infinite coordinate")
 
     @classmethod
     def from_dataset(cls, query, dataset: Dataset, candidate_ids, k: int, lam: float) -> "SelectionProblem":

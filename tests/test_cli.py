@@ -1,8 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
+from hashdiv import lsh
 from hashdiv.cli import main
 from hashdiv.data import load_dense
 
@@ -33,6 +35,12 @@ def test_index_build_and_query(toy_paths, tmp_path, capsys):
     idx = tmp_path / "index.bin"
     assert main(["index", "build", "--data", str(data), "--kind", "lshdiv",
                  "--l", "10", "--L", "4", "--seed", "1", "--out", str(idx)]) == 0
+    stats = re.search(r"into (\d+) non-empty buckets across 4 tables \(bucket size max (\d+), p99 ([\d.]+)\)",
+                      capsys.readouterr().err)
+    sizes = lsh.load_index(idx, load_dense(data)).bucket_sizes()
+    assert stats and int(stats[1]) == sizes.size and int(stats[2]) == sizes.max()
+    assert float(stats[3]) == pytest.approx(np.percentile(sizes, 99), rel=1e-5)
+    assert sizes.sum() == 400 * 4
     out = tmp_path / "cand.jsonl"
     assert main(["index", "query", "--index", str(idx), "--data", str(data),
                  "--queries", str(queries), "--out", str(out)]) == 0

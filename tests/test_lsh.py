@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import clustered_dataset, toy_centers
 from hashdiv import lsh
@@ -18,35 +20,60 @@ def toy_index(toy_1k):
     return lsh.build(toy_1k, fam)
 
 
+def table_of(index, t):
+    """Table t of the flat layout: its keys and its buckets, in key order."""
+    lo, hi = index.table_bounds[t], index.table_bounds[t + 1]
+    buckets = [index.ids[index.offsets[j] : index.offsets[j + 1]] for j in range(lo, hi)]
+    return index.keys[lo:hi], buckets
+
+
 class TestBuild:
     def test_single_point(self):
         ds = Dataset(vectors=np.array([[1.0, 0.0]]))
         fam = new_family(PLAIN, 8, 3, 2, seed=0)
         index = lsh.build(ds, fam)
-        for table in index.tables:
-            assert len(table) == 1
-            (ids,) = table.values()
-            assert ids.tolist() == [0]
+        for t in range(fam.L):
+            keys, buckets = table_of(index, t)
+            assert keys.size == 1
+            assert [b.tolist() for b in buckets] == [[0]]
+
+    def test_equal_keys_in_adjacent_tables_stay_apart(self):
+        # with l=1 the one point has key 1 in tables 2..7 of this family
+        ds = Dataset(vectors=np.array([[1.0, 0.0]]))
+        index = lsh.build(ds, new_family(PLAIN, 1, 8, 2, seed=0))
+        assert index.table_bounds.tolist() == list(range(9))
+        assert lsh.query(index, ds.vectors[0]).touched == 8
 
     def test_duplicate_points_share_buckets(self):
         ds = Dataset(vectors=np.array([[0.6, 0.8], [0.6, 0.8], [0.0, 1.0]]))
         fam = new_family(PLAIN, 12, 4, 2, seed=2)
         index = lsh.build(ds, fam)
-        for table in index.tables:
-            bucket_of = {i: k for k, ids in table.items() for i in ids}
+        for t in range(fam.L):
+            keys, buckets = table_of(index, t)
+            bucket_of = {int(i): int(k) for k, ids in zip(keys, buckets) for i in ids}
             assert bucket_of[0] == bucket_of[1]
 
     def test_total_entries_and_occupancy(self, toy_1k, toy_index):
-        total = sum(ids.size for table in toy_index.tables for ids in table.values())
-        assert total == toy_1k.n * toy_index.family.L
-        for table in toy_index.tables:
-            occupancy = toy_1k.n / len(table)
-            assert occupancy == pytest.approx(np.mean([ids.size for ids in table.values()]))
+        assert toy_index.ids.size == toy_1k.n * toy_index.family.L
+        assert toy_index.bucket_sizes().sum() == toy_1k.n * toy_index.family.L
+        for t in range(toy_index.family.L):
+            keys, buckets = table_of(toy_index, t)
+            occupancy = toy_1k.n / keys.size
+            assert occupancy == pytest.approx(np.mean([ids.size for ids in buckets]))
 
     def test_each_id_once_per_table(self, toy_1k, toy_index):
-        for table in toy_index.tables:
-            ids = np.concatenate(list(table.values()))
+        for t in range(toy_index.family.L):
+            ids = np.concatenate(table_of(toy_index, t)[1])
             assert np.array_equal(np.sort(ids), np.arange(toy_1k.n))
+
+    def test_keys_sorted_and_buckets_hold_their_key(self, toy_1k, toy_index):
+        point_keys = hash_matrix(toy_index.family, toy_1k.vectors)
+        for t in range(toy_index.family.L):
+            keys, buckets = table_of(toy_index, t)
+            assert np.all(keys[1:] > keys[:-1])
+            for key, ids in zip(keys, buckets):
+                assert ids.size > 0 and np.all(np.diff(ids) > 0)
+                assert np.all(point_keys[ids, t] == key)
 
     def test_empty_dataset_rejected(self):
         fam = new_family(PLAIN, 8, 1, 2, seed=0)
@@ -123,6 +150,34 @@ class TestQuery:
         d = np.linalg.norm(toy_1k.dense_rows(cand.ids) - q, axis=1)
         assert np.all(d <= 0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_query_rejected(self, toy_index, bad):
+        q = np.zeros(toy_index.family.d)
+        q[1] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            lsh.query(toy_index, q)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_brute_force_bucket_union_and_survives_persistence(self, data):
+        n = data.draw(st.integers(1, 60))
+        d = data.draw(st.integers(1, 5))
+        l = data.draw(st.integers(1, 10))
+        L = data.draw(st.integers(1, 6))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        points = rng.standard_normal((n, d))
+        points[rng.random(n) < 0.3] = points[0]  # duplicates share every bucket
+        ds = Dataset(vectors=points)
+        index = lsh.build(ds, new_family(PLAIN, l, L, d, seed=data.draw(st.integers(0, 99))))
+        back = lsh.index_from_bytes(lsh.index_to_bytes(index), Dataset(vectors=points.copy()))
+        keys = hash_matrix(index.family, points)
+        for q in np.vstack([points[:3], rng.standard_normal((3, d))]):
+            match = keys == hash_matrix(index.family, q.reshape(1, -1))[0]
+            for idx in (index, back):
+                cand = lsh.query(idx, q)
+                assert np.array_equal(cand.ids, np.flatnonzero(match.any(axis=1)))
+                assert cand.touched == int(match.sum())
+
     def test_sublinear_candidate_fraction(self):
         master = clustered_dataset(2**13, seed=6)
         fam = new_family(PLAIN, 16, 6, master.d, seed=6)
@@ -178,6 +233,95 @@ class TestTune:
         assert 128 / 4 <= np.mean(sizes) <= 128 * 4
 
 
+def tune_by_sets(dataset, target_recall, epsilon=1.0, *, seed=0, n_queries=64, at_k=10):
+    """The tuner written out with one bucket dict per (l, table) and Python
+    set unions: the reference that lsh.tune must match exactly."""
+    n = dataset.n
+    rng = np.random.default_rng(seed)
+    q_ids = rng.choice(n, size=min(n_queries, n), replace=False)
+    q_ids.sort()
+    qvecs = dataset.dense_rows(q_ids)
+    family = new_family(PLAIN, 64, 32, dataset.d, seed=seed)
+    all_keys = hash_matrix(family, dataset.vectors)
+    q_keys = all_keys[q_ids]
+    dense = dataset.dense_rows(np.arange(n))
+    true_nn = []
+    for qi, qv in zip(q_ids, qvecs):
+        d2 = np.einsum("ij,ij->i", dense - qv, dense - qv)
+        order = np.argsort(d2, kind="stable")[: at_k + 1]
+        true_nn.append(set([i for i in order.tolist() if i != qi][:at_k]))
+    candidate_cap = 4.0 * n ** (1.0 / (1.0 + epsilon))
+    best = best_over_cap = fallback = None
+    for l in range(8, 65, 4):
+        mask = np.uint64((1 << l) - 1)
+        masked = all_keys & mask
+        tables = []
+        for t in range(32):
+            table = {}
+            for i in range(n):
+                table.setdefault(int(masked[i, t]), []).append(i)
+            tables.append(table)
+        mq = q_keys & mask
+        unions = [set() for _ in range(q_ids.size)]
+        touched = np.zeros(q_ids.size)
+        for L_idx, table in enumerate(tables):
+            L = L_idx + 1
+            for qi in range(q_ids.size):
+                bucket = table.get(int(mq[qi, L_idx]))
+                if bucket is not None:
+                    unions[qi].update(bucket)
+                    touched[qi] += len(bucket)
+            at = min(at_k, n - 1) or 1
+            recalls = np.array([len((u - {int(q)}) & t10) / at for u, t10, q in zip(unions, true_nn, q_ids)])
+            recall = float(recalls.mean())
+            margin = 1.64 * float(recalls.std()) / np.sqrt(recalls.size)
+            mean_cand = float(np.mean([len(u - {int(q)}) for u, q in zip(unions, q_ids)]))
+            mean_touched = float(np.mean(touched))
+            entry = lsh.TuneResult(l, L, True, recall, mean_cand, mean_touched)
+            if recall >= target_recall + margin:
+                if mean_cand <= candidate_cap:
+                    if best is None or mean_touched < best.expected_touched:
+                        best = entry
+                elif best_over_cap is None or mean_touched < best_over_cap.expected_touched:
+                    best_over_cap = entry
+            if fallback is None or recall > fallback.recall:
+                fallback = entry
+    if best is not None:
+        return best
+    if best_over_cap is not None:
+        return best_over_cap
+    return lsh.TuneResult(fallback.l, fallback.L, False, fallback.recall, fallback.mean_candidates,
+                          fallback.expected_touched)
+
+
+class TestTuneOracle:
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_matches_set_based_tuner(self, data):
+        n = data.draw(st.integers(1, 100))
+        d = data.draw(st.integers(1, 6))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if data.draw(st.booleans()):
+            points = rng.standard_normal((n, d))
+        else:  # clustered, so that some pairs reach the target
+            points = rng.standard_normal((4, d))[rng.integers(0, 4, n)] + 0.05 * rng.standard_normal((n, d))
+        dup = rng.random(n) < data.draw(st.sampled_from([0.0, 0.3, 0.9]))
+        points[dup] = points[rng.integers(0, n, dup.sum())]
+        ds = Dataset(vectors=points)
+        kwargs = dict(
+            epsilon=data.draw(st.sampled_from([0.5, 1.0, 3.0])),
+            seed=data.draw(st.integers(0, 50)),
+            n_queries=data.draw(st.sampled_from([1, 7, 64])),
+            at_k=data.draw(st.sampled_from([1, 3, 10])),
+        )
+        target = data.draw(st.sampled_from([0.3, 0.8, 0.95]))
+        assert lsh.tune(ds, target, **kwargs) == tune_by_sets(ds, target, **kwargs)
+
+    def test_matches_set_based_tuner_on_toy(self, toy_1k):
+        sample = Dataset(vectors=toy_1k.vectors[::4])
+        assert lsh.tune(sample, 0.8, seed=3) == tune_by_sets(sample, 0.8, seed=3)
+
+
 class TestSparseData:
     def test_index_over_sparse_dataset(self, tmp_path):
         rng = np.random.default_rng(12)
@@ -198,6 +342,27 @@ class TestSparseData:
             assert i in cand.ids
         capped = lsh.query(index, ds.point(0).vector, max_candidates=3)
         assert capped.ids.size <= 3
+
+    def test_sparse_index_reloads_against_its_file_only(self, tmp_path):
+        from hashdiv.data import load_sparse
+
+        rng = np.random.default_rng(13)
+        rows = []
+        for _ in range(50):
+            idx = np.sort(rng.choice(30, size=4, replace=False))
+            rows.append(" ".join(f"{i + 1}:{v:.6f}" for i, v in zip(idx, rng.uniform(0.1, 1.0, size=4))))
+        path = tmp_path / "sparse.svm"
+        path.write_text("\n".join(rows) + "\n")
+        ds = load_sparse(path, d=30)
+        index = lsh.build(ds, new_family(PLAIN, 6, 3, 30, seed=1))
+        blob = lsh.index_to_bytes(index)
+        back = lsh.index_from_bytes(blob, load_sparse(path, d=30))
+        for i in range(ds.n):
+            assert np.array_equal(lsh.query(back, ds.point(i).vector).ids, lsh.query(index, ds.point(i).vector).ids)
+        rows[7] = rows[8]
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match="different dataset"):
+            lsh.index_from_bytes(blob, load_sparse(path, d=30))
 
 
 class TestPersistence:
@@ -220,3 +385,32 @@ class TestPersistence:
         wrong = Dataset(vectors=np.eye(8))
         with pytest.raises(ValueError, match="points"):
             lsh.load_index(path, wrong)
+
+    def test_same_vectors_in_a_new_dataset_accepted(self, toy_1k, toy_index):
+        back = lsh.index_from_bytes(lsh.index_to_bytes(toy_index), Dataset(vectors=toy_1k.vectors.copy()))
+        q = toy_1k.point(7).dense()
+        assert np.array_equal(lsh.query(back, q).ids, lsh.query(toy_index, q).ids)
+
+    def test_different_dataset_of_same_size_rejected(self, toy_1k, toy_index):
+        other = toy_1k.vectors.copy()
+        other[17] = -other[17]
+        with pytest.raises(ValueError, match="different dataset"):
+            lsh.index_from_bytes(lsh.index_to_bytes(toy_index), Dataset(vectors=other))
+
+    def test_truncated_blob_rejected(self, toy_1k, toy_index):
+        blob = lsh.index_to_bytes(toy_index)
+        for size in (0, 3, 40, 83, 84, 200, len(blob) // 2, len(blob) - 8, len(blob) - 1):
+            with pytest.raises(ValueError, match="truncated"):
+                lsh.index_from_bytes(blob[:size], toy_1k)
+
+    def test_corrupt_blob_rejected(self, toy_1k, toy_index):
+        blob = lsh.index_to_bytes(toy_index)
+        for pos in (9, 60, 100, len(blob) // 2, len(blob) - 1):
+            bad = bytearray(blob)
+            bad[pos] ^= 0x10
+            with pytest.raises(ValueError, match="corrupt"):
+                lsh.index_from_bytes(bytes(bad), toy_1k)
+        with pytest.raises(ValueError, match="corrupt"):
+            lsh.index_from_bytes(blob + b"\0", toy_1k)
+        with pytest.raises(ValueError, match="magic"):
+            lsh.index_from_bytes(b"HDVI" + blob[4:], toy_1k)

@@ -235,18 +235,12 @@ class TestQpRelax:
             assert np.all(rep.alpha >= -1e-9) and np.all(rep.alpha <= 1 + 1e-9)
 
     def test_objective_monotone_decrease(self):
+        # the solver is deterministic, so max_iter=j stops it after its first
+        # j iterations; tol=0 keeps it from stopping sooner
         prob = random_problem(2, n=16, k=4)
-        X = prob.vectors
-        G = X @ X.T
-        c = -(X @ prob.query)
-        eta = 1.0 / (2 * np.linalg.norm(G, "fro"))
-        from hashdiv.linalg import project_capped_simplex
-
-        alpha = np.full(16, 4 / 16)
-        prev = prob.lam * (c @ alpha) + alpha @ G @ alpha
-        for _ in range(100):
-            alpha = project_capped_simplex(alpha - eta * (prob.lam * c + 2 * G @ alpha), 4)
-            cur = prob.lam * (c @ alpha) + alpha @ G @ alpha
+        prev = qp_relax_solve(prob, max_iter=0, tol=0.0).relaxed_objective
+        for j in range(1, 22):
+            cur = qp_relax_solve(prob, max_iter=j, tol=0.0).relaxed_objective
             assert cur <= prev + 1e-12
             prev = cur
 
@@ -369,6 +363,18 @@ class TestProblemValidation:
     def test_duplicate_ids(self):
         with pytest.raises(ValueError):
             SelectionProblem(np.ones(2), [0, 0], np.ones((2, 2)), k=1, lam=0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_candidate_row_rejected(self, bad):
+        X = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+        X[1, 0] = bad
+        with pytest.raises(ValueError, match="candidate vector"):
+            SelectionProblem(np.array([1.0, 0.0]), [0, 1, 2], X, k=1, lam=0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        with pytest.raises(ValueError, match="query"):
+            SelectionProblem(np.array([bad, 0.0]), [0], np.ones((1, 2)), k=1, lam=0.5)
 
     def test_all_selectors_return_min_k_distinct(self):
         for seed in range(5):
