@@ -164,14 +164,23 @@ def hash_point(family: HashFamily, table: int, x) -> int:
 
 def collision_probability(a, b) -> float:
     """Per-bit agreement probability of two points under a random sign
-    projection: 1 - arccos(a.b / (|a||b|)) / pi."""
+    projection: 1 - theta(a, b) / pi.
+
+    The angle is taken as 2 atan2(|u - v|, |u + v|) on the unit vectors
+    rather than arccos of the cosine: arccos loses half the digits near
+    cos = -1 and +1, so (anti)parallel pairs would drift from 0 and 1 with
+    the scale of the inputs."""
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
+    ma, mb = np.max(np.abs(a)), np.max(np.abs(b))
+    if ma == 0.0 or mb == 0.0:
         raise ValueError("collision probability undefined for zero vectors")
-    cos = np.clip(a @ b / (na * nb), -1.0, 1.0)
-    return 1.0 - float(np.arccos(cos)) / np.pi
+    # Divide by the largest entry first, so squaring tiny entries in the
+    # norm cannot underflow to subnormals.
+    u, v = a / ma, b / mb
+    u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
+    theta = 2.0 * np.arctan2(np.linalg.norm(u - v), np.linalg.norm(u + v))
+    return 1.0 - float(theta) / np.pi
 
 
 def estimate_collision_rate(a, b, trials: int, seed: int = 0) -> float:
