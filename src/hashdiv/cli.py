@@ -23,9 +23,7 @@ from .experiment import (
     run_multilabel_experiment,
     run_retrieval_experiment,
 )
-from .hashing import PCA, PCA_DIRECT, PLAIN, new_family
-
-_KIND_BY_NAME = {"lshdiv": PLAIN, "lshsdiv": PCA, "pcahash": PCA_DIRECT}
+from .hashing import KIND_BY_NAME, PCA, PCA_DIRECT, new_family
 
 
 def _parse_list(text: str) -> tuple[str, ...]:
@@ -57,7 +55,7 @@ def _cmd_toy_gen(args) -> int:
 
 def _cmd_index_build(args) -> int:
     dataset = load_dense(args.data)
-    kind = _KIND_BY_NAME[args.kind]
+    kind = KIND_BY_NAME[args.kind]
     needs_data = kind in (PCA, PCA_DIRECT)
     family = new_family(
         kind, args.l, args.L, dataset.d,
@@ -195,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = isub.add_parser("build")
     p.add_argument("--data", required=True)
-    p.add_argument("--kind", choices=sorted(_KIND_BY_NAME), default="lshdiv")
+    p.add_argument("--kind", choices=sorted(KIND_BY_NAME), default="lshdiv")
     p.add_argument("--l", type=int, default=16)
     p.add_argument("--L", type=int, default=8)
     p.add_argument("--alpha", type=int)

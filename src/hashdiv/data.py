@@ -112,10 +112,10 @@ class Dataset:
 
     def dense_rows(self, ids) -> np.ndarray:
         """Densified (len(ids), d) slice; selectors always work dense."""
-        rows = self.vectors[np.asarray(ids, dtype=int)]
-        if sp.issparse(rows):
-            return np.asarray(rows.todense())
-        return rows
+        ids = np.asarray(ids, dtype=int)
+        if self.is_sparse:
+            return np.asarray(self.vectors[ids].todense())
+        return np.take(self.vectors, ids, axis=0)
 
     @cached_property
     def digest(self) -> bytes:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import lsh, metrics, multilabel
 from .data import load_dense, load_sparse
-from .hashing import PCA, PCA_DIRECT, PLAIN, new_family
+from .hashing import KIND_BY_NAME, PCA, PCA_DIRECT, new_family
 from .metrics import HierarchyTree
 from .multilabel import FactorModel, LabelPrediction
 from .select import (
@@ -36,8 +36,6 @@ METHODS = ("nn", "rerank", "greedy", "mmr", "qprel")
 HASHES = ("nh", "lshdiv", "lshsdiv", "pcahash")
 ML_METHODS = ("exact", "mmr", "pcahash", "lshdiv", "lshsdiv")
 
-_HASH_KIND = {"lshdiv": PLAIN, "lshsdiv": PCA, "pcahash": PCA_DIRECT}
-
 WORKERS_ENV = "HASHDIV_WORKERS"
 
 
@@ -46,17 +44,20 @@ class ExperimentError(RuntimeError):
 
 
 def _workers() -> int:
+    raw = os.environ.get(WORKERS_ENV, "1")
     try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ExperimentError(f"{WORKERS_ENV}={raw!r} is not a positive integer")
+    return workers
 
 
-def _map_queries(fn, items):
-    w = _workers()
-    if w == 1:
+def _map_queries(fn, items, workers: int):
+    if workers == 1:
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=w) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 
@@ -225,6 +226,7 @@ def _query_eval(dataset, query_point, index, selector, k, lam, max_candidates, f
 
 
 def run_retrieval_experiment(config: ExperimentConfig) -> list[ResultRow]:
+    workers = _workers()
     dataset = load_dense(config.data)
     queries = load_dense(config.queries)
     if queries.d != dataset.d:
@@ -236,7 +238,7 @@ def run_retrieval_experiment(config: ExperimentConfig) -> list[ResultRow]:
     for hash_name in config.hashes:
         index = None
         if hash_name != "nh":
-            kind = _HASH_KIND[hash_name]
+            kind = KIND_BY_NAME[hash_name]
             needs_data = kind in (PCA, PCA_DIRECT)
             family = new_family(
                 kind,
@@ -264,7 +266,7 @@ def run_retrieval_experiment(config: ExperimentConfig) -> list[ResultRow]:
                     except Exception as exc:
                         raise ExperimentError(f"(method={_method}, hash={_hash}, query={qi}): {exc}") from exc
 
-                results = _map_queries(one, range(queries.n))
+                results = _map_queries(one, range(queries.n), workers)
                 evals = [ev for ev, _ in results]
                 precision = float(np.mean([e.precision for e in evals]))
                 srs = [e.subtopic_recall for e in evals if e.subtopic_recall is not None]
@@ -457,12 +459,13 @@ def _ml_predictor(method: str, model: FactorModel, config: MultilabelConfig):
             return LabelPrediction(labels=res.ids, scores=scores[res.ids], eval_count=model.n_labels)
 
         return mmr_pred
-    kind = _HASH_KIND[method]
+    kind = KIND_BY_NAME[method]
     index = multilabel.build_label_index(model, config.l, config.L, kind=kind, seed=config.seed)
     return lambda x: multilabel.predict_diverse(model, index, x, config.pool, config.lam)
 
 
 def run_multilabel_experiment(config: MultilabelConfig) -> list[MultilabelRow]:
+    workers = _workers()
     tree = None
     if config.hierarchy:
         edges = metrics.load_hierarchy(config.hierarchy)
@@ -524,7 +527,7 @@ def run_multilabel_experiment(config: MultilabelConfig) -> list[MultilabelRow]:
             except Exception as exc:
                 raise ExperimentError(f"(method={_method}, query={i}): {exc}") from exc
 
-        outs = _map_queries(one, range(len(X_test)))
+        outs = _map_queries(one, range(len(X_test)), workers)
         per_doc = [_doc_scores(final, truth_test[i], tree) for i, (_, final, _) in enumerate(outs)]
         p = float(np.mean([s[0] for s in per_doc]))
         r = float(np.mean([s[1] for s in per_doc]))

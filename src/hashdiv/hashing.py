@@ -28,6 +28,8 @@ PLAIN = "plain"
 PCA = "pca"
 PCA_DIRECT = "pca_direct"
 KINDS = (PLAIN, PCA, PCA_DIRECT)
+# the method names the CLI and the experiment grid use for each kind
+KIND_BY_NAME = {"lshdiv": PLAIN, "lshsdiv": PCA, "pcahash": PCA_DIRECT}
 
 _MAGIC = b"HDVF"
 _KIND_CODE = {PLAIN: 0, PCA: 1, PCA_DIRECT: 2}

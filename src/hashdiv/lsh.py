@@ -104,8 +104,11 @@ def query(index: LshIndex, q, max_candidates: int | None = None, radius: float |
     radius keeps only points within exact distance radius of q.
     """
     vec = q.vector if hasattr(q, "vector") else q
-    if not np.isfinite(vec.data if sp.issparse(vec) else vec).all():
+    values = vec.data if sp.issparse(vec) else vec
+    if not np.isfinite(values).all():
         raise ValueError("query has a NaN or infinite coordinate")
+    if not values.any():
+        raise ValueError("query is the zero vector, which has no angle to hash")
     keys = hash_vector(index.family, vec)
     buckets = []
     for lo, table, key in zip(index._bounds, index._table_keys, keys):

@@ -46,9 +46,11 @@ class SelectionProblem:
             raise ValueError("k must be >= 1")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lambda must lie in [0, 1]")
+        if self.ids.ndim != 1:
+            raise ValueError("candidate ids must be a 1-d array")
         if self.ids.size != self.vectors.shape[0]:
             raise ValueError("ids and vectors disagree on candidate count")
-        if self.ids.size and np.any(np.diff(self.ids) <= 0):
+        if (self.ids[1:] <= self.ids[:-1]).any():
             raise ValueError("candidate ids must be distinct and ascending")
         if not np.isfinite(self.query).all():
             raise ValueError("query has a NaN or infinite coordinate")
@@ -68,7 +70,6 @@ class SelectionProblem:
 @dataclass(frozen=True)
 class SelectionResult:
     ids: np.ndarray          # ordered, length min(k, #candidates)
-    objective: float
     underfilled: bool
 
 
@@ -88,8 +89,7 @@ def _sq_dists_to_query(problem: SelectionProblem) -> np.ndarray:
 
 def _result(problem: SelectionProblem, picked: list[int]) -> SelectionResult:
     ids = problem.ids[picked]
-    obj = evaluate_objective(problem.query, problem.vectors[picked], problem.lam)
-    return SelectionResult(ids=ids, objective=obj, underfilled=ids.size < problem.k)
+    return SelectionResult(ids=ids, underfilled=ids.size < problem.k)
 
 
 def select_nn(problem: SelectionProblem) -> SelectionResult:
@@ -105,22 +105,27 @@ def select_greedy_div(problem: SelectionProblem) -> SelectionResult:
         argmin_r  lam * |q - r|^2 - (1/i) * sum_{s in S} |r - s|^2
 
     over the remaining pool; the first pick is the pure NN since S starts
-    empty; the diversity sum is divided by the 1-based iteration index."""
+    empty; the diversity sum is divided by the 1-based iteration index.
+    Ties go to the lowest id. Each pick adds one column of X X^T, computed
+    on demand, so the cost is O(k m d) and no m x m Gram matrix is formed."""
     d2q = _sq_dists_to_query(problem)
     m = problem.size
     kk = min(problem.k, m)
     X = problem.vectors
-    G = X @ X.T
     sq = np.einsum("ij,ij->i", X, X)
     base = problem.lam * d2q  # picked entries get +inf so they never win argmin
     sum_div = np.zeros(m)     # sum of |r - s|^2 over already-picked s
+    score = np.empty(m)
     picked: list[int] = []
     for i in range(1, kk + 1):
-        score = base - sum_div / i
+        np.divide(sum_div, i, out=score)
+        np.subtract(base, score, out=score)
         j = int(np.argmin(score))  # first minimum = lowest id on ties
         picked.append(j)
         base[j] = np.inf
-        sum_div += sq + (sq[j] - 2.0 * G[:, j])
+        # einsum reduces each row alone, so equal rows get equal bits; a BLAS
+        # product need not, which would let a later twin win a tie
+        sum_div += sq + (sq[j] - 2.0 * np.einsum("ij,j->i", X, X[j]))
     return _result(problem, picked)
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hashdiv.data import (
     Dataset,
@@ -155,3 +156,14 @@ def test_subtopic_counts(tmp_path):
 def test_dataset_point_out_of_range(small_toy):
     with pytest.raises(IndexError):
         small_toy.point(small_toy.n)
+
+
+def test_dense_rows_match_row_indexing(small_toy):
+    ids = np.array([5, 0, 5, small_toy.n - 1])
+    assert np.array_equal(small_toy.dense_rows(ids), small_toy.vectors[ids])
+    assert small_toy.dense_rows([]).shape == (0, small_toy.d)
+    sparse = Dataset(vectors=sp.csr_matrix(small_toy.vectors))
+    assert np.array_equal(sparse.dense_rows(ids), small_toy.vectors[ids])
+    for ds in (small_toy, sparse):
+        with pytest.raises(IndexError):
+            ds.dense_rows([0, small_toy.n])

@@ -179,6 +179,13 @@ class TestRetrievalRuns:
         pooled = run_retrieval_experiment(config)
         assert serial == pooled
 
+    @pytest.mark.parametrize("bad", ["abc", "0"])
+    def test_bad_worker_count_rejected(self, toy_files, tmp_path, monkeypatch, bad):
+        monkeypatch.setenv("HASHDIV_WORKERS", bad)
+        config = base_config(toy_files, tmp_path / "o.csv", methods=("greedy",))
+        with pytest.raises(ExperimentError, match=f"HASHDIV_WORKERS='{bad}'"):
+            run_retrieval_experiment(config)
+
 
 class TestEmit:
     def rows(self):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -156,6 +157,11 @@ class TestQuery:
         q[1] = bad
         with pytest.raises(ValueError, match="NaN or infinite"):
             lsh.query(toy_index, q)
+
+    def test_zero_query_rejected(self, toy_index):
+        # every bit of a zero vector would read 0 >= 0 and name one bucket
+        with pytest.raises(ValueError, match="zero vector"):
+            lsh.query(toy_index, np.zeros(toy_index.family.d))
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -342,6 +348,10 @@ class TestSparseData:
             assert i in cand.ids
         capped = lsh.query(index, ds.point(0).vector, max_candidates=3)
         assert capped.ids.size <= 3
+        # no stored entry, and a stored explicit zero, are both the zero vector
+        for zero in (sp.csr_matrix((1, 40)), sp.csr_matrix(([0.0], ([0], [3])), shape=(1, 40))):
+            with pytest.raises(ValueError, match="zero vector"):
+                lsh.query(index, zero)
 
     def test_sparse_index_reloads_against_its_file_only(self, tmp_path):
         from hashdiv.data import load_sparse
