@@ -14,7 +14,6 @@ from .hashing import (
     HashFamily,
     collision_probability,
     estimate_collision_rate,
-    hash_point,
     new_family,
 )
 from .linalg import TruncatedBasis, project_capped_simplex, truncated_svd
@@ -37,11 +36,9 @@ from .multilabel import (
     build_label_index,
     fit_lowrank_ridge,
     load_factors,
-    majority_vote,
     predict_diverse,
     predict_exact,
     save_factors,
-    threshold_select,
 )
 from .select import (
     QpSolveReport,

@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 
 import numpy as np
 
@@ -26,12 +27,40 @@ from .experiment import (
 from .hashing import KIND_BY_NAME, PCA, PCA_DIRECT, new_family
 
 
-def _parse_list(text: str) -> tuple[str, ...]:
-    return tuple(t.strip() for t in text.split(",") if t.strip())
+def _add_config_flags(parser: argparse.ArgumentParser, cls) -> None:
+    """`--config` plus one flag per field of the config dataclass `cls`:
+    `--field-name` (`--lambda` for `lam`), a bool that defaults to False
+    is a flag that sets it, one that defaults to True is `--no-field-name`,
+    `tuple[T, ...]` takes a comma list of T and `T | None` takes a T. The
+    field's metadata holds the remaining argparse keywords. An unset flag
+    stores nothing, so it never overrides the config file."""
+    parser.add_argument("--config", help=f"JSON file of {cls.__name__} fields; flags override")
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        flag = "--" + ("lambda" if f.name == "lam" else f.name.replace("_", "-"))
+        kwargs = dict(f.metadata, dest=f.name, default=argparse.SUPPRESS)
+        if hint is bool:
+            kwargs["action"] = "store_false" if f.default else "store_true"
+            if f.default:
+                flag = "--no-" + flag[2:]
+        elif typing.get_origin(hint) is tuple:
+            item = typing.get_args(hint)[0]
+            kwargs["type"] = lambda text, item=item: tuple(item(t.strip()) for t in text.split(",") if t.strip())
+        else:  # T or T | None
+            kwargs["type"] = next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+        parser.add_argument(flag, **kwargs)
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in _parse_list(text))
+def _config(cls, args):
+    """The `--config` file's fields, overlaid by the flags given."""
+    values = {}
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            values = json.load(fh)
+    names = {f.name for f in dataclasses.fields(cls)}
+    values.update((k, v) for k, v in vars(args).items() if k in names)
+    return cls.from_dict(values)
 
 
 def _cmd_toy_gen(args) -> int:
@@ -80,7 +109,7 @@ def _cmd_index_query(args) -> int:
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         for i in range(queries.n):
-            cand = lsh.query(index, queries.point(i).dense(), max_candidates=args.max_candidates, radius=args.radius)
+            cand = lsh.query(index, queries.point(i).dense(), max_candidates=args.max_candidates)
             rec = {"query_id": i, "candidates": cand.ids.tolist(), "touched": cand.touched}
             out.write(json.dumps(rec) + "\n")
     finally:
@@ -89,77 +118,21 @@ def _cmd_index_query(args) -> int:
     return 0
 
 
-def _retrieve_config(args) -> ExperimentConfig:
-    base = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            base = json.load(fh)
-    overrides = {
-        "data": args.data,
-        "queries": args.queries,
-        "out": args.out,
-        "methods": _parse_list(args.methods) if args.methods else None,
-        "hashes": _parse_list(args.hashes) if args.hashes else None,
-        "ks": _parse_int_list(args.ks) if args.ks else None,
-        "lam": args.lam,
-        "l": args.l,
-        "L": args.L,
-        "alpha": args.alpha,
-        "seed": args.seed,
-        "format": args.format,
-        "pool_factor": args.pool_factor,
-        "max_candidates": args.max_candidates,
-        "allow_expensive": args.allow_expensive or None,
-        "timing": False if args.no_timing else None,
-    }
-    base.update({k: v for k, v in overrides.items() if v is not None})
-    if args.timing_fair and base.get("max_candidates") is None:
+def _cmd_retrieve(args) -> int:
+    config = _config(ExperimentConfig, args)
+    if args.timing_fair and config.max_candidates is None:
         # cap candidate sets at 50k so hashed and exhaustive rows do
         # comparable selection work per query
-        base["max_candidates"] = 50 * max(base.get("ks") or (10,))
-    return ExperimentConfig.from_dict(base)
-
-
-def _cmd_retrieve(args) -> int:
-    config = _retrieve_config(args)
-    rows = run_retrieval_experiment(config)
-    emit(rows, config.out, config.format, json_twin=config.format == "csv")
-    print(f"wrote {len(rows)} rows to {config.out}", file=sys.stderr)
-    return 0
+        config = dataclasses.replace(config, max_candidates=50 * max(config.ks))
+    return _run(config, run_retrieval_experiment)
 
 
 def _cmd_multilabel(args) -> int:
-    base = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            base = json.load(fh)
-    overrides = {
-        "out": args.out,
-        "data": args.data,
-        "d": args.d,
-        "test": args.test,
-        "factors": args.factors,
-        "hierarchy": args.hierarchy,
-        "synthetic": args.synthetic or None,
-        "n_labels": args.n_labels,
-        "n_queries": args.n_queries,
-        "rank": args.rank,
-        "ridge": args.ridge,
-        "methods": _parse_list(args.methods) if args.methods else None,
-        "alpha": args.alpha,
-        "pool": args.pool,
-        "lam": args.lam,
-        "l": args.l,
-        "L": args.L,
-        "seed": args.seed,
-        "format": args.format,
-        "timing": False if args.no_timing else None,
-        "predictions_out": args.predictions_out,
-        "predictions_json": args.predictions_json,
-    }
-    base.update({k: v for k, v in overrides.items() if v is not None})
-    config = MultilabelConfig.from_dict(base)
-    rows = run_multilabel_experiment(config)
+    return _run(_config(MultilabelConfig, args), run_multilabel_experiment)
+
+
+def _run(config, experiment) -> int:
+    rows = experiment(config)
     emit(rows, config.out, config.format, json_twin=config.format == "csv")
     print(f"wrote {len(rows)} rows to {config.out}", file=sys.stderr)
     return 0
@@ -206,55 +179,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--max-candidates", type=int)
-    p.add_argument("--radius", type=float)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_index_query)
 
     p = sub.add_parser("retrieve", help="run the retrieval experiment grid")
-    p.add_argument("--config", help="JSON file of ExperimentConfig fields; flags override")
-    p.add_argument("--data")
-    p.add_argument("--queries")
-    p.add_argument("--out")
-    p.add_argument("--methods", help="comma list from: nn,rerank,greedy,mmr,qprel")
-    p.add_argument("--hashes", help="comma list from: nh,lshdiv,lshsdiv,pcahash")
-    p.add_argument("--ks", help="comma list of result sizes, e.g. 10,20,30")
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--l", type=int)
-    p.add_argument("--L", type=int)
-    p.add_argument("--alpha", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--format", choices=("csv", "json"))
-    p.add_argument("--pool-factor", type=float)
-    p.add_argument("--max-candidates", type=int)
+    _add_config_flags(p, ExperimentConfig)
     p.add_argument("--timing-fair", action="store_true", help="cap candidate sets at 50k per query")
-    p.add_argument("--allow-expensive", action="store_true")
-    p.add_argument("--no-timing", action="store_true", help="report 0.0 times for byte-reproducible output")
     p.set_defaults(fn=_cmd_retrieve)
 
     p = sub.add_parser("multilabel", help="run the multi-label prediction experiment")
-    p.add_argument("--config")
-    p.add_argument("--out")
-    p.add_argument("--data", help="LIBSVM-style file: 'lab1,lab2 idx:val ...'")
-    p.add_argument("--d", type=int, help="feature dimension of the sparse data")
-    p.add_argument("--test")
-    p.add_argument("--factors", help="binary factor-model file")
-    p.add_argument("--hierarchy", help="'child parent' edge list for tree diversity")
-    p.add_argument("--synthetic", action="store_true")
-    p.add_argument("--n-labels", type=int)
-    p.add_argument("--n-queries", type=int)
-    p.add_argument("--rank", type=int)
-    p.add_argument("--ridge", type=float)
-    p.add_argument("--methods", help="comma list from: exact,mmr,pcahash,lshdiv,lshsdiv")
-    p.add_argument("--alpha", type=int)
-    p.add_argument("--pool", type=int)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--l", type=int)
-    p.add_argument("--L", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--format", choices=("csv", "json"))
-    p.add_argument("--no-timing", action="store_true")
-    p.add_argument("--predictions-out", help="write 'query_id: label,label,...' lines")
-    p.add_argument("--predictions-json", help="write JSON prediction records with scores")
+    _add_config_flags(p, MultilabelConfig)
     p.set_defaults(fn=_cmd_multilabel)
 
     p = sub.add_parser("tune", help="grid-search (l, L) for a recall target")

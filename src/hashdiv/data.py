@@ -44,14 +44,6 @@ class DataPoint:
             return np.asarray(self.vector.todense()).ravel()
         return self.vector
 
-    def coords(self) -> list[tuple[int, float]]:
-        """Sparse view: sorted (index, value) pairs of the nonzeros."""
-        if sp.issparse(self.vector):
-            row = self.vector.tocsr()
-            return list(zip(row.indices.tolist(), row.data.tolist()))
-        idx = np.flatnonzero(self.vector)
-        return list(zip(idx.tolist(), self.vector[idx].tolist()))
-
 
 @dataclass
 class Dataset:
@@ -282,23 +274,6 @@ def load_sparse(path, d: int, normalize: bool = True) -> Dataset:
         shape=(len(label_sets), d),
     )
     return Dataset(vectors=vectors, label_sets=tuple(label_sets))
-
-
-def save_sparse(dataset: Dataset, path) -> None:
-    """Inverse of load_sparse (1-based indices, labels sorted ascending)."""
-    if not dataset.is_sparse:
-        raise ValueError("save_sparse requires a sparse dataset")
-    csr = dataset.vectors.tocsr()
-    lines = []
-    for i in range(dataset.n):
-        parts = []
-        if dataset.label_sets is not None and dataset.label_sets[i]:
-            parts.append(",".join(str(lab) for lab in sorted(dataset.label_sets[i])))
-        lo, hi = csr.indptr[i], csr.indptr[i + 1]
-        for j, v in zip(csr.indices[lo:hi], csr.data[lo:hi]):
-            parts.append(f"{j + 1}:{repr(float(v))}")
-        lines.append(" ".join(parts))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,6 +61,24 @@ def _map_queries(fn, items, workers: int):
         return list(pool.map(fn, items))
 
 
+def _from_dict(cls, values: dict):
+    """The config holding `values`, refusing keys that name no field."""
+    unknown = set(values) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    return cls(**values)
+
+
+# Field metadata holds argparse keywords for the flag that hashdiv.cli
+# derives from each field.
+_FORMAT = {"choices": ("csv", "json")}
+_NO_TIMING = {"help": "report 0.0 times for byte-reproducible output"}
+
+
+def _list_help(names) -> dict:
+    return {"help": "comma list from: " + ",".join(names)}
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative description of one retrieval experiment grid."""
@@ -68,22 +86,20 @@ class ExperimentConfig:
     data: str
     queries: str
     out: str
-    methods: tuple[str, ...] = ("nn",)
-    hashes: tuple[str, ...] = ("nh", "lshdiv")
-    ks: tuple[int, ...] = (10,)
+    methods: tuple[str, ...] = field(default=("nn",), metadata=_list_help(METHODS))
+    hashes: tuple[str, ...] = field(default=("nh", "lshdiv"), metadata=_list_help(HASHES))
+    ks: tuple[int, ...] = field(default=(10,), metadata={"help": "comma list of result sizes, e.g. 10,20,30"})
     lam: float = 0.5
     l: int = 16
     L: int = 8
     alpha: int | None = None
     seed: int = 0
-    format: str = "csv"
+    format: str = field(default="csv", metadata=_FORMAT)
     pool_factor: float = 3.0
     max_candidates: int | None = None
     allow_expensive: bool = False
     expensive_cap: int = 5000
-    timing: bool = True
-    qp_max_iter: int = 500
-    qp_tol: float = 1e-8  # relative Frank-Wolfe gap, or step length, at which qprel stops
+    timing: bool = field(default=True, metadata=_NO_TIMING)
 
     def __post_init__(self):
         self.methods = tuple(self.methods)
@@ -106,21 +122,7 @@ class ExperimentConfig:
         if self.format not in ("csv", "json"):
             raise ValueError("format must be csv or json")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**d)
-
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+    from_dict = classmethod(_from_dict)
 
 
 @dataclass(frozen=True)
@@ -167,7 +169,7 @@ def _selector(method: str, config: ExperimentConfig):
     if method == "rerank":
         return lambda p: select_rerank(p, pool_factor=config.pool_factor)
     if method == "qprel":
-        return lambda p: select_qp_rel(p, max_iter=config.qp_max_iter, tol=config.qp_tol)
+        return select_qp_rel
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -295,28 +297,28 @@ class MultilabelConfig:
     hierarchy) trims them, and `alpha` caps the final prediction size."""
 
     out: str
-    data: str | None = None
-    d: int | None = None
+    data: str | None = field(default=None, metadata={"help": "LIBSVM-style file: 'lab1,lab2 idx:val ...'"})
+    d: int | None = field(default=None, metadata={"help": "feature dimension of the sparse data"})
     test: str | None = None
-    factors: str | None = None
-    hierarchy: str | None = None
+    factors: str | None = field(default=None, metadata={"help": "binary factor-model file"})
+    hierarchy: str | None = field(default=None, metadata={"help": "'child parent' edge list for tree diversity"})
     synthetic: bool = False
     n_labels: int = 1000
     n_queries: int = 200
     rank: int = 20
     ridge: float = 1.0
-    methods: tuple[str, ...] = ("exact", "lshsdiv")
+    methods: tuple[str, ...] = field(default=("exact", "lshsdiv"), metadata=_list_help(ML_METHODS))
     alpha: int = 10
     pool: int = 30
     lam: float = 0.7
     l: int = 16
     L: int = 8
     seed: int = 0
-    format: str = "csv"
-    timing: bool = True
+    format: str = field(default="csv", metadata=_FORMAT)
+    timing: bool = field(default=True, metadata=_NO_TIMING)
     threshold_grid: int = 50
-    predictions_out: str | None = None
-    predictions_json: str | None = None
+    predictions_out: str | None = field(default=None, metadata={"help": "write 'query_id: label,label,...' lines"})
+    predictions_json: str | None = field(default=None, metadata={"help": "write JSON prediction records with scores"})
 
     def __post_init__(self):
         self.methods = tuple(self.methods)
@@ -332,13 +334,7 @@ class MultilabelConfig:
         if self.alpha < 1 or self.pool < self.alpha:
             raise ValueError("need pool >= alpha >= 1")
 
-    @classmethod
-    def from_dict(cls, dd: dict) -> "MultilabelConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(dd) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**dd)
+    from_dict = classmethod(_from_dict)
 
 
 def make_planted(
@@ -611,14 +607,3 @@ def emit(rows, path, fmt: str = "csv", json_twin: bool = False) -> None:
             fh.write("\n")
     else:
         raise ValueError(f"unknown output format {fmt!r}")
-
-
-def load_rows(path) -> list:
-    """Inverse of emit(..., fmt="json")."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    out = []
-    for rec in payload:
-        cls = ResultRow if rec.pop("_type", "ResultRow") == "ResultRow" else MultilabelRow
-        out.append(cls(**rec))
-    return out

@@ -156,14 +156,6 @@ def hash_vector(family: HashFamily, x) -> np.ndarray:
     return hash_matrix(family, x)[0]
 
 
-def hash_point(family: HashFamily, table: int, x) -> int:
-    """Key of point x in one table; bit b = [r_{table,b} . x >= 0]."""
-    if not 0 <= table < family.L:
-        raise ValueError(f"table {table} out of range [0, {family.L})")
-    vec = x.vector if hasattr(x, "vector") else x
-    return int(hash_vector(family, vec)[table])
-
-
 def collision_probability(a, b) -> float:
     """Per-bit agreement probability of two points under a random sign
     projection: 1 - theta(a, b) / pi.
@@ -229,13 +221,3 @@ def family_from_bytes(blob: bytes) -> HashFamily:
         basis = TruncatedBasis(U=U, singular_values=sv, converged=bool(conv), iterations=int(iterations))
     kind = _CODE_KIND[code]
     return new_family(kind, int(l), int(L), int(d), alpha=int(alpha) or None, seed=int(seed), basis=basis)
-
-
-def save_family(family: HashFamily, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(family_to_bytes(family))
-
-
-def load_family(path) -> HashFamily:
-    with open(path, "rb") as fh:
-        return family_from_bytes(fh.read())

@@ -76,28 +76,6 @@ def truncated_svd(X, alpha: int, tol: float = 1e-6, max_iter: int = 300, seed: i
     )
 
 
-@dataclass(frozen=True)
-class CappedSimplex:
-    """Feasible set {a in R^n : sum(a) = k, 0 <= a <= 1} of the relaxed
-    selection program."""
-
-    k: int
-    n: int
-
-    def __post_init__(self):
-        if not 0 < self.k <= self.n:
-            raise ValueError(f"need 0 < k <= n, got k={self.k}, n={self.n}")
-
-    def contains(self, v, atol: float = 1e-9) -> bool:
-        v = np.asarray(v, dtype=float).ravel()
-        if v.size != self.n:
-            return False
-        return bool(np.all(v >= -atol) and np.all(v <= 1 + atol) and np.isclose(v.sum(), self.k, atol=atol))
-
-    def project(self, v) -> np.ndarray:
-        return project_capped_simplex(v, self.k)
-
-
 def project_capped_simplex(v, k: int) -> np.ndarray:
     """Euclidean projection of v onto {a : sum(a) = k, 0 <= a <= 1}.
 

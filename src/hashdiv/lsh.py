@@ -96,12 +96,11 @@ def build(dataset: Dataset, family: HashFamily) -> LshIndex:
     )
 
 
-def query(index: LshIndex, q, max_candidates: int | None = None, radius: float | None = None) -> CandidateSet:
+def query(index: LshIndex, q, max_candidates: int | None = None) -> CandidateSet:
     """Union of the L buckets matching q's keys, deduplicated, ascending id.
 
     If max_candidates is set, candidates are ranked by exact distance to q
-    (ties by id) and truncated before the final id-order sort. The optional
-    radius keeps only points within exact distance radius of q.
+    (ties by id) and truncated before the final id-order sort.
     """
     vec = q.vector if hasattr(q, "vector") else q
     values = vec.data if sp.issparse(vec) else vec
@@ -125,17 +124,12 @@ def query(index: LshIndex, q, max_candidates: int | None = None, radius: float |
     distinct[0] = True
     np.not_equal(ids[1:], ids[:-1], out=distinct[1:])
     ids = ids[distinct]
-    if radius is not None or max_candidates is not None:
+    if max_candidates is not None and ids.size > max_candidates:
         diffs = index.dataset.dense_rows(ids) - np.asarray(
             vec.todense() if hasattr(vec, "todense") else vec
         ).ravel()
-        dists = np.linalg.norm(diffs, axis=1)
-        if radius is not None:
-            keep = dists <= radius
-            ids, dists = ids[keep], dists[keep]
-        if max_candidates is not None and ids.size > max_candidates:
-            nearest = np.lexsort((ids, dists))[:max_candidates]
-            ids = np.sort(ids[nearest])
+        nearest = np.lexsort((ids, np.linalg.norm(diffs, axis=1)))[:max_candidates]
+        ids = np.sort(ids[nearest])
     return CandidateSet(ids=ids, touched=touched)
 
 

@@ -196,32 +196,3 @@ def predict_diverse(
         eval_count=int(cand.size),
         underfilled=res.ids.size < alpha,
     )
-
-
-def threshold_select(scores, strategy: str, param: float) -> np.ndarray:
-    """Limit a score vector to a predicted label set.
-
-    "fixed_alpha" keeps the ceil(param) largest scores (ties by ascending
-    label id); "score_cutoff" keeps labels scoring >= param."""
-    scores = np.asarray(scores, dtype=float)
-    if strategy == "fixed_alpha":
-        if param < 1:
-            raise ValueError("fixed_alpha needs param >= 1")
-        count = min(int(np.ceil(param)), scores.size)
-        order = np.lexsort((np.arange(scores.size), -scores))
-        return np.sort(order[:count])
-    if strategy == "score_cutoff":
-        return np.flatnonzero(scores >= param)
-    raise ValueError(f"unknown threshold strategy {strategy!r}")
-
-
-def majority_vote(values) -> int:
-    """Most common value, ties broken by the smallest; the neighbor-label
-    voting step used in category-retrieval experiments."""
-    values = list(values)
-    if not values:
-        raise ValueError("majority vote over an empty set")
-    counts: dict[int, int] = {}
-    for v in values:
-        counts[int(v)] = counts.get(int(v), 0) + 1
-    return min(counts, key=lambda v: (-counts[v], v))

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
 from .linalg import project_capped_simplex
 
 
@@ -56,11 +55,6 @@ class SelectionProblem:
             raise ValueError("query has a NaN or infinite coordinate")
         if not np.isfinite(self.vectors).all():
             raise ValueError("a candidate vector has a NaN or infinite coordinate")
-
-    @classmethod
-    def from_dataset(cls, query, dataset: Dataset, candidate_ids, k: int, lam: float) -> "SelectionProblem":
-        ids = np.sort(np.asarray(candidate_ids, dtype=int))
-        return cls(query=query, ids=ids, vectors=dataset.dense_rows(ids), k=k, lam=lam)
 
     @property
     def size(self) -> int:
@@ -132,8 +126,12 @@ def select_greedy_div(problem: SelectionProblem) -> SelectionResult:
 def select_mmr(problem: SelectionProblem) -> SelectionResult:
     """Maximal marginal relevance with sim(a, b) = a.b: first pick is the
     max-similarity candidate, then argmax of
-    lam * sim(q, r) - (1 - lam) * max_{s in S} sim(r, s)."""
-    sims = problem.vectors @ problem.query
+    lam * sim(q, r) - (1 - lam) * max_{s in S} sim(r, s).
+
+    Ties go to the lowest id: the similarities are row-wise einsums, which
+    give equal rows equal bits where a BLAS product need not."""
+    X = problem.vectors
+    sims = np.einsum("ij,j->i", X, problem.query)
     m = problem.size
     kk = min(problem.k, m)
     available = np.ones(m, dtype=bool)
@@ -148,7 +146,7 @@ def select_mmr(problem: SelectionProblem) -> SelectionResult:
         j = int(np.argmax(score))
         picked.append(j)
         available[j] = False
-        np.maximum(max_sel, problem.vectors @ problem.vectors[j], out=max_sel)
+        np.maximum(max_sel, np.einsum("ij,j->i", X, X[j]), out=max_sel)
     return _result(problem, picked)
 
 

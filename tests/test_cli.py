@@ -1,11 +1,16 @@
+import argparse
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hashdiv import lsh
-from hashdiv.cli import main
+from hashdiv.cli import build_parser, main
 from hashdiv.data import load_dense
 
 
@@ -114,3 +119,72 @@ def test_bad_input_reports_error(tmp_path, capsys):
                "--queries", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "o.csv")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _surface(parser, path=()):
+    """{subcommand path: {option string: dest}} for every leaf parser."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {" ".join(path): {o: a.dest for a in parser._actions for o in a.option_strings
+                                 if not isinstance(a, argparse._HelpAction)}}
+    return {k: v for name, sub in subs[0].choices.items() for k, v in _surface(sub, path + (name,)).items()}
+
+
+def test_cli_surface_is_pinned():
+    # retrieve and multilabel flags are derived from the config dataclasses;
+    # this literal catches a flag the derivation adds, drops or renames
+    shared = {"--config": "config", "--out": "out", "--data": "data", "--methods": "methods", "--lambda": "lam",
+              "--l": "l", "--L": "L", "--alpha": "alpha", "--seed": "seed", "--format": "format",
+              "--no-timing": "timing"}
+    assert _surface(build_parser()) == {
+        "toy-gen": {"--out": "out", "--queries-out": "queries_out", "--n-per-class": "n_per_class",
+                    "--n-queries": "n_queries", "--d": "d", "--spread": "spread", "--seed": "seed"},
+        "index build": {"--data": "data", "--kind": "kind", "--l": "l", "--L": "L", "--alpha": "alpha",
+                        "--seed": "seed", "--out": "out"},
+        "index query": {"--index": "index", "--data": "data", "--queries": "queries",
+                        "--max-candidates": "max_candidates", "--out": "out"},
+        "retrieve": {**shared, "--queries": "queries", "--hashes": "hashes", "--ks": "ks",
+                     "--pool-factor": "pool_factor", "--max-candidates": "max_candidates",
+                     "--allow-expensive": "allow_expensive", "--expensive-cap": "expensive_cap",
+                     "--timing-fair": "timing_fair"},
+        "multilabel": {**shared, "--d": "d", "--test": "test", "--factors": "factors", "--hierarchy": "hierarchy",
+                       "--synthetic": "synthetic", "--n-labels": "n_labels", "--n-queries": "n_queries",
+                       "--rank": "rank", "--ridge": "ridge", "--pool": "pool", "--threshold-grid": "threshold_grid",
+                       "--predictions-out": "predictions_out", "--predictions-json": "predictions_json"},
+        "tune": {"--data": "data", "--target-recall": "target_recall", "--epsilon": "epsilon", "--seed": "seed"},
+    }
+    # one flag of each derived kind; an unset flag stores nothing
+    args = build_parser().parse_args(["retrieve", "--ks", "3, 5", "--lambda", "0.25", "--alpha", "4",
+                                      "--allow-expensive", "--no-timing"])
+    assert {k: v for k, v in vars(args).items() if k != "fn"} == {
+        "command": "retrieve", "config": None, "timing_fair": False,
+        "ks": (3, 5), "lam": 0.25, "alpha": 4, "allow_expensive": True, "timing": False,
+    }
+
+
+def test_multilabel_config_file_with_flag_override(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "synthetic": True, "timing": False, "out": str(tmp_path / "file.csv"), "n_queries": 15,
+        "n_labels": 300, "rank": 6, "methods": ["exact"], "alpha": 4, "pool": 8, "seed": 4,
+    }))
+    out, preds = tmp_path / "flag.csv", tmp_path / "preds.txt"
+    # no --synthetic or --no-timing: the file's values must stand
+    assert main(["multilabel", "--config", str(cfg), "--out", str(out), "--n-queries", "6",
+                 "--predictions-out", str(preds)]) == 0
+    assert out.exists() and not (tmp_path / "file.csv").exists()
+    assert len(preds.read_text().splitlines()) == 6
+    assert [row["millis"] for row in json.loads((tmp_path / "flag.csv.json").read_text())] == [0.0]
+
+
+def test_toy_benchmark_script(tmp_path):
+    out = tmp_path / "toy.csv"
+    script = Path(__file__).resolve().parent.parent / "scripts" / "toy_benchmark.py"
+    # TMPDIR keeps the script's scratch directory under tmp_path
+    proc = subprocess.run([sys.executable, str(script), "--n-per-class", "50", "--n-queries", "4", "--out", str(out)],
+                          capture_output=True, text=True, timeout=120, env={**os.environ, "TMPDIR": str(tmp_path)})
+    assert proc.returncode == 0, proc.stderr
+    lines = out.read_text().splitlines()
+    assert lines[0] == "method,hash,k,precision,subtopic_recall,diversity,h_score,seconds"
+    # 5 methods x 3 hash families x 1 k
+    assert len(lines) == 1 + 15

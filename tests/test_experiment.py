@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -13,7 +14,6 @@ from hashdiv.experiment import (
     MultilabelRow,
     ResultRow,
     emit,
-    load_rows,
     run_multilabel_experiment,
     run_retrieval_experiment,
     write_predictions_json,
@@ -55,16 +55,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown hash"):
             ExperimentConfig(data="x", queries="q", out="o", hashes=("md5",))
 
-    def test_from_file_rejects_unknown_keys(self, tmp_path):
-        p = tmp_path / "c.json"
-        p.write_text(json.dumps({"data": "a", "queries": "b", "out": "c", "bogus": 1}))
+    def test_from_file_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown config keys"):
-            ExperimentConfig.from_file(p)
+            ExperimentConfig.from_dict({"data": "a", "queries": "b", "out": "c", "bogus": 1})
+        with pytest.raises(ValueError, match="unknown config keys"):
+            MultilabelConfig.from_dict({"out": "c", "synthetic": True, "qp_tol": 1e-8})
 
     def test_from_file(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text(json.dumps({"data": "a", "queries": "b", "out": "c", "ks": [10, 20]}))
-        cfg = ExperimentConfig.from_file(p)
+        cfg = ExperimentConfig.from_dict(json.loads(p.read_text()))
         assert cfg.ks == (10, 20)
 
 
@@ -208,12 +208,10 @@ class TestEmit:
         assert path.read_text().splitlines() == ["method,hash,k,precision,subtopic_recall,diversity,h_score,seconds"]
 
     def test_json_roundtrip_to_csv(self, tmp_path):
-        jpath, c1, c2 = tmp_path / "r.json", tmp_path / "a.csv", tmp_path / "b.csv"
         rows = self.rows()
-        emit(rows, jpath, "json")
-        emit(rows, c1, "csv")
-        emit(load_rows(jpath), c2, "csv")
-        assert c1.read_bytes() == c2.read_bytes()
+        emit(rows, tmp_path / "r.csv", "csv", json_twin=True)
+        payload = json.loads((tmp_path / "r.csv.json").read_text())
+        assert payload == [{"_type": "ResultRow", **dataclasses.asdict(row)} for row in rows]
 
     def test_json_keeps_full_precision(self, tmp_path):
         jpath = tmp_path / "r.json"

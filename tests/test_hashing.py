@@ -14,11 +14,8 @@ from hashdiv.hashing import (
     family_from_bytes,
     family_to_bytes,
     hash_matrix,
-    hash_point,
     hash_vector,
-    load_family,
     new_family,
-    save_family,
 )
 
 
@@ -91,7 +88,7 @@ class TestHashPoint:
     def test_first_hyperplane_self_dot(self):
         fam = new_family(PLAIN, 1, 1, 8, seed=2)
         r0 = fam.hyperplanes[0, 0]
-        assert hash_point(fam, 0, r0 / np.linalg.norm(r0)) == 1
+        assert hash_vector(fam, r0 / np.linalg.norm(r0))[0] == 1
 
     def test_identical_points_identical_keys(self, small_toy):
         fam = new_family(PLAIN, 12, 6, small_toy.d, seed=4)
@@ -102,11 +99,6 @@ class TestHashPoint:
         fam = new_family(PLAIN, 8, 2, 8, seed=0)
         with pytest.raises(ValueError, match="dimension"):
             hash_vector(fam, np.ones(9))
-
-    def test_table_index_checked(self):
-        fam = new_family(PLAIN, 8, 2, 8, seed=0)
-        with pytest.raises(ValueError, match="table"):
-            hash_point(fam, 2, np.ones(8))
 
     def test_bulk_matches_single(self, small_toy):
         fam = new_family(PLAIN, 10, 3, small_toy.d, seed=8)
@@ -120,7 +112,7 @@ class TestHashPoint:
 
         eye = TruncatedBasis(U=np.eye(4), singular_values=np.ones(4), converged=True, iterations=1)
         fam = new_family(PCA_DIRECT, 4, 1, 4, alpha=4, basis=eye)
-        key = hash_point(fam, 0, np.array([0.0, -1.0, 0.0, 2.0]))
+        key = hash_vector(fam, np.array([0.0, -1.0, 0.0, 2.0]))[0]
         assert key == 0b1101
 
     def test_pca_identity_basis_matches_plain(self):
@@ -199,11 +191,9 @@ class TestSerialization:
         assert back.kind == PLAIN and back.l == 24 and back.L == 5 and back.d == 32
         assert np.array_equal(back.hyperplanes, fam.hyperplanes)
 
-    def test_pca_roundtrip_bit_identical_keys(self, small_toy, tmp_path):
+    def test_pca_roundtrip_bit_identical_keys(self, small_toy):
         fam = new_family(PCA, 10, 4, small_toy.d, alpha=4, seed=3, dataset=small_toy)
-        path = tmp_path / "fam.bin"
-        save_family(fam, path)
-        back = load_family(path)
+        back = family_from_bytes(family_to_bytes(fam))
         keys_a = hash_matrix(fam, small_toy.vectors)
         keys_b = hash_matrix(back, small_toy.vectors)
         assert np.array_equal(keys_a, keys_b)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hashdiv.linalg import CappedSimplex, project_capped_simplex, truncated_svd
+from hashdiv.linalg import project_capped_simplex, truncated_svd
 
 
 def jacobi_eigh(A, sweeps=50, tol=1e-13):
@@ -153,18 +153,6 @@ class TestCappedSimplexProjection:
         rng = np.random.default_rng(wseed)
         w = project_capped_simplex(rng.uniform(-1, 2, size=v.size), k)
         assert np.linalg.norm(out - v) <= np.linalg.norm(w - v) + 1e-9
-
-    def test_capped_simplex_type(self):
-        feasible = CappedSimplex(k=2, n=4)
-        assert feasible.contains([0.5, 0.5, 0.5, 0.5])
-        assert not feasible.contains([1.5, 0.5, 0.0, 0.0])
-        assert not feasible.contains([1.0, 1.0, 1.0, 0.0])
-        out = feasible.project([3.0, -1.0, 0.4, 0.9])
-        assert feasible.contains(out)
-        with pytest.raises(ValueError):
-            CappedSimplex(k=5, n=4)
-        with pytest.raises(ValueError):
-            CappedSimplex(k=0, n=4)
 
     def test_matches_tau_scan_oracle(self):
         rng = np.random.default_rng(17)

@@ -145,12 +145,6 @@ class TestQuery:
         assert set(capped.ids.tolist()) == set(best5.tolist())
         assert np.all(np.diff(capped.ids) > 0)
 
-    def test_radius_filter(self, toy_1k, toy_index):
-        q = toy_1k.point(3).dense()
-        cand = lsh.query(toy_index, q, radius=0.5)
-        d = np.linalg.norm(toy_1k.dense_rows(cand.ids) - q, axis=1)
-        assert np.all(d <= 0.5)
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_query_rejected(self, toy_index, bad):
         q = np.zeros(toy_index.family.d)

@@ -7,11 +7,9 @@ from hashdiv.multilabel import (
     build_label_index,
     fit_lowrank_ridge,
     load_factors,
-    majority_vote,
     predict_diverse,
     predict_exact,
     save_factors,
-    threshold_select,
 )
 
 
@@ -168,31 +166,3 @@ class TestPredictDiverse:
         pred = predict_diverse(model, index, X[0], alpha=4, lam=0.9)
         expected = model.W[pred.labels] @ (model.H.T @ X[0])
         np.testing.assert_allclose(pred.scores, expected, atol=1e-12)
-
-
-class TestThresholdSelect:
-    def test_cutoff_above_max_empty(self):
-        assert threshold_select([0.1, 0.5], "score_cutoff", 0.9).size == 0
-
-    def test_fixed_alpha_one_is_argmax(self):
-        assert threshold_select([0.1, 0.9, 0.4], "fixed_alpha", 1).tolist() == [1]
-
-    def test_cutoff_keeps_at_or_above(self):
-        out = threshold_select([0.1, 0.5, 0.5, 0.7], "score_cutoff", 0.5)
-        assert out.tolist() == [1, 2, 3]
-
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError, match="strategy"):
-            threshold_select([1.0], "nope", 1)
-
-
-class TestMajorityVote:
-    def test_plain_majority(self):
-        assert majority_vote([1, 2, 2, 3]) == 2
-
-    def test_tie_smallest(self):
-        assert majority_vote([5, 3, 5, 3]) == 3
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            majority_vote([])

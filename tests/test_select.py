@@ -99,6 +99,16 @@ def eq2_objective(q, X, subset, lam):
     return lam * c + g
 
 
+def twin_problem(seed, m, d, n_dup, k, lam):
+    """m random rows plus copies of n_dup of them, twins at scattered positions."""
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal(d)
+    X = rng.standard_normal((m, d))
+    X = np.vstack([X, X[rng.choice(m, size=min(n_dup, m), replace=False)]])
+    X = X[rng.permutation(X.shape[0])]
+    return SelectionProblem(q, np.arange(X.shape[0]), X, k=k, lam=lam)
+
+
 def random_problem(seed, n=12, d=5, k=3, lam=0.5, clustered=False):
     rng = np.random.default_rng(seed)
     q = rng.standard_normal(d)
@@ -174,13 +184,8 @@ class TestSelectGreedyDiv:
     # a greedy that reads it picks 36 second
     @example(seed=7, m=19, d=8, n_dup=19, k=10, lam=0.5)
     def test_duplicate_rows_tie_to_lowest_id(self, seed, m, d, n_dup, k, lam):
-        rng = np.random.default_rng(seed)
-        q = rng.standard_normal(d)
-        X = rng.standard_normal((m, d))
-        X = np.vstack([X, X[rng.choice(m, size=min(n_dup, m), replace=False)]])
-        X = X[rng.permutation(X.shape[0])]  # twins at scattered positions
-        prob = SelectionProblem(q, np.arange(X.shape[0]), X, k=k, lam=lam)
-        ref = ref_greedy(q, prob.ids.tolist(), X.tolist(), k, lam)
+        prob = twin_problem(seed, m, d, n_dup, k, lam)
+        ref = ref_greedy(prob.query, prob.ids.tolist(), prob.vectors.tolist(), k, lam)
         assert select_greedy_div(prob).ids.tolist() == ref
 
 
@@ -203,6 +208,23 @@ class TestSelectMmr:
             prob = random_problem(seed, n=12, k=4, lam=0.6)
             ref = ref_mmr(prob.query, prob.ids.tolist(), prob.vectors.tolist(), 4, 0.6)
             assert select_mmr(prob).ids.tolist() == ref
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 40),
+        d=st.sampled_from([5, 8, 24]),
+        n_dup=st.integers(1, 40),
+        k=st.integers(1, 12),
+        lam=st.sampled_from([0.25, 0.5, 0.75]),
+    )
+    # here BLAS similarities give twins different last bits, and an MMR
+    # that reads them picks the higher-id twin
+    @example(seed=15, m=11, d=8, n_dup=11, k=10, lam=0.5)
+    def test_duplicate_rows_tie_to_lowest_id(self, seed, m, d, n_dup, k, lam):
+        prob = twin_problem(seed, m, d, n_dup, k, lam)
+        ref = ref_mmr(prob.query, prob.ids.tolist(), prob.vectors.tolist(), k, lam)
+        assert select_mmr(prob).ids.tolist() == ref
 
 
 class TestSelectRerank:
