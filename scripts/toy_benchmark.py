@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Two-class toy benchmark: every selector under every hash family.
 
-Generates the synthetic dataset, runs the retrieval grid, and prints a
-Table-1-shaped comparison (precision / diversity / h-score / time). The
+Generates the synthetic dataset in a temporary directory, runs the
+retrieval grid, and prints a Table-1-shaped comparison (precision /
+diversity / h-score / time); --out also keeps it as a CSV. The
 diversity column here is scaled mean pairwise distance since the toy data
 has no subtopic labels.
 
@@ -33,29 +34,30 @@ def run(argv=None):
     parser.add_argument("--out", default=None)
     args = parser.parse_args(argv)
 
-    workdir = Path(tempfile.mkdtemp(prefix="hashdiv-toy-"))
-    data = workdir / "data.csv"
-    queries = workdir / "queries.csv"
-    out = Path(args.out) if args.out else workdir / "results.csv"
+    with tempfile.TemporaryDirectory(prefix="hashdiv-toy-") as workdir:
+        data = Path(workdir) / "data.csv"
+        queries = Path(workdir) / "queries.csv"
+        out = Path(args.out) if args.out else Path(workdir) / "results.csv"
 
-    rc = cli_main([
-        "toy-gen", "--out", str(data), "--queries-out", str(queries),
-        "--n-per-class", str(args.n_per_class), "--n-queries", str(args.n_queries),
-        "--d", str(args.d), "--spread", str(args.spread), "--seed", str(args.seed),
-    ])
-    if rc:
-        return rc
-    rc = cli_main([
-        "retrieve", "--data", str(data), "--queries", str(queries),
-        "--methods", "nn,rerank,greedy,mmr,qprel",
-        "--hashes", "nh,lshdiv,lshsdiv", "--ks", args.k,
-        "--lambda", str(args.lam), "--l", str(args.l), "--L", str(args.L),
-        "--seed", str(args.seed), "--allow-expensive", "--out", str(out),
-    ])
-    if rc:
-        return rc
-    print(out.read_text())
-    print(f"results in {out}", file=sys.stderr)
+        rc = cli_main([
+            "toy-gen", "--out", str(data), "--queries-out", str(queries),
+            "--n-per-class", str(args.n_per_class), "--n-queries", str(args.n_queries),
+            "--d", str(args.d), "--spread", str(args.spread), "--seed", str(args.seed),
+        ])
+        if rc:
+            return rc
+        rc = cli_main([
+            "retrieve", "--data", str(data), "--queries", str(queries),
+            "--methods", "nn,rerank,greedy,mmr,qprel",
+            "--hashes", "nh,lshdiv,lshsdiv", "--ks", args.k,
+            "--lambda", str(args.lam), "--l", str(args.l), "--L", str(args.L),
+            "--seed", str(args.seed), "--allow-expensive", "--out", str(out),
+        ])
+        if rc:
+            return rc
+        print(out.read_text())
+    if args.out:
+        print(f"results in {out}", file=sys.stderr)
     return 0
 
 

@@ -20,7 +20,6 @@ from .linalg import TruncatedBasis, project_capped_simplex, truncated_svd
 from .lsh import CandidateSet, LshIndex, build, query, tune
 from .metrics import (
     HierarchyTree,
-    QueryEval,
     bfs_prune,
     entropy_diversity,
     f_score,
@@ -44,7 +43,6 @@ from .select import (
     QpSolveReport,
     SelectionProblem,
     SelectionResult,
-    evaluate_objective,
     qp_relax_solve,
     select_greedy_div,
     select_mmr,

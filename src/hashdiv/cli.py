@@ -24,7 +24,7 @@ from .experiment import (
     run_multilabel_experiment,
     run_retrieval_experiment,
 )
-from .hashing import KIND_BY_NAME, PCA, PCA_DIRECT, new_family
+from .hashing import KIND_BY_NAME, new_family
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, cls) -> None:
@@ -59,8 +59,7 @@ def _config(cls, args):
         with open(args.config, "r", encoding="utf-8") as fh:
             values = json.load(fh)
     names = {f.name for f in dataclasses.fields(cls)}
-    values.update((k, v) for k, v in vars(args).items() if k in names)
-    return cls.from_dict(values)
+    return cls.from_dict(values, **{k: v for k, v in vars(args).items() if k in names})
 
 
 def _cmd_toy_gen(args) -> int:
@@ -84,12 +83,8 @@ def _cmd_toy_gen(args) -> int:
 
 def _cmd_index_build(args) -> int:
     dataset = load_dense(args.data)
-    kind = KIND_BY_NAME[args.kind]
-    needs_data = kind in (PCA, PCA_DIRECT)
     family = new_family(
-        kind, args.l, args.L, dataset.d,
-        alpha=args.alpha, seed=args.seed,
-        dataset=dataset if needs_data else None,
+        KIND_BY_NAME[args.kind], args.l, args.L, dataset.d, alpha=args.alpha, seed=args.seed, dataset=dataset
     )
     index = lsh.build(dataset, family)
     lsh.save_index(index, args.out)

@@ -61,6 +61,8 @@ class Dataset:
     def __post_init__(self):
         if self.vectors.ndim != 2:
             raise ValueError("vectors must be 2-d (n points x d dims)")
+        if not np.isfinite(self.vectors.data if self.is_sparse else self.vectors).all():
+            raise ValueError("a point has a NaN or infinite coordinate")
         n = self.vectors.shape[0]
         for name in ("categories", "subtopics"):
             arr = getattr(self, name)

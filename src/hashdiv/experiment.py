@@ -9,6 +9,7 @@ outside the clock. Progress goes to stderr, results to the output file.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import lsh, metrics, multilabel
 from .data import load_dense, load_sparse
-from .hashing import KIND_BY_NAME, PCA, PCA_DIRECT, new_family
+from .hashing import KIND_BY_NAME, new_family
 from .metrics import HierarchyTree
 from .multilabel import FactorModel, LabelPrediction
 from .select import (
@@ -32,9 +33,17 @@ from .select import (
     select_rerank,
 )
 
-METHODS = ("nn", "rerank", "greedy", "mmr", "qprel")
-HASHES = ("nh", "lshdiv", "lshsdiv", "pcahash")
-ML_METHODS = ("exact", "mmr", "pcahash", "lshdiv", "lshsdiv")
+_SELECTORS = {
+    "nn": select_nn,
+    "rerank": select_rerank,
+    "greedy": select_greedy_div,
+    "mmr": select_mmr,
+    "qprel": select_qp_rel,
+}
+METHODS = tuple(_SELECTORS)
+# "nh" is no hashing: every point is a candidate
+HASHES = ("nh", *KIND_BY_NAME)
+ML_METHODS = ("exact", "mmr", *KIND_BY_NAME)
 
 WORKERS_ENV = "HASHDIV_WORKERS"
 
@@ -61,11 +70,19 @@ def _map_queries(fn, items, workers: int):
         return list(pool.map(fn, items))
 
 
-def _from_dict(cls, values: dict):
-    """The config holding `values`, refusing keys that name no field."""
-    unknown = set(values) - {f.name for f in dataclasses.fields(cls)}
+def _from_dict(cls, values: dict, **overrides):
+    """The config holding `values` overlaid by `overrides`, refusing keys
+    that name no field and naming the required fields that both lack."""
+    if not isinstance(values, dict):
+        raise ValueError(f"a config for {cls.__name__} must be a JSON object of fields, got {type(values).__name__}")
+    values = {**values, **overrides}
+    fields = dataclasses.fields(cls)
+    unknown = set(values) - {f.name for f in fields}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    missing = [f.name for f in fields if f.name not in values and f.default is f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ValueError(f"missing required config keys: {missing}")
     return cls(**values)
 
 
@@ -159,20 +176,6 @@ def _progress(msg: str) -> None:
     print(msg, file=sys.stderr, flush=True)
 
 
-def _selector(method: str, config: ExperimentConfig):
-    if method == "nn":
-        return select_nn
-    if method == "greedy":
-        return select_greedy_div
-    if method == "mmr":
-        return select_mmr
-    if method == "rerank":
-        return lambda p: select_rerank(p, pool_factor=config.pool_factor)
-    if method == "qprel":
-        return select_qp_rel
-    raise ValueError(f"unknown method {method!r}")
-
-
 def _gate_expensive(method: str, hash_name: str, n: int, config: ExperimentConfig) -> None:
     if method != "qprel" or hash_name != "nh":
         return
@@ -186,21 +189,14 @@ def _gate_expensive(method: str, hash_name: str, n: int, config: ExperimentConfi
         )
 
 
-def _query_eval(dataset, query_point, index, selector, k, lam, max_candidates, full_ids, full_vecs, timing):
-    """One query through candidate generation + selection, then metrics."""
-    qvec = query_point.dense()
+def _query_eval(dataset, query_point, index, selector, k, lam, max_candidates, timing):
+    """One query through `lsh.retrieve`, then metrics: (precision,
+    subtopic recall or None, diversity, h-score, seconds, candidate
+    fraction)."""
     t0 = time.perf_counter()
-    if index is None:
-        cand_ids, cand_vecs = full_ids, full_vecs
-    else:
-        cand_ids = lsh.query(index, qvec, max_candidates=max_candidates).ids
-        cand_vecs = dataset.dense_rows(cand_ids)
-    if cand_ids.size == 0:
-        selected = np.empty(0, dtype=int)
-    else:
-        problem = SelectionProblem(query=qvec, ids=cand_ids, vectors=cand_vecs, k=k, lam=lam)
-        selected = selector(problem).ids
+    result, count = lsh.retrieve(dataset, index, query_point.dense(), selector, k, lam, max_candidates)
     elapsed = time.perf_counter() - t0 if timing else 0.0
+    selected = result.ids
 
     qcat = query_point.category
     if qcat is None:
@@ -222,9 +218,7 @@ def _query_eval(dataset, query_point, index, selector, k, lam, max_candidates, f
         # no subtopic labels: report mean pairwise squared distance, scaled
         # by its max (4 on unit vectors) so the h-score stays in range
         div = metrics.mean_pairwise_distance(dataset.dense_rows(selected)) / 4.0
-    h = metrics.h_score(precision, div)
-    ev = metrics.QueryEval(precision=precision, subtopic_recall=sr, diversity=div, h_score=h, elapsed=elapsed)
-    return ev, cand_ids.size / dataset.n
+    return precision, sr, div, metrics.h_score(precision, div), elapsed, count / dataset.n
 
 
 def run_retrieval_experiment(config: ExperimentConfig) -> list[ResultRow]:
@@ -233,50 +227,38 @@ def run_retrieval_experiment(config: ExperimentConfig) -> list[ResultRow]:
     queries = load_dense(config.queries)
     if queries.d != dataset.d:
         raise ExperimentError(f"query dimension {queries.d} != dataset dimension {dataset.d}")
-    full_ids = np.arange(dataset.n)
-    full_vecs = dataset.dense_rows(full_ids)
 
     rows: list[ResultRow] = []
     for hash_name in config.hashes:
         index = None
         if hash_name != "nh":
-            kind = KIND_BY_NAME[hash_name]
-            needs_data = kind in (PCA, PCA_DIRECT)
             family = new_family(
-                kind,
-                config.l,
-                config.L,
-                dataset.d,
-                alpha=config.alpha,
-                seed=config.seed,
-                dataset=dataset if needs_data else None,
+                KIND_BY_NAME[hash_name], config.l, config.L, dataset.d,
+                alpha=config.alpha, seed=config.seed, dataset=dataset,
             )
             _progress(f"[index] building {hash_name} (l={config.l}, L={config.L})")
             index = lsh.build(dataset, family)
         for method in config.methods:
             _gate_expensive(method, hash_name, dataset.n, config)
-            selector = _selector(method, config)
+            selector = _SELECTORS[method]
+            if method == "rerank":
+                selector = functools.partial(selector, pool_factor=config.pool_factor)
             for k in config.ks:
                 def one(qi, _method=method, _hash=hash_name, _k=k, _sel=selector):
                     try:
                         return _query_eval(
                             dataset, queries.point(qi), index, _sel, _k, config.lam,
-                            config.max_candidates, full_ids, full_vecs, config.timing,
+                            config.max_candidates, config.timing,
                         )
                     except ExperimentError:
                         raise
                     except Exception as exc:
                         raise ExperimentError(f"(method={_method}, hash={_hash}, query={qi}): {exc}") from exc
 
-                results = _map_queries(one, range(queries.n), workers)
-                evals = [ev for ev, _ in results]
-                precision = float(np.mean([e.precision for e in evals]))
-                srs = [e.subtopic_recall for e in evals if e.subtopic_recall is not None]
+                precs, srs, divs, hs, secs, fracs = zip(*_map_queries(one, range(queries.n), workers))
+                srs = [s for s in srs if s is not None]
                 sr = float(np.mean(srs)) if srs else None
-                div = float(np.mean([e.diversity for e in evals]))
-                h = float(np.mean([e.h_score for e in evals]))
-                secs = float(np.mean([e.elapsed for e in evals]))
-                frac = float(np.mean([f for _, f in results]))
+                precision, div, h, secs, frac = (float(np.mean(v)) for v in (precs, divs, hs, secs, fracs))
                 rows.append(ResultRow(method, hash_name, k, precision, sr, div, h, secs, frac))
                 _progress(f"[cell] {method}/{hash_name}/k={k}: P={precision:.3f} D={div:.3f} h={h:.3f}")
     return rows

@@ -1,5 +1,6 @@
 """Multi-table LSH index: build (hash every point into L tables), query
-(exact-key bucket lookup, union, dedup), and a grid-search tuner for (l, L).
+(exact-key bucket lookup, union, dedup), the request path `retrieve`
+(query, densify, select), and a grid-search tuner for (l, L).
 
 Bucket lookup is exact-key only; no multi-probe. Candidate order is fixed
 (ascending id) so the downstream greedy selectors are deterministic.
@@ -31,6 +32,7 @@ from .hashing import (
     hash_vector,
     new_family,
 )
+from .select import SelectionProblem, SelectionResult
 
 _MAGIC = b"HDV2"
 # magic, n, d, L, bucket count, family length, sha256 of the dataset's
@@ -102,13 +104,12 @@ def query(index: LshIndex, q, max_candidates: int | None = None) -> CandidateSet
     If max_candidates is set, candidates are ranked by exact distance to q
     (ties by id) and truncated before the final id-order sort.
     """
-    vec = q.vector if hasattr(q, "vector") else q
-    values = vec.data if sp.issparse(vec) else vec
+    values = q.data if sp.issparse(q) else q
     if not np.isfinite(values).all():
         raise ValueError("query has a NaN or infinite coordinate")
     if not values.any():
         raise ValueError("query is the zero vector, which has no angle to hash")
-    keys = hash_vector(index.family, vec)
+    keys = hash_vector(index.family, q)
     buckets = []
     for lo, table, key in zip(index._bounds, index._table_keys, keys):
         j = int(table.searchsorted(key))
@@ -125,12 +126,33 @@ def query(index: LshIndex, q, max_candidates: int | None = None) -> CandidateSet
     np.not_equal(ids[1:], ids[:-1], out=distinct[1:])
     ids = ids[distinct]
     if max_candidates is not None and ids.size > max_candidates:
-        diffs = index.dataset.dense_rows(ids) - np.asarray(
-            vec.todense() if hasattr(vec, "todense") else vec
-        ).ravel()
+        diffs = index.dataset.dense_rows(ids) - np.asarray(q.todense() if sp.issparse(q) else q).ravel()
         nearest = np.lexsort((ids, np.linalg.norm(diffs, axis=1)))[:max_candidates]
         ids = np.sort(ids[nearest])
     return CandidateSet(ids=ids, touched=touched)
+
+
+def retrieve(
+    dataset: Dataset,
+    index: LshIndex | None,
+    q: np.ndarray,
+    select,
+    k: int,
+    lam: float,
+    max_candidates: int | None = None,
+) -> tuple[SelectionResult, int]:
+    """One request: the union of q's buckets (every point of `dataset` when
+    `index` is None), densified and passed to `select` as a
+    SelectionProblem. Returns the selection and the candidate count; an
+    empty union gives an empty, underfilled selection and count 0."""
+    if index is None:
+        ids = np.arange(dataset.n)
+    else:
+        ids = query(index, q, max_candidates=max_candidates).ids
+    if ids.size == 0:
+        return SelectionResult(ids=ids, underfilled=True), 0
+    problem = SelectionProblem(query=q, ids=ids, vectors=dataset.dense_rows(ids), k=k, lam=lam)
+    return select(problem), ids.size
 
 
 @dataclass(frozen=True)

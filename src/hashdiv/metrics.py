@@ -17,18 +17,6 @@ from .data import MISSING, Dataset
 
 
 @dataclass(frozen=True)
-class QueryEval:
-    """Per-query scores; all in [0, 1] except the wall-clock seconds.
-    subtopic_recall is None when the dataset carries no subtopic labels."""
-
-    precision: float
-    subtopic_recall: float | None
-    diversity: float
-    h_score: float
-    elapsed: float
-
-
-@dataclass(frozen=True)
 class HierarchyTree:
     """Tree obtained by BFS-pruning a category multigraph: each node keeps
     the parent first reached from the root. `excluded` lists nodes that were

@@ -24,7 +24,7 @@ from . import lsh
 from .data import Dataset
 from .hashing import PCA, new_family
 from .linalg import truncated_svd
-from .select import SelectionProblem, select_greedy_div
+from .select import select_greedy_div
 
 _MAGIC = b"HDVM"
 
@@ -136,19 +136,16 @@ def build_label_index(
     L: int,
     *,
     kind: str = PCA,
-    alpha: int | None = None,
     seed: int = 0,
 ) -> lsh.LshIndex:
-    """LSH index over the unit-normalized rows of W. The projected dimension
-    defaults to min(200, 2k) clamped to the W-matrix rank bound."""
+    """LSH index over the unit-normalized rows of W. The pca kinds project
+    onto min(200, k, n_labels) dimensions, capped by the rank bound of W."""
     norms = np.linalg.norm(model.W, axis=1)
     if np.any(norms == 0):
         raise ValueError("W has a zero row; such a label cannot be hashed")
     Wn = model.W / norms[:, None]
     ds = Dataset(vectors=Wn)
-    if alpha is None:
-        alpha = min(200, 2 * model.k, model.k, model.n_labels)
-    family = new_family(kind, l, L, d=model.k, alpha=alpha, seed=seed, dataset=ds)
+    family = new_family(kind, l, L, d=model.k, alpha=min(200, model.k, model.n_labels), seed=seed, dataset=ds)
     return lsh.build(ds, family)
 
 
@@ -158,41 +155,18 @@ def predict_diverse(
     x,
     alpha: int,
     lam: float,
-    max_candidates: int | None = None,
 ) -> LabelPrediction:
     """Diverse label prediction: query the label index with the normalized
     embedded query H^T x, then greedily pick alpha diverse labels from the
-    collided candidates. eval_count = candidate count."""
+    collided candidates (from every label when alpha >= n_labels).
+    eval_count = candidate count."""
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
     z = model.H.T @ np.asarray(x, dtype=float).ravel()
     nz = np.linalg.norm(z)
     if nz == 0.0:
         raise ValueError("embedded query H^T x is the zero vector")
-    q = z / nz
-    if alpha >= model.n_labels:
-        cand = np.arange(model.n_labels)
-    else:
-        cand = lsh.query(index, q, max_candidates=max_candidates).ids
-    if cand.size == 0:
-        return LabelPrediction(
-            labels=np.empty(0, dtype=int),
-            scores=np.empty(0),
-            eval_count=0,
-            underfilled=True,
-        )
-    problem = SelectionProblem(
-        query=q,
-        ids=cand,
-        vectors=index.dataset.dense_rows(cand),
-        k=alpha,
-        lam=lam,
+    res, count = lsh.retrieve(
+        index.dataset, None if alpha >= model.n_labels else index, z / nz, select_greedy_div, alpha, lam
     )
-    res = select_greedy_div(problem)
-    scores = model.W[res.ids] @ z
-    return LabelPrediction(
-        labels=res.ids,
-        scores=scores,
-        eval_count=int(cand.size),
-        underfilled=res.ids.size < alpha,
-    )
+    return LabelPrediction(labels=res.ids, scores=model.W[res.ids] @ z, eval_count=count, underfilled=res.underfilled)

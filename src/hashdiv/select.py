@@ -4,16 +4,12 @@ All selectors consume a SelectionProblem whose candidates are kept in
 ascending-id order and break score ties by ascending id, which makes every
 strategy a pure deterministic function of its input.
 
-Two objective conventions coexist and are kept separate on purpose:
-  * evaluate_objective implements the distance/diversity trade-off
-    lam * sum_i |q - x_i|^2 - (1 - lam) * sum_{ij} |x_i - x_j|^2
-    with the diversity term as the full ordered double sum.
-  * qp_relax_solve minimizes the quadratic form lam * c^T a + |X^T a|^2
-    (c_i = -q.x_i, X the candidate vectors as rows, so |X^T a|^2 = a^T G a
-    for the Gram matrix G, which is never formed) over the capped simplex
-    by spectral projected gradient with face steps; this form absorbs
-    constants differently, so its lam is not numerically interchangeable
-    with the one above.
+qp_relax_solve minimizes the quadratic form lam * c^T a + |X^T a|^2
+(c_i = -q.x_i, X the candidate vectors as rows, so |X^T a|^2 = a^T G a for
+the Gram matrix G, which is never formed) over the capped simplex by
+spectral projected gradient with face steps; this form absorbs constants
+differently from the greedy score, so its lam is not numerically
+interchangeable with greedy's.
 """
 
 from __future__ import annotations
@@ -276,19 +272,3 @@ def select_qp_rel(problem: SelectionProblem, max_iter: int = 500, tol: float = 1
     report = qp_relax_solve(problem, max_iter=max_iter, tol=tol)
     order = np.lexsort((problem.ids, -report.alpha))
     return _result(problem, list(order[: problem.k]))
-
-
-def evaluate_objective(query, points, lam: float) -> float:
-    """Trade-off objective on an explicit set:
-    lam * sum_i |q - x_i|^2 - (1 - lam) * sum_{ij} |x_i - x_j|^2,
-    the pair term being the full ordered double sum (both (i, j) and (j, i),
-    zero diagonal)."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[0] == 0:
-        return 0.0
-    query = np.asarray(query, dtype=float).ravel()
-    diff = points - query
-    acc = float(np.einsum("ij,ij->i", diff, diff).sum())
-    sq = np.einsum("ij,ij->i", points, points)
-    pair = float(np.sum(sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)))
-    return lam * acc - (1.0 - lam) * pair

@@ -4,11 +4,13 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hashdiv
 from hashdiv import lsh
 from hashdiv.cli import build_parser, main
 from hashdiv.data import load_dense
@@ -121,6 +123,21 @@ def test_bad_input_reports_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, cause", [
+    (["retrieve", "--queries", "q.csv", "--out", "x.csv"], "missing required config keys: ['data']"),
+    (["multilabel", "--synthetic"], "missing required config keys: ['out']"),
+    (["retrieve", "--config", "list.json"], "must be a JSON object of fields, got list"),
+])
+def test_bad_config_reports_error_not_traceback(tmp_path, argv, cause):
+    (tmp_path / "list.json").write_text("[1, 2]")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-m", "hashdiv.cli", *argv], cwd=tmp_path, capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and cause in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def _surface(parser, path=()):
     """{subcommand path: {option string: dest}} for every leaf parser."""
     subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
@@ -162,6 +179,23 @@ def test_cli_surface_is_pinned():
     }
 
 
+def test_public_api_is_pinned():
+    # submodules appear in dir(hashdiv) once something imports them, so
+    # they are left out; any other addition or deletion must edit this list
+    public = {n for n in dir(hashdiv)
+              if not n.startswith("__") and not isinstance(getattr(hashdiv, n), types.ModuleType)}
+    assert public == {
+        "CandidateSet", "DataPoint", "Dataset", "FactorModel", "HashFamily", "HierarchyTree", "LabelPrediction",
+        "LshIndex", "PCA", "PCA_DIRECT", "PLAIN", "QpSolveReport", "SelectionProblem", "SelectionResult",
+        "ToyConfig", "TruncatedBasis", "bfs_prune", "build", "build_label_index", "collision_probability",
+        "entropy_diversity", "estimate_collision_rate", "f_score", "fit_lowrank_ridge", "h_score", "load_dense",
+        "load_factors", "load_sparse", "make_toy", "mean_pairwise_distance", "new_family", "precision_at_k",
+        "predict_diverse", "predict_exact", "project_capped_simplex", "qp_relax_solve", "query", "save_factors",
+        "select_greedy_div", "select_mmr", "select_nn", "select_qp_rel", "select_rerank", "subtopic_recall",
+        "tree_diversity", "truncated_svd", "tune",
+    }
+
+
 def test_multilabel_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -180,7 +214,8 @@ def test_multilabel_config_file_with_flag_override(tmp_path):
 def test_toy_benchmark_script(tmp_path):
     out = tmp_path / "toy.csv"
     script = Path(__file__).resolve().parent.parent / "scripts" / "toy_benchmark.py"
-    # TMPDIR keeps the script's scratch directory under tmp_path
+    # TMPDIR puts the script's scratch directory under tmp_path, where its
+    # removal can be checked
     proc = subprocess.run([sys.executable, str(script), "--n-per-class", "50", "--n-queries", "4", "--out", str(out)],
                           capture_output=True, text=True, timeout=120, env={**os.environ, "TMPDIR": str(tmp_path)})
     assert proc.returncode == 0, proc.stderr
@@ -188,3 +223,5 @@ def test_toy_benchmark_script(tmp_path):
     assert lines[0] == "method,hash,k,precision,subtopic_recall,diversity,h_score,seconds"
     # 5 methods x 3 hash families x 1 k
     assert len(lines) == 1 + 15
+    assert proc.stdout.splitlines()[: len(lines)] == lines
+    assert not list(tmp_path.glob("hashdiv-toy-*"))

@@ -155,3 +155,21 @@ def test_dense_rows_match_row_indexing(small_toy):
     for ds in (small_toy, sparse):
         with pytest.raises(IndexError):
             ds.dense_rows([0, small_toy.n])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_coordinates(bad):
+    vectors = np.eye(3)
+    vectors[1, 2] = bad
+    for form in (vectors, sp.csr_matrix(vectors)):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            Dataset(vectors=form)
+
+
+@pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
+def test_load_dense_rejects_non_finite_field(tmp_path, field):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"1.0,0.0\n0.5,{field}\n")
+    for normalize in (True, False):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            load_dense(path, normalize=normalize)

@@ -1,13 +1,23 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import clustered_dataset, toy_centers
 from hashdiv import lsh
 from hashdiv.data import Dataset, ToyConfig, make_toy, normalize_rows
 from hashdiv.hashing import PLAIN, hash_matrix, new_family
+from hashdiv.select import (
+    SelectionProblem,
+    select_greedy_div,
+    select_mmr,
+    select_nn,
+    select_qp_rel,
+    select_rerank,
+)
+
+SELECTORS = (select_nn, select_rerank, select_greedy_div, select_mmr, select_qp_rel)
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +199,51 @@ class TestQuery:
             sizes = [lsh.query(index, qvecs[i]).ids.size for i in range(256)]
             fracs.append(np.mean(sizes) / n)
         assert fracs[2] < fracs[1] < fracs[0]
+
+
+class TestRetrieve:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 50),
+        l=st.integers(1, 10),
+        L=st.integers(1, 5),
+        k=st.integers(1, 12),
+        lam=st.floats(0.0, 1.0),
+        cap=st.none() | st.integers(1, 20),
+        from_data=st.booleans(),
+    )
+    # a query that is point 0 of three always has 1 to 3 candidates, fewer than k
+    @example(seed=4, n=3, l=2, L=2, k=10, lam=0.5, cap=None, from_data=True)
+    def test_equals_hand_chain(self, seed, n, l, L, k, lam, cap, from_data):
+        d = 5
+        rng = np.random.default_rng(seed)
+        ds = Dataset(vectors=normalize_rows(rng.standard_normal((n, d))))
+        index = lsh.build(ds, new_family(PLAIN, l, L, d, seed=seed % 100))
+        q = ds.vectors[0] if from_data else normalize_rows(rng.standard_normal((1, d)))[0]
+        cand = lsh.query(index, q, max_candidates=cap).ids
+        every = np.arange(n)
+        for select in SELECTORS:
+            res, count = lsh.retrieve(ds, index, q, select, k, lam, cap)
+            assert count == cand.size
+            if cand.size == 0:
+                assert res.ids.size == 0 and res.underfilled
+            else:
+                want = select(SelectionProblem(query=q, ids=cand, vectors=ds.dense_rows(cand), k=k, lam=lam))
+                assert np.array_equal(res.ids, want.ids) and res.underfilled == want.underfilled
+            # no index: the selector over every point
+            res, count = lsh.retrieve(ds, None, q, select, k, lam)
+            want = select(SelectionProblem(query=q, ids=every, vectors=ds.vectors, k=k, lam=lam))
+            assert count == n
+            assert np.array_equal(res.ids, want.ids) and res.underfilled == want.underfilled
+
+    def test_empty_union(self):
+        ds = Dataset(vectors=np.array([[1.0] + [0.0] * 15]))
+        index = lsh.build(ds, new_family(PLAIN, 64, 1, 16, seed=3))
+        # the antipode flips every one of the 64 sign bits
+        for select in SELECTORS:
+            res, count = lsh.retrieve(ds, index, -ds.vectors[0], select, 5, 0.5)
+            assert res.ids.size == 0 and res.underfilled and count == 0
 
 
 class TestTune:

@@ -9,7 +9,6 @@ from hashdiv.hashing import PLAIN, new_family
 from hashdiv.lsh import build, query
 from hashdiv.select import (
     SelectionProblem,
-    evaluate_objective,
     qp_relax_solve,
     select_greedy_div,
     select_mmr,
@@ -84,12 +83,6 @@ def ref_rerank(q, ids, X, k, pool_factor):
         chosen.append(best)
         pool.remove(best)
     return [ids[i] for i in chosen]
-
-
-def ref_objective(q, points, lam):
-    acc = sum(sqd(q, x) for x in points)
-    pair = sum(sqd(x, y) for x in points for y in points)
-    return lam * acc - (1 - lam) * pair
 
 
 def eq2_objective(q, X, subset, lam):
@@ -366,33 +359,6 @@ class TestSelectQpRel:
             )
             close += rounded <= best + 0.10 * abs(best)
         assert close >= 0.9 * 40
-
-
-class TestEvaluateObjective:
-    def test_single_point_zero(self):
-        assert evaluate_objective([1.0, 0.0], [[1.0, 0.0]], 0.7) == 0.0
-
-    def test_antipodal_pair(self):
-        # ordered double sum counts each unordered pair twice
-        val = evaluate_objective([1.0, 0.0], [[1.0, 0.0], [-1.0, 0.0]], 0.0)
-        assert np.isclose(val, -1.0 * 2 * 4.0)
-
-    def test_matches_double_loop(self):
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            pts = rng.standard_normal((6, 4))
-            q = rng.standard_normal(4)
-            lam = rng.uniform(0, 1)
-            assert np.isclose(evaluate_objective(q, pts, lam), ref_objective(q, pts.tolist(), lam), atol=1e-9)
-
-    @given(st.integers(0, 2**31 - 1), st.floats(0, 1))
-    @settings(max_examples=50, deadline=None)
-    def test_permutation_invariant(self, seed, lam):
-        rng = np.random.default_rng(seed)
-        pts = rng.standard_normal((5, 3))
-        q = rng.standard_normal(3)
-        perm = rng.permutation(5)
-        assert np.isclose(evaluate_objective(q, pts, lam), evaluate_objective(q, pts[perm], lam), atol=1e-9)
 
 
 class TestProblemValidation:
