@@ -8,6 +8,7 @@ rows outright instead of letting NaNs leak into the hash stage.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -62,7 +63,12 @@ class Dataset:
         if self.vectors.ndim != 2:
             raise ValueError("vectors must be 2-d (n points x d dims)")
         if not np.isfinite(self.vectors.data if self.is_sparse else self.vectors).all():
-            raise ValueError("a point has a NaN or infinite coordinate")
+            if self.is_sparse:
+                entries = self.vectors.tocoo()
+                bad = entries.row[~np.isfinite(entries.data)].min()
+            else:
+                bad = np.flatnonzero(~np.isfinite(self.vectors).all(axis=1))[0]
+            raise ValueError(f"point {bad} has a NaN or infinite coordinate")
         n = self.vectors.shape[0]
         for name in ("categories", "subtopics"):
             arr = getattr(self, name)
@@ -197,6 +203,11 @@ def load_dense(path, normalize: bool = True) -> Dataset:
         cats.append(cat)
         subs.append(sub)
     vectors = np.array(rows, dtype=float).reshape(len(rows), arity or 0)
+    # a NaN or infinite field leaves its row non-finite, normalized or not
+    bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+    if bad.size:
+        line_no = [i for i, raw in enumerate(text.splitlines(), 1) if raw.strip()][bad[0]]
+        raise ParseError(path, line_no, "a NaN or infinite value")
     return Dataset(
         vectors=vectors,
         categories=np.array(cats, dtype=int) if labeled else None,
@@ -255,6 +266,8 @@ def load_sparse(path, d: int, normalize: bool = True) -> Dataset:
                 val = float(v_str)
             except ValueError:
                 raise ParseError(path, line_no, f"bad feature token {tok!r}") from None
+            if not math.isfinite(val):
+                raise ParseError(path, line_no, f"a NaN or infinite value in {tok!r}")
             if idx < 0 or idx >= d:
                 raise ParseError(path, line_no, f"index out of range: {idx + 1} (d={d})")
             if idx <= prev:

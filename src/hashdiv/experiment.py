@@ -228,16 +228,21 @@ def run_retrieval_experiment(config: ExperimentConfig) -> list[ResultRow]:
     if queries.d != dataset.d:
         raise ExperimentError(f"query dimension {queries.d} != dataset dimension {dataset.d}")
 
+    # every family first, so one that cannot be built fails before any cell
+    # runs; each index is still built only when its column runs
+    families = {
+        name: new_family(
+            KIND_BY_NAME[name], config.l, config.L, dataset.d,
+            alpha=config.alpha, seed=config.seed, dataset=dataset,
+        )
+        for name in config.hashes if name != "nh"
+    }
     rows: list[ResultRow] = []
     for hash_name in config.hashes:
         index = None
         if hash_name != "nh":
-            family = new_family(
-                KIND_BY_NAME[hash_name], config.l, config.L, dataset.d,
-                alpha=config.alpha, seed=config.seed, dataset=dataset,
-            )
             _progress(f"[index] building {hash_name} (l={config.l}, L={config.L})")
-            index = lsh.build(dataset, family)
+            index = lsh.build(dataset, families[hash_name])
         for method in config.methods:
             _gate_expensive(method, hash_name, dataset.n, config)
             selector = _SELECTORS[method]

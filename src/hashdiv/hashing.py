@@ -10,7 +10,16 @@ Three kinds:
 
 Bit b of table t is 1 iff the projection is >= 0; the tie at exactly 0 is a
 measure-zero event for continuous data but the convention is fixed so keys
-are reproducible. A key packs l <= 64 bits into one uint64.
+are reproducible. A key packs l <= 64 bits into one uint64, bit b at
+position b, by one integer product of the bits with the powers of two.
+
+`hash_matrix` walks its rows in blocks whose L * l float64 projections (or
+densified input rows, if wider) fit a fixed byte budget, writing each
+block's keys into the (n, L) output, so its working memory is bounded by
+the keys it returns, not by n * L * l or n * d.
+A row's projections do not depend on the other rows of its block, so the
+keys do not depend on the block size; `hash_vector` is the one-row case of
+the same kernel.
 """
 
 from __future__ import annotations
@@ -35,6 +44,10 @@ _MAGIC = b"HDVF"
 _KIND_CODE = {PLAIN: 0, PCA: 1, PCA_DIRECT: 2}
 _CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
 
+# bytes one row block of `hash_matrix` may hold in its widest float64
+# array: the L * l projections, or the input rows when it densifies them
+_BLOCK_BYTES = 1 << 18
+
 
 @dataclass(frozen=True)
 class HashFamily:
@@ -54,6 +67,13 @@ class HashFamily:
     seed: int
     hyperplanes: np.ndarray
     basis: TruncatedBasis | None = None
+
+    def __post_init__(self):
+        # the hashing kernel's operands, computed once: all L * l planes as
+        # contiguous columns, and the weight 2^b of bit b in a key
+        planes = np.ascontiguousarray(self.hyperplanes.reshape(self.L * self.l, -1).T)
+        object.__setattr__(self, "_planes", planes)
+        object.__setattr__(self, "_pow2", np.left_shift(np.uint64(1), np.arange(self.l, dtype=np.uint64)))
 
 
 def _hyperplane(seed: int, table: int, bit: int, dim: int) -> np.ndarray:
@@ -122,14 +142,6 @@ def new_family(
     return HashFamily(kind=kind, l=l, L=L, d=d, alpha=alpha, seed=seed, hyperplanes=planes, basis=basis)
 
 
-def _pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack (..., l) booleans into uint64 keys, bit b at position b."""
-    l = bits.shape[-1]
-    padded = np.zeros(bits.shape[:-1] + (64,), dtype=bool)
-    padded[..., :l] = bits
-    return np.packbits(padded, axis=-1, bitorder="little").view(np.uint64)[..., 0]
-
-
 def _project(family: HashFamily, x):
     """Map points into the space the hyperplanes live in (U^T x for pca kinds)."""
     if family.kind == PLAIN:
@@ -141,13 +153,19 @@ def hash_matrix(family: HashFamily, vectors) -> np.ndarray:
     """Keys for every row of `vectors` under every table: (n, L) uint64."""
     if vectors.shape[1] != family.d:
         raise ValueError(f"point dimension {vectors.shape[1]} != family dimension {family.d}")
-    z = _project(family, vectors)
-    if sp.issparse(z):
-        z = np.asarray(z.todense())
-    # one fused projection against all L*l hyperplanes
-    planes = family.hyperplanes.reshape(family.L * family.l, -1)
-    bits = (z @ planes.T >= 0.0).reshape(z.shape[0], family.L, family.l)
-    return _pack_bits(bits)
+    if sp.issparse(vectors):
+        vectors = vectors.tocsr()  # row slices of a CSR matrix are cheap
+    n, L, l = vectors.shape[0], family.L, family.l
+    block = max(1, _BLOCK_BYTES // (8 * max(L * l, family.d)))
+    keys = np.empty((n, L), dtype=np.uint64)
+    for lo in range(0, n, block):
+        z = _project(family, vectors[lo : lo + block])
+        if sp.issparse(z):
+            z = z.toarray()
+        # one fused projection against all L*l hyperplanes
+        bits = (z @ family._planes >= 0.0).reshape(-1, L, l)
+        np.matmul(bits, family._pow2, out=keys[lo : lo + block])
+    return keys
 
 
 def hash_vector(family: HashFamily, x) -> np.ndarray:

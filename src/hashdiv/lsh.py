@@ -9,8 +9,9 @@ The tables are static, so they are stored flat, in the manner of FALCONN
 (Andoni et al., NeurIPS 2015): table t is its sorted unique keys
 keys[table_bounds[t]:table_bounds[t + 1]], and the bucket of keys[j] is
 ids[offsets[j]:offsets[j + 1]]. Table t's buckets fill ids[t*n:(t+1)*n],
-ids ascending inside each bucket. The same arrays are written to and
-read from the blob as raw bytes.
+ids ascending inside each bucket. Build sorts one table at a time into
+its slice of ids. The same arrays are written to and read from the blob
+as raw bytes.
 """
 
 from __future__ import annotations
@@ -80,21 +81,27 @@ def build(dataset: Dataset, family: HashFamily) -> LshIndex:
         raise ValueError("cannot index an empty dataset")
     if dataset.d != family.d:
         raise ValueError(f"dataset dimension {dataset.d} != family dimension {family.d}")
-    n = dataset.n
-    keys = hash_matrix(family, dataset.vectors).T  # (L, n)
-    order = np.argsort(keys, axis=1, kind="stable")
-    sorted_keys = np.take_along_axis(keys, order, axis=1).ravel()
-    first = np.ones(sorted_keys.size, dtype=bool)
-    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    first[::n] = True  # every table opens a bucket
-    starts = np.flatnonzero(first)
+    n, L = dataset.n, family.L
+    keys = hash_matrix(family, dataset.vectors)  # (n, L)
+    # one table at a time, so only one table's sort is alive beside the index
+    ids = np.empty(L * n, dtype=np.int64)
+    bucket_keys, starts = [], []
+    first = np.ones(n, dtype=bool)  # every table opens a bucket
+    for t in range(L):
+        order = ids[t * n : (t + 1) * n]
+        order[:] = np.argsort(keys[:, t], kind="stable")
+        sorted_keys = keys[order, t]
+        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+        starts.append(np.flatnonzero(first) + t * n)
+        bucket_keys.append(sorted_keys[first])
+    del keys  # freed before the index arrays are concatenated
     return LshIndex(
         family=family,
         dataset=dataset,
-        keys=sorted_keys[starts],
-        offsets=np.append(starts, sorted_keys.size),
-        ids=order.ravel(),
-        table_bounds=np.searchsorted(starts, np.arange(family.L + 1) * n),
+        keys=np.concatenate(bucket_keys),
+        offsets=np.concatenate(starts + [[L * n]]),
+        ids=ids,
+        table_bounds=np.cumsum([0] + [s.size for s in starts]),
     )
 
 

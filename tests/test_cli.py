@@ -97,6 +97,19 @@ def test_retrieve_expensive_gate_fails_cleanly(toy_paths, tmp_path, capsys):
     assert "allow_expensive" in capsys.readouterr().err
 
 
+def test_retrieve_unbuildable_family_fails_before_any_cell(toy_paths, tmp_path, capsys):
+    # pcahash takes l principal directions, and 8-d data has only 8
+    data, queries = toy_paths
+    out = tmp_path / "o.csv"
+    rc = main(["retrieve", "--data", str(data), "--queries", str(queries),
+               "--hashes", "nh,lshdiv,lshsdiv,pcahash", "--l", "10", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "pca_direct needs alpha >= l" in err
+    assert "[cell]" not in err
+    assert not out.exists()
+
+
 def test_tune_outputs_json(toy_paths, capsys):
     data, _ = toy_paths
     assert main(["tune", "--data", str(data), "--target-recall", "0.8", "--seed", "0"]) == 0

@@ -162,14 +162,24 @@ def test_dataset_rejects_non_finite_coordinates(bad):
     vectors = np.eye(3)
     vectors[1, 2] = bad
     for form in (vectors, sp.csr_matrix(vectors)):
-        with pytest.raises(ValueError, match="NaN or infinite"):
+        with pytest.raises(ValueError, match="point 1 has a NaN or infinite"):
             Dataset(vectors=form)
 
 
 @pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
 def test_load_dense_rejects_non_finite_field(tmp_path, field):
     path = tmp_path / "bad.csv"
-    path.write_text(f"1.0,0.0\n0.5,{field}\n")
+    for text, line in ((f"1.0,0.0\n0.5,{field}\n", 2), (f"\n1.0,0.0\n\n0.5,{field}\n1.0,1.0\n", 4)):
+        path.write_text(text)
+        for normalize in (True, False):
+            with pytest.raises(ParseError, match=f":{line}: .*NaN or infinite"):
+                load_dense(path, normalize=normalize)
+
+
+@pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
+def test_load_sparse_rejects_non_finite_field(tmp_path, field):
+    path = tmp_path / "bad.svm"
+    path.write_text(f"0 1:1.0\n1 2:0.5 3:{field}\n")
     for normalize in (True, False):
-        with pytest.raises(ValueError, match="NaN or infinite"):
-            load_dense(path, normalize=normalize)
+        with pytest.raises(ParseError, match=":2: .*NaN or infinite"):
+            load_sparse(path, d=3, normalize=normalize)

@@ -1,11 +1,17 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import pair_at_angle, unit_vector
+from hashdiv import hashing
 from hashdiv.data import Dataset, normalize_rows
 from hashdiv.hashing import (
+    KINDS,
     PCA,
     PCA_DIRECT,
     PLAIN,
@@ -17,6 +23,7 @@ from hashdiv.hashing import (
     hash_vector,
     new_family,
 )
+from hashdiv.linalg import TruncatedBasis
 
 
 class TestNewFamily:
@@ -108,8 +115,6 @@ class TestHashPoint:
 
     def test_zero_projection_maps_to_bit_one(self):
         # the >= 0 convention: an exactly-zero projection sets the bit
-        from hashdiv.linalg import TruncatedBasis
-
         eye = TruncatedBasis(U=np.eye(4), singular_values=np.ones(4), converged=True, iterations=1)
         fam = new_family(PCA_DIRECT, 4, 1, 4, alpha=4, basis=eye)
         key = hash_vector(fam, np.array([0.0, -1.0, 0.0, 2.0]))[0]
@@ -117,8 +122,6 @@ class TestHashPoint:
 
     def test_pca_identity_basis_matches_plain(self):
         # alpha = d with U = I reproduces the plain family bit for bit
-        from hashdiv.linalg import TruncatedBasis
-
         d = 9
         eye = TruncatedBasis(U=np.eye(d), singular_values=np.ones(d), converged=True, iterations=1)
         plain = new_family(PLAIN, 12, 3, d, seed=6)
@@ -126,6 +129,73 @@ class TestHashPoint:
         rng = np.random.default_rng(0)
         x = unit_vector(rng, d)
         assert np.array_equal(hash_vector(plain, x), hash_vector(pca, x))
+
+
+def reference_keys(family, vectors) -> np.ndarray:
+    """Brute force: bit b of table t is hyperplanes[t, b] . proj(x) >= 0,
+    set at position b of a Python int."""
+    dense = vectors.toarray() if sp.issparse(vectors) else np.asarray(vectors)
+    keys = np.zeros((dense.shape[0], family.L), dtype=np.uint64)
+    for i, x in enumerate(dense):
+        z = x if family.kind == PLAIN else family.basis.U.T @ x
+        for t in range(family.L):
+            keys[i, t] = sum(1 << b for b in range(family.l) if family.hyperplanes[t, b] @ z >= 0.0)
+    return keys
+
+
+class TestHashMatrixOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_brute_force(self, data):
+        kind = data.draw(st.sampled_from(KINDS))
+        d = data.draw(st.integers(1, 70))
+        alpha = data.draw(st.integers(1, d))
+        l = data.draw(st.integers(1, min(64, alpha) if kind == PCA_DIRECT else 64))
+        L = data.draw(st.integers(1, 32))
+        n = data.draw(st.integers(0, 40))
+        rows_per_block = data.draw(st.sampled_from([None, 1, 2, 3, 7]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = rng.standard_normal((n, d))
+        x[rng.random(n) < 0.2] = 0.0  # every projection of a zero row is exactly 0
+        if data.draw(st.booleans()):
+            x[rng.random((n, d)) < 0.5] = 0.0
+            x = sp.csr_matrix(x)
+        basis = None
+        if kind != PLAIN:
+            U = np.linalg.qr(rng.standard_normal((d, alpha)))[0]
+            basis = TruncatedBasis(U=U, singular_values=np.ones(alpha), converged=True, iterations=1)
+        fam = new_family(kind, l, L, d, seed=data.draw(st.integers(0, 99)), basis=basis)
+        budget = hashing._BLOCK_BYTES if rows_per_block is None else rows_per_block * 8 * max(L * l, d)
+        with mock.patch.object(hashing, "_BLOCK_BYTES", budget):
+            keys = hash_matrix(fam, x)
+        assert keys.dtype == np.uint64 and keys.shape == (n, L)
+        assert np.array_equal(keys, reference_keys(fam, x))
+        for i in range(n):
+            assert np.array_equal(hash_vector(fam, x[i]), keys[i])
+
+    def test_rows_cross_block_boundaries(self):
+        # l=64, L=32 leaves 16 rows per block, so 40 rows fill three blocks
+        fam = new_family(PLAIN, 64, 32, 6, seed=2)
+        assert hashing._BLOCK_BYTES // (8 * 64 * 32) == 16
+        x = np.random.default_rng(4).standard_normal((40, 6))
+        keys = hash_matrix(fam, x)
+        assert np.array_equal(keys, reference_keys(fam, x))
+        assert np.array_equal(keys[17], hash_vector(fam, x[17]))
+
+    def test_sparse_input_is_densified_one_block_at_a_time(self):
+        # the plain kind densifies sparse rows before projecting them; 100
+        # rows of d = 20,000 would be 16 MiB dense
+        n, d = 100, 20_000
+        x = sp.random(n, d, density=0.001, format="csr", random_state=np.random.default_rng(5))
+        fam = new_family(PLAIN, 8, 2, d, seed=1)
+        tracemalloc.start()
+        try:
+            keys = hash_matrix(fam, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < keys.nbytes + 2 * hashing._BLOCK_BYTES + 2**18
+        assert np.array_equal(keys, reference_keys(fam, x))
 
 
 class TestCollisionLaw:

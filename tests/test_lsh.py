@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -38,7 +40,52 @@ def table_of(index, t):
     return index.keys[lo:hi], buckets
 
 
+def build_all_tables(dataset, family):
+    """Reference build: one stable argsort over all L tables at once."""
+    n = dataset.n
+    keys = hash_matrix(family, dataset.vectors).T  # (L, n)
+    order = np.argsort(keys, axis=1, kind="stable")
+    sorted_keys = np.take_along_axis(keys, order, axis=1).ravel()
+    first = np.ones(sorted_keys.size, dtype=bool)
+    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    first[::n] = True  # every table opens a bucket
+    starts = np.flatnonzero(first)
+    return (sorted_keys[starts], np.append(starts, sorted_keys.size), order.ravel(),
+            np.searchsorted(starts, np.arange(family.L + 1) * n))
+
+
 class TestBuild:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_all_tables_argsort(self, data):
+        n = data.draw(st.integers(1, 80))
+        d = data.draw(st.integers(1, 5))
+        l = data.draw(st.integers(1, 64))
+        L = data.draw(st.integers(1, 12))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        points = rng.standard_normal((n, d))
+        points[rng.random(n) < 0.3] = points[0]  # duplicates tie inside a bucket
+        ds = Dataset(vectors=points)
+        family = new_family(PLAIN, l, L, d, seed=data.draw(st.integers(0, 99)))
+        index = lsh.build(ds, family)
+        for got, want in zip((index.keys, index.offsets, index.ids, index.table_bounds), build_all_tables(ds, family)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_peak_memory_is_about_the_index(self):
+        # the (n, L) keys, the index it returns and 1 MiB of work space; a
+        # build that holds n x L*l float projections (20 MiB here) fails
+        n, L = 20_000, 8
+        ds = Dataset(vectors=normalize_rows(np.random.default_rng(0).standard_normal((n, 24))))
+        family = new_family(PLAIN, 16, L, 24, seed=0)
+        tracemalloc.start()
+        try:
+            index = lsh.build(ds, family)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        index_bytes = index.keys.nbytes + index.offsets.nbytes + index.ids.nbytes + index.table_bounds.nbytes
+        assert peak < n * L * 8 + index_bytes + 2**20
+
     def test_single_point(self):
         ds = Dataset(vectors=np.array([[1.0, 0.0]]))
         fam = new_family(PLAIN, 8, 3, 2, seed=0)
