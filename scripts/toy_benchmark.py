@@ -51,7 +51,7 @@ def run(argv=None):
             "--methods", "nn,rerank,greedy,mmr,qprel",
             "--hashes", "nh,lshdiv,lshsdiv", "--ks", args.k,
             "--lambda", str(args.lam), "--l", str(args.l), "--L", str(args.L),
-            "--seed", str(args.seed), "--allow-expensive", "--out", str(out),
+            "--seed", str(args.seed), "--out", str(out),
         ])
         if rc:
             return rc

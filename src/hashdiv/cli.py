@@ -104,7 +104,7 @@ def _cmd_index_query(args) -> int:
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         for i in range(queries.n):
-            cand = lsh.query(index, queries.point(i).dense(), max_candidates=args.max_candidates)
+            cand = lsh.query(index, queries.vectors[i])
             rec = {"query_id": i, "candidates": cand.ids.tolist(), "touched": cand.touched}
             out.write(json.dumps(rec) + "\n")
     finally:
@@ -114,12 +114,7 @@ def _cmd_index_query(args) -> int:
 
 
 def _cmd_retrieve(args) -> int:
-    config = _config(ExperimentConfig, args)
-    if args.timing_fair and config.max_candidates is None:
-        # cap candidate sets at 50k so hashed and exhaustive rows do
-        # comparable selection work per query
-        config = dataclasses.replace(config, max_candidates=50 * max(config.ks))
-    return _run(config, run_retrieval_experiment)
+    return _run(_config(ExperimentConfig, args), run_retrieval_experiment)
 
 
 def _cmd_multilabel(args) -> int:
@@ -173,13 +168,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--queries", required=True)
-    p.add_argument("--max-candidates", type=int)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_index_query)
 
     p = sub.add_parser("retrieve", help="run the retrieval experiment grid")
     _add_config_flags(p, ExperimentConfig)
-    p.add_argument("--timing-fair", action="store_true", help="cap candidate sets at 50k per query")
     p.set_defaults(fn=_cmd_retrieve)
 
     p = sub.add_parser("multilabel", help="run the multi-label prediction experiment")

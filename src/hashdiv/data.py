@@ -14,7 +14,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 MISSING = -1  # sentinel for an absent category/subtopic label
 
@@ -30,19 +29,16 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class DataPoint:
-    """One database point (or query). `vector` is a 1-d dense array or a
-    1 x d CSR row for sparse datasets; `labels` holds the multi-label set
-    parsed from sparse files."""
+    """One database point (or query). `vector` is a 1-d dense array;
+    `labels` holds the multi-label set parsed from LIBSVM files."""
 
     id: int
-    vector: np.ndarray | sp.csr_matrix
+    vector: np.ndarray
     category: int | None = None
     subtopic: int | None = None
     labels: frozenset[int] | None = None
 
     def dense(self) -> np.ndarray:
-        if sp.issparse(self.vector):
-            return np.asarray(self.vector.todense()).ravel()
         return self.vector
 
 
@@ -50,24 +46,22 @@ class DataPoint:
 class Dataset:
     """Immutable-after-construction collection of points with ids 0..n-1.
 
-    `vectors` is an (n, d) dense array or CSR matrix; row i is point i.
+    `vectors` is an (n, d) dense array; row i is point i.
     Safe for concurrent reads.
     """
 
-    vectors: np.ndarray | sp.csr_matrix
+    vectors: np.ndarray
     categories: np.ndarray | None = None
     subtopics: np.ndarray | None = None
     label_sets: tuple[frozenset[int], ...] | None = None
 
     def __post_init__(self):
+        if not isinstance(self.vectors, np.ndarray):
+            raise ValueError(f"vectors must be a dense numpy array, got {type(self.vectors).__name__}")
         if self.vectors.ndim != 2:
             raise ValueError("vectors must be 2-d (n points x d dims)")
-        if not np.isfinite(self.vectors.data if self.is_sparse else self.vectors).all():
-            if self.is_sparse:
-                entries = self.vectors.tocoo()
-                bad = entries.row[~np.isfinite(entries.data)].min()
-            else:
-                bad = np.flatnonzero(~np.isfinite(self.vectors).all(axis=1))[0]
+        if not np.isfinite(self.vectors).all():
+            bad = np.flatnonzero(~np.isfinite(self.vectors).all(axis=1))[0]
             raise ValueError(f"point {bad} has a NaN or infinite coordinate")
         n = self.vectors.shape[0]
         for name in ("categories", "subtopics"):
@@ -88,17 +82,13 @@ class Dataset:
     def d(self) -> int:
         return self.vectors.shape[1]
 
-    @property
-    def is_sparse(self) -> bool:
-        return sp.issparse(self.vectors)
-
     def __len__(self) -> int:
         return self.n
 
     def point(self, i: int) -> DataPoint:
         if not 0 <= i < self.n:
             raise IndexError(f"point id {i} out of range [0, {self.n})")
-        vec = self.vectors[i] if self.is_sparse else self.vectors[i, :]
+        vec = self.vectors[i, :]
         cat = sub = None
         if self.categories is not None and self.categories[i] != MISSING:
             cat = int(self.categories[i])
@@ -111,28 +101,17 @@ class Dataset:
         return (self.point(i) for i in range(self.n))
 
     def dense_rows(self, ids) -> np.ndarray:
-        """Densified (len(ids), d) slice; selectors always work dense."""
-        ids = np.asarray(ids, dtype=int)
-        if self.is_sparse:
-            return np.asarray(self.vectors[ids].todense())
-        return np.take(self.vectors, ids, axis=0)
+        """The (len(ids), d) rows of `ids`, a copy."""
+        return np.take(self.vectors, np.asarray(ids, dtype=int), axis=0)
 
     @cached_property
     def digest(self) -> bytes:
-        """sha256 of the vectors (shape, then the float64 values, or the CSR
-        arrays of a sparse matrix). An index blob records it so that it
-        loads only against the dataset it was built over."""
-        h = hashlib.sha256(repr((self.vectors.shape, self.is_sparse)).encode())
-        if self.is_sparse:
-            m = sp.csr_matrix(self.vectors)
-            if not m.has_sorted_indices:
-                m = m.sorted_indices()
-            parts = (m.indptr.astype(np.int64, copy=False), m.indices.astype(np.int64, copy=False),
-                     m.data.astype(np.float64, copy=False))
-        else:
-            parts = (self.vectors.astype(np.float64, copy=False),)
-        for part in parts:
-            h.update(np.ascontiguousarray(part))
+        """sha256 of the vectors: the repr of (shape, False), then the
+        float64 values. An index blob records it so that it loads only
+        against the dataset it was built over. The False once flagged a
+        sparse matrix; it stays so that older blobs still load."""
+        h = hashlib.sha256(repr((self.vectors.shape, False)).encode())
+        h.update(np.ascontiguousarray(self.vectors, dtype=np.float64))
         return h.digest()
 
     @cached_property
@@ -148,16 +127,41 @@ class Dataset:
         return {c: len(subs) for c, subs in counts.items()}
 
 
+def _unit(row: np.ndarray) -> np.ndarray | None:
+    """`row` / its L2 norm, or None for a zero row. A finite row whose norm
+    over- or underflows is first divided by its largest |entry|, which is
+    why its callers ignore overflow; any other row keeps the bits of
+    row / norm, and one with an infinite entry is returned as is for the
+    caller's finite check."""
+    norm = np.linalg.norm(row)
+    if norm == 0.0 or norm == np.inf:
+        peak = np.max(np.abs(row), initial=0.0)
+        if peak == 0.0:
+            return None
+        if peak == np.inf:
+            return row
+        row = row / peak
+        norm = np.linalg.norm(row)
+    return row / norm
+
+
+@np.errstate(over="ignore")
 def normalize_rows(x: np.ndarray) -> np.ndarray:
-    """Scale each row to unit L2 norm; zero rows raise."""
+    """Scale each row to unit L2 norm; zero rows raise. A row whose norm
+    over- or underflows is rescaled as in `_unit`."""
     x = np.asarray(x, dtype=float)
     norms = np.linalg.norm(x, axis=1)
-    if np.any(norms == 0):
-        bad = int(np.flatnonzero(norms == 0)[0])
-        raise ValueError(f"zero vector at row {bad} cannot be normalized")
-    return x / norms[:, None]
+    odd = (norms == 0.0) | (norms == np.inf)
+    out = x / np.where(odd, 1.0, norms)[:, None]
+    for i in np.flatnonzero(odd):
+        row = _unit(x[i])
+        if row is None:
+            raise ValueError(f"zero vector at row {i} cannot be normalized")
+        out[i] = row
+    return out
 
 
+@np.errstate(over="ignore")
 def load_dense(path, normalize: bool = True) -> Dataset:
     """Read a dense CSV dataset: one point per line, comma-separated values,
     with an optional ``category:subtopic:`` prefix fused onto the first field
@@ -165,7 +169,7 @@ def load_dense(path, normalize: bool = True) -> Dataset:
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
-    rows: list[list[float]] = []
+    rows: list = []
     cats: list[int] = []
     subs: list[int] = []
     arity = None
@@ -195,10 +199,9 @@ def load_dense(path, normalize: bool = True) -> Dataset:
         elif len(values) != arity:
             raise ParseError(path, line_no, f"ragged row: {len(values)} values, expected {arity}")
         if normalize:
-            norm = float(np.linalg.norm(values))
-            if norm == 0.0:
+            values = _unit(np.array(values))
+            if values is None:
                 raise ParseError(path, line_no, "zero vector cannot be normalized")
-            values = [v / norm for v in values]
         rows.append(values)
         cats.append(cat)
         subs.append(sub)
@@ -217,8 +220,6 @@ def load_dense(path, normalize: bool = True) -> Dataset:
 
 def save_dense(dataset: Dataset, path) -> None:
     """Inverse of load_dense; floats written with shortest-roundtrip repr."""
-    if dataset.is_sparse:
-        raise ValueError("save_dense requires a dense dataset")
     lines = []
     for i in range(dataset.n):
         prefix = ""
@@ -230,16 +231,18 @@ def save_dense(dataset: Dataset, path) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
+@np.errstate(over="ignore")
 def load_sparse(path, d: int, normalize: bool = True) -> Dataset:
     """Read a LIBSVM-style multi-label file: ``lab1,lab2 idx:val idx:val ...``
     per line, feature indices 1-based in the file and stored 0-based.
-    Indices must be strictly increasing and < d.
+    Indices must be strictly increasing and < d. The rows are parsed into
+    a dense (n, d) float64 array; absent features are 0.
     """
     if d <= 0:
         raise ValueError("dimension d must be positive")
     path = Path(path)
     text = path.read_text(encoding="utf-8")
-    indptr = [0]
+    rows: list[int] = []
     indices: list[int] = []
     values: list[float] = []
     label_sets: list[frozenset[int]] = []
@@ -276,18 +279,15 @@ def load_sparse(path, d: int, normalize: bool = True) -> Dataset:
             row_idx.append(idx)
             row_val.append(val)
         if normalize:
-            norm = float(np.linalg.norm(row_val))
-            if norm == 0.0:
+            row_val = _unit(np.array(row_val))
+            if row_val is None:
                 raise ParseError(path, line_no, "zero vector cannot be normalized")
-            row_val = [v / norm for v in row_val]
+        rows.extend([len(label_sets)] * len(row_idx))
         indices.extend(row_idx)
         values.extend(row_val)
-        indptr.append(len(indices))
         label_sets.append(labels)
-    vectors = sp.csr_matrix(
-        (np.array(values, dtype=float), np.array(indices, dtype=np.int32), np.array(indptr, dtype=np.int64)),
-        shape=(len(label_sets), d),
-    )
+    vectors = np.zeros((len(label_sets), d))
+    vectors[np.array(rows, dtype=np.intp), np.array(indices, dtype=np.intp)] = np.array(values, dtype=float)
     return Dataset(vectors=vectors, label_sets=tuple(label_sets))
 
 

@@ -113,9 +113,6 @@ class ExperimentConfig:
     seed: int = 0
     format: str = field(default="csv", metadata=_FORMAT)
     pool_factor: float = 3.0
-    max_candidates: int | None = None
-    allow_expensive: bool = False
-    expensive_cap: int = 5000
     timing: bool = field(default=True, metadata=_NO_TIMING)
 
     def __post_init__(self):
@@ -176,25 +173,12 @@ def _progress(msg: str) -> None:
     print(msg, file=sys.stderr, flush=True)
 
 
-def _gate_expensive(method: str, hash_name: str, n: int, config: ExperimentConfig) -> None:
-    if method != "qprel" or hash_name != "nh":
-        return
-    if not config.allow_expensive:
-        raise ExperimentError(
-            "qprel over the full dataset (nh) solves an n-variable QP per query; pass allow_expensive to opt in"
-        )
-    if n > config.expensive_cap:
-        raise ExperimentError(
-            f"qprel/nh capped at n={config.expensive_cap} points, dataset has {n}"
-        )
-
-
-def _query_eval(dataset, query_point, index, selector, k, lam, max_candidates, timing):
+def _query_eval(dataset, query_point, index, selector, k, lam, timing):
     """One query through `lsh.retrieve`, then metrics: (precision,
     subtopic recall or None, diversity, h-score, seconds, candidate
     fraction)."""
     t0 = time.perf_counter()
-    result, count = lsh.retrieve(dataset, index, query_point.dense(), selector, k, lam, max_candidates)
+    result, count = lsh.retrieve(dataset, index, query_point.vector, selector, k, lam)
     elapsed = time.perf_counter() - t0 if timing else 0.0
     selected = result.ids
 
@@ -229,14 +213,16 @@ def run_retrieval_experiment(config: ExperimentConfig) -> list[ResultRow]:
         raise ExperimentError(f"query dimension {queries.d} != dataset dimension {dataset.d}")
 
     # every family first, so one that cannot be built fails before any cell
-    # runs; each index is still built only when its column runs
-    families = {
-        name: new_family(
-            KIND_BY_NAME[name], config.l, config.L, dataset.d,
-            alpha=config.alpha, seed=config.seed, dataset=dataset,
-        )
-        for name in config.hashes if name != "nh"
-    }
+    # runs; each index is still built only when its column runs. The pca
+    # kinds share the first one's basis, so the SVD runs once.
+    families, basis = {}, None
+    for name in config.hashes:
+        if name != "nh":
+            families[name] = new_family(
+                KIND_BY_NAME[name], config.l, config.L, dataset.d,
+                alpha=config.alpha, seed=config.seed, dataset=dataset, basis=basis,
+            )
+            basis = basis or families[name].basis
     rows: list[ResultRow] = []
     for hash_name in config.hashes:
         index = None
@@ -244,17 +230,13 @@ def run_retrieval_experiment(config: ExperimentConfig) -> list[ResultRow]:
             _progress(f"[index] building {hash_name} (l={config.l}, L={config.L})")
             index = lsh.build(dataset, families[hash_name])
         for method in config.methods:
-            _gate_expensive(method, hash_name, dataset.n, config)
             selector = _SELECTORS[method]
             if method == "rerank":
                 selector = functools.partial(selector, pool_factor=config.pool_factor)
             for k in config.ks:
                 def one(qi, _method=method, _hash=hash_name, _k=k, _sel=selector):
                     try:
-                        return _query_eval(
-                            dataset, queries.point(qi), index, _sel, _k, config.lam,
-                            config.max_candidates, config.timing,
-                        )
+                        return _query_eval(dataset, queries.point(qi), index, _sel, _k, config.lam, config.timing)
                     except ExperimentError:
                         raise
                     except Exception as exc:
@@ -285,7 +267,7 @@ class MultilabelConfig:
 
     out: str
     data: str | None = field(default=None, metadata={"help": "LIBSVM-style file: 'lab1,lab2 idx:val ...'"})
-    d: int | None = field(default=None, metadata={"help": "feature dimension of the sparse data"})
+    d: int | None = field(default=None, metadata={"help": "feature dimension of the LIBSVM data"})
     test: str | None = None
     factors: str | None = field(default=None, metadata={"help": "binary factor-model file"})
     hierarchy: str | None = field(default=None, metadata={"help": "'child parent' edge list for tree diversity"})
@@ -317,7 +299,7 @@ class MultilabelConfig:
         if not self.synthetic and self.data is None:
             raise ValueError("either a data file or synthetic mode is required")
         if self.data is not None and self.d is None:
-            raise ValueError("sparse data files need the feature dimension d")
+            raise ValueError("LIBSVM data files need the feature dimension d")
         if self.alpha < 1 or self.pool < self.alpha:
             raise ValueError("need pool >= alpha >= 1")
 
@@ -404,7 +386,7 @@ def _doc_scores(pred_set, truth, tree: HierarchyTree | None) -> tuple[float, flo
 def _choose_cutoff(preds: list[LabelPrediction], truths, tree, grid_size: int, alpha: int) -> float:
     """Score cutoff maximizing mean h (falls back to f without a hierarchy)
     on the validation predictions, over a uniform grid of cutoffs."""
-    all_scores = np.concatenate([p.scores for p in preds if p.scores.size]) if preds else np.empty(0)
+    all_scores = np.concatenate([np.empty(0)] + [p.scores for p in preds])
     if all_scores.size == 0:
         return 0.0
     lo, hi = float(all_scores.min()), float(all_scores.max())
@@ -480,16 +462,14 @@ def run_multilabel_experiment(config: MultilabelConfig) -> list[MultilabelRow]:
         else:
             train_idx, val_idx, test_idx = _split_indices(dataset.n, config.seed)
             train_ds = test_ds = dataset
-        X_dense = np.asarray(train_ds.vectors.todense())
         if config.factors:
             model = multilabel.load_factors(config.factors)
         else:
             Y = _label_matrix([train_ds.label_sets[i] for i in train_idx], n_labels)
-            model = multilabel.fit_lowrank_ridge(X_dense[train_idx], Y, config.rank, config.ridge)
-        X_val = X_dense[val_idx]
+            model = multilabel.fit_lowrank_ridge(train_ds.vectors[train_idx], Y, config.rank, config.ridge)
+        X_val = train_ds.vectors[val_idx]
         truth_val = [train_ds.label_sets[i] for i in val_idx]
-        X_test_dense = np.asarray(test_ds.vectors.todense())
-        X_test = X_test_dense[test_idx]
+        X_test = test_ds.vectors[test_idx]
         truth_test = [test_ds.label_sets[i] for i in test_idx]
 
     rows: list[MultilabelRow] = []

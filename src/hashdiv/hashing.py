@@ -13,10 +13,10 @@ measure-zero event for continuous data but the convention is fixed so keys
 are reproducible. A key packs l <= 64 bits into one uint64, bit b at
 position b, by one integer product of the bits with the powers of two.
 
-`hash_matrix` walks its rows in blocks whose L * l float64 projections (or
-densified input rows, if wider) fit a fixed byte budget, writing each
-block's keys into the (n, L) output, so its working memory is bounded by
-the keys it returns, not by n * L * l or n * d.
+`hash_matrix` walks the rows of a dense (n, d) array in blocks whose
+L * l float64 projections fit a fixed byte budget, writing each block's
+keys into the (n, L) output, so its working memory is bounded by the keys
+it returns, not by n * L * l.
 A row's projections do not depend on the other rows of its block, so the
 keys do not depend on the block size; `hash_vector` is the one-row case of
 the same kernel.
@@ -28,7 +28,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .data import Dataset
 from .linalg import TruncatedBasis, truncated_svd
@@ -45,18 +44,19 @@ _KIND_CODE = {PLAIN: 0, PCA: 1, PCA_DIRECT: 2}
 _CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
 
 # bytes one row block of `hash_matrix` may hold in its widest float64
-# array: the L * l projections, or the input rows when it densifies them
+# array: the L * l projections, or the block's rows when d is larger
 _BLOCK_BYTES = 1 << 18
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HashFamily:
     """L tables of l sign-projection bits each, fully determined by
     (kind, l, L, d, alpha, seed) plus the PCA basis for the pca kinds.
 
     hyperplanes has shape (L, l, d) for "plain" and (L, l, alpha) for the
     projected kinds (the effective ambient-space normal is then U @ r).
-    Immutable after construction; hashing is pure.
+    Immutable after construction; hashing is pure. Families compare and
+    hash by identity.
     """
 
     kind: str
@@ -142,36 +142,27 @@ def new_family(
     return HashFamily(kind=kind, l=l, L=L, d=d, alpha=alpha, seed=seed, hyperplanes=planes, basis=basis)
 
 
-def _project(family: HashFamily, x):
-    """Map points into the space the hyperplanes live in (U^T x for pca kinds)."""
-    if family.kind == PLAIN:
-        return x
-    return x @ family.basis.U
-
-
-def hash_matrix(family: HashFamily, vectors) -> np.ndarray:
-    """Keys for every row of `vectors` under every table: (n, L) uint64."""
+def hash_matrix(family: HashFamily, vectors: np.ndarray) -> np.ndarray:
+    """Keys for every row of the dense (n, d) `vectors` under every table:
+    (n, L) uint64."""
     if vectors.shape[1] != family.d:
         raise ValueError(f"point dimension {vectors.shape[1]} != family dimension {family.d}")
-    if sp.issparse(vectors):
-        vectors = vectors.tocsr()  # row slices of a CSR matrix are cheap
     n, L, l = vectors.shape[0], family.L, family.l
     block = max(1, _BLOCK_BYTES // (8 * max(L * l, family.d)))
     keys = np.empty((n, L), dtype=np.uint64)
     for lo in range(0, n, block):
-        z = _project(family, vectors[lo : lo + block])
-        if sp.issparse(z):
-            z = z.toarray()
+        z = vectors[lo : lo + block]
+        if family.kind != PLAIN:
+            z = z @ family.basis.U  # U^T x, where the pca kinds' hyperplanes live
         # one fused projection against all L*l hyperplanes
         bits = (z @ family._planes >= 0.0).reshape(-1, L, l)
         np.matmul(bits, family._pow2, out=keys[lo : lo + block])
     return keys
 
 
-def hash_vector(family: HashFamily, x) -> np.ndarray:
+def hash_vector(family: HashFamily, x: np.ndarray) -> np.ndarray:
     """Keys of a single point for all L tables."""
-    x = x.reshape(1, -1) if not sp.issparse(x) else x
-    return hash_matrix(family, x)[0]
+    return hash_matrix(family, x.reshape(1, -1))[0]
 
 
 def collision_probability(a, b) -> float:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -43,13 +42,12 @@ def truncated_svd(X, alpha: int, tol: float = 1e-6, max_iter: int = 300, seed: i
         raise ValueError(f"alpha={alpha} out of range [1, {min(d, n)}]")
     rng = np.random.default_rng(seed)
     Q, _ = np.linalg.qr(rng.standard_normal((d, alpha)))
-    Xt = X.T.tocsr() if sp.issparse(X) else X.T
     history: list[float] = []
     converged = False
     it = 0
     lam = np.zeros(alpha)
     for it in range(1, max_iter + 1):
-        W = Xt @ Q                      # (n, alpha)
+        W = X.T @ Q                     # (n, alpha)
         Z = X @ W                       # X X^T Q
         B = W.T @ W                     # = Q^T X X^T Q, symmetric PSD
         evals, V = np.linalg.eigh(B)

@@ -1,6 +1,6 @@
 """Multi-table LSH index: build (hash every point into L tables), query
 (exact-key bucket lookup, union, dedup), the request path `retrieve`
-(query, densify, select), and a grid-search tuner for (l, L).
+(query, gather the candidate rows, select), and a grid-search tuner for (l, L).
 
 Bucket lookup is exact-key only; no multi-probe. Candidate order is fixed
 (ascending id) so the downstream greedy selectors are deterministic.
@@ -21,7 +21,6 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .data import Dataset
 from .hashing import (
@@ -105,16 +104,12 @@ def build(dataset: Dataset, family: HashFamily) -> LshIndex:
     )
 
 
-def query(index: LshIndex, q, max_candidates: int | None = None) -> CandidateSet:
-    """Union of the L buckets matching q's keys, deduplicated, ascending id.
-
-    If max_candidates is set, candidates are ranked by exact distance to q
-    (ties by id) and truncated before the final id-order sort.
-    """
-    values = q.data if sp.issparse(q) else q
-    if not np.isfinite(values).all():
+def query(index: LshIndex, q: np.ndarray) -> CandidateSet:
+    """Union of the L buckets matching the keys of the dense query q,
+    deduplicated, ascending id."""
+    if not np.isfinite(q).all():
         raise ValueError("query has a NaN or infinite coordinate")
-    if not values.any():
+    if not q.any():
         raise ValueError("query is the zero vector, which has no angle to hash")
     keys = hash_vector(index.family, q)
     buckets = []
@@ -131,12 +126,7 @@ def query(index: LshIndex, q, max_candidates: int | None = None) -> CandidateSet
     distinct = np.empty(ids.size, dtype=bool)
     distinct[0] = True
     np.not_equal(ids[1:], ids[:-1], out=distinct[1:])
-    ids = ids[distinct]
-    if max_candidates is not None and ids.size > max_candidates:
-        diffs = index.dataset.dense_rows(ids) - np.asarray(q.todense() if sp.issparse(q) else q).ravel()
-        nearest = np.lexsort((ids, np.linalg.norm(diffs, axis=1)))[:max_candidates]
-        ids = np.sort(ids[nearest])
-    return CandidateSet(ids=ids, touched=touched)
+    return CandidateSet(ids=ids[distinct], touched=touched)
 
 
 def retrieve(
@@ -146,16 +136,15 @@ def retrieve(
     select,
     k: int,
     lam: float,
-    max_candidates: int | None = None,
 ) -> tuple[SelectionResult, int]:
     """One request: the union of q's buckets (every point of `dataset` when
-    `index` is None), densified and passed to `select` as a
+    `index` is None), gathered and passed to `select` as a
     SelectionProblem. Returns the selection and the candidate count; an
     empty union gives an empty, underfilled selection and count 0."""
     if index is None:
         ids = np.arange(dataset.n)
     else:
-        ids = query(index, q, max_candidates=max_candidates).ids
+        ids = query(index, q).ids
     if ids.size == 0:
         return SelectionResult(ids=ids, underfilled=True), 0
     problem = SelectionProblem(query=q, ids=ids, vectors=dataset.dense_rows(ids), k=k, lam=lam)
@@ -235,10 +224,9 @@ def tune(
     all_keys = hash_matrix(family, dataset.vectors)          # (n, max_L)
 
     # leave-one-out ground truth: at_k nearest neighbors excluding the query
-    dense = dataset.dense_rows(np.arange(n))
     true_nn = []
     for qi, qv in zip(q_ids, qvecs):
-        diff = dense - qv
+        diff = dataset.vectors - qv
         order = np.argsort(np.einsum("ij,ij->i", diff, diff), kind="stable")[: at_k + 1]
         true_nn.append([i for i in order.tolist() if i != qi][:at_k])
     true_nn = np.array(true_nn, dtype=np.intp).reshape(q_ids.size, -1)

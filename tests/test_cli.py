@@ -88,13 +88,13 @@ def test_retrieve_config_file_with_flag_override(toy_paths, tmp_path):
     assert len(lines) == 1 + 2  # ks override applied
 
 
-def test_retrieve_expensive_gate_fails_cleanly(toy_paths, tmp_path, capsys):
+def test_retrieve_qprel_over_every_point_needs_no_flag(toy_paths, tmp_path):
     data, queries = toy_paths
+    out = tmp_path / "o.csv"
     rc = main(["retrieve", "--data", str(data), "--queries", str(queries),
-               "--methods", "qprel", "--hashes", "nh", "--ks", "5",
-               "--out", str(tmp_path / "o.csv")])
-    assert rc == 1
-    assert "allow_expensive" in capsys.readouterr().err
+               "--methods", "qprel", "--hashes", "nh", "--ks", "5", "--out", str(out)])
+    assert rc == 0
+    assert [row["candidate_fraction"] for row in json.loads((tmp_path / "o.csv.json").read_text())] == [1.0]
 
 
 def test_retrieve_unbuildable_family_fails_before_any_cell(toy_paths, tmp_path, capsys):
@@ -171,12 +171,9 @@ def test_cli_surface_is_pinned():
                     "--n-queries": "n_queries", "--d": "d", "--spread": "spread", "--seed": "seed"},
         "index build": {"--data": "data", "--kind": "kind", "--l": "l", "--L": "L", "--alpha": "alpha",
                         "--seed": "seed", "--out": "out"},
-        "index query": {"--index": "index", "--data": "data", "--queries": "queries",
-                        "--max-candidates": "max_candidates", "--out": "out"},
+        "index query": {"--index": "index", "--data": "data", "--queries": "queries", "--out": "out"},
         "retrieve": {**shared, "--queries": "queries", "--hashes": "hashes", "--ks": "ks",
-                     "--pool-factor": "pool_factor", "--max-candidates": "max_candidates",
-                     "--allow-expensive": "allow_expensive", "--expensive-cap": "expensive_cap",
-                     "--timing-fair": "timing_fair"},
+                     "--pool-factor": "pool_factor"},
         "multilabel": {**shared, "--d": "d", "--test": "test", "--factors": "factors", "--hierarchy": "hierarchy",
                        "--synthetic": "synthetic", "--n-labels": "n_labels", "--n-queries": "n_queries",
                        "--rank": "rank", "--ridge": "ridge", "--pool": "pool", "--threshold-grid": "threshold_grid",
@@ -184,11 +181,13 @@ def test_cli_surface_is_pinned():
         "tune": {"--data": "data", "--target-recall": "target_recall", "--epsilon": "epsilon", "--seed": "seed"},
     }
     # one flag of each derived kind; an unset flag stores nothing
-    args = build_parser().parse_args(["retrieve", "--ks", "3, 5", "--lambda", "0.25", "--alpha", "4",
-                                      "--allow-expensive", "--no-timing"])
+    args = build_parser().parse_args(["retrieve", "--ks", "3, 5", "--lambda", "0.25", "--alpha", "4", "--no-timing"])
     assert {k: v for k, v in vars(args).items() if k != "fn"} == {
-        "command": "retrieve", "config": None, "timing_fair": False,
-        "ks": (3, 5), "lam": 0.25, "alpha": 4, "allow_expensive": True, "timing": False,
+        "command": "retrieve", "config": None, "ks": (3, 5), "lam": 0.25, "alpha": 4, "timing": False,
+    }
+    args = build_parser().parse_args(["multilabel", "--synthetic"])
+    assert {k: v for k, v in vars(args).items() if k != "fn"} == {
+        "command": "multilabel", "config": None, "synthetic": True,
     }
 
 
@@ -207,6 +206,15 @@ def test_public_api_is_pinned():
         "select_greedy_div", "select_mmr", "select_nn", "select_qp_rel", "select_rerank", "subtopic_recall",
         "tree_diversity", "truncated_svd", "tune",
     }
+
+
+def test_import_loads_no_scipy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, hashdiv, hashdiv.cli, hashdiv.experiment; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_multilabel_config_file_with_flag_override(tmp_path):

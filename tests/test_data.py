@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,6 +11,7 @@ from hashdiv.data import (
     load_dense,
     load_sparse,
     make_toy,
+    normalize_rows,
     save_dense,
 )
 
@@ -27,6 +30,42 @@ def test_load_dense_normalizes(tmp_path):
     p.write_text("3,4\n")
     ds = load_dense(p)
     np.testing.assert_allclose(ds.vectors[0], [0.6, 0.8])
+
+
+@pytest.mark.parametrize("row", [[1e200, 1e200], [1e-200, 0.0], [-1e308, 1e308], [0.0, 5e-324]])
+def test_rows_near_the_float_limits_normalize_to_unit_vectors(tmp_path, row):
+    # the plain norm of each of these finite rows over- or underflows
+    want = np.asarray(row) / np.max(np.abs(row))
+    want /= np.linalg.norm(want)
+    rows = np.array([[1.0, 0.0], row])
+    (tmp_path / "x.csv").write_text("\n".join(",".join(repr(v) for v in r) for r in rows.tolist()) + "\n")
+    features = " ".join(f"{i + 1}:{v!r}" for i, v in enumerate(row) if v)
+    (tmp_path / "x.svm").write_text(f"0 1:1.0\n1 {features}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outs = (normalize_rows(rows), load_dense(tmp_path / "x.csv").vectors,
+                load_sparse(tmp_path / "x.svm", d=2).vectors)
+    for out in outs:
+        assert np.array_equal(out, [[1.0, 0.0], want])
+        assert abs(np.linalg.norm(out[1]) - 1.0) < 1e-15
+
+
+def test_ordinary_rows_keep_the_plain_arithmetic(tmp_path):
+    centers = ((1.0,) + (0.0,) * 7, (-1.0,) + (0.0,) * 7)
+    path, svm = tmp_path / "toy.csv", tmp_path / "toy.svm"
+    save_dense(make_toy(ToyConfig(n_per_class=100, class_centers=centers, spread=0.25, seed=3)), path)
+    raw = load_dense(path, normalize=False).vectors
+    raw[::7, 3] = 0.0  # LIBSVM rows with absent features
+    svm.write_text("".join("0 " + " ".join(f"{i + 1}:{v!r}" for i, v in enumerate(r) if v) + "\n"
+                           for r in raw.tolist()))
+    path.write_text("".join(",".join(repr(v) for v in r) + "\n" for r in raw.tolist()))
+    # each value divided by the float of the norm of the values its line stores
+    for vectors, stored in ((load_dense(path).vectors, lambda r: r),
+                            (load_sparse(svm, d=8).vectors, lambda r: [v for v in r if v])):
+        assert np.array_equal(vectors, [[v / float(np.linalg.norm(stored(r))) for v in r] for r in raw.tolist()])
+    assert np.array_equal(normalize_rows(raw), raw / np.linalg.norm(raw, axis=1)[:, None])
+    with pytest.raises(ValueError, match="zero vector at row 2"):
+        normalize_rows(np.vstack([raw[:2], np.zeros(8)]))
 
 
 def test_load_dense_zero_vector_rejected(tmp_path):
@@ -75,8 +114,9 @@ def test_load_sparse_format(tmp_path):
     p.write_text("1,5 3:0.5 7:1.2\n")
     ds = load_sparse(p, d=10, normalize=False)
     assert ds.label_sets[0] == frozenset({1, 5})
+    assert isinstance(ds.vectors, np.ndarray) and ds.vectors.shape == (1, 10)
     row = ds.point(0).vector
-    assert row.indices.tolist() == [2, 6] and row.data.tolist() == [0.5, 1.2]
+    assert np.flatnonzero(row).tolist() == [2, 6] and row[[2, 6]].tolist() == [0.5, 1.2]
 
 
 def test_load_sparse_unit_basis(tmp_path):
@@ -150,20 +190,23 @@ def test_dense_rows_match_row_indexing(small_toy):
     ids = np.array([5, 0, 5, small_toy.n - 1])
     assert np.array_equal(small_toy.dense_rows(ids), small_toy.vectors[ids])
     assert small_toy.dense_rows([]).shape == (0, small_toy.d)
-    sparse = Dataset(vectors=sp.csr_matrix(small_toy.vectors))
-    assert np.array_equal(sparse.dense_rows(ids), small_toy.vectors[ids])
-    for ds in (small_toy, sparse):
-        with pytest.raises(IndexError):
-            ds.dense_rows([0, small_toy.n])
+    with pytest.raises(IndexError):
+        small_toy.dense_rows([0, small_toy.n])
+
+
+def test_dataset_requires_a_dense_array():
+    vectors = np.eye(3)
+    for form in (sp.csr_matrix(vectors), vectors.tolist()):
+        with pytest.raises(ValueError, match="dense numpy array"):
+            Dataset(vectors=form)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_dataset_rejects_non_finite_coordinates(bad):
     vectors = np.eye(3)
     vectors[1, 2] = bad
-    for form in (vectors, sp.csr_matrix(vectors)):
-        with pytest.raises(ValueError, match="point 1 has a NaN or infinite"):
-            Dataset(vectors=form)
+    with pytest.raises(ValueError, match="point 1 has a NaN or infinite"):
+        Dataset(vectors=vectors)
 
 
 @pytest.mark.parametrize("field", ["nan", "inf", "-inf"])

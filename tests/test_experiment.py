@@ -1,11 +1,13 @@
 import dataclasses
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from conftest import toy_centers
+from hashdiv import hashing
 from hashdiv.data import ToyConfig, make_toy, save_dense
 from hashdiv.experiment import (
     ExperimentConfig,
@@ -61,6 +63,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config keys"):
             MultilabelConfig.from_dict({"out": "c", "synthetic": True, "qp_tol": 1e-8})
 
+    @pytest.mark.parametrize("key", ["max_candidates", "allow_expensive", "expensive_cap"])
+    def test_removed_keys_are_unknown(self, key):
+        with pytest.raises(ValueError, match=f"unknown config keys: \\['{key}'\\]"):
+            ExperimentConfig.from_dict({"data": "a", "queries": "b", "out": "c", key: 1})
+
     def test_from_file(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text(json.dumps({"data": "a", "queries": "b", "out": "c", "ks": [10, 20]}))
@@ -109,18 +116,17 @@ class TestRetrievalRuns:
             assert 0.0 <= r.diversity <= 1.0
             assert 0.0 <= r.h_score <= 1.0
 
-    def test_qprel_nh_gated(self, toy_files, tmp_path):
-        config = base_config(toy_files, tmp_path / "o.csv", methods=("qprel",), hashes=("nh",))
-        with pytest.raises(ExperimentError, match="allow_expensive"):
-            run_retrieval_experiment(config)
+    def test_pca_families_share_one_svd(self, toy_files, tmp_path):
+        svd = mock.Mock(wraps=hashing.truncated_svd)
+        def run(*hashes):
+            return run_retrieval_experiment(
+                base_config(toy_files, tmp_path / "o.csv", methods=("nn", "greedy"), hashes=hashes, l=8))
 
-    def test_qprel_nh_cap(self, toy_files, tmp_path):
-        config = base_config(
-            toy_files, tmp_path / "o.csv", methods=("qprel",), hashes=("nh",),
-            allow_expensive=True, expensive_cap=10,
-        )
-        with pytest.raises(ExperimentError, match="capped"):
-            run_retrieval_experiment(config)
+        with mock.patch.object(hashing, "truncated_svd", svd):
+            rows = run("lshsdiv", "pcahash")
+        assert svd.call_count == 1
+        # each family alone computes its own basis from the same data
+        assert rows == run("lshsdiv") + run("pcahash")
 
     def test_qprel_hashed_allowed(self, toy_files, tmp_path):
         config = base_config(toy_files, tmp_path / "o.csv", methods=("qprel",), hashes=("lshdiv",), ks=(3,))
@@ -366,6 +372,16 @@ class TestPredSets:
         assert _pred_sets(pred, 0.5, alpha=2).tolist() == [7, 2]
         assert _pred_sets(pred, 0.5, alpha=10).tolist() == [7, 2, 4]
         assert _pred_sets(pred, 1.5, alpha=2).size == 0
+
+
+class TestChooseCutoff:
+    def test_all_empty_predictions_give_zero(self):
+        from hashdiv.experiment import _choose_cutoff
+        from hashdiv.multilabel import LabelPrediction
+
+        empty = LabelPrediction(labels=np.empty(0, dtype=int), scores=np.empty(0), eval_count=3, underfilled=True)
+        assert _choose_cutoff([empty, empty], [frozenset({1}), frozenset()], None, 5, 2) == 0.0
+        assert _choose_cutoff([], [], None, 5, 2) == 0.0
 
 
 class TestPredictionWriters:
