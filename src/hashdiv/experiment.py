@@ -9,12 +9,9 @@ outside the clock. Progress goes to stderr, results to the output file.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,29 +42,26 @@ METHODS = tuple(_SELECTORS)
 HASHES = ("nh", *KIND_BY_NAME)
 ML_METHODS = ("exact", "mmr", *KIND_BY_NAME)
 
-WORKERS_ENV = "HASHDIV_WORKERS"
-
 
 class ExperimentError(RuntimeError):
     pass
 
 
-def _workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ExperimentError(f"{WORKERS_ENV}={raw!r} is not a positive integer")
-    return workers
-
-
-def _map_queries(fn, items, workers: int):
-    if workers == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _each_query(fn, n: int, context: str) -> list:
+    """[fn(0), ..., fn(n - 1)], one query at a time, so a time measured
+    inside fn is one request's latency. Any error but an ExperimentError
+    is re-raised as one naming `context` and the query."""
+    if n == 0:
+        raise ExperimentError(f"({context}): no queries to run")
+    out = []
+    for i in range(n):
+        try:
+            out.append(fn(i))
+        except ExperimentError:
+            raise
+        except Exception as exc:
+            raise ExperimentError(f"({context}, query={i}): {exc}") from exc
+    return out
 
 
 def _from_dict(cls, values: dict, **overrides):
@@ -112,7 +106,6 @@ class ExperimentConfig:
     alpha: int | None = None
     seed: int = 0
     format: str = field(default="csv", metadata=_FORMAT)
-    pool_factor: float = 3.0
     timing: bool = field(default=True, metadata=_NO_TIMING)
 
     def __post_init__(self):
@@ -206,9 +199,11 @@ def _query_eval(dataset, query_point, index, selector, k, lam, timing):
 
 
 def run_retrieval_experiment(config: ExperimentConfig) -> list[ResultRow]:
-    workers = _workers()
     dataset = load_dense(config.data)
     queries = load_dense(config.queries)
+    for path, points in ((config.data, dataset), (config.queries, queries)):
+        if points.n == 0:
+            raise ExperimentError(f"{path} holds no points")
     if queries.d != dataset.d:
         raise ExperimentError(f"query dimension {queries.d} != dataset dimension {dataset.d}")
 
@@ -230,19 +225,12 @@ def run_retrieval_experiment(config: ExperimentConfig) -> list[ResultRow]:
             _progress(f"[index] building {hash_name} (l={config.l}, L={config.L})")
             index = lsh.build(dataset, families[hash_name])
         for method in config.methods:
-            selector = _SELECTORS[method]
-            if method == "rerank":
-                selector = functools.partial(selector, pool_factor=config.pool_factor)
+            select = _SELECTORS[method]
             for k in config.ks:
-                def one(qi, _method=method, _hash=hash_name, _k=k, _sel=selector):
-                    try:
-                        return _query_eval(dataset, queries.point(qi), index, _sel, _k, config.lam, config.timing)
-                    except ExperimentError:
-                        raise
-                    except Exception as exc:
-                        raise ExperimentError(f"(method={_method}, hash={_hash}, query={qi}): {exc}") from exc
-
-                precs, srs, divs, hs, secs, fracs = zip(*_map_queries(one, range(queries.n), workers))
+                precs, srs, divs, hs, secs, fracs = zip(*_each_query(
+                    lambda i: _query_eval(dataset, queries.point(i), index, select, k, config.lam, config.timing),
+                    queries.n, f"method={method}, hash={hash_name}",
+                ))
                 srs = [s for s in srs if s is not None]
                 sr = float(np.mean(srs)) if srs else None
                 precision, div, h, secs, frac = (float(np.mean(v)) for v in (precs, divs, hs, secs, fracs))
@@ -430,7 +418,6 @@ def _ml_predictor(method: str, model: FactorModel, config: MultilabelConfig):
 
 
 def run_multilabel_experiment(config: MultilabelConfig) -> list[MultilabelRow]:
-    workers = _workers()
     tree = None
     if config.hierarchy:
         edges = metrics.load_hierarchy(config.hierarchy)
@@ -476,21 +463,18 @@ def run_multilabel_experiment(config: MultilabelConfig) -> list[MultilabelRow]:
     predictions: list[tuple[int, np.ndarray, np.ndarray, int]] = []
     for method in config.methods:
         predictor = _ml_predictor(method, model, config)
-        val_preds = [predictor(x) for x in X_val]
+        val_preds = _each_query(lambda i: predictor(X_val[i]), len(X_val), f"method={method}, split=validation")
         cutoff = _choose_cutoff(val_preds, truth_val, tree, config.threshold_grid, config.alpha)
         _progress(f"[multilabel] {method}: score cutoff {cutoff:.4f}")
 
-        def one(i, _pred=predictor, _cut=cutoff, _method=method):
-            try:
-                t0 = time.perf_counter()
-                pred = _pred(X_test[i])
-                final = _pred_sets(pred, _cut, config.alpha)
-                ms = (time.perf_counter() - t0) * 1e3 if config.timing else 0.0
-                return pred, final, ms
-            except Exception as exc:
-                raise ExperimentError(f"(method={_method}, query={i}): {exc}") from exc
+        def one(i):
+            t0 = time.perf_counter()
+            pred = predictor(X_test[i])
+            final = _pred_sets(pred, cutoff, config.alpha)
+            ms = (time.perf_counter() - t0) * 1e3 if config.timing else 0.0
+            return pred, final, ms
 
-        outs = _map_queries(one, range(len(X_test)), workers)
+        outs = _each_query(one, len(X_test), f"method={method}, split=test")
         per_doc = [_doc_scores(final, truth_test[i], tree) for i, (_, final, _) in enumerate(outs)]
         p = float(np.mean([s[0] for s in per_doc]))
         r = float(np.mean([s[1] for s in per_doc]))

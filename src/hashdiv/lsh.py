@@ -104,13 +104,17 @@ def build(dataset: Dataset, family: HashFamily) -> LshIndex:
     )
 
 
-def query(index: LshIndex, q: np.ndarray) -> CandidateSet:
-    """Union of the L buckets matching the keys of the dense query q,
-    deduplicated, ascending id."""
+def _check_query(q: np.ndarray) -> None:
     if not np.isfinite(q).all():
         raise ValueError("query has a NaN or infinite coordinate")
     if not q.any():
-        raise ValueError("query is the zero vector, which has no angle to hash")
+        raise ValueError("query is the zero vector, which has no direction")
+
+
+def query(index: LshIndex, q: np.ndarray) -> CandidateSet:
+    """Union of the L buckets matching the keys of the dense query q,
+    deduplicated, ascending id."""
+    _check_query(q)
     keys = hash_vector(index.family, q)
     buckets = []
     for lo, table, key in zip(index._bounds, index._table_keys, keys):
@@ -140,8 +144,10 @@ def retrieve(
     """One request: the union of q's buckets (every point of `dataset` when
     `index` is None), gathered and passed to `select` as a
     SelectionProblem. Returns the selection and the candidate count; an
-    empty union gives an empty, underfilled selection and count 0."""
+    empty union gives an empty, underfilled selection and count 0. A NaN,
+    infinite or zero query raises ValueError on both paths."""
     if index is None:
+        _check_query(q)
         ids = np.arange(dataset.n)
     else:
         ids = query(index, q).ids

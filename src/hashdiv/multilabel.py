@@ -139,13 +139,13 @@ def build_label_index(
     seed: int = 0,
 ) -> lsh.LshIndex:
     """LSH index over the unit-normalized rows of W. The pca kinds project
-    onto min(200, k, n_labels) dimensions, capped by the rank bound of W."""
+    onto new_family's default of min(200, k, n_labels) dimensions."""
     norms = np.linalg.norm(model.W, axis=1)
     if np.any(norms == 0):
         raise ValueError("W has a zero row; such a label cannot be hashed")
     Wn = model.W / norms[:, None]
     ds = Dataset(vectors=Wn)
-    family = new_family(kind, l, L, d=model.k, alpha=min(200, model.k, model.n_labels), seed=seed, dataset=ds)
+    family = new_family(kind, l, L, d=model.k, seed=seed, dataset=ds)
     return lsh.build(ds, family)
 
 

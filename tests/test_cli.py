@@ -136,6 +136,20 @@ def test_bad_input_reports_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_multilabel_empty_test_file_is_an_error(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    docs = [f"{i % 2} " + " ".join(f"{3 * (i % 2) + j + 1}:{v:.4f}" for j, v in enumerate(rng.uniform(0.2, 1, 3)))
+            for i in range(40)]
+    (tmp_path / "docs.svm").write_text("\n".join(docs) + "\n")
+    (tmp_path / "empty.svm").write_text("")
+    out = tmp_path / "m.csv"
+    rc = main(["multilabel", "--data", str(tmp_path / "docs.svm"), "--d", "6", "--test", str(tmp_path / "empty.svm"),
+               "--rank", "2", "--methods", "exact", "--alpha", "1", "--pool", "2", "--out", str(out)])
+    assert rc == 1
+    assert "error: (method=exact, split=test): no queries to run" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, cause", [
     (["retrieve", "--queries", "q.csv", "--out", "x.csv"], "missing required config keys: ['data']"),
     (["multilabel", "--synthetic"], "missing required config keys: ['out']"),
@@ -172,8 +186,7 @@ def test_cli_surface_is_pinned():
         "index build": {"--data": "data", "--kind": "kind", "--l": "l", "--L": "L", "--alpha": "alpha",
                         "--seed": "seed", "--out": "out"},
         "index query": {"--index": "index", "--data": "data", "--queries": "queries", "--out": "out"},
-        "retrieve": {**shared, "--queries": "queries", "--hashes": "hashes", "--ks": "ks",
-                     "--pool-factor": "pool_factor"},
+        "retrieve": {**shared, "--queries": "queries", "--hashes": "hashes", "--ks": "ks"},
         "multilabel": {**shared, "--d": "d", "--test": "test", "--factors": "factors", "--hierarchy": "hierarchy",
                        "--synthetic": "synthetic", "--n-labels": "n_labels", "--n-queries": "n_queries",
                        "--rank": "rank", "--ridge": "ridge", "--pool": "pool", "--threshold-grid": "threshold_grid",

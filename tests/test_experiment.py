@@ -1,6 +1,6 @@
 import dataclasses
 import json
-import os
+import re
 from unittest import mock
 
 import numpy as np
@@ -21,6 +21,7 @@ from hashdiv.experiment import (
     write_predictions_json,
     write_predictions_text,
 )
+from hashdiv.multilabel import predict_exact
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +64,7 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config keys"):
             MultilabelConfig.from_dict({"out": "c", "synthetic": True, "qp_tol": 1e-8})
 
-    @pytest.mark.parametrize("key", ["max_candidates", "allow_expensive", "expensive_cap"])
+    @pytest.mark.parametrize("key", ["max_candidates", "allow_expensive", "expensive_cap", "pool_factor"])
     def test_removed_keys_are_unknown(self, key):
         with pytest.raises(ValueError, match=f"unknown config keys: \\['{key}'\\]"):
             ExperimentConfig.from_dict({"data": "a", "queries": "b", "out": "c", key: 1})
@@ -178,18 +179,12 @@ class TestRetrievalRuns:
         assert rows["greedy"].subtopic_recall >= rows["nn"].subtopic_recall
         assert rows["greedy"].diversity > rows["nn"].diversity
 
-    def test_worker_pool_matches_serial(self, toy_files, tmp_path, monkeypatch):
-        config = base_config(toy_files, tmp_path / "o.csv", methods=("greedy",))
-        serial = run_retrieval_experiment(config)
-        monkeypatch.setenv("HASHDIV_WORKERS", "4")
-        pooled = run_retrieval_experiment(config)
-        assert serial == pooled
-
-    @pytest.mark.parametrize("bad", ["abc", "0"])
-    def test_bad_worker_count_rejected(self, toy_files, tmp_path, monkeypatch, bad):
-        monkeypatch.setenv("HASHDIV_WORKERS", bad)
-        config = base_config(toy_files, tmp_path / "o.csv", methods=("greedy",))
-        with pytest.raises(ExperimentError, match=f"HASHDIV_WORKERS='{bad}'"):
+    @pytest.mark.parametrize("empty", ["data", "queries"])
+    def test_empty_input_file_is_named(self, toy_files, tmp_path, empty):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        config = base_config(toy_files, tmp_path / "o.csv", **{empty: str(path)})
+        with pytest.raises(ExperimentError, match=f"^{re.escape(str(path))} holds no points$"):
             run_retrieval_experiment(config)
 
 
@@ -294,6 +289,27 @@ class TestMultilabelExperiment:
         assert lines[0].startswith("0: ")
         records = json.loads(jpath.read_text())
         assert {"query_id", "labels", "scores", "eval_count"} <= set(records[0])
+
+    def test_validation_query_error_names_method_and_query(self, tmp_path):
+        calls = []
+
+        def fail_third(model, x, alpha):
+            calls.append(x)
+            if len(calls) == 3:
+                raise ValueError("boom")
+            return predict_exact(model, x, alpha)
+
+        config = MultilabelConfig(out=str(tmp_path / "m.csv"), synthetic=True, n_labels=50, n_queries=5,
+                                  rank=4, methods=("exact",), timing=False)
+        with mock.patch("hashdiv.multilabel.predict_exact", fail_third), \
+                pytest.raises(ExperimentError, match=r"^\(method=exact, split=validation, query=2\): boom$"):
+            run_multilabel_experiment(config)
+
+    def test_no_queries_is_an_error_not_a_nan_row(self, tmp_path):
+        config = MultilabelConfig(out=str(tmp_path / "m.csv"), synthetic=True, n_labels=50, n_queries=0,
+                                  rank=4, methods=("exact",), timing=False)
+        with pytest.raises(ExperimentError, match="no queries to run"):
+            run_multilabel_experiment(config)
 
     def test_requires_data_or_synthetic(self, tmp_path):
         with pytest.raises(ValueError, match="data file or synthetic"):

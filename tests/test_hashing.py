@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import pair_at_angle, unit_vector
@@ -215,6 +215,25 @@ class TestCollisionLaw:
         trials = 20_000
         est = estimate_collision_rate(a, b, trials=trials, seed=int(theta))
         assert abs(est - (1.0 - theta / 180.0)) <= 4.0 * np.sqrt(0.25 / trials)
+
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_pca_bits_follow_the_projected_angle(self, seed):
+        # a pca bit is sign(r . U^T x), so the law holds for the angle
+        # between U^T x and U^T y, not the angle between x and y
+        d, alpha, l, L = 12, 4, 64, 32
+        rng = np.random.default_rng(seed)
+        U = np.linalg.qr(rng.standard_normal((d, alpha)))[0]
+        basis = TruncatedBasis(U=U, singular_values=np.ones(alpha), converged=True, iterations=1)
+        x, y = rng.standard_normal((2, d))
+        px, py = U.T @ x, U.T @ y
+        assume(min(np.linalg.norm(px) / np.linalg.norm(x), np.linalg.norm(py) / np.linalg.norm(y)) > 0.1)
+        keys = hash_matrix(new_family(PCA, l, L, d, seed=seed, basis=basis), np.stack([x, y]))
+        bits = (keys[:, :, None] >> np.arange(l, dtype=np.uint64)) & np.uint64(1)
+        agree = float(np.mean(bits[0] == bits[1]))
+        # 5 binomial standard deviations of a mean over l * L bits, at worst p = 1/2
+        assert abs(agree - collision_probability(px, py)) <= 5.0 * np.sqrt(0.25 / (l * L))
 
 
 class TestHammingConcentration:

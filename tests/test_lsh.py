@@ -272,6 +272,14 @@ class TestRetrieve:
             assert count == n
             assert np.array_equal(res.ids, want.ids) and res.underfilled == want.underfilled
 
+    @pytest.mark.parametrize("bad, cause", [(0.0, "zero vector"), (np.nan, "NaN or infinite"), (np.inf, "NaN or infinite")])
+    @pytest.mark.parametrize("indexed", [True, False])
+    def test_bad_query_rejected_on_both_paths(self, toy_index, bad, cause, indexed):
+        q = np.zeros(toy_index.family.d)
+        q[1] = bad
+        with pytest.raises(ValueError, match=cause):
+            lsh.retrieve(toy_index.dataset, toy_index if indexed else None, q, select_nn, 3, 0.5)
+
     def test_empty_union(self):
         ds = Dataset(vectors=np.array([[1.0] + [0.0] * 15]))
         index = lsh.build(ds, new_family(PLAIN, 64, 1, 16, seed=3))
