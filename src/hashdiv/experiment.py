@@ -22,7 +22,6 @@ from .hashing import KIND_BY_NAME, new_family
 from .metrics import HierarchyTree
 from .multilabel import FactorModel, LabelPrediction
 from .select import (
-    SelectionProblem,
     select_greedy_div,
     select_mmr,
     select_nn,
@@ -274,8 +273,7 @@ class MultilabelConfig:
     format: str = field(default="csv", metadata=_FORMAT)
     timing: bool = field(default=True, metadata=_NO_TIMING)
     threshold_grid: int = 50
-    predictions_out: str | None = field(default=None, metadata={"help": "write 'query_id: label,label,...' lines"})
-    predictions_json: str | None = field(default=None, metadata={"help": "write JSON prediction records with scores"})
+    predictions_json: str | None = field(default=None, metadata={"help": "JSON of the first method's labels and scores"})
 
     def __post_init__(self):
         self.methods = tuple(self.methods)
@@ -290,6 +288,8 @@ class MultilabelConfig:
             raise ValueError("LIBSVM data files need the feature dimension d")
         if self.alpha < 1 or self.pool < self.alpha:
             raise ValueError("need pool >= alpha >= 1")
+        if self.threshold_grid < 1:
+            raise ValueError("threshold_grid must be >= 1")
 
     from_dict = classmethod(_from_dict)
 
@@ -341,15 +341,16 @@ def _label_matrix(label_sets, n_labels: int) -> np.ndarray:
     return Y
 
 
-def _pred_sets(pred: LabelPrediction, cutoff: float, alpha: int) -> np.ndarray:
-    """Final label set: drop scores below the cutoff, then cap at the alpha
-    best scores (ties by ascending label id)."""
+def _pred_sets(pred: LabelPrediction, cutoff: float, alpha: int) -> LabelPrediction:
+    """Final prediction: drop labels scored below the cutoff, then cap at
+    the alpha best scores (ties by ascending label id). Each label keeps
+    its own score."""
     keep = pred.scores >= cutoff
     labels, scores = pred.labels[keep], pred.scores[keep]
     if labels.size > alpha:
         order = np.lexsort((labels, -scores))[:alpha]
-        labels = labels[order]
-    return labels
+        labels, scores = labels[order], scores[order]
+    return dataclasses.replace(pred, labels=labels, scores=scores)
 
 
 def _pr(pred_set, truth: frozenset) -> tuple[float, float]:
@@ -382,7 +383,7 @@ def _choose_cutoff(preds: list[LabelPrediction], truths, tree, grid_size: int, a
     for cut in np.linspace(lo, hi, grid_size):
         vals = []
         for pred, truth in zip(preds, truths):
-            p, r, f, div, h = _doc_scores(_pred_sets(pred, cut, alpha), truth, tree)
+            p, r, f, div, h = _doc_scores(_pred_sets(pred, cut, alpha).labels, truth, tree)
             vals.append(h if h is not None else f)
         mean = float(np.mean(vals)) if vals else 0.0
         if mean > best_val:
@@ -395,25 +396,8 @@ def _ml_predictor(method: str, model: FactorModel, config: MultilabelConfig):
     if method == "exact":
         return lambda x: multilabel.predict_exact(model, x, config.pool)
     if method == "mmr":
-        norms = np.linalg.norm(model.W, axis=1)
-        Wn = model.W / np.where(norms == 0, 1.0, norms)[:, None]
-
-        def mmr_pred(x):
-            scores = model.scores(x)
-            order = np.lexsort((np.arange(scores.size), -scores))
-            cand = np.sort(order[: min(3 * config.pool, scores.size)])
-            z = model.H.T @ np.asarray(x, dtype=float).ravel()
-            nz = np.linalg.norm(z)
-            problem = SelectionProblem(
-                query=z / nz if nz > 0 else z, ids=cand, vectors=Wn[cand],
-                k=config.pool, lam=config.lam,
-            )
-            res = select_mmr(problem)
-            return LabelPrediction(labels=res.ids, scores=scores[res.ids], eval_count=model.n_labels)
-
-        return mmr_pred
-    kind = KIND_BY_NAME[method]
-    index = multilabel.build_label_index(model, config.l, config.L, kind=kind, seed=config.seed)
+        return lambda x: multilabel.predict_mmr(model, x, config.pool, config.lam)
+    index = multilabel.build_label_index(model, config.l, config.L, kind=KIND_BY_NAME[method], seed=config.seed)
     return lambda x: multilabel.predict_diverse(model, index, x, config.pool, config.lam)
 
 
@@ -460,7 +444,6 @@ def run_multilabel_experiment(config: MultilabelConfig) -> list[MultilabelRow]:
         truth_test = [test_ds.label_sets[i] for i in test_idx]
 
     rows: list[MultilabelRow] = []
-    predictions: list[tuple[int, np.ndarray, np.ndarray, int]] = []
     for method in config.methods:
         predictor = _ml_predictor(method, model, config)
         val_preds = _each_query(lambda i: predictor(X_val[i]), len(X_val), f"method={method}, split=validation")
@@ -469,51 +452,30 @@ def run_multilabel_experiment(config: MultilabelConfig) -> list[MultilabelRow]:
 
         def one(i):
             t0 = time.perf_counter()
-            pred = predictor(X_test[i])
-            final = _pred_sets(pred, cutoff, config.alpha)
-            ms = (time.perf_counter() - t0) * 1e3 if config.timing else 0.0
-            return pred, final, ms
+            final = _pred_sets(predictor(X_test[i]), cutoff, config.alpha)
+            return final, (time.perf_counter() - t0) * 1e3 if config.timing else 0.0
 
-        outs = _each_query(one, len(X_test), f"method={method}, split=test")
-        per_doc = [_doc_scores(final, truth_test[i], tree) for i, (_, final, _) in enumerate(outs)]
-        p = float(np.mean([s[0] for s in per_doc]))
-        r = float(np.mean([s[1] for s in per_doc]))
-        f = float(np.mean([s[2] for s in per_doc]))
-        divs = [s[3] for s in per_doc if s[3] is not None]
-        hs = [s[4] for s in per_doc if s[4] is not None]
-        div = float(np.mean(divs)) if divs else None
-        h = float(np.mean(hs)) if hs else None
-        ms = float(np.mean([o[2] for o in outs]))
-        eval_frac = float(np.mean([o[0].eval_count for o in outs])) / model.n_labels
+        finals, times = zip(*_each_query(one, len(X_test), f"method={method}, split=test"))
+        per_doc = [_doc_scores(final.labels, truth, tree) for final, truth in zip(finals, truth_test)]
+        # only diversity and h are None, on a document with no labels or no tree
+        ps, rs, fs, divs, hs = ([v for v in col if v is not None] for col in zip(*per_doc))
+        p, r, f, ms = (float(np.mean(v)) for v in (ps, rs, fs, times))
+        div, h = (float(np.mean(v)) if v else None for v in (divs, hs))
+        eval_frac = float(np.mean([final.eval_count for final in finals])) / model.n_labels
         rows.append(MultilabelRow(method, config.alpha, p, r, f, div, h, ms, eval_frac))
         if method == config.methods[0]:
-            for i, (pred, final, _) in enumerate(outs):
-                keep = np.isin(pred.labels, final)
-                predictions.append((i, final, pred.scores[keep], pred.eval_count))
+            predictions = finals
 
-    if config.predictions_out:
-        write_predictions_text(predictions, config.predictions_out)
     if config.predictions_json:
         write_predictions_json(predictions, config.predictions_json)
     return rows
 
 
-def write_predictions_text(predictions, path) -> None:
-    """One line per query: ``query_id: label,label,...``"""
-    with open(path, "w", encoding="utf-8") as fh:
-        for qid, labels, _scores, _count in predictions:
-            fh.write(f"{qid}: {','.join(str(int(l)) for l in labels)}\n")
-
-
-def write_predictions_json(predictions, path) -> None:
+def write_predictions_json(predictions: list[LabelPrediction], path) -> None:
+    """One record per query, in query order: each label with its score."""
     records = [
-        {
-            "query_id": int(qid),
-            "labels": [int(l) for l in labels],
-            "scores": [float(s) for s in scores],
-            "eval_count": int(count),
-        }
-        for qid, labels, scores, count in predictions
+        {"query_id": qid, "labels": pred.labels.tolist(), "scores": pred.scores.tolist(), "eval_count": pred.eval_count}
+        for qid, pred in enumerate(predictions)
     ]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(records, fh, indent=2)

@@ -174,8 +174,9 @@ def load_hierarchy(path):
             line = raw.strip()
             if not line:
                 continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{line_no}: expected 'child parent', got {line!r}")
-            edges.append((int(parts[0]), int(parts[1])))
+            try:
+                child, parent = map(int, line.split())
+            except ValueError:
+                raise ValueError(f"{path}:{line_no}: expected 'child parent' integer ids, got {line!r}") from None
+            edges.append((child, parent))
     return edges

@@ -1,10 +1,12 @@
 """Sub-linear diverse multi-label prediction over a low-rank factor model.
 
 A factor model scores label i for input x as W_i . (H^T x); prediction is
-top-alpha retrieval over the rows of W. The diverse path indexes the
-unit-normalized rows of W with an LSH family and runs the greedy
-diversity-aware selector over the collided candidates only, so the number
-of label-score evaluations is the candidate count, not the label count.
+top-alpha retrieval over the rows of W. The exact scan, MMR over its
+3 * alpha best labels, and the diverse path share one embedding step. The
+diverse path indexes the unit-normalized rows of W with an LSH family and
+runs the greedy diversity-aware selector over the collided candidates
+only, so the number of label-score evaluations is the candidate count, not
+the label count.
 
 Rows of W are normalized for hashing (the collision law needs angles) but
 returned scores always use the raw W: candidate generation is angular,
@@ -24,9 +26,10 @@ from . import lsh
 from .data import Dataset
 from .hashing import PCA, new_family
 from .linalg import truncated_svd
-from .select import select_greedy_div
+from .select import SelectionProblem, select_greedy_div, select_mmr
 
 _MAGIC = b"HDVM"
+_HEADER = 4 + 24  # magic, then (L, d, k) as three u64
 
 
 @dataclass(frozen=True)
@@ -77,18 +80,18 @@ def save_factors(model: FactorModel, path) -> None:
 
 
 def load_factors(path) -> FactorModel:
-    blob = open(path, "rb").read()
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if len(blob) < _HEADER:
+        raise ValueError(f"truncated factor file: {len(blob)} bytes, the header alone is {_HEADER}")
     if blob[:4] != _MAGIC:
         raise ValueError("not a factor-model file (bad magic)")
     L, d, k = struct.unpack_from("<QQQ", blob, 4)
-    off = 4 + 24
-    expected = off + (L * k + d * k) * 8
+    expected = _HEADER + (L * k + d * k) * 8
     if len(blob) != expected:
         raise ValueError(f"factor file size mismatch: header implies {expected} bytes, got {len(blob)}")
-    W = np.frombuffer(blob, dtype=np.float64, count=L * k, offset=off).reshape(L, k).copy()
-    off += L * k * 8
-    H = np.frombuffer(blob, dtype=np.float64, count=d * k, offset=off).reshape(d, k).copy()
-    return FactorModel(W=W, H=H)
+    values = np.frombuffer(blob, dtype=np.float64, offset=_HEADER)
+    return FactorModel(W=values[: L * k].reshape(L, k).copy(), H=values[L * k :].reshape(d, k).copy())
 
 
 def fit_lowrank_ridge(X, Y, k: int, ridge: float) -> FactorModel:
@@ -115,19 +118,53 @@ def fit_lowrank_ridge(X, Y, k: int, ridge: float) -> FactorModel:
     return FactorModel(W=W, H=H)
 
 
+def _embed(model: FactorModel, x) -> tuple[np.ndarray, np.ndarray] | None:
+    """The step every predictor starts from: the embedded query z = H^T x
+    and its unit vector, or None when |z| is zero, so no label score can
+    rank. A document whose |z| is NaN or infinite raises ValueError."""
+    z = model.H.T @ np.asarray(x, dtype=float).ravel()
+    nz = np.linalg.norm(z)
+    if not np.isfinite(nz):
+        raise ValueError("embedded query H^T x has a NaN or infinite coordinate, or its norm overflows")
+    return (z, z / nz) if nz > 0 else None
+
+
+def _nothing() -> LabelPrediction:
+    """The prediction for a zero embedding: no labels, no evaluations."""
+    return LabelPrediction(labels=np.empty(0, dtype=np.intp), scores=np.empty(0), eval_count=0, underfilled=True)
+
+
 def predict_exact(model: FactorModel, x, alpha: int) -> LabelPrediction:
-    """Top-alpha labels by full linear scan; eval_count = L_labels."""
+    """Top-alpha labels by full linear scan, ties by ascending id;
+    eval_count = L_labels."""
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
-    scores = model.scores(x)
+    embedded = _embed(model, x)
+    if embedded is None:
+        return _nothing()
+    scores = model.W @ embedded[0]
     order = np.lexsort((np.arange(model.n_labels), -scores))
     take = order[: min(alpha, model.n_labels)]
-    return LabelPrediction(
-        labels=take,
-        scores=scores[take],
-        eval_count=model.n_labels,
-        underfilled=take.size < alpha,
-    )
+    return LabelPrediction(labels=take, scores=scores[take], eval_count=model.n_labels, underfilled=take.size < alpha)
+
+
+def predict_mmr(model: FactorModel, x, alpha: int, lam: float) -> LabelPrediction:
+    """MMR baseline (Carbonell & Goldstein, 1998): the exact scan's
+    3 * alpha best labels form the pool, and MMR picks alpha of them by
+    their unit-normalized rows against the unit embedded query (a zero row
+    stays zero). eval_count = L_labels."""
+    pool = predict_exact(model, x, 3 * alpha)
+    if pool.eval_count == 0:
+        return pool
+    q = _embed(model, x)[1]
+    order = np.argsort(pool.labels)  # SelectionProblem wants ascending ids
+    ids, scores = pool.labels[order], pool.scores[order]
+    rows = model.W[ids]
+    norms = np.linalg.norm(rows, axis=1)
+    unit_rows = rows / np.where(norms == 0, 1.0, norms)[:, None]
+    res = select_mmr(SelectionProblem(query=q, ids=ids, vectors=unit_rows, k=alpha, lam=lam))
+    picked = scores[np.searchsorted(ids, res.ids)]
+    return LabelPrediction(labels=res.ids, scores=picked, eval_count=pool.eval_count, underfilled=res.underfilled)
 
 
 def build_label_index(
@@ -149,24 +186,17 @@ def build_label_index(
     return lsh.build(ds, family)
 
 
-def predict_diverse(
-    model: FactorModel,
-    index: lsh.LshIndex,
-    x,
-    alpha: int,
-    lam: float,
-) -> LabelPrediction:
+def predict_diverse(model: FactorModel, index: lsh.LshIndex, x, alpha: int, lam: float) -> LabelPrediction:
     """Diverse label prediction: query the label index with the normalized
     embedded query H^T x, then greedily pick alpha diverse labels from the
     collided candidates (from every label when alpha >= n_labels).
     eval_count = candidate count."""
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
-    z = model.H.T @ np.asarray(x, dtype=float).ravel()
-    nz = np.linalg.norm(z)
-    if nz == 0.0:
-        raise ValueError("embedded query H^T x is the zero vector")
-    res, count = lsh.retrieve(
-        index.dataset, None if alpha >= model.n_labels else index, z / nz, select_greedy_div, alpha, lam
-    )
+    embedded = _embed(model, x)
+    if embedded is None:
+        return _nothing()
+    z, q = embedded
+    lookup = None if alpha >= model.n_labels else index
+    res, count = lsh.retrieve(index.dataset, lookup, q, select_greedy_div, alpha, lam)
     return LabelPrediction(labels=res.ids, scores=model.W[res.ids] @ z, eval_count=count, underfilled=res.underfilled)

@@ -136,11 +136,16 @@ def test_bad_input_reports_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_multilabel_empty_test_file_is_an_error(tmp_path, capsys):
+def _write_docs(path):
+    """40 two-label LIBSVM documents over features 1-6."""
     rng = np.random.default_rng(0)
     docs = [f"{i % 2} " + " ".join(f"{3 * (i % 2) + j + 1}:{v:.4f}" for j, v in enumerate(rng.uniform(0.2, 1, 3)))
             for i in range(40)]
-    (tmp_path / "docs.svm").write_text("\n".join(docs) + "\n")
+    path.write_text("\n".join(docs) + "\n")
+
+
+def test_multilabel_empty_test_file_is_an_error(tmp_path, capsys):
+    _write_docs(tmp_path / "docs.svm")
     (tmp_path / "empty.svm").write_text("")
     out = tmp_path / "m.csv"
     rc = main(["multilabel", "--data", str(tmp_path / "docs.svm"), "--d", "6", "--test", str(tmp_path / "empty.svm"),
@@ -148,6 +153,33 @@ def test_multilabel_empty_test_file_is_an_error(tmp_path, capsys):
     assert rc == 1
     assert "error: (method=exact, split=test): no queries to run" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_multilabel_unseen_feature_document_gets_an_empty_prediction(tmp_path):
+    # the second test document has only feature 7, which no training
+    # document has: H has a zero row there, so its H^T x is zero
+    _write_docs(tmp_path / "docs.svm")
+    (tmp_path / "test.svm").write_text("0 1:0.5 2:0.5\n1 7:1.0\n1 4:0.3 5:0.9\n")
+    out, preds = tmp_path / "m.csv", tmp_path / "p.json"
+    rc = main(["multilabel", "--data", str(tmp_path / "docs.svm"), "--d", "8", "--test", str(tmp_path / "test.svm"),
+               "--rank", "2", "--methods", "exact,mmr,lshsdiv", "--alpha", "1", "--pool", "2", "--l", "4", "--L", "4",
+               "--no-timing", "--out", str(out), "--predictions-json", str(preds)])
+    assert rc == 0
+    assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == ["exact", "mmr", "lshsdiv"]
+    assert json.loads(preds.read_text())[1] == {"query_id": 1, "labels": [], "scores": [], "eval_count": 0}
+
+
+@pytest.mark.parametrize("size", [4, 20])
+def test_multilabel_truncated_factor_file_is_one_error_line(tmp_path, capsys, size):
+    _write_docs(tmp_path / "docs.svm")
+    (tmp_path / "f.bin").write_bytes((b"HDVM" + bytes(24))[:size])
+    rc = main(["multilabel", "--data", str(tmp_path / "docs.svm"), "--d", "6", "--factors", str(tmp_path / "f.bin"),
+               "--out", str(tmp_path / "m.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error" in line] == [
+        f"error: truncated factor file: {size} bytes, the header alone is 28"
+    ]
 
 
 @pytest.mark.parametrize("argv, cause", [
@@ -190,7 +222,7 @@ def test_cli_surface_is_pinned():
         "multilabel": {**shared, "--d": "d", "--test": "test", "--factors": "factors", "--hierarchy": "hierarchy",
                        "--synthetic": "synthetic", "--n-labels": "n_labels", "--n-queries": "n_queries",
                        "--rank": "rank", "--ridge": "ridge", "--pool": "pool", "--threshold-grid": "threshold_grid",
-                       "--predictions-out": "predictions_out", "--predictions-json": "predictions_json"},
+                       "--predictions-json": "predictions_json"},
         "tune": {"--data": "data", "--target-recall": "target_recall", "--epsilon": "epsilon", "--seed": "seed"},
     }
     # one flag of each derived kind; an unset flag stores nothing
@@ -236,12 +268,12 @@ def test_multilabel_config_file_with_flag_override(tmp_path):
         "synthetic": True, "timing": False, "out": str(tmp_path / "file.csv"), "n_queries": 15,
         "n_labels": 300, "rank": 6, "methods": ["exact"], "alpha": 4, "pool": 8, "seed": 4,
     }))
-    out, preds = tmp_path / "flag.csv", tmp_path / "preds.txt"
+    out, preds = tmp_path / "flag.csv", tmp_path / "preds.json"
     # no --synthetic or --no-timing: the file's values must stand
     assert main(["multilabel", "--config", str(cfg), "--out", str(out), "--n-queries", "6",
-                 "--predictions-out", str(preds)]) == 0
+                 "--predictions-json", str(preds)]) == 0
     assert out.exists() and not (tmp_path / "file.csv").exists()
-    assert len(preds.read_text().splitlines()) == 6
+    assert len(json.loads(preds.read_text())) == 6
     assert [row["millis"] for row in json.loads((tmp_path / "flag.csv.json").read_text())] == [0.0]
 
 

@@ -19,9 +19,8 @@ from hashdiv.experiment import (
     run_multilabel_experiment,
     run_retrieval_experiment,
     write_predictions_json,
-    write_predictions_text,
 )
-from hashdiv.multilabel import predict_exact
+from hashdiv.multilabel import LabelPrediction, predict_exact
 
 
 @pytest.fixture(scope="module")
@@ -276,19 +275,36 @@ class TestMultilabelExperiment:
         assert rows[0].precision > 0.5  # planted block structure is easy
 
     def test_prediction_outputs(self, tmp_path):
-        tpath = tmp_path / "p.txt"
         jpath = tmp_path / "p.json"
         config = MultilabelConfig(
             out=str(tmp_path / "m.csv"), synthetic=True, n_labels=200, n_queries=10,
             rank=6, methods=("exact",), alpha=4, pool=8, seed=2, timing=False,
-            predictions_out=str(tpath), predictions_json=str(jpath),
+            predictions_json=str(jpath),
         )
         run_multilabel_experiment(config)
-        lines = tpath.read_text().splitlines()
-        assert len(lines) == 10
-        assert lines[0].startswith("0: ")
         records = json.loads(jpath.read_text())
-        assert {"query_id", "labels", "scores", "eval_count"} <= set(records[0])
+        assert [r["query_id"] for r in records] == list(range(10))
+        assert {"query_id", "labels", "scores", "eval_count"} == set(records[0])
+
+    @pytest.mark.parametrize("first", ["exact", "mmr", "lshsdiv"])
+    def test_prediction_scores_belong_to_their_labels(self, tmp_path, first):
+        # pool > alpha, so the cut reorders labels whenever the method's
+        # own order is not by score
+        from hashdiv.experiment import make_planted
+
+        jpath = tmp_path / "p.json"
+        methods = (first,) + tuple(m for m in ("exact", "mmr", "lshsdiv") if m != first)
+        config = MultilabelConfig(
+            out=str(tmp_path / "m.csv"), synthetic=True, n_labels=2000, n_queries=60, rank=12,
+            methods=methods, alpha=5, pool=15, seed=0, timing=False, predictions_json=str(jpath),
+        )
+        run_multilabel_experiment(config)
+        model, X, _ = make_planted(2000, 12, 24, 120, seed=0)
+        records = json.loads(jpath.read_text())
+        assert len(records) == 60 and any(len(r["labels"]) > 1 for r in records)
+        for r in records:
+            expected = model.W[r["labels"]] @ (model.H.T @ X[r["query_id"]])
+            np.testing.assert_allclose(r["scores"], expected, rtol=0, atol=1e-12)
 
     def test_validation_query_error_names_method_and_query(self, tmp_path):
         calls = []
@@ -314,6 +330,17 @@ class TestMultilabelExperiment:
     def test_requires_data_or_synthetic(self, tmp_path):
         with pytest.raises(ValueError, match="data file or synthetic"):
             MultilabelConfig(out=str(tmp_path / "m.csv"))
+
+    @pytest.mark.parametrize("grid", [0, -3])
+    def test_threshold_grid_below_one_rejected(self, tmp_path, grid):
+        # 0 would search no cutoff at all, and a negative grid size fails
+        # deep inside numpy
+        with pytest.raises(ValueError, match="threshold_grid must be >= 1"):
+            MultilabelConfig(out=str(tmp_path / "m.csv"), synthetic=True, threshold_grid=grid)
+
+    def test_removed_predictions_out_key_is_unknown(self):
+        with pytest.raises(ValueError, match=r"unknown config keys: \['predictions_out'\]"):
+            MultilabelConfig.from_dict({"out": "c", "synthetic": True, "predictions_out": "p.txt"})
 
     def test_deterministic_rows(self, tmp_path):
         config = MultilabelConfig(
@@ -385,9 +412,20 @@ class TestPredSets:
         pred = LabelPrediction(
             labels=np.array([7, 2, 9, 4]), scores=np.array([0.9, 0.8, 0.3, 0.7]), eval_count=4
         )
-        assert _pred_sets(pred, 0.5, alpha=2).tolist() == [7, 2]
-        assert _pred_sets(pred, 0.5, alpha=10).tolist() == [7, 2, 4]
-        assert _pred_sets(pred, 1.5, alpha=2).size == 0
+        cut = _pred_sets(pred, 0.5, alpha=2)
+        assert cut.labels.tolist() == [7, 2] and cut.scores.tolist() == [0.9, 0.8] and cut.eval_count == 4
+        cut = _pred_sets(pred, 0.5, alpha=10)
+        assert cut.labels.tolist() == [7, 2, 4] and cut.scores.tolist() == [0.9, 0.8, 0.7]
+        assert _pred_sets(pred, 1.5, alpha=2).labels.size == 0
+
+    def test_cap_keeps_each_label_with_its_score(self):
+        from hashdiv.experiment import _pred_sets
+
+        # a diverse method's order is not by score; the cap re-sorts both
+        pred = LabelPrediction(labels=np.array([3, 8, 1, 5]), scores=np.array([0.2, 0.9, 0.5, 0.9]), eval_count=6)
+        cut = _pred_sets(pred, 0.0, alpha=3)
+        assert cut.labels.tolist() == [5, 8, 1]
+        assert cut.scores.tolist() == [0.9, 0.9, 0.5]
 
 
 class TestChooseCutoff:
@@ -401,13 +439,13 @@ class TestChooseCutoff:
 
 
 class TestPredictionWriters:
-    def test_text_format(self, tmp_path):
-        path = tmp_path / "p.txt"
-        write_predictions_text([(0, np.array([3, 1]), np.array([0.5, 0.2]), 7)], path)
-        assert path.read_text() == "0: 3,1\n"
-
     def test_json_format(self, tmp_path):
         path = tmp_path / "p.json"
-        write_predictions_json([(2, np.array([4]), np.array([1.5]), 9)], path)
-        rec = json.loads(path.read_text())[0]
-        assert rec == {"query_id": 2, "labels": [4], "scores": [1.5], "eval_count": 9}
+        write_predictions_json([
+            LabelPrediction(labels=np.array([3, 1]), scores=np.array([0.5, 0.2]), eval_count=7),
+            LabelPrediction(labels=np.array([4]), scores=np.array([1.5]), eval_count=9),
+        ], path)
+        assert json.loads(path.read_text()) == [
+            {"query_id": 0, "labels": [3, 1], "scores": [0.5, 0.2], "eval_count": 7},
+            {"query_id": 1, "labels": [4], "scores": [1.5], "eval_count": 9},
+        ]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -185,6 +187,13 @@ class TestBfsPrune:
         p = tmp_path / "h.txt"
         p.write_text("1 0\n2 0\n3 1\n")
         assert load_hierarchy(p) == [(1, 0), (2, 0), (3, 1)]
+
+    @pytest.mark.parametrize("text, line", [("1 0\nx 0\n", 2), ("1 0\n\n2 0.5\n", 3), ("1 0\n3\n", 2), ("1 0 2\n", 1)])
+    def test_load_hierarchy_bad_line_is_named(self, tmp_path, text, line):
+        p = tmp_path / "h.txt"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:{line}: expected 'child parent' integer ids"):
+            load_hierarchy(p)
 
 
 class TestTreeDiversity:

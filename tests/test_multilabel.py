@@ -9,8 +9,10 @@ from hashdiv.multilabel import (
     load_factors,
     predict_diverse,
     predict_exact,
+    predict_mmr,
     save_factors,
 )
+from hashdiv.select import SelectionProblem, select_mmr
 
 
 class TestFactorIO:
@@ -37,6 +39,14 @@ class TestFactorIO:
         blob = path.read_bytes()
         path.write_bytes(blob[:-8])
         with pytest.raises(ValueError, match="size mismatch"):
+            load_factors(path)
+
+    @pytest.mark.parametrize("size", [4, 20])
+    def test_truncated_header_rejected(self, tmp_path, size):
+        path = tmp_path / "m.bin"
+        save_factors(FactorModel(W=np.eye(3), H=np.eye(3)), path)
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(ValueError, match=f"^truncated factor file: {size} bytes, the header alone is 28$"):
             load_factors(path)
 
     def test_nonfinite_rejected(self):
@@ -154,15 +164,89 @@ class TestPredictDiverse:
             pred = predict_diverse(model, wide, x, alpha=4, lam=0.7)
             assert pred.eval_count >= 0.99 * 500
 
-    def test_zero_embedded_query_rejected(self):
-        model = FactorModel(W=np.eye(3), H=np.eye(3))
-        index = build_label_index(model, 4, 2, seed=0)
-        with pytest.raises(ValueError, match="zero vector"):
-            predict_diverse(model, index, np.zeros(3), alpha=1, lam=0.5)
-
     def test_scores_are_raw_inner_products(self):
         model, X, _ = make_planted(200, 6, 12, 3, n_clusters=5, seed=9)
         index = build_label_index(model, 8, 6, seed=9)
         pred = predict_diverse(model, index, X[0], alpha=4, lam=0.9)
         expected = model.W[pred.labels] @ (model.H.T @ X[0])
         np.testing.assert_allclose(pred.scores, expected, atol=1e-12)
+
+
+def mmr_oracle(model, x, pool, lam):
+    """The experiment harness's MMR predictor before it moved into
+    hashdiv.multilabel: (labels, scores)."""
+    norms = np.linalg.norm(model.W, axis=1)
+    Wn = model.W / np.where(norms == 0, 1.0, norms)[:, None]
+    scores = model.scores(x)
+    order = np.lexsort((np.arange(scores.size), -scores))
+    cand = np.sort(order[: min(3 * pool, scores.size)])
+    z = model.H.T @ np.asarray(x, dtype=float).ravel()
+    nz = np.linalg.norm(z)
+    problem = SelectionProblem(query=z / nz if nz > 0 else z, ids=cand, vectors=Wn[cand], k=pool, lam=lam)
+    res = select_mmr(problem)
+    return res.ids, scores[res.ids]
+
+
+class TestPredictMmr:
+    @pytest.mark.parametrize("n_labels, alpha", [(300, 5), (12, 5), (8, 9)])
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 0.7, 1.0])
+    def test_matches_the_harness_oracle(self, n_labels, alpha, lam):
+        # duplicated rows tie exactly, a zero row scores 0 and stays a zero
+        # vector, and at 3 * alpha >= n_labels the pool is every label,
+        # which is underfilled at alpha > n_labels
+        model, X, _ = make_planted(n_labels, 6, 12, 8, n_clusters=4, seed=n_labels)
+        W = model.W.copy()
+        W[[4, 7]] = W[1]
+        W[2] = 0.0
+        model = FactorModel(W=W, H=model.H)
+        for x in X:
+            pred = predict_mmr(model, x, alpha, lam)
+            labels, scores = mmr_oracle(model, x, alpha, lam)
+            assert pred.labels.tolist() == labels.tolist()
+            assert pred.scores.tobytes() == scores.tobytes()
+            assert pred.eval_count == n_labels
+            assert pred.underfilled == (min(3 * alpha, n_labels) < alpha)
+
+    def test_scores_are_raw_inner_products(self):
+        model, X, _ = make_planted(200, 6, 12, 3, n_clusters=5, seed=9)
+        pred = predict_mmr(model, X[0], alpha=4, lam=0.5)
+        assert pred.labels.size == 4
+        np.testing.assert_allclose(pred.scores, model.W[pred.labels] @ (model.H.T @ X[0]), rtol=0, atol=1e-12)
+
+
+PREDICTORS = {
+    "exact": lambda model, index, x: predict_exact(model, x, 2),
+    "mmr": lambda model, index, x: predict_mmr(model, x, 2, 0.5),
+    "diverse": lambda model, index, x: predict_diverse(model, index, x, 2, 0.5),
+}
+
+
+class TestDegenerateDocuments:
+    """One rule for all three predictors: a zero H^T x gives an empty,
+    underfilled prediction with eval_count 0; a non-finite one raises."""
+
+    @pytest.fixture(scope="class")
+    def model_and_index(self):
+        # feature 3 was never seen in training, so H has a zero row there
+        rng = np.random.default_rng(4)
+        H = np.vstack([np.linalg.qr(rng.standard_normal((3, 2)))[0], np.zeros((1, 2))])
+        model = FactorModel(W=rng.standard_normal((8, 2)), H=H)
+        return model, build_label_index(model, 4, 2, seed=0)
+
+    @pytest.mark.parametrize("x", [np.zeros(4), np.array([0.0, 0.0, 0.0, 1.0])], ids=["zero", "unseen-feature"])
+    @pytest.mark.parametrize("method", PREDICTORS)
+    def test_zero_embedding_gives_empty_prediction(self, model_and_index, method, x):
+        pred = PREDICTORS[method](*model_and_index, x)
+        assert pred.labels.size == 0 and pred.scores.size == 0
+        assert pred.eval_count == 0 and pred.underfilled
+
+    # inf times H's zero row is NaN, which numpy warns about before the raise
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+    @pytest.mark.parametrize("at", [0, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("method", PREDICTORS)
+    def test_non_finite_document_raises(self, model_and_index, method, bad, at):
+        x = np.array([0.5, 0.2, 0.1, 0.0])
+        x[at] = bad
+        with pytest.raises(ValueError, match=r"^embedded query H\^T x has a NaN or infinite coordinate, or its norm"):
+            PREDICTORS[method](*model_and_index, x)
