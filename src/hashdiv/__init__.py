@@ -6,7 +6,7 @@ evaluation metrics, and a sub-linear diverse multi-label predictor over
 low-rank factor models.
 """
 
-from .data import DataPoint, Dataset, ToyConfig, load_dense, load_sparse, make_toy
+from .data import Dataset, ToyConfig, load_dense, load_sparse, make_toy
 from .hashing import (
     PCA,
     PCA_DIRECT,

@@ -24,7 +24,7 @@ from .experiment import (
     run_multilabel_experiment,
     run_retrieval_experiment,
 )
-from .hashing import KIND_BY_NAME, new_family
+from .hashing import KINDS, PLAIN, new_family
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, cls) -> None:
@@ -83,9 +83,7 @@ def _cmd_toy_gen(args) -> int:
 
 def _cmd_index_build(args) -> int:
     dataset = load_dense(args.data)
-    family = new_family(
-        KIND_BY_NAME[args.kind], args.l, args.L, dataset.d, alpha=args.alpha, seed=args.seed, dataset=dataset
-    )
+    family = new_family(args.kind, args.l, args.L, dataset.d, alpha=args.alpha, seed=args.seed, dataset=dataset)
     index = lsh.build(dataset, family)
     lsh.save_index(index, args.out)
     sizes = index.bucket_sizes()
@@ -156,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = isub.add_parser("build")
     p.add_argument("--data", required=True)
-    p.add_argument("--kind", choices=sorted(KIND_BY_NAME), default="lshdiv")
+    p.add_argument("--kind", choices=sorted(KINDS), default=PLAIN)
     p.add_argument("--l", type=int, default=16)
     p.add_argument("--L", type=int, default=8)
     p.add_argument("--alpha", type=int)

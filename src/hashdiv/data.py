@@ -27,21 +27,6 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class DataPoint:
-    """One database point (or query). `vector` is a 1-d dense array;
-    `labels` holds the multi-label set parsed from LIBSVM files."""
-
-    id: int
-    vector: np.ndarray
-    category: int | None = None
-    subtopic: int | None = None
-    labels: frozenset[int] | None = None
-
-    def dense(self) -> np.ndarray:
-        return self.vector
-
-
 @dataclass
 class Dataset:
     """Immutable-after-construction collection of points with ids 0..n-1.
@@ -81,24 +66,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.vectors.shape[1]
-
-    def __len__(self) -> int:
-        return self.n
-
-    def point(self, i: int) -> DataPoint:
-        if not 0 <= i < self.n:
-            raise IndexError(f"point id {i} out of range [0, {self.n})")
-        vec = self.vectors[i, :]
-        cat = sub = None
-        if self.categories is not None and self.categories[i] != MISSING:
-            cat = int(self.categories[i])
-        if self.subtopics is not None and self.subtopics[i] != MISSING:
-            sub = int(self.subtopics[i])
-        labels = self.label_sets[i] if self.label_sets is not None else None
-        return DataPoint(id=i, vector=vec, category=cat, subtopic=sub, labels=labels)
-
-    def __iter__(self):
-        return (self.point(i) for i in range(self.n))
 
     def dense_rows(self, ids) -> np.ndarray:
         """The (len(ids), d) rows of `ids`, a copy."""

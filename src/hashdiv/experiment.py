@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lsh, metrics, multilabel
-from .data import load_dense, load_sparse
-from .hashing import KIND_BY_NAME, new_family
+from .data import MISSING, load_dense, load_sparse
+from .hashing import KINDS, new_family
 from .metrics import HierarchyTree
 from .multilabel import FactorModel, LabelPrediction
 from .select import (
@@ -38,8 +38,8 @@ _SELECTORS = {
 }
 METHODS = tuple(_SELECTORS)
 # "nh" is no hashing: every point is a candidate
-HASHES = ("nh", *KIND_BY_NAME)
-ML_METHODS = ("exact", "mmr", *KIND_BY_NAME)
+HASHES = ("nh", *KINDS)
+ML_METHODS = ("exact", "mmr", *KINDS)
 
 
 class ExperimentError(RuntimeError):
@@ -165,17 +165,17 @@ def _progress(msg: str) -> None:
     print(msg, file=sys.stderr, flush=True)
 
 
-def _query_eval(dataset, query_point, index, selector, k, lam, timing):
-    """One query through `lsh.retrieve`, then metrics: (precision,
+def _query_eval(dataset, source, q, qcat, selector, k, lam, timing):
+    """One query through `lsh.retrieve` from `source` (`dataset` or its
+    index), then metrics against `dataset`'s labels: (precision,
     subtopic recall or None, diversity, h-score, seconds, candidate
     fraction)."""
     t0 = time.perf_counter()
-    result, count = lsh.retrieve(dataset, index, query_point.vector, selector, k, lam)
+    result, count = lsh.retrieve(source, q, selector, k, lam)
     elapsed = time.perf_counter() - t0 if timing else 0.0
     selected = result.ids
 
-    qcat = query_point.category
-    if qcat is None:
+    if qcat == MISSING:
         raise ExperimentError("query has no category label; precision is undefined")
     cats = dataset.categories
     if cats is None:
@@ -205,6 +205,7 @@ def run_retrieval_experiment(config: ExperimentConfig) -> list[ResultRow]:
             raise ExperimentError(f"{path} holds no points")
     if queries.d != dataset.d:
         raise ExperimentError(f"query dimension {queries.d} != dataset dimension {dataset.d}")
+    qcats = [MISSING] * queries.n if queries.categories is None else queries.categories.tolist()
 
     # every family first, so one that cannot be built fails before any cell
     # runs; each index is still built only when its column runs. The pca
@@ -213,21 +214,21 @@ def run_retrieval_experiment(config: ExperimentConfig) -> list[ResultRow]:
     for name in config.hashes:
         if name != "nh":
             families[name] = new_family(
-                KIND_BY_NAME[name], config.l, config.L, dataset.d,
+                name, config.l, config.L, dataset.d,
                 alpha=config.alpha, seed=config.seed, dataset=dataset, basis=basis,
             )
             basis = basis or families[name].basis
     rows: list[ResultRow] = []
     for hash_name in config.hashes:
-        index = None
+        source = dataset
         if hash_name != "nh":
             _progress(f"[index] building {hash_name} (l={config.l}, L={config.L})")
-            index = lsh.build(dataset, families[hash_name])
+            source = lsh.build(dataset, families[hash_name])
         for method in config.methods:
             select = _SELECTORS[method]
             for k in config.ks:
                 precs, srs, divs, hs, secs, fracs = zip(*_each_query(
-                    lambda i: _query_eval(dataset, queries.point(i), index, select, k, config.lam, config.timing),
+                    lambda i: _query_eval(dataset, source, queries.vectors[i], qcats[i], select, k, config.lam, config.timing),
                     queries.n, f"method={method}, hash={hash_name}",
                 ))
                 srs = [s for s in srs if s is not None]
@@ -397,7 +398,7 @@ def _ml_predictor(method: str, model: FactorModel, config: MultilabelConfig):
         return lambda x: multilabel.predict_exact(model, x, config.pool)
     if method == "mmr":
         return lambda x: multilabel.predict_mmr(model, x, config.pool, config.lam)
-    index = multilabel.build_label_index(model, config.l, config.L, kind=KIND_BY_NAME[method], seed=config.seed)
+    index = multilabel.build_label_index(model, config.l, config.L, kind=method, seed=config.seed)
     return lambda x: multilabel.predict_diverse(model, index, x, config.pool, config.lam)
 
 

@@ -1,12 +1,16 @@
 """Sign-random-projection hash families.
 
-Three kinds:
-  * "plain"       — Gaussian hyperplanes in the ambient space,
-  * "pca"         — Gaussian hyperplanes drawn in the span of the data's top
-                    principal components (random directions *within* the top
-                    subspace, bit = sign(r . (U^T x))),
-  * "pca_direct"  — the principal directions themselves as hyperplanes
-                    (the PCA-hash baseline; no randomness beyond the basis).
+Three kinds, named by their `HashFamily.kind` values, which are also the
+hash names of the CLI and the experiment grid:
+  * "lshdiv"   (PLAIN)      — Gaussian hyperplanes in the ambient space,
+  * "lshsdiv"  (PCA)        — Gaussian hyperplanes drawn in the span of the
+                              data's top principal components (random
+                              directions *within* the top subspace,
+                              bit = sign(r . (U^T x))),
+  * "pcahash"  (PCA_DIRECT) — the principal directions themselves as
+                              hyperplanes (the PCA-hash baseline; no
+                              randomness beyond the basis).
+A kind's position in KINDS is its code in the family blob.
 
 Bit b of table t is 1 iff the projection is >= 0; the tie at exactly 0 is a
 measure-zero event for continuous data but the convention is fixed so keys
@@ -32,16 +36,13 @@ import numpy as np
 from .data import Dataset
 from .linalg import TruncatedBasis, truncated_svd
 
-PLAIN = "plain"
-PCA = "pca"
-PCA_DIRECT = "pca_direct"
+PLAIN, PCA, PCA_DIRECT = "lshdiv", "lshsdiv", "pcahash"
 KINDS = (PLAIN, PCA, PCA_DIRECT)
-# the method names the CLI and the experiment grid use for each kind
-KIND_BY_NAME = {"lshdiv": PLAIN, "lshsdiv": PCA, "pcahash": PCA_DIRECT}
 
 _MAGIC = b"HDVF"
-_KIND_CODE = {PLAIN: 0, PCA: 1, PCA_DIRECT: 2}
-_CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
+# kind code, l, L, d, alpha, seed; then has-basis, SVD iterations, converged
+_FIELDS = struct.Struct("<BIIQQq")
+_BASIS_FIELDS = struct.Struct("<BQI")
 
 # bytes one row block of `hash_matrix` may hold in its widest float64
 # array: the L * l projections, or the block's rows when d is larger
@@ -53,7 +54,7 @@ class HashFamily:
     """L tables of l sign-projection bits each, fully determined by
     (kind, l, L, d, alpha, seed) plus the PCA basis for the pca kinds.
 
-    hyperplanes has shape (L, l, d) for "plain" and (L, l, alpha) for the
+    hyperplanes has shape (L, l, d) for PLAIN and (L, l, alpha) for the
     projected kinds (the effective ambient-space normal is then U @ r).
     Immutable after construction; hashing is pure. Families compare and
     hash by identity.
@@ -134,7 +135,7 @@ def new_family(
         planes = np.stack([np.stack([_hyperplane(seed, t, b, alpha) for b in range(l)]) for t in range(L)])
     else:  # PCA_DIRECT: r = standard basis vectors, distinct directions per table
         if alpha < l:
-            raise ValueError(f"pca_direct needs alpha >= l, got alpha={alpha}, l={l}")
+            raise ValueError(f"{PCA_DIRECT} needs alpha >= l, got alpha={alpha}, l={l}")
         planes = np.zeros((L, l, alpha))
         for t in range(L):
             for b in range(l):
@@ -198,35 +199,41 @@ def estimate_collision_rate(a, b, trials: int, seed: int = 0) -> float:
 
 
 def family_to_bytes(family: HashFamily) -> bytes:
-    """Binary sidecar: header (kind, l, L, d, alpha, seed) plus the basis for
-    the pca kinds. Hyperplanes regenerate bit-identically from the seed."""
-    alpha = family.alpha or 0
-    out = [_MAGIC, struct.pack("<BIIQQq", _KIND_CODE[family.kind], family.l, family.L, family.d, alpha, family.seed)]
+    """Binary sidecar: header (kind code, l, L, d, alpha, seed) plus the
+    basis for the pca kinds. Hyperplanes regenerate bit-identically from
+    the seed."""
+    out = [_MAGIC, _FIELDS.pack(KINDS.index(family.kind), family.l, family.L, family.d, family.alpha or 0, family.seed)]
     if family.basis is not None:
         b = family.basis
-        out.append(struct.pack("<BQI", 1, b.iterations, int(b.converged)))
+        out.append(_BASIS_FIELDS.pack(1, b.iterations, int(b.converged)))
         out.append(np.ascontiguousarray(b.U, dtype=np.float64).tobytes())
         out.append(np.ascontiguousarray(b.singular_values, dtype=np.float64).tobytes())
     else:
-        out.append(struct.pack("<BQI", 0, 0, 0))
+        out.append(_BASIS_FIELDS.pack(0, 0, 0))
     return b"".join(out)
 
 
 def family_from_bytes(blob: bytes) -> HashFamily:
+    """Inverse of family_to_bytes. A blob shorter or longer than its fields
+    describe, or one whose fields contradict each other, raises ValueError."""
     if blob[:4] != _MAGIC:
         raise ValueError("not a hash-family blob (bad magic)")
-    off = 4
-    code, l, L, d, alpha, seed = struct.unpack_from("<BIIQQq", blob, off)
-    off += struct.calcsize("<BIIQQq")
-    has_basis, iterations, conv = struct.unpack_from("<BQI", blob, off)
-    off += struct.calcsize("<BQI")
+    off = len(_MAGIC) + _FIELDS.size + _BASIS_FIELDS.size
+    if len(blob) < off:
+        raise ValueError(f"truncated hash-family blob: {len(blob)} bytes, its fixed fields alone are {off}")
+    code, l, L, d, alpha, seed = _FIELDS.unpack_from(blob, len(_MAGIC))
+    has_basis, iterations, conv = _BASIS_FIELDS.unpack_from(blob, off - _BASIS_FIELDS.size)
+    if code >= len(KINDS):
+        raise ValueError(f"corrupt hash-family blob: unknown kind code {code}")
+    if has_basis != (KINDS[code] != PLAIN):
+        raise ValueError(f"corrupt hash-family blob: basis flag {has_basis} for kind {KINDS[code]!r}")
+    size = off + (8 * alpha * (d + 1) if has_basis else 0)  # U is (d, alpha), then alpha singular values
+    if len(blob) != size:
+        state = "truncated" if len(blob) < size else "corrupt"
+        raise ValueError(f"{state} hash-family blob: {len(blob)} bytes, its fields describe {size}")
     basis = None
     if has_basis:
-        u_bytes = d * alpha * 8
         U = np.frombuffer(blob, dtype=np.float64, count=d * alpha, offset=off).reshape(d, alpha).copy()
-        off += u_bytes
-        sv = np.frombuffer(blob, dtype=np.float64, count=alpha, offset=off).copy()
-        off += alpha * 8
+        sv = np.frombuffer(blob, dtype=np.float64, count=alpha, offset=off + 8 * d * alpha).copy()
         basis = TruncatedBasis(U=U, singular_values=sv, converged=bool(conv), iterations=int(iterations))
-    kind = _CODE_KIND[code]
-    return new_family(kind, int(l), int(L), int(d), alpha=int(alpha) or None, seed=int(seed), basis=basis)
+    return new_family(KINDS[code], int(l), int(L), int(d), alpha=int(alpha) or None, seed=int(seed), basis=basis)

@@ -1,6 +1,7 @@
 """Multi-table LSH index: build (hash every point into L tables), query
 (exact-key bucket lookup, union, dedup), the request path `retrieve`
-(query, gather the candidate rows, select), and a grid-search tuner for (l, L).
+(query an index or scan a dataset, gather the candidate rows, select),
+and a grid-search tuner for (l, L).
 
 Bucket lookup is exact-key only; no multi-probe. Candidate order is fixed
 (ascending id) so the downstream greedy selectors are deterministic.
@@ -133,24 +134,17 @@ def query(index: LshIndex, q: np.ndarray) -> CandidateSet:
     return CandidateSet(ids=ids[distinct], touched=touched)
 
 
-def retrieve(
-    dataset: Dataset,
-    index: LshIndex | None,
-    q: np.ndarray,
-    select,
-    k: int,
-    lam: float,
-) -> tuple[SelectionResult, int]:
-    """One request: the union of q's buckets (every point of `dataset` when
-    `index` is None), gathered and passed to `select` as a
-    SelectionProblem. Returns the selection and the candidate count; an
+def retrieve(source: LshIndex | Dataset, q: np.ndarray, select, k: int, lam: float) -> tuple[SelectionResult, int]:
+    """One request: the union of q's buckets in the index `source` (every
+    point when `source` is a Dataset), gathered and passed to `select` as
+    a SelectionProblem. Returns the selection and the candidate count; an
     empty union gives an empty, underfilled selection and count 0. A NaN,
     infinite or zero query raises ValueError on both paths."""
-    if index is None:
+    if isinstance(source, Dataset):
         _check_query(q)
-        ids = np.arange(dataset.n)
+        dataset, ids = source, np.arange(source.n)
     else:
-        ids = query(index, q).ids
+        dataset, ids = source.dataset, query(source, q).ids
     if ids.size == 0:
         return SelectionResult(ids=ids, underfilled=True), 0
     problem = SelectionProblem(query=q, ids=ids, vectors=dataset.dense_rows(ids), k=k, lam=lam)
@@ -336,6 +330,8 @@ def index_from_bytes(blob: bytes, dataset: Dataset) -> LshIndex:
     if digest != dataset.digest:
         raise ValueError("index built over a different dataset: the digest of its vectors does not match")
     family = family_from_bytes(blob[_HEADER.size : _HEADER.size + fam_len])
+    if (family.L, family.d) != (L, d):
+        raise ValueError(f"corrupt index blob: its family has L={family.L}, d={family.d}, its header L={L}, d={d}")
     parts = []
     for dtype, count in (("<u8", buckets), ("<i8", buckets + 1), ("<i8", L + 1), ("<i8", L * n)):
         parts.append(np.frombuffer(blob, dtype=dtype, count=count, offset=arrays_at))

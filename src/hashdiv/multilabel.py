@@ -118,15 +118,19 @@ def fit_lowrank_ridge(X, Y, k: int, ridge: float) -> FactorModel:
     return FactorModel(W=W, H=H)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _embed(model: FactorModel, x) -> tuple[np.ndarray, np.ndarray] | None:
     """The step every predictor starts from: the embedded query z = H^T x
     and its unit vector, or None when |z| is zero, so no label score can
-    rank. A document whose |z| is NaN or infinite raises ValueError."""
-    z = model.H.T @ np.asarray(x, dtype=float).ravel()
-    nz = np.linalg.norm(z)
-    if not np.isfinite(nz):
-        raise ValueError("embedded query H^T x has a NaN or infinite coordinate, or its norm overflows")
-    return (z, z / nz) if nz > 0 else None
+    rank. A document with a NaN or infinite value, or whose |z| overflows,
+    raises ValueError, and numpy warns of neither."""
+    x = np.asarray(x, dtype=float).ravel()
+    if np.isfinite(x).all():
+        z = model.H.T @ x
+        nz = np.linalg.norm(z)
+        if np.isfinite(nz):
+            return (z, z / nz) if nz > 0 else None
+    raise ValueError("embedded query H^T x has a NaN or infinite coordinate, or its norm overflows")
 
 
 def _nothing() -> LabelPrediction:
@@ -197,6 +201,6 @@ def predict_diverse(model: FactorModel, index: lsh.LshIndex, x, alpha: int, lam:
     if embedded is None:
         return _nothing()
     z, q = embedded
-    lookup = None if alpha >= model.n_labels else index
-    res, count = lsh.retrieve(index.dataset, lookup, q, select_greedy_div, alpha, lam)
+    source = index.dataset if alpha >= model.n_labels else index
+    res, count = lsh.retrieve(source, q, select_greedy_div, alpha, lam)
     return LabelPrediction(labels=res.ids, scores=model.W[res.ids] @ z, eval_count=count, underfilled=res.underfilled)

@@ -146,18 +146,16 @@ def select_mmr(problem: SelectionProblem) -> SelectionResult:
     return _result(problem, picked)
 
 
-def select_rerank(problem: SelectionProblem, pool_factor: float = 3.0) -> SelectionResult:
-    """Backward selection: restrict to the ceil(pool_factor * k) nearest
-    candidates, then greedily grow the set maximizing summed squared
-    distance to the points already chosen, starting from the nearest."""
-    if pool_factor < 1.0:
-        raise ValueError("pool_factor must be >= 1")
+def select_rerank(problem: SelectionProblem) -> SelectionResult:
+    """Backward selection: restrict to the 3 * k nearest candidates, then
+    greedily grow the set maximizing summed squared distance to the points
+    already chosen, starting from the nearest."""
     if problem.size == 0:
         return _result(problem, [])
     d2q = _sq_dists_to_query(problem)
     m = problem.size
     kk = min(problem.k, m)
-    pool_size = min(int(np.ceil(pool_factor * problem.k)), m)
+    pool_size = min(3 * problem.k, m)
     by_distance = np.lexsort((problem.ids, d2q))
     in_pool = np.zeros(m, dtype=bool)
     in_pool[by_distance[:pool_size]] = True

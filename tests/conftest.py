@@ -3,9 +3,13 @@ tests."""
 
 from __future__ import annotations
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
+from hashdiv import lsh
 from hashdiv.data import Dataset, ToyConfig, make_toy, normalize_rows
 
 
@@ -50,3 +54,15 @@ def pair_at_angle(theta_deg: float, d: int = 8) -> tuple[np.ndarray, np.ndarray]
     b[0] = np.cos(theta)
     b[1] = np.sin(theta)
     return a, b
+
+
+def edit_family_in_index_blob(blob: bytes, offset: int, value: bytes) -> bytes:
+    """An index blob with `value` written at `offset` into its family blob
+    and both checksums recomputed, so only the family's own checks can
+    catch the edit."""
+    head = lsh._HEADER.size
+    out = bytearray(blob)
+    out[head + offset : head + offset + len(value)] = value
+    struct.pack_into("<I", out, head - 8, zlib.crc32(out[head:]))
+    struct.pack_into("<I", out, head - 4, zlib.crc32(out[: head - 4]))
+    return bytes(out)

@@ -124,7 +124,7 @@ class TestC04SelectorOracles:
                 (hd.select_nn(prob).ids.tolist(), ref_nn(q, ids, vecs, k)),
                 (hd.select_greedy_div(prob).ids.tolist(), ref_greedy(q, ids, vecs, k, lam)),
                 (hd.select_mmr(prob).ids.tolist(), ref_mmr(q, ids, vecs, k, lam)),
-                (hd.select_rerank(prob, 3.0).ids.tolist(), ref_rerank(q, ids, vecs, k, 3.0)),
+                (hd.select_rerank(prob).ids.tolist(), ref_rerank(q, ids, vecs, k)),
             ]
             mismatches += any(got != want for got, want in pairs)
         report(
@@ -144,15 +144,14 @@ class TestC05ToyComparison:
         index = hd.build(ds, fam)
         stats = {"nn": [], "lshdiv": []}
         for qi in range(qs.n):
-            qp = qs.point(qi)
-            qv = qp.dense()
+            qv = qs.vectors[qi]
             full = hd.SelectionProblem(qv, np.arange(ds.n), ds.vectors, k, lam)
             r_nn = hd.select_nn(full)
             cand = hd.query(index, qv).ids
             prob = hd.SelectionProblem(qv, cand, ds.dense_rows(cand), k, lam)
             r_div = hd.select_greedy_div(prob)
             for name, res in (("nn", r_nn), ("lshdiv", r_div)):
-                prec = hd.precision_at_k(res.ids, lambda i: ds.categories[i] == qp.category, k)
+                prec = hd.precision_at_k(res.ids, lambda i: ds.categories[i] == qs.categories[qi], k)
                 div = hd.mean_pairwise_distance(ds.dense_rows(res.ids)) / 4.0
                 stats[name].append((prec, div, hd.h_score(prec, div)))
         nn = np.mean(stats["nn"], axis=0)
@@ -169,8 +168,8 @@ class TestC05ToyComparison:
             ds = make_toy(ToyConfig(n_per_class=100, class_centers=toy_centers(8), spread=0.25, seed=5))
             fam = hd.new_family(hd.PLAIN, 12, 6, 8, seed=5)
             index = hd.build(ds, fam)
-            cand = hd.query(index, ds.point(3).dense()).ids
-            prob = hd.SelectionProblem(ds.point(3).dense(), cand, ds.dense_rows(cand), 10, 0.5)
+            cand = hd.query(index, ds.vectors[3]).ids
+            prob = hd.SelectionProblem(ds.vectors[3], cand, ds.dense_rows(cand), 10, 0.5)
             return hd.select_greedy_div(prob).ids.tolist()
 
         assert run_once() == run_once()

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import hashdiv
+from conftest import edit_family_in_index_blob
 from hashdiv import lsh
 from hashdiv.cli import build_parser, main
 from hashdiv.data import load_dense
@@ -56,6 +57,18 @@ def test_index_build_and_query(toy_paths, tmp_path, capsys):
     rec = json.loads(lines[0])
     assert rec["query_id"] == 0
     assert rec["touched"] >= len(rec["candidates"])
+
+
+def test_index_query_unknown_family_kind_is_one_error_line(toy_paths, tmp_path, capsys):
+    data, queries = toy_paths
+    idx = tmp_path / "index.bin"
+    assert main(["index", "build", "--data", str(data), "--l", "10", "--L", "4", "--out", str(idx)]) == 0
+    idx.write_bytes(edit_family_in_index_blob(idx.read_bytes(), 4, b"\x07"))
+    capsys.readouterr()
+    rc = main(["index", "query", "--index", str(idx), "--data", str(data), "--queries", str(queries)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.splitlines() == ["error: corrupt hash-family blob: unknown kind code 7"]
 
 
 def test_retrieve_grid_and_determinism(toy_paths, tmp_path):
@@ -105,7 +118,7 @@ def test_retrieve_unbuildable_family_fails_before_any_cell(toy_paths, tmp_path, 
                "--hashes", "nh,lshdiv,lshsdiv,pcahash", "--l", "10", "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "pca_direct needs alpha >= l" in err
+    assert "pcahash needs alpha >= l" in err
     assert "[cell]" not in err
     assert not out.exists()
 
@@ -242,7 +255,7 @@ def test_public_api_is_pinned():
     public = {n for n in dir(hashdiv)
               if not n.startswith("__") and not isinstance(getattr(hashdiv, n), types.ModuleType)}
     assert public == {
-        "CandidateSet", "DataPoint", "Dataset", "FactorModel", "HashFamily", "HierarchyTree", "LabelPrediction",
+        "CandidateSet", "Dataset", "FactorModel", "HashFamily", "HierarchyTree", "LabelPrediction",
         "LshIndex", "PCA", "PCA_DIRECT", "PLAIN", "QpSolveReport", "SelectionProblem", "SelectionResult",
         "ToyConfig", "TruncatedBasis", "bfs_prune", "build", "build_label_index", "collision_probability",
         "entropy_diversity", "estimate_collision_rate", "f_score", "fit_lowrank_ridge", "h_score", "load_dense",

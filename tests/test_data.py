@@ -89,7 +89,6 @@ def test_load_dense_label_prefix(tmp_path):
     ds = load_dense(p)
     assert ds.categories.tolist() == [2, 0]
     assert ds.subtopics.tolist() == [5, 1]
-    assert ds.point(0).category == 2 and ds.point(0).subtopic == 5
 
 
 def test_load_dense_crlf(tmp_path):
@@ -115,7 +114,7 @@ def test_load_sparse_format(tmp_path):
     ds = load_sparse(p, d=10, normalize=False)
     assert ds.label_sets[0] == frozenset({1, 5})
     assert isinstance(ds.vectors, np.ndarray) and ds.vectors.shape == (1, 10)
-    row = ds.point(0).vector
+    row = ds.vectors[0]
     assert np.flatnonzero(row).tolist() == [2, 6] and row[[2, 6]].tolist() == [0.5, 1.2]
 
 
@@ -123,7 +122,7 @@ def test_load_sparse_unit_basis(tmp_path):
     p = tmp_path / "e.svm"
     p.write_text("2 1:1.0\n")
     ds = load_sparse(p, d=4)
-    np.testing.assert_allclose(ds.point(0).dense(), [1, 0, 0, 0])
+    np.testing.assert_allclose(ds.vectors[0], [1, 0, 0, 0])
 
 
 def test_load_sparse_index_out_of_range(tmp_path):
@@ -179,11 +178,6 @@ def test_subtopic_counts(tmp_path):
     p.write_text("0:0:1,0\n0:1:0.9,0.1\n0:1:0.8,0.2\n1:0:0,1\n")
     ds = load_dense(p)
     assert ds.subtopic_count_per_category == {0: 2, 1: 1}
-
-
-def test_dataset_point_out_of_range(small_toy):
-    with pytest.raises(IndexError):
-        small_toy.point(small_toy.n)
 
 
 def test_dense_rows_match_row_indexing(small_toy):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -88,10 +89,9 @@ class TestRetrievalRuns:
         qs = load_dense(config.queries)
         precs = []
         for i in range(qs.n):
-            q = qs.point(i)
-            d2 = np.einsum("ij,ij->i", ds.vectors - q.dense(), ds.vectors - q.dense())
-            top = np.argsort(d2, kind="stable")[:5]
-            precs.append(np.mean(ds.categories[top] == q.category))
+            diff = ds.vectors - qs.vectors[i]
+            top = np.argsort(np.einsum("ij,ij->i", diff, diff), kind="stable")[:5]
+            precs.append(np.mean(ds.categories[top] == qs.categories[i]))
         assert row.precision == pytest.approx(float(np.mean(precs)))
         assert row.candidate_fraction == 1.0
 
@@ -184,6 +184,20 @@ class TestRetrievalRuns:
         path.write_text("")
         config = base_config(toy_files, tmp_path / "o.csv", **{empty: str(path)})
         with pytest.raises(ExperimentError, match=f"^{re.escape(str(path))} holds no points$"):
+            run_retrieval_experiment(config)
+
+    @pytest.mark.parametrize("unlabeled", ["one", "all"])
+    def test_unlabeled_query_is_refused(self, toy_files, tmp_path, unlabeled):
+        # a row without the "category:subtopic:" prefix; the file has no
+        # category column at all when no row has one
+        rows = Path(toy_files[1]).read_text().splitlines()
+        strip = range(len(rows)) if unlabeled == "all" else [3]
+        for i in strip:
+            rows[i] = rows[i].split(":", 2)[2]
+        path = tmp_path / "queries.csv"
+        path.write_text("\n".join(rows) + "\n")
+        config = base_config(toy_files, tmp_path / "o.csv", queries=str(path))
+        with pytest.raises(ExperimentError, match="^query has no category label; precision is undefined$"):
             run_retrieval_experiment(config)
 
 
@@ -380,7 +394,7 @@ class TestMultilabelExperiment:
         assert rows[0].precision == pytest.approx(float(np.mean(precs)))
 
     def test_mmr_and_pcahash_methods(self, tmp_path):
-        # pca_direct hashing only has `rank` distinct directions, so l <= rank
+        # pcahash hashing only has `rank` distinct directions, so l <= rank
         config = MultilabelConfig(
             out=str(tmp_path / "m.csv"), synthetic=True, n_labels=300, n_queries=15,
             rank=8, methods=("mmr", "pcahash"), alpha=4, pool=8, l=8, L=4,

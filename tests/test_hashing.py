@@ -102,7 +102,7 @@ class TestHashPoint:
 
     def test_identical_points_identical_keys(self, small_toy):
         fam = new_family(PLAIN, 12, 6, small_toy.d, seed=4)
-        x = small_toy.point(17).dense()
+        x = small_toy.vectors[17]
         assert np.array_equal(hash_vector(fam, x), hash_vector(fam, x.copy()))
 
     def test_dimension_mismatch(self):
@@ -276,6 +276,43 @@ class TestSerialization:
     def test_bad_magic(self):
         with pytest.raises(ValueError, match="magic"):
             family_from_bytes(b"XXXX" + b"\x00" * 64)
+
+    def test_kind_code_is_position_in_kinds(self, small_toy):
+        # the code byte after the magic; reordering KINDS would misread old blobs
+        for code, kind in enumerate(("lshdiv", "lshsdiv", "pcahash")):
+            fam = new_family(kind, 4, 2, small_toy.d, alpha=4, dataset=small_toy)
+            assert KINDS[code] == kind and family_to_bytes(fam)[4] == code
+
+    @staticmethod
+    def _pca_blob(small_toy) -> bytes:
+        return family_to_bytes(new_family(PCA, 10, 4, small_toy.d, alpha=4, seed=3, dataset=small_toy))
+
+    @pytest.mark.parametrize("size", [4, 20, 49])
+    def test_blob_shorter_than_its_fixed_fields(self, small_toy, size):
+        with pytest.raises(ValueError, match=r"^truncated hash-family blob: .* fixed fields alone are 50"):
+            family_from_bytes(self._pca_blob(small_toy)[:size])
+
+    def test_unknown_kind_code(self, small_toy):
+        blob = bytearray(self._pca_blob(small_toy))
+        blob[4] = 7
+        with pytest.raises(ValueError, match="^corrupt hash-family blob: unknown kind code 7"):
+            family_from_bytes(bytes(blob))
+
+    def test_basis_flag_contradicting_kind(self):
+        blob = bytearray(family_to_bytes(new_family(PLAIN, 8, 2, 4)))
+        blob[37] = 1  # the has-basis byte, after the magic and 33 bytes of fields
+        with pytest.raises(ValueError, match="^corrupt hash-family blob: basis flag 1 for kind 'lshdiv'"):
+            family_from_bytes(bytes(blob))
+
+    def test_short_basis(self, small_toy):
+        blob = self._pca_blob(small_toy)
+        with pytest.raises(ValueError, match=rf"^truncated hash-family blob: {len(blob) - 8} bytes, .* {len(blob)}$"):
+            family_from_bytes(blob[:-8])
+
+    def test_trailing_bytes(self, small_toy):
+        blob = self._pca_blob(small_toy)
+        with pytest.raises(ValueError, match=rf"^corrupt hash-family blob: {len(blob) + 1} bytes, .* {len(blob)}$"):
+            family_from_bytes(blob + b"\x00")
 
     @given(
         st.integers(min_value=1, max_value=64),

@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import clustered_dataset, toy_centers
+from conftest import clustered_dataset, edit_family_in_index_blob, toy_centers
 from hashdiv import lsh
 from hashdiv.data import Dataset, ToyConfig, make_toy, normalize_rows
 from hashdiv.hashing import PLAIN, hash_matrix, new_family
@@ -146,7 +147,7 @@ class TestBuild:
 class TestQuery:
     def test_indexed_point_always_candidate(self, toy_1k, toy_index):
         for i in (0, 123, 999):
-            cand = lsh.query(toy_index, toy_1k.point(i).dense())
+            cand = lsh.query(toy_index, toy_1k.vectors[i])
             assert i in cand.ids
 
     def test_empty_result_is_valid(self):
@@ -176,7 +177,7 @@ class TestQuery:
             assert cand.touched == int((keys == qkeys).sum())
 
     def test_ids_ascending_and_unique(self, toy_1k, toy_index):
-        cand = lsh.query(toy_index, toy_1k.point(5).dense())
+        cand = lsh.query(toy_index, toy_1k.vectors[5])
         assert np.all(np.diff(cand.ids) > 0)
 
     def test_monotone_in_tables(self, toy_1k):
@@ -259,7 +260,7 @@ class TestRetrieve:
         cand = lsh.query(index, q).ids
         every = np.arange(n)
         for select in SELECTORS:
-            res, count = lsh.retrieve(ds, index, q, select, k, lam)
+            res, count = lsh.retrieve(index, q, select, k, lam)
             assert count == cand.size
             if cand.size == 0:
                 assert res.ids.size == 0 and res.underfilled
@@ -267,7 +268,7 @@ class TestRetrieve:
                 want = select(SelectionProblem(query=q, ids=cand, vectors=ds.dense_rows(cand), k=k, lam=lam))
                 assert np.array_equal(res.ids, want.ids) and res.underfilled == want.underfilled
             # no index: the selector over every point
-            res, count = lsh.retrieve(ds, None, q, select, k, lam)
+            res, count = lsh.retrieve(ds, q, select, k, lam)
             want = select(SelectionProblem(query=q, ids=every, vectors=ds.vectors, k=k, lam=lam))
             assert count == n
             assert np.array_equal(res.ids, want.ids) and res.underfilled == want.underfilled
@@ -278,14 +279,14 @@ class TestRetrieve:
         q = np.zeros(toy_index.family.d)
         q[1] = bad
         with pytest.raises(ValueError, match=cause):
-            lsh.retrieve(toy_index.dataset, toy_index if indexed else None, q, select_nn, 3, 0.5)
+            lsh.retrieve(toy_index if indexed else toy_index.dataset, q, select_nn, 3, 0.5)
 
     def test_empty_union(self):
         ds = Dataset(vectors=np.array([[1.0] + [0.0] * 15]))
         index = lsh.build(ds, new_family(PLAIN, 64, 1, 16, seed=3))
         # the antipode flips every one of the 64 sign bits
         for select in SELECTORS:
-            res, count = lsh.retrieve(ds, index, -ds.vectors[0], select, 5, 0.5)
+            res, count = lsh.retrieve(index, -ds.vectors[0], select, 5, 0.5)
             assert res.ids.size == 0 and res.underfilled and count == 0
 
 
@@ -311,7 +312,7 @@ class TestTune:
         hits = []
         X = toy_1k.dense_rows(np.arange(toy_1k.n))
         for i in range(fresh.n):
-            q = fresh.point(i).dense()
+            q = fresh.vectors[i]
             d2 = np.einsum("ij,ij->i", X - q, X - q)
             true10 = set(np.argsort(d2, kind="stable")[:10].tolist())
             cand = set(lsh.query(index, q).ids.tolist())
@@ -327,7 +328,7 @@ class TestTune:
         fam = new_family(PLAIN, res.l, res.L, ds.d, seed=0)
         index = lsh.build(ds, fam)
         fresh = make_toy(ToyConfig(n_per_class=50, class_centers=toy_centers(8), spread=0.25, seed=1))
-        sizes = [lsh.query(index, fresh.point(i).dense()).ids.size for i in range(100)]
+        sizes = [lsh.query(index, fresh.vectors[i]).ids.size for i in range(100)]
         assert 128 / 4 <= np.mean(sizes) <= 128 * 4
 
 
@@ -438,7 +439,7 @@ class TestSparseData:
         # the LIBSVM rows are parsed into a dense array and hashed as such
         assert isinstance(ds.vectors, np.ndarray) and ds.vectors.shape == (80, 40)
         for i in (0, 40, 79):
-            cand = lsh.query(index, ds.point(i).vector)
+            cand = lsh.query(index, ds.vectors[i])
             assert i in cand.ids
 
     def test_sparse_index_reloads_against_its_file_only(self, tmp_path):
@@ -456,7 +457,7 @@ class TestSparseData:
         blob = lsh.index_to_bytes(index)
         back = lsh.index_from_bytes(blob, load_sparse(path, d=30))
         for i in range(ds.n):
-            assert np.array_equal(lsh.query(back, ds.point(i).vector).ids, lsh.query(index, ds.point(i).vector).ids)
+            assert np.array_equal(lsh.query(back, ds.vectors[i]).ids, lsh.query(index, ds.vectors[i]).ids)
         rows[7] = rows[8]
         path.write_text("\n".join(rows) + "\n")
         with pytest.raises(ValueError, match="different dataset"):
@@ -486,7 +487,7 @@ class TestPersistence:
 
     def test_same_vectors_in_a_new_dataset_accepted(self, toy_1k, toy_index):
         back = lsh.index_from_bytes(lsh.index_to_bytes(toy_index), Dataset(vectors=toy_1k.vectors.copy()))
-        q = toy_1k.point(7).dense()
+        q = toy_1k.vectors[7]
         assert np.array_equal(lsh.query(back, q).ids, lsh.query(toy_index, q).ids)
 
     def test_different_dataset_of_same_size_rejected(self, toy_1k, toy_index):
@@ -512,3 +513,9 @@ class TestPersistence:
             lsh.index_from_bytes(blob + b"\0", toy_1k)
         with pytest.raises(ValueError, match="magic"):
             lsh.index_from_bytes(b"HDVI" + blob[4:], toy_1k)
+
+    def test_family_disagreeing_with_header_rejected(self, toy_1k, toy_index):
+        # the family's L, after its magic, kind code and l
+        blob = edit_family_in_index_blob(lsh.index_to_bytes(toy_index), 9, struct.pack("<I", toy_index.family.L - 1))
+        with pytest.raises(ValueError, match=r"^corrupt index blob: its family has L=3, d=8, its header L=4, d=8"):
+            lsh.index_from_bytes(blob, toy_1k)

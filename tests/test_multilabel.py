@@ -240,8 +240,6 @@ class TestDegenerateDocuments:
         assert pred.labels.size == 0 and pred.scores.size == 0
         assert pred.eval_count == 0 and pred.underfilled
 
-    # inf times H's zero row is NaN, which numpy warns about before the raise
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
     @pytest.mark.parametrize("at", [0, 3])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("method", PREDICTORS)

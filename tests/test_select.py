@@ -66,10 +66,8 @@ def ref_mmr(q, ids, X, k, lam):
     return [ids[i] for i in chosen]
 
 
-def ref_rerank(q, ids, X, k, pool_factor):
-    import math
-
-    pool_size = min(int(math.ceil(pool_factor * k)), len(ids))
+def ref_rerank(q, ids, X, k):
+    pool_size = min(3 * k, len(ids))
     by_dist = sorted(range(len(ids)), key=lambda i: (sqd(q, X[i]), ids[i]))
     pool = by_dist[:pool_size]
     chosen = [pool[0]]
@@ -221,31 +219,19 @@ class TestSelectMmr:
 
 
 class TestSelectRerank:
-    def test_pool_factor_one_is_nn_set(self):
-        for seed in range(10):
-            prob = random_problem(seed, k=4)
-            nn_set = set(select_nn(prob).ids.tolist())
-            rr_set = set(select_rerank(prob, pool_factor=1.0).ids.tolist())
-            assert rr_set == nn_set
-
     def test_far_point_chosen_second(self):
         q = np.array([1.0, 0.0])
         X = np.array([[0.99, 0.01], [0.98, 0.02], [-1.0, 0.0]])
         X /= np.linalg.norm(X, axis=1, keepdims=True)
         prob = SelectionProblem(q, [0, 1, 2], X, k=2, lam=0.5)
-        res = select_rerank(prob, pool_factor=1.5)
+        res = select_rerank(prob)
         assert res.ids.tolist() == [0, 2]
 
     def test_matches_reference(self):
         for seed in range(30):
             prob = random_problem(seed, n=12, k=3)
-            ref = ref_rerank(prob.query, prob.ids.tolist(), prob.vectors.tolist(), 3, 3.0)
-            assert select_rerank(prob, pool_factor=3.0).ids.tolist() == ref
-
-    def test_pool_factor_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            select_rerank(random_problem(0), pool_factor=0.5)
-
+            ref = ref_rerank(prob.query, prob.ids.tolist(), prob.vectors.tolist(), 3)
+            assert select_rerank(prob).ids.tolist() == ref
 
 class TestQpRelax:
     def test_n_equals_k_all_ones(self):
