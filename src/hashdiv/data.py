@@ -1,7 +1,7 @@
 """Dataset types, text-format ingestion, and the two-class synthetic generator.
 
 All downstream geometry (collision law, greedy selection, the relaxed QP)
-assumes unit-norm vectors, so loaders normalize by default and reject zero
+assumes unit-norm vectors, so loaders normalize every row and reject zero
 rows outright instead of letting NaNs leak into the hash stage.
 """
 
@@ -129,10 +129,11 @@ def normalize_rows(x: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore")
-def load_dense(path, normalize: bool = True) -> Dataset:
+def load_dense(path) -> Dataset:
     """Read a dense CSV dataset: one point per line, comma-separated values,
     with an optional ``category:subtopic:`` prefix fused onto the first field
-    (e.g. ``0:3:0.12,0.5,...``). LF or CRLF, UTF-8.
+    (e.g. ``0:3:0.12,0.5,...``). LF or CRLF, UTF-8. Rows are scaled to unit
+    norm.
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
@@ -165,15 +166,14 @@ def load_dense(path, normalize: bool = True) -> Dataset:
             arity = len(values)
         elif len(values) != arity:
             raise ParseError(path, line_no, f"ragged row: {len(values)} values, expected {arity}")
-        if normalize:
-            values = _unit(np.array(values))
-            if values is None:
-                raise ParseError(path, line_no, "zero vector cannot be normalized")
+        values = _unit(np.array(values))
+        if values is None:
+            raise ParseError(path, line_no, "zero vector cannot be normalized")
         rows.append(values)
         cats.append(cat)
         subs.append(sub)
     vectors = np.array(rows, dtype=float).reshape(len(rows), arity or 0)
-    # a NaN or infinite field leaves its row non-finite, normalized or not
+    # a NaN or infinite field leaves its row non-finite
     bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
     if bad.size:
         line_no = [i for i, raw in enumerate(text.splitlines(), 1) if raw.strip()][bad[0]]
@@ -199,11 +199,11 @@ def save_dense(dataset: Dataset, path) -> None:
 
 
 @np.errstate(over="ignore")
-def load_sparse(path, d: int, normalize: bool = True) -> Dataset:
+def load_sparse(path, d: int) -> Dataset:
     """Read a LIBSVM-style multi-label file: ``lab1,lab2 idx:val idx:val ...``
     per line, feature indices 1-based in the file and stored 0-based.
     Indices must be strictly increasing and < d. The rows are parsed into
-    a dense (n, d) float64 array; absent features are 0.
+    a dense (n, d) float64 array of unit rows; absent features are 0.
     """
     if d <= 0:
         raise ValueError("dimension d must be positive")
@@ -245,10 +245,9 @@ def load_sparse(path, d: int, normalize: bool = True) -> Dataset:
             prev = idx
             row_idx.append(idx)
             row_val.append(val)
-        if normalize:
-            row_val = _unit(np.array(row_val))
-            if row_val is None:
-                raise ParseError(path, line_no, "zero vector cannot be normalized")
+        row_val = _unit(np.array(row_val))
+        if row_val is None:
+            raise ParseError(path, line_no, "zero vector cannot be normalized")
         rows.extend([len(label_sets)] * len(row_idx))
         indices.extend(row_idx)
         values.extend(row_val)

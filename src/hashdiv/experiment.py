@@ -283,14 +283,16 @@ class MultilabelConfig:
         for m in self.methods:
             if m not in ML_METHODS:
                 raise ValueError(f"unknown multilabel method {m!r}, expected one of {ML_METHODS}")
-        if not self.synthetic and self.data is None:
-            raise ValueError("either a data file or synthetic mode is required")
+        if self.synthetic == (self.data is not None):
+            raise ValueError("give either a data file or synthetic mode, not both")
         if self.data is not None and self.d is None:
             raise ValueError("LIBSVM data files need the feature dimension d")
         if self.alpha < 1 or self.pool < self.alpha:
             raise ValueError("need pool >= alpha >= 1")
         if self.threshold_grid < 1:
             raise ValueError("threshold_grid must be >= 1")
+        if not 0.0 <= self.lam <= 1.0:
+            raise ValueError("lambda must lie in [0, 1]")
 
     from_dict = classmethod(_from_dict)
 
@@ -421,8 +423,6 @@ def run_multilabel_experiment(config: MultilabelConfig) -> list[MultilabelRow]:
         X_test, truth_test = X_all[:half], truth_all[:half]
     else:
         dataset = load_sparse(config.data, d=config.d)
-        if dataset.label_sets is None:
-            raise ExperimentError("multilabel data file carries no labels")
         n_labels = max((max(s) for s in dataset.label_sets if s), default=-1) + 1
         if n_labels < 1:
             raise ExperimentError("no labels found in the data file")

@@ -136,10 +136,7 @@ def new_family(
     else:  # PCA_DIRECT: r = standard basis vectors, distinct directions per table
         if alpha < l:
             raise ValueError(f"{PCA_DIRECT} needs alpha >= l, got alpha={alpha}, l={l}")
-        planes = np.zeros((L, l, alpha))
-        for t in range(L):
-            for b in range(l):
-                planes[t, b, (t * l + b) % alpha] = 1.0
+        planes = np.eye(alpha)[np.arange(L * l) % alpha].reshape(L, l, alpha)
     return HashFamily(kind=kind, l=l, L=L, d=d, alpha=alpha, seed=seed, hyperplanes=planes, basis=basis)
 
 

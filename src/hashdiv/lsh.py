@@ -33,7 +33,7 @@ from .hashing import (
     hash_vector,
     new_family,
 )
-from .select import SelectionProblem, SelectionResult
+from .select import SelectionProblem, SelectionResult, select_nn
 
 _MAGIC = b"HDV2"
 # magic, n, d, L, bucket count, family length, sha256 of the dataset's
@@ -165,19 +165,12 @@ _L_GRID = tuple(range(8, 65, 4))
 _TABLE_GRID = tuple(range(1, 33))
 
 
-# trailing-zero count of a power of two 2^z (z < 64) by the biased exponent
-# 127 + z of its float32 value, which holds it exactly; 0 (equal keys)
-# has exponent 0 and maps to 64
-_TRAILING_ZEROS = np.full(256, 64, dtype=np.uint8)
-_TRAILING_ZEROS[127:191] = np.arange(64)
-
-
 def _shared_prefix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Number of low bits on which keys a and b agree (64 if a == b): the
-    trailing zeros of a ^ b, read off its lowest set bit."""
+    trailing zeros of a ^ b, counted as the set bits below its lowest set
+    bit. For a == b the subtraction wraps to all ones."""
     x = a ^ b
-    x &= -x
-    return _TRAILING_ZEROS[x.astype(np.float32).view(np.uint32) >> np.uint32(23)]
+    return np.bitwise_count((x & -x) - np.uint64(1))
 
 
 def tune(
@@ -198,14 +191,15 @@ def tune(
     n^(1/(1+epsilon)) are preferred, and expected touched count breaks the
     tie; the count preference is soft because degenerate data (duplicates)
     can make any recall-feasible pair exceed it. If no pair reaches the
-    target, the best-recall pair is returned with feasible False.
+    target, the best-recall pair is returned with feasible False. Ties go
+    to the first pair in (l, L) order.
 
     Because hyperplane (t, b) depends only on (seed, t, b), every grid pair
     is a prefix of the one maximal family, so the dataset is hashed once.
     Point i shares query q's bucket at (l, table t) iff their table-t keys
     agree on the low l bits, so one shared-prefix length per (q, i, t)
     answers every l; its running max over tables gives the union for
-    every L.
+    every L. The whole grid is then scored as (l, L) arrays.
     """
     if not 0.0 < target_recall < 1.0:
         raise ValueError("target_recall must lie strictly between 0 and 1")
@@ -218,69 +212,62 @@ def tune(
     q_ids = rng.choice(n, size=min(n_queries, n), replace=False)
     q_ids.sort()
     qvecs = dataset.dense_rows(q_ids)
+    nq = q_ids.size
 
     max_l, max_L = _L_GRID[-1], _TABLE_GRID[-1]
     family = new_family(PLAIN, max_l, max_L, dataset.d, seed=seed)
     all_keys = hash_matrix(family, dataset.vectors)          # (n, max_L)
 
     # leave-one-out ground truth: at_k nearest neighbors excluding the query
-    true_nn = []
-    for qi, qv in zip(q_ids, qvecs):
-        diff = dataset.vectors - qv
-        order = np.argsort(np.einsum("ij,ij->i", diff, diff), kind="stable")[: at_k + 1]
-        true_nn.append([i for i in order.tolist() if i != qi][:at_k])
-    true_nn = np.array(true_nn, dtype=np.intp).reshape(q_ids.size, -1)
+    everyone = np.arange(n)
+    true_nn = np.empty((nq, min(at_k, n - 1)), dtype=np.intp)
+    for row, qi, qv in zip(true_nn, q_ids, qvecs):
+        nearest = select_nn(SelectionProblem(qv, everyone, dataset.vectors, at_k + 1, 0.0)).ids
+        row[:] = nearest[nearest != qi][: row.size]
 
-    # per table L (1-based) and query: hits among true_nn, union size and
-    # touched entries, each for every l of the grid
-    nq = q_ids.size
+    # per l, table count L and query: hits among true_nn, union size and
+    # touched entries
     ls = np.array(_L_GRID)
     rows = np.arange(nq)[:, None]
     union = np.zeros((nq, n), dtype=np.uint8)   # longest prefix shared in any table so far
     touched_hist = np.zeros((nq, 65), dtype=np.int64)
-    hits, cands, touched = [], [], []
+    hits, cands, touched = (np.empty((ls.size, max_L, nq)) for _ in range(3))
 
     def at_least(hist: np.ndarray) -> np.ndarray:
-        return hist[:, ::-1].cumsum(axis=1)[:, ::-1][:, ls]   # (nq, len(ls)): count of prefix >= l
+        return hist[:, ::-1].cumsum(axis=1)[:, ::-1][:, ls].T   # (len(ls), nq): count of prefix >= l
 
     for t in range(max_L):
         shared = _shared_prefix(all_keys[q_ids, t][:, None], all_keys[:, t][None, :])
         touched_hist += np.bincount((shared + rows * 65).ravel(), minlength=nq * 65).reshape(nq, 65)
         np.maximum(union, shared, out=union)
-        hits.append((union[rows, true_nn][:, :, None] >= ls).sum(axis=1))
+        hits[:, t] = (union[rows, true_nn] >= ls[:, None, None]).sum(axis=2)
         union_hist = np.bincount((union + rows * 65).ravel(), minlength=nq * 65).reshape(nq, 65)
-        cands.append(at_least(union_hist) - 1)   # the query itself always collides
-        touched.append(at_least(touched_hist))
+        cands[:, t] = at_least(union_hist) - 1   # the query itself always collides
+        touched[:, t] = at_least(touched_hist)
 
-    at = min(at_k, n - 1) or 1
+    # the means reduce the contiguous query axis, so each is the pairwise
+    # sum that np.mean gives one (l, L) pair's queries
+    recalls = hits / (min(at_k, n - 1) or 1)
+    recall = recalls.mean(axis=-1)
+    # one-sided confidence margin: the pair must clear the target by the
+    # sample error, or the selected-at-threshold pair would miss the target
+    # on fresh queries about half the time
+    margin = 1.64 * recalls.std(axis=-1) / np.sqrt(nq)
+    mean_cand = cands.mean(axis=-1)
+    mean_touched = touched.mean(axis=-1)
+    feasible = recall >= target_recall + margin
     candidate_cap = 4.0 * n ** (1.0 / (1.0 + epsilon))
-    best = None          # feasible and under the candidate cap, lowest touched
-    best_over_cap = None  # feasible, lowest touched
-    fallback = None      # highest recall
-    for li, l in enumerate(_L_GRID):
-        for L in _TABLE_GRID:
-            recalls = hits[L - 1][:, li] / at
-            recall = float(recalls.mean())
-            # one-sided confidence margin: the pair must clear the target by
-            # the sample error, or the selected-at-threshold pair would miss
-            # the target on fresh queries about half the time
-            margin = 1.64 * float(recalls.std()) / np.sqrt(recalls.size)
-            mean_cand = float(np.mean(cands[L - 1][:, li]))
-            mean_touched = float(np.mean(touched[L - 1][:, li]))
-            entry = TuneResult(l, L, True, recall, mean_cand, mean_touched)
-            if recall >= target_recall + margin:
-                if mean_cand <= candidate_cap:
-                    if best is None or mean_touched < best.expected_touched:
-                        best = entry
-                elif best_over_cap is None or mean_touched < best_over_cap.expected_touched:
-                    best_over_cap = entry
-            if fallback is None or recall > fallback.recall:
-                fallback = entry
-    if best is not None:
-        return best
-    if best_over_cap is not None:
-        return best_over_cap
-    return TuneResult(fallback.l, fallback.L, False, fallback.recall, fallback.mean_candidates, fallback.expected_touched)
+    for ok in (feasible & (mean_cand <= candidate_cap), feasible):
+        if ok.any():
+            pick = np.argmin(np.where(ok, mean_touched, np.inf))
+            break
+    else:
+        pick = np.argmax(recall)
+    li, Li = np.unravel_index(pick, recall.shape)
+    return TuneResult(
+        _L_GRID[li], _TABLE_GRID[Li], bool(feasible[li, Li]),
+        float(recall[li, Li]), float(mean_cand[li, Li]), float(mean_touched[li, Li]),
+    )
 
 
 def _arrays_offset(fam_len: int) -> int:

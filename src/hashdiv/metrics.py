@@ -43,21 +43,13 @@ class HierarchyTree:
         return sum(1 for n in self.nodes if self.depth[n] == 1)
 
 
-def _as_membership(relevant):
-    if callable(relevant):
-        return relevant
-    members = set(relevant)
-    return members.__contains__
-
-
 def precision_at_k(retrieved, relevant, k: int) -> float:
-    """Fraction of the top-k retrieved ids satisfying the relevance
-    predicate; the denominator stays k even when fewer were retrieved
+    """Fraction of the top-k retrieved ids i for which the predicate
+    `relevant(i)` holds; the denominator stays k even when fewer were retrieved
     (underfill counts as misses)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    is_relevant = _as_membership(relevant)
-    hits = sum(1 for i in list(retrieved)[:k] if is_relevant(i))
+    hits = sum(1 for i in list(retrieved)[:k] if relevant(i))
     return hits / k
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lsh
-from .data import Dataset
+from .data import Dataset, normalize_rows
 from .hashing import PCA, new_family
 from .linalg import truncated_svd
 from .select import SelectionProblem, select_greedy_div, select_mmr
@@ -179,13 +179,12 @@ def build_label_index(
     kind: str = PCA,
     seed: int = 0,
 ) -> lsh.LshIndex:
-    """LSH index over the unit-normalized rows of W. The pca kinds project
-    onto new_family's default of min(200, k, n_labels) dimensions."""
-    norms = np.linalg.norm(model.W, axis=1)
-    if np.any(norms == 0):
+    """LSH index over the unit-normalized rows of W (a row whose norm
+    overflows is rescaled first, as `normalize_rows` does). The pca kinds
+    project onto new_family's default of min(200, k, n_labels) dimensions."""
+    if not model.W.any(axis=1).all():
         raise ValueError("W has a zero row; such a label cannot be hashed")
-    Wn = model.W / norms[:, None]
-    ds = Dataset(vectors=Wn)
+    ds = Dataset(vectors=normalize_rows(model.W))
     family = new_family(kind, l, L, d=model.k, seed=seed, dataset=ds)
     return lsh.build(ds, family)
 

@@ -255,14 +255,10 @@ def test_public_api_is_pinned():
     public = {n for n in dir(hashdiv)
               if not n.startswith("__") and not isinstance(getattr(hashdiv, n), types.ModuleType)}
     assert public == {
-        "CandidateSet", "Dataset", "FactorModel", "HashFamily", "HierarchyTree", "LabelPrediction",
-        "LshIndex", "PCA", "PCA_DIRECT", "PLAIN", "QpSolveReport", "SelectionProblem", "SelectionResult",
-        "ToyConfig", "TruncatedBasis", "bfs_prune", "build", "build_label_index", "collision_probability",
-        "entropy_diversity", "estimate_collision_rate", "f_score", "fit_lowrank_ridge", "h_score", "load_dense",
-        "load_factors", "load_sparse", "make_toy", "mean_pairwise_distance", "new_family", "precision_at_k",
-        "predict_diverse", "predict_exact", "project_capped_simplex", "qp_relax_solve", "query", "save_factors",
-        "select_greedy_div", "select_mmr", "select_nn", "select_qp_rel", "select_rerank", "subtopic_recall",
-        "tree_diversity", "truncated_svd", "tune",
+        "FactorModel", "PLAIN", "SelectionProblem", "build", "build_label_index", "estimate_collision_rate",
+        "h_score", "mean_pairwise_distance", "new_family", "precision_at_k", "predict_diverse", "predict_exact",
+        "qp_relax_solve", "query", "select_greedy_div", "select_mmr", "select_nn", "select_qp_rel", "select_rerank",
+        "tune",
     }
 
 

@@ -53,8 +53,7 @@ def test_rows_near_the_float_limits_normalize_to_unit_vectors(tmp_path, row):
 def test_ordinary_rows_keep_the_plain_arithmetic(tmp_path):
     centers = ((1.0,) + (0.0,) * 7, (-1.0,) + (0.0,) * 7)
     path, svm = tmp_path / "toy.csv", tmp_path / "toy.svm"
-    save_dense(make_toy(ToyConfig(n_per_class=100, class_centers=centers, spread=0.25, seed=3)), path)
-    raw = load_dense(path, normalize=False).vectors
+    raw = make_toy(ToyConfig(n_per_class=100, class_centers=centers, spread=0.25, seed=3)).vectors
     raw[::7, 3] = 0.0  # LIBSVM rows with absent features
     svm.write_text("".join("0 " + " ".join(f"{i + 1}:{v!r}" for i, v in enumerate(r) if v) + "\n"
                            for r in raw.tolist()))
@@ -103,7 +102,7 @@ def test_dense_roundtrip(tmp_path):
     ds = load_dense(p)
     q = tmp_path / "b.csv"
     save_dense(ds, q)
-    ds2 = load_dense(q, normalize=False)
+    ds2 = load_dense(q)
     np.testing.assert_allclose(ds2.vectors, ds.vectors, atol=1e-12, rtol=0)
     assert ds2.categories.tolist() == ds.categories.tolist()
 
@@ -111,11 +110,11 @@ def test_dense_roundtrip(tmp_path):
 def test_load_sparse_format(tmp_path):
     p = tmp_path / "s.svm"
     p.write_text("1,5 3:0.5 7:1.2\n")
-    ds = load_sparse(p, d=10, normalize=False)
+    ds = load_sparse(p, d=10)
     assert ds.label_sets[0] == frozenset({1, 5})
     assert isinstance(ds.vectors, np.ndarray) and ds.vectors.shape == (1, 10)
     row = ds.vectors[0]
-    assert np.flatnonzero(row).tolist() == [2, 6] and row[[2, 6]].tolist() == [0.5, 1.2]
+    assert np.flatnonzero(row).tolist() == [2, 6] and row[[2, 6]].tolist() == [0.5 / 1.3, 1.2 / 1.3]
 
 
 def test_load_sparse_unit_basis(tmp_path):
@@ -208,15 +207,13 @@ def test_load_dense_rejects_non_finite_field(tmp_path, field):
     path = tmp_path / "bad.csv"
     for text, line in ((f"1.0,0.0\n0.5,{field}\n", 2), (f"\n1.0,0.0\n\n0.5,{field}\n1.0,1.0\n", 4)):
         path.write_text(text)
-        for normalize in (True, False):
-            with pytest.raises(ParseError, match=f":{line}: .*NaN or infinite"):
-                load_dense(path, normalize=normalize)
+        with pytest.raises(ParseError, match=f":{line}: .*NaN or infinite"):
+            load_dense(path)
 
 
 @pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
 def test_load_sparse_rejects_non_finite_field(tmp_path, field):
     path = tmp_path / "bad.svm"
     path.write_text(f"0 1:1.0\n1 2:0.5 3:{field}\n")
-    for normalize in (True, False):
-        with pytest.raises(ParseError, match=":2: .*NaN or infinite"):
-            load_sparse(path, d=3, normalize=normalize)
+    with pytest.raises(ParseError, match=":2: .*NaN or infinite"):
+        load_sparse(path, d=3)

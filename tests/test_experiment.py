@@ -345,6 +345,16 @@ class TestMultilabelExperiment:
         with pytest.raises(ValueError, match="data file or synthetic"):
             MultilabelConfig(out=str(tmp_path / "m.csv"))
 
+    def test_synthetic_with_a_data_file_rejected(self, tmp_path):
+        # the synthetic model would ignore the file without a word
+        with pytest.raises(ValueError, match="data file or synthetic mode, not both"):
+            MultilabelConfig(out=str(tmp_path / "m.csv"), synthetic=True, data=str(tmp_path / "x.svm"), d=4)
+
+    @pytest.mark.parametrize("lam", [-0.1, 2.0])
+    def test_lambda_outside_unit_interval_rejected_before_any_run(self, tmp_path, lam):
+        with pytest.raises(ValueError, match=r"lambda must lie in \[0, 1\]"):
+            MultilabelConfig(out=str(tmp_path / "m.csv"), synthetic=True, methods=("exact", "lshsdiv"), lam=lam)
+
     @pytest.mark.parametrize("grid", [0, -3])
     def test_threshold_grid_below_one_rejected(self, tmp_path, grid):
         # 0 would search no cutoff at all, and a negative grid size fails

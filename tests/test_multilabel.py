@@ -172,6 +172,20 @@ class TestPredictDiverse:
         np.testing.assert_allclose(pred.scores, expected, atol=1e-12)
 
 
+    def test_row_whose_norm_overflows_is_indexed_by_its_direction(self):
+        rng = np.random.default_rng(4)
+        W = rng.standard_normal((40, 6))
+        W[7] *= 1e300  # finite, but its plain norm is inf
+        model = FactorModel(W=W, H=np.eye(6))
+        index = build_label_index(model, 8, 4, seed=0)
+        x = W[7] / 1e300  # embeds onto label 7's direction
+        np.testing.assert_allclose(index.dataset.vectors[7], x / np.linalg.norm(x), rtol=1e-12)
+        assert predict_exact(model, x, alpha=1).labels.tolist() == [7]
+        assert predict_diverse(model, index, x, alpha=3, lam=0.9).labels[0] == 7
+        W[3] = 0.0
+        with pytest.raises(ValueError, match="W has a zero row"):
+            build_label_index(FactorModel(W=W, H=np.eye(6)), 8, 4, seed=0)
+
 def mmr_oracle(model, x, pool, lam):
     """The experiment harness's MMR predictor before it moved into
     hashdiv.multilabel: (labels, scores)."""
