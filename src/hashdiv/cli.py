@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import typing
@@ -111,18 +112,13 @@ def _cmd_index_query(args) -> int:
     return 0
 
 
-def _cmd_retrieve(args) -> int:
-    return _run(_config(ExperimentConfig, args), run_retrieval_experiment)
-
-
-def _cmd_multilabel(args) -> int:
-    return _run(_config(MultilabelConfig, args), run_multilabel_experiment)
-
-
-def _run(config, experiment) -> int:
+def _run_experiment(cls, experiment, args) -> int:
+    """Run the experiment that the config dataclass `cls` describes, then
+    write its CSV and the full-precision `<out>.json` twin."""
+    config = _config(cls, args)
     rows = experiment(config)
-    emit(rows, config.out, config.format, json_twin=config.format == "csv")
-    print(f"wrote {len(rows)} rows to {config.out}", file=sys.stderr)
+    emit(rows, config.out)
+    print(f"wrote {len(rows)} rows to {config.out} and {config.out}.json", file=sys.stderr)
     return 0
 
 
@@ -171,11 +167,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("retrieve", help="run the retrieval experiment grid")
     _add_config_flags(p, ExperimentConfig)
-    p.set_defaults(fn=_cmd_retrieve)
+    p.set_defaults(fn=functools.partial(_run_experiment, ExperimentConfig, run_retrieval_experiment))
 
     p = sub.add_parser("multilabel", help="run the multi-label prediction experiment")
     _add_config_flags(p, MultilabelConfig)
-    p.set_defaults(fn=_cmd_multilabel)
+    p.set_defaults(fn=functools.partial(_run_experiment, MultilabelConfig, run_multilabel_experiment))
 
     p = sub.add_parser("tune", help="grid-search (l, L) for a recall target")
     p.add_argument("--data", required=True)

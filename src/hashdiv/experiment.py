@@ -81,7 +81,6 @@ def _from_dict(cls, values: dict, **overrides):
 
 # Field metadata holds argparse keywords for the flag that hashdiv.cli
 # derives from each field.
-_FORMAT = {"choices": ("csv", "json")}
 _NO_TIMING = {"help": "report 0.0 times for byte-reproducible output"}
 
 
@@ -104,7 +103,6 @@ class ExperimentConfig:
     L: int = 8
     alpha: int | None = None
     seed: int = 0
-    format: str = field(default="csv", metadata=_FORMAT)
     timing: bool = field(default=True, metadata=_NO_TIMING)
 
     def __post_init__(self):
@@ -125,8 +123,6 @@ class ExperimentConfig:
                 raise ValueError(f"unknown hash {h!r}, expected one of {HASHES}")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lambda must lie in [0, 1]")
-        if self.format not in ("csv", "json"):
-            raise ValueError("format must be csv or json")
 
     from_dict = classmethod(_from_dict)
 
@@ -271,9 +267,7 @@ class MultilabelConfig:
     l: int = 16
     L: int = 8
     seed: int = 0
-    format: str = field(default="csv", metadata=_FORMAT)
     timing: bool = field(default=True, metadata=_NO_TIMING)
-    threshold_grid: int = 50
     predictions_json: str | None = field(default=None, metadata={"help": "JSON of the first method's labels and scores"})
 
     def __post_init__(self):
@@ -285,12 +279,12 @@ class MultilabelConfig:
                 raise ValueError(f"unknown multilabel method {m!r}, expected one of {ML_METHODS}")
         if self.synthetic == (self.data is not None):
             raise ValueError("give either a data file or synthetic mode, not both")
+        if self.synthetic and (self.test is not None or self.factors is not None):
+            raise ValueError("synthetic mode reads no test or factors file")
         if self.data is not None and self.d is None:
             raise ValueError("LIBSVM data files need the feature dimension d")
         if self.alpha < 1 or self.pool < self.alpha:
             raise ValueError("need pool >= alpha >= 1")
-        if self.threshold_grid < 1:
-            raise ValueError("threshold_grid must be >= 1")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lambda must lie in [0, 1]")
 
@@ -304,12 +298,13 @@ def make_planted(
     n_queries: int,
     *,
     n_clusters: int = 50,
-    cluster_spread: float = 0.15,
     seed: int = 0,
 ) -> tuple[FactorModel, np.ndarray, list[frozenset[int]]]:
     """Planted low-rank instance: label embeddings drawn around unit cluster
-    centers, queries aimed at one cluster each, truth = sign of the exact
-    score. Returns (model, query matrix, positive-label sets)."""
+    centers, queries aimed at one cluster each, both scattered with
+    standard deviation 0.15, truth = sign of the exact score. Returns
+    (model, query matrix, positive-label sets)."""
+    cluster_spread = 0.15
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((n_clusters, k))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
@@ -375,7 +370,11 @@ def _doc_scores(pred_set, truth, tree: HierarchyTree | None) -> tuple[float, flo
     return p, r, f, div, h
 
 
-def _choose_cutoff(preds: list[LabelPrediction], truths, tree, grid_size: int, alpha: int) -> float:
+# cutoffs searched, evenly spaced over the validation scores
+_THRESHOLD_GRID = 50
+
+
+def _choose_cutoff(preds: list[LabelPrediction], truths, tree, alpha: int) -> float:
     """Score cutoff maximizing mean h (falls back to f without a hierarchy)
     on the validation predictions, over a uniform grid of cutoffs."""
     all_scores = np.concatenate([np.empty(0)] + [p.scores for p in preds])
@@ -383,7 +382,7 @@ def _choose_cutoff(preds: list[LabelPrediction], truths, tree, grid_size: int, a
         return 0.0
     lo, hi = float(all_scores.min()), float(all_scores.max())
     best_cut, best_val = lo, -1.0
-    for cut in np.linspace(lo, hi, grid_size):
+    for cut in np.linspace(lo, hi, _THRESHOLD_GRID):
         vals = []
         for pred, truth in zip(preds, truths):
             p, r, f, div, h = _doc_scores(_pred_sets(pred, cut, alpha).labels, truth, tree)
@@ -444,11 +443,13 @@ def run_multilabel_experiment(config: MultilabelConfig) -> list[MultilabelRow]:
         X_test = test_ds.vectors[test_idx]
         truth_test = [test_ds.label_sets[i] for i in test_idx]
 
+    # every label index first, so one that cannot be built fails before any
+    # query runs
+    predictors = {method: _ml_predictor(method, model, config) for method in config.methods}
     rows: list[MultilabelRow] = []
-    for method in config.methods:
-        predictor = _ml_predictor(method, model, config)
+    for method, predictor in predictors.items():
         val_preds = _each_query(lambda i: predictor(X_val[i]), len(X_val), f"method={method}, split=validation")
-        cutoff = _choose_cutoff(val_preds, truth_val, tree, config.threshold_grid, config.alpha)
+        cutoff = _choose_cutoff(val_preds, truth_val, tree, config.alpha)
         _progress(f"[multilabel] {method}: score cutoff {cutoff:.4f}")
 
         def one(i):
@@ -474,13 +475,10 @@ def run_multilabel_experiment(config: MultilabelConfig) -> list[MultilabelRow]:
 
 def write_predictions_json(predictions: list[LabelPrediction], path) -> None:
     """One record per query, in query order: each label with its score."""
-    records = [
+    _write_json([
         {"query_id": qid, "labels": pred.labels.tolist(), "scores": pred.scores.tolist(), "eval_count": pred.eval_count}
         for qid, pred in enumerate(predictions)
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(records, fh, indent=2)
-        fh.write("\n")
+    ], path)
 
 
 # ---------------------------------------------------------------------------
@@ -496,28 +494,27 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def emit(rows, path, fmt: str = "csv", json_twin: bool = False) -> None:
-    """Write result rows; CSV prints floats with 3 decimals (table
-    precision), JSON keeps full precision and every field. json_twin
-    additionally writes `<path>.json` next to a CSV so the rounded table
-    always has a full-precision sibling."""
-    if fmt == "csv":
-        if rows:
-            fields = type(rows[0]).CSV_FIELDS
-        else:
-            fields = ResultRow.CSV_FIELDS
-        lines = [",".join(fields)]
-        for row in rows:
-            d = dataclasses.asdict(row)
-            lines.append(",".join(_format_cell(d[f]) for f in fields))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-        if json_twin:
-            emit(rows, f"{path}.json", "json")
-    elif fmt == "json":
-        payload = [{"_type": type(r).__name__, **dataclasses.asdict(r)} for r in rows]
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    else:
+def _write_json(payload, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
+def emit(rows, path, fmt: str = "csv") -> None:
+    """Write result rows. "csv" writes the table with floats at 3 decimals
+    and then its full-precision twin `<path>.json`, so a rounded table
+    never goes without one; "json" writes only that full-precision form:
+    every field of every row, tagged with the row type."""
+    if fmt == "json":
+        _write_json([{"_type": type(r).__name__, **dataclasses.asdict(r)} for r in rows], path)
+        return
+    if fmt != "csv":
         raise ValueError(f"unknown output format {fmt!r}")
+    fields = type(rows[0]).CSV_FIELDS if rows else ResultRow.CSV_FIELDS
+    lines = [",".join(fields)]
+    for row in rows:
+        d = dataclasses.asdict(row)
+        lines.append(",".join(_format_cell(d[f]) for f in fields))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    emit(rows, f"{path}.json", "json")

@@ -29,7 +29,7 @@ class TruncatedBasis:
     residual_history: tuple[float, ...] = ()
 
 
-def truncated_svd(X, alpha: int, tol: float = 1e-6, max_iter: int = 300, seed: int = 0) -> TruncatedBasis:
+def truncated_svd(X, alpha: int, tol: float = 1e-6, max_iter: int = 300) -> TruncatedBasis:
     """Top-alpha left singular vectors of X (d x n, columns are points).
 
     Block power iteration on X X^T with QR re-orthonormalization and a
@@ -40,7 +40,7 @@ def truncated_svd(X, alpha: int, tol: float = 1e-6, max_iter: int = 300, seed: i
     d, n = X.shape
     if not 1 <= alpha <= min(d, n):
         raise ValueError(f"alpha={alpha} out of range [1, {min(d, n)}]")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     Q, _ = np.linalg.qr(rng.standard_normal((d, alpha)))
     history: list[float] = []
     converged = False

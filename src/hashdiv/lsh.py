@@ -105,7 +105,9 @@ def build(dataset: Dataset, family: HashFamily) -> LshIndex:
     )
 
 
-def _check_query(q: np.ndarray) -> None:
+def _check_query(q: np.ndarray, d: int) -> None:
+    if q.shape != (d,):
+        raise ValueError(f"query must be a 1-d array of {d} coordinates, got shape {q.shape}")
     if not np.isfinite(q).all():
         raise ValueError("query has a NaN or infinite coordinate")
     if not q.any():
@@ -115,7 +117,7 @@ def _check_query(q: np.ndarray) -> None:
 def query(index: LshIndex, q: np.ndarray) -> CandidateSet:
     """Union of the L buckets matching the keys of the dense query q,
     deduplicated, ascending id."""
-    _check_query(q)
+    _check_query(q, index.family.d)
     keys = hash_vector(index.family, q)
     buckets = []
     for lo, table, key in zip(index._bounds, index._table_keys, keys):
@@ -138,10 +140,11 @@ def retrieve(source: LshIndex | Dataset, q: np.ndarray, select, k: int, lam: flo
     """One request: the union of q's buckets in the index `source` (every
     point when `source` is a Dataset), gathered and passed to `select` as
     a SelectionProblem. Returns the selection and the candidate count; an
-    empty union gives an empty, underfilled selection and count 0. A NaN,
-    infinite or zero query raises ValueError on both paths."""
+    empty union gives an empty, underfilled selection and count 0. A query
+    that is not a 1-d array of the points' dimension, or that is NaN,
+    infinite or zero, raises ValueError on both paths."""
     if isinstance(source, Dataset):
-        _check_query(q)
+        _check_query(q, source.d)
         dataset, ids = source, np.arange(source.n)
     else:
         dataset, ids = source.dataset, query(source, q).ids
@@ -163,6 +166,9 @@ class TuneResult:
 
 _L_GRID = tuple(range(8, 65, 4))
 _TABLE_GRID = tuple(range(1, 33))
+# sampled queries, and the k of the recall@k that tune measures
+_TUNE_QUERIES = 64
+_TUNE_AT_K = 10
 
 
 def _shared_prefix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -173,26 +179,20 @@ def _shared_prefix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.bitwise_count((x & -x) - np.uint64(1))
 
 
-def tune(
-    dataset: Dataset,
-    target_recall: float,
-    epsilon: float = 1.0,
-    *,
-    seed: int = 0,
-    n_queries: int = 64,
-    at_k: int = 10,
-) -> TuneResult:
+def tune(dataset: Dataset, target_recall: float, epsilon: float = 1.0, *, seed: int = 0) -> TuneResult:
     """Grid-search (l, L) on a held-out query sample.
 
-    Recall@`at_k` is measured leave-one-out (the sampled query point is
-    removed from its own ground truth and candidate set, otherwise the
-    guaranteed self-collision inflates the estimate). Among pairs reaching
-    target_recall, those whose mean candidate count stays within 4x of
-    n^(1/(1+epsilon)) are preferred, and expected touched count breaks the
-    tie; the count preference is soft because degenerate data (duplicates)
-    can make any recall-feasible pair exceed it. If no pair reaches the
-    target, the best-recall pair is returned with feasible False. Ties go
-    to the first pair in (l, L) order.
+    The sample is 64 points drawn by `seed` (every point when n <= 64),
+    and the measure is recall@10 (over the n - 1 others when n <= 10);
+    both are fixed. Recall is measured leave-one-out (the sampled query
+    point is removed from its own ground truth and candidate set,
+    otherwise the guaranteed self-collision inflates the estimate). Among
+    pairs reaching target_recall, those whose mean candidate count stays
+    within 4x of n^(1/(1+epsilon)) are preferred, and expected touched
+    count breaks the tie; the count preference is soft because degenerate
+    data (duplicates) can make any recall-feasible pair exceed it. If no
+    pair reaches the target, the best-recall pair is returned with
+    feasible False. Ties go to the first pair in (l, L) order.
 
     Because hyperplane (t, b) depends only on (seed, t, b), every grid pair
     is a prefix of the one maximal family, so the dataset is hashed once.
@@ -209,7 +209,7 @@ def tune(
     if n == 0:
         raise ValueError("cannot tune on an empty dataset")
     rng = np.random.default_rng(seed)
-    q_ids = rng.choice(n, size=min(n_queries, n), replace=False)
+    q_ids = rng.choice(n, size=min(_TUNE_QUERIES, n), replace=False)
     q_ids.sort()
     qvecs = dataset.dense_rows(q_ids)
     nq = q_ids.size
@@ -218,11 +218,12 @@ def tune(
     family = new_family(PLAIN, max_l, max_L, dataset.d, seed=seed)
     all_keys = hash_matrix(family, dataset.vectors)          # (n, max_L)
 
-    # leave-one-out ground truth: at_k nearest neighbors excluding the query
+    # leave-one-out ground truth: the nearest neighbors excluding the query
     everyone = np.arange(n)
-    true_nn = np.empty((nq, min(at_k, n - 1)), dtype=np.intp)
+    at_k = min(_TUNE_AT_K, n - 1)
+    true_nn = np.empty((nq, at_k), dtype=np.intp)
     for row, qi, qv in zip(true_nn, q_ids, qvecs):
-        nearest = select_nn(SelectionProblem(qv, everyone, dataset.vectors, at_k + 1, 0.0)).ids
+        nearest = select_nn(SelectionProblem(qv, everyone, dataset.vectors, _TUNE_AT_K + 1, 0.0)).ids
         row[:] = nearest[nearest != qi][: row.size]
 
     # per l, table count L and query: hits among true_nn, union size and
@@ -247,7 +248,7 @@ def tune(
 
     # the means reduce the contiguous query axis, so each is the pairwise
     # sum that np.mean gives one (l, L) pair's queries
-    recalls = hits / (min(at_k, n - 1) or 1)
+    recalls = hits / (at_k or 1)
     recall = recalls.mean(axis=-1)
     # one-sided confidence margin: the pair must clear the target by the
     # sample error, or the selected-at-threshold pair would miss the target

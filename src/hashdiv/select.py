@@ -25,7 +25,8 @@ from .linalg import project_capped_simplex
 @dataclass(frozen=True)
 class SelectionProblem:
     """Query + candidate pool. `ids` must be distinct and ascending, with
-    `vectors[i]` the dense vector of candidate `ids[i]`."""
+    `vectors[i]` the dense vector of candidate `ids[i]`; `query` is a 1-d
+    array with one coordinate per column of `vectors`."""
 
     query: np.ndarray
     ids: np.ndarray
@@ -34,9 +35,13 @@ class SelectionProblem:
     lam: float
 
     def __post_init__(self):
-        object.__setattr__(self, "query", np.asarray(self.query, dtype=float).ravel())
+        object.__setattr__(self, "query", np.asarray(self.query, dtype=float))
         object.__setattr__(self, "ids", np.asarray(self.ids, dtype=int))
         object.__setattr__(self, "vectors", np.asarray(self.vectors, dtype=float))
+        if self.vectors.ndim != 2:
+            raise ValueError(f"candidate vectors must be a 2-d array, got shape {self.vectors.shape}")
+        if self.query.shape != self.vectors.shape[1:]:
+            raise ValueError(f"query must be a 1-d array of {self.vectors.shape[1]} coordinates, got shape {self.query.shape}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if not 0.0 <= self.lam <= 1.0:

@@ -223,8 +223,7 @@ def test_cli_surface_is_pinned():
     # retrieve and multilabel flags are derived from the config dataclasses;
     # this literal catches a flag the derivation adds, drops or renames
     shared = {"--config": "config", "--out": "out", "--data": "data", "--methods": "methods", "--lambda": "lam",
-              "--l": "l", "--L": "L", "--alpha": "alpha", "--seed": "seed", "--format": "format",
-              "--no-timing": "timing"}
+              "--l": "l", "--L": "L", "--alpha": "alpha", "--seed": "seed", "--no-timing": "timing"}
     assert _surface(build_parser()) == {
         "toy-gen": {"--out": "out", "--queries-out": "queries_out", "--n-per-class": "n_per_class",
                     "--n-queries": "n_queries", "--d": "d", "--spread": "spread", "--seed": "seed"},
@@ -234,8 +233,7 @@ def test_cli_surface_is_pinned():
         "retrieve": {**shared, "--queries": "queries", "--hashes": "hashes", "--ks": "ks"},
         "multilabel": {**shared, "--d": "d", "--test": "test", "--factors": "factors", "--hierarchy": "hierarchy",
                        "--synthetic": "synthetic", "--n-labels": "n_labels", "--n-queries": "n_queries",
-                       "--rank": "rank", "--ridge": "ridge", "--pool": "pool", "--threshold-grid": "threshold_grid",
-                       "--predictions-json": "predictions_json"},
+                       "--rank": "rank", "--ridge": "ridge", "--pool": "pool", "--predictions-json": "predictions_json"},
         "tune": {"--data": "data", "--target-recall": "target_recall", "--epsilon": "epsilon", "--seed": "seed"},
     }
     # one flag of each derived kind; an unset flag stores nothing
@@ -300,3 +298,31 @@ def test_toy_benchmark_script(tmp_path):
     assert len(lines) == 1 + 15
     assert proc.stdout.splitlines()[: len(lines)] == lines
     assert not list(tmp_path.glob("hashdiv-toy-*"))
+
+
+def test_outputs_byte_identical_across_processes(tmp_path):
+    # two interpreters with different string hashing must write the same
+    # bytes: no output may depend on set or dict order keyed on str hashes
+    src = Path(__file__).resolve().parent.parent / "src"
+    runs = (
+        ["toy-gen", "--out", "data.csv", "--queries-out", "queries.csv", "--n-per-class", "100", "--n-queries", "8",
+         "--d", "16"],
+        ["retrieve", "--data", "data.csv", "--queries", "queries.csv", "--out", "r.csv", "--no-timing", "--ks", "5,10",
+         "--methods", "nn,rerank,greedy,mmr,qprel", "--hashes", "nh,lshdiv,lshsdiv,pcahash", "--l", "10", "--L", "6"],
+        ["multilabel", "--synthetic", "--n-labels", "500", "--n-queries", "10", "--no-timing", "--out", "m.csv",
+         "--methods", "exact,mmr,lshdiv,lshsdiv,pcahash", "--predictions-json", "p.json"],
+    )
+
+    def outputs(hash_seed):
+        cwd = tmp_path / f"hashseed{hash_seed}"
+        cwd.mkdir()
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": str(hash_seed)}
+        for argv in runs:
+            proc = subprocess.run([sys.executable, "-m", "hashdiv.cli", *argv], cwd=cwd, capture_output=True,
+                                  text=True, timeout=300, env=env)
+            assert proc.returncode == 0, proc.stderr
+        return {path.name: path.read_bytes() for path in cwd.iterdir()}
+
+    first = outputs(1)
+    assert sorted(first) == ["data.csv", "m.csv", "m.csv.json", "p.json", "queries.csv", "r.csv", "r.csv.json"]
+    assert outputs(2) == first

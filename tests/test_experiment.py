@@ -223,7 +223,7 @@ class TestEmit:
 
     def test_json_roundtrip_to_csv(self, tmp_path):
         rows = self.rows()
-        emit(rows, tmp_path / "r.csv", "csv", json_twin=True)
+        emit(rows, tmp_path / "r.csv", "csv")
         payload = json.loads((tmp_path / "r.csv.json").read_text())
         assert payload == [{"_type": "ResultRow", **dataclasses.asdict(row)} for row in rows]
 
@@ -235,7 +235,7 @@ class TestEmit:
 
     def test_csv_json_twin(self, tmp_path):
         path = tmp_path / "r.csv"
-        emit(self.rows(), path, "csv", json_twin=True)
+        emit(self.rows(), path, "csv")
         twin = tmp_path / "r.csv.json"
         assert twin.exists()
         payload = json.loads(twin.read_text())
@@ -350,21 +350,40 @@ class TestMultilabelExperiment:
         with pytest.raises(ValueError, match="data file or synthetic mode, not both"):
             MultilabelConfig(out=str(tmp_path / "m.csv"), synthetic=True, data=str(tmp_path / "x.svm"), d=4)
 
+    @pytest.mark.parametrize("given", [{"test": "t.svm"}, {"factors": "f.bin"}])
+    def test_synthetic_with_a_test_or_factors_file_rejected(self, tmp_path, given):
+        # the planted model reads neither file, so it would be ignored
+        with pytest.raises(ValueError, match="synthetic mode reads no test or factors file"):
+            MultilabelConfig(out=str(tmp_path / "m.csv"), synthetic=True, **given)
+
+    @pytest.mark.parametrize("l, cause", [(12, "pcahash needs alpha >= l, got alpha=8, l=12"), (70, "l=70 out of range")])
+    def test_unbuildable_label_index_fails_before_any_query(self, tmp_path, l, cause):
+        calls = []
+
+        def counted(model, x, alpha):
+            calls.append(x)
+            return predict_exact(model, x, alpha)
+
+        config = MultilabelConfig(out=str(tmp_path / "m.csv"), synthetic=True, n_labels=300, n_queries=10, rank=8,
+                                  methods=("exact", "mmr", "pcahash"), l=l, timing=False)
+        with mock.patch("hashdiv.multilabel.predict_exact", counted), pytest.raises(ValueError, match=cause):
+            run_multilabel_experiment(config)
+        assert calls == []
+
     @pytest.mark.parametrize("lam", [-0.1, 2.0])
     def test_lambda_outside_unit_interval_rejected_before_any_run(self, tmp_path, lam):
         with pytest.raises(ValueError, match=r"lambda must lie in \[0, 1\]"):
             MultilabelConfig(out=str(tmp_path / "m.csv"), synthetic=True, methods=("exact", "lshsdiv"), lam=lam)
 
-    @pytest.mark.parametrize("grid", [0, -3])
-    def test_threshold_grid_below_one_rejected(self, tmp_path, grid):
-        # 0 would search no cutoff at all, and a negative grid size fails
-        # deep inside numpy
-        with pytest.raises(ValueError, match="threshold_grid must be >= 1"):
-            MultilabelConfig(out=str(tmp_path / "m.csv"), synthetic=True, threshold_grid=grid)
-
     def test_removed_predictions_out_key_is_unknown(self):
         with pytest.raises(ValueError, match=r"unknown config keys: \['predictions_out'\]"):
             MultilabelConfig.from_dict({"out": "c", "synthetic": True, "predictions_out": "p.txt"})
+
+    @pytest.mark.parametrize("key, value", [("format", "json"), ("threshold_grid", 50)])
+    def test_removed_output_format_and_grid_keys_are_unknown(self, key, value):
+        # every run writes the CSV and its JSON twin, over 50 cutoffs
+        with pytest.raises(ValueError, match=rf"unknown config keys: \['{key}'\]"):
+            MultilabelConfig.from_dict({"out": "c", "synthetic": True, key: value})
 
     def test_deterministic_rows(self, tmp_path):
         config = MultilabelConfig(
@@ -375,32 +394,42 @@ class TestMultilabelExperiment:
         assert run_multilabel_experiment(config) == run_multilabel_experiment(config)
 
     def test_exact_row_matches_precision_oracle(self, tmp_path):
-        # threshold_grid=1 pins the cutoff at the minimum validation score,
-        # so the exact row's precision equals top-pool precision, which an
-        # independent numpy oracle can recompute from the planted model
+        # with pool = alpha the exact method keeps the top-pool labels
+        # scored at or above the cutoff, so an independent numpy oracle can
+        # search the same 50 evenly spaced cutoffs for the best mean f on
+        # the validation half and recompute the test precision
         from hashdiv.experiment import make_planted
 
         config = MultilabelConfig(
             out=str(tmp_path / "m.csv"), synthetic=True, n_labels=400, n_queries=25,
             rank=8, methods=("exact",), alpha=6, pool=6, seed=11, timing=False,
-            threshold_grid=1,
         )
         rows = run_multilabel_experiment(config)
         model, X_all, truth_all = make_planted(400, 8, 16, 50, n_clusters=50, seed=11)
         X_test, truth_test = X_all[:25], truth_all[:25]
-        X_val = X_all[25:]
+        X_val, truth_val = X_all[25:], truth_all[25:]
 
         def top_pool(x):
             scores = model.W @ (model.H.T @ x)
             top = np.lexsort((np.arange(400), -scores))[:6]
             return top, scores[top]
 
-        cutoff = min(float(top_pool(x)[1].min()) for x in X_val)
-        precs = []
-        for x, truth in zip(X_test, truth_test):
+        def kept_pr(x, truth, cutoff):
             top, scores = top_pool(x)
             kept = set(top[scores >= cutoff].tolist())
-            precs.append(len(kept & truth) / len(kept) if kept else 0.0)
+            if not kept:
+                return 0.0, 0.0
+            hits = len(kept & truth)
+            return hits / len(kept), hits / len(truth) if truth else 0.0
+
+        def mean_f(cutoff):
+            prs = [kept_pr(x, truth, cutoff) for x, truth in zip(X_val, truth_val)]
+            return np.mean([2 * p * r / (p + r) if p + r else 0.0 for p, r in prs])
+
+        val_scores = np.concatenate([top_pool(x)[1] for x in X_val])
+        cutoffs = np.linspace(val_scores.min(), val_scores.max(), 50)
+        cutoff = cutoffs[np.argmax([mean_f(c) for c in cutoffs])]  # first best, as the harness keeps
+        precs = [kept_pr(x, truth, cutoff)[0] for x, truth in zip(X_test, truth_test)]
         assert rows[0].precision == pytest.approx(float(np.mean(precs)))
 
     def test_mmr_and_pcahash_methods(self, tmp_path):
@@ -458,8 +487,8 @@ class TestChooseCutoff:
         from hashdiv.multilabel import LabelPrediction
 
         empty = LabelPrediction(labels=np.empty(0, dtype=int), scores=np.empty(0), eval_count=3, underfilled=True)
-        assert _choose_cutoff([empty, empty], [frozenset({1}), frozenset()], None, 5, 2) == 0.0
-        assert _choose_cutoff([], [], None, 5, 2) == 0.0
+        assert _choose_cutoff([empty, empty], [frozenset({1}), frozenset()], None, 2) == 0.0
+        assert _choose_cutoff([], [], None, 2) == 0.0
 
 
 class TestPredictionWriters:

@@ -1,3 +1,4 @@
+import re
 import struct
 import tracemalloc
 
@@ -281,6 +282,15 @@ class TestRetrieve:
         with pytest.raises(ValueError, match=cause):
             lsh.retrieve(toy_index if indexed else toy_index.dataset, q, select_nn, 3, 0.5)
 
+    @pytest.mark.parametrize("shape", [(1,), (3,), (2, 4)])
+    @pytest.mark.parametrize("indexed", [True, False])
+    def test_wrong_shaped_query_rejected_on_both_paths(self, toy_index, shape, indexed):
+        # unchecked, the scan broadcasts a (1,) query and hashing flattens a
+        # (2, 4) one into the index's 8 coordinates
+        q = np.full(shape, 0.5)
+        with pytest.raises(ValueError, match=rf"query must be a 1-d array of 8 coordinates, got shape {re.escape(str(shape))}"):
+            lsh.retrieve(toy_index if indexed else toy_index.dataset, q, select_nn, 3, 0.5)
+
     def test_empty_union(self):
         ds = Dataset(vectors=np.array([[1.0] + [0.0] * 15]))
         index = lsh.build(ds, new_family(PLAIN, 64, 1, 16, seed=3))
@@ -332,9 +342,10 @@ class TestTune:
         assert 128 / 4 <= np.mean(sizes) <= 128 * 4
 
 
-def tune_by_sets(dataset, target_recall, epsilon=1.0, *, seed=0, n_queries=64, at_k=10):
+def tune_by_sets(dataset, target_recall, epsilon=1.0, *, seed=0):
     """The tuner written out with one bucket dict per (l, table) and Python
     set unions: the reference that lsh.tune must match exactly."""
+    n_queries, at_k = 64, 10
     n = dataset.n
     rng = np.random.default_rng(seed)
     q_ids = rng.choice(n, size=min(n_queries, n), replace=False)
@@ -410,8 +421,6 @@ class TestTuneOracle:
         kwargs = dict(
             epsilon=data.draw(st.sampled_from([0.5, 1.0, 3.0])),
             seed=data.draw(st.integers(0, 50)),
-            n_queries=data.draw(st.sampled_from([1, 7, 64])),
-            at_k=data.draw(st.sampled_from([1, 3, 10])),
         )
         target = data.draw(st.sampled_from([0.3, 0.8, 0.95]))
         assert lsh.tune(ds, target, **kwargs) == tune_by_sets(ds, target, **kwargs)

@@ -371,6 +371,17 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="candidate vector"):
             SelectionProblem(np.array([1.0, 0.0]), [0, 1, 2], X, k=1, lam=0.5)
 
+    @pytest.mark.parametrize("q", [[0.7], [0.6, 0.8, 0.0], [[0.6, 0.8], [0.0, 1.0]]])
+    def test_wrong_shaped_query_rejected(self, q):
+        # numpy would broadcast a length-1 query, and ravel a (2, 2) one
+        # into four coordinates, so either would get an answer
+        with pytest.raises(ValueError, match=r"query must be a 1-d array of 4 coordinates, got shape \("):
+            SelectionProblem(np.array(q), [0, 1], np.eye(4)[:2], k=1, lam=0.5)
+
+    def test_candidate_vectors_not_2d_rejected(self):
+        with pytest.raises(ValueError, match=r"candidate vectors must be a 2-d array, got shape \(3,\)"):
+            SelectionProblem(np.ones(3), [0, 1, 2], np.ones(3), k=1, lam=0.5)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_query_rejected(self, bad):
         with pytest.raises(ValueError, match="query"):
