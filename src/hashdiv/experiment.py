@@ -203,9 +203,10 @@ def run_retrieval_experiment(config: ExperimentConfig) -> list[ResultRow]:
         raise ExperimentError(f"query dimension {queries.d} != dataset dimension {dataset.d}")
     qcats = [MISSING] * queries.n if queries.categories is None else queries.categories.tolist()
 
-    # every family first, so one that cannot be built fails before any cell
-    # runs; each index is still built only when its column runs. The pca
-    # kinds share the first one's basis, so the SVD runs once.
+    # every family and its table layout first, so one that cannot be built
+    # fails before any cell runs; each index is still built only when its
+    # column runs. The pca kinds share the first one's basis, so the SVD
+    # runs once.
     families, basis = {}, None
     for name in config.hashes:
         if name != "nh":
@@ -213,6 +214,7 @@ def run_retrieval_experiment(config: ExperimentConfig) -> list[ResultRow]:
                 name, config.l, config.L, dataset.d,
                 alpha=config.alpha, seed=config.seed, dataset=dataset, basis=basis,
             )
+            lsh.check_tables(config.l, config.L)
             basis = basis or families[name].basis
     rows: list[ResultRow] = []
     for hash_name in config.hashes:

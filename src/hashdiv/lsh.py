@@ -7,12 +7,13 @@ Bucket lookup is exact-key only; no multi-probe. Candidate order is fixed
 (ascending id) so the downstream greedy selectors are deterministic.
 
 The tables are static, so they are stored flat, in the manner of FALCONN
-(Andoni et al., NeurIPS 2015): table t is its sorted unique keys
-keys[table_bounds[t]:table_bounds[t + 1]], and the bucket of keys[j] is
+(Andoni et al., NeurIPS 2015): table t's buckets are stored under tagged
+keys (t << l) | key, so one ascending `keys` array holds every table and
+one binary search finds a query's L keys. The bucket of keys[j] is
 ids[offsets[j]:offsets[j + 1]]. Table t's buckets fill ids[t*n:(t+1)*n],
 ids ascending inside each bucket. Build sorts one table at a time into
-its slice of ids. The same arrays are written to and read from the blob
-as raw bytes.
+its slice of ids. The same three arrays are written to and read from the
+blob as raw bytes. Hash keys outside the index carry no tag.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .hashing import (
 )
 from .select import SelectionProblem, SelectionResult, select_nn
 
-_MAGIC = b"HDV2"
+_MAGIC = b"HDV3"
 # magic, n, d, L, bucket count, family length, sha256 of the dataset's
 # vectors, crc32 of everything after the header, crc32 of the header so far
 _HEADER = struct.Struct("<4sQQQQQ32sII")
@@ -52,27 +53,25 @@ class CandidateSet:
 
 @dataclass
 class LshIndex:
-    """Flat tables (see the module docstring): `keys` (B,) uint64,
-    `offsets` (B + 1,) and `ids` (L * n,) int64, `table_bounds` (L + 1,)
-    bucket numbers. Only non-empty buckets are stored. Immutable after
-    build; queries are safe to run concurrently."""
+    """Flat tables (see the module docstring): tagged `keys` (B,) uint64,
+    ascending, `offsets` (B + 1,) and `ids` (L * n,) int64. Only non-empty
+    buckets are stored. Immutable after build; queries are safe to run
+    concurrently."""
 
     family: HashFamily
     dataset: Dataset
     keys: np.ndarray
     offsets: np.ndarray
     ids: np.ndarray
-    table_bounds: np.ndarray
 
-    def __post_init__(self):
-        # per-table views, so a lookup slices nothing
-        bounds = self.table_bounds.tolist()
-        self._table_keys = [self.keys[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-        self._bounds = bounds
 
-    def bucket_sizes(self) -> np.ndarray:
-        """Point count of every non-empty bucket, table by table."""
-        return np.diff(self.offsets)
+def check_tables(l: int, L: int) -> None:
+    """Refuse an (l, L) whose tagged keys do not fit 64 bits. l = 64 with
+    L = 1 fits: numpy shifts the one zero tag by 64 to 0."""
+    tag_bits = (L - 1).bit_length()
+    if l + tag_bits > 64:
+        raise ValueError(f"l={l} and L={L} do not fit one index: a tagged key holds the {l} key bits "
+                         f"and a {tag_bits}-bit table number, {l + tag_bits} > 64 bits")
 
 
 def build(dataset: Dataset, family: HashFamily) -> LshIndex:
@@ -81,6 +80,7 @@ def build(dataset: Dataset, family: HashFamily) -> LshIndex:
         raise ValueError("cannot index an empty dataset")
     if dataset.d != family.d:
         raise ValueError(f"dataset dimension {dataset.d} != family dimension {family.d}")
+    check_tables(family.l, family.L)
     n, L = dataset.n, family.L
     keys = hash_matrix(family, dataset.vectors)  # (n, L)
     # one table at a time, so only one table's sort is alive beside the index
@@ -93,16 +93,9 @@ def build(dataset: Dataset, family: HashFamily) -> LshIndex:
         sorted_keys = keys[order, t]
         np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
         starts.append(np.flatnonzero(first) + t * n)
-        bucket_keys.append(sorted_keys[first])
+        bucket_keys.append(sorted_keys[first] | np.uint64(t) << np.uint64(family.l))
     del keys  # freed before the index arrays are concatenated
-    return LshIndex(
-        family=family,
-        dataset=dataset,
-        keys=np.concatenate(bucket_keys),
-        offsets=np.concatenate(starts + [[L * n]]),
-        ids=ids,
-        table_bounds=np.cumsum([0] + [s.size for s in starts]),
-    )
+    return LshIndex(family, dataset, np.concatenate(bucket_keys), np.concatenate(starts + [[L * n]]), ids)
 
 
 def _check_query(q: np.ndarray, d: int) -> None:
@@ -118,17 +111,16 @@ def query(index: LshIndex, q: np.ndarray) -> CandidateSet:
     """Union of the L buckets matching the keys of the dense query q,
     deduplicated, ascending id."""
     _check_query(q, index.family.d)
-    keys = hash_vector(index.family, q)
-    buckets = []
-    for lo, table, key in zip(index._bounds, index._table_keys, keys):
-        j = int(table.searchsorted(key))
-        if j < table.size and table[j] == key:
-            buckets.append(index.ids[index.offsets[lo + j] : index.offsets[lo + j + 1]])
-    touched = int(sum(b.size for b in buckets))
-    if not buckets:
+    family = index.family
+    want = hash_vector(family, q) | np.arange(family.L, dtype=np.uint64) << np.uint64(family.l)
+    j = index.keys.searchsorted(want)
+    j = j[index.keys.take(j, mode="clip") == want]
+    if j.size == 0:
         return CandidateSet(ids=np.empty(0, dtype=int), touched=0)
+    lo, hi = index.offsets[j].tolist(), index.offsets[j + 1].tolist()
+    touched = sum(hi) - sum(lo)
     # np.unique's hash-table path costs more than the sort on a few hundred ids
-    ids = np.concatenate(buckets)
+    ids = np.concatenate([index.ids[a:b] for a, b in zip(lo, hi)])
     ids.sort()
     distinct = np.empty(ids.size, dtype=bool)
     distinct[0] = True
@@ -145,13 +137,13 @@ def retrieve(source: LshIndex | Dataset, q: np.ndarray, select, k: int, lam: flo
     infinite or zero, raises ValueError on both paths."""
     if isinstance(source, Dataset):
         _check_query(q, source.d)
-        dataset, ids = source, np.arange(source.n)
+        ids, vectors = np.arange(source.n), source.vectors  # selectors only read it, so no copy
     else:
-        dataset, ids = source.dataset, query(source, q).ids
+        ids = query(source, q).ids
+        vectors = source.dataset.dense_rows(ids)
     if ids.size == 0:
         return SelectionResult(ids=ids, underfilled=True), 0
-    problem = SelectionProblem(query=q, ids=ids, vectors=dataset.dense_rows(ids), k=k, lam=lam)
-    return select(problem), ids.size
+    return select(SelectionProblem(query=q, ids=ids, vectors=vectors, k=k, lam=lam)), ids.size
 
 
 @dataclass(frozen=True)
@@ -279,13 +271,13 @@ def _arrays_offset(fam_len: int) -> int:
 
 
 def index_to_bytes(index: LshIndex) -> bytes:
-    """Header, family blob, zero padding to 8 bytes, then keys, offsets,
-    table_bounds and ids as raw little-endian 64-bit arrays."""
+    """Header, family blob, zero padding to 8 bytes, then keys, offsets
+    and ids as raw little-endian 64-bit arrays."""
     fam = family_to_bytes(index.family)
     ds = index.dataset
     body = [fam, bytes(_arrays_offset(len(fam)) - _HEADER.size - len(fam))] + [
         memoryview(np.ascontiguousarray(a, dtype=dt))
-        for a, dt in ((index.keys, "<u8"), (index.offsets, "<i8"), (index.table_bounds, "<i8"), (index.ids, "<i8"))
+        for a, dt in ((index.keys, "<u8"), (index.offsets, "<i8"), (index.ids, "<i8"))
     ]
     body_crc = 0
     for part in body:
@@ -299,12 +291,14 @@ def index_from_bytes(blob: bytes, dataset: Dataset) -> LshIndex:
     if len(blob) < _HEADER.size:
         raise ValueError(f"truncated index blob: {len(blob)} bytes, the header alone is {_HEADER.size}")
     magic, n, d, L, buckets, fam_len, digest, body_crc, header_crc = _HEADER.unpack_from(blob)
+    if magic == b"HDV2":  # the layout before tagged keys, with a fourth array of table bounds
+        raise ValueError("index blob has the older HDV2 layout, which is no longer read: rebuild it with `hashdiv index build`")
     if magic != _MAGIC:
         raise ValueError("not an index blob (bad magic)")
     if zlib.crc32(memoryview(blob)[: _HEADER.size - 4]) != header_crc:
         raise ValueError("corrupt index blob: header checksum mismatch")
     arrays_at = _arrays_offset(fam_len)
-    size = arrays_at + 8 * (2 * buckets + L + 2 + L * n)
+    size = arrays_at + 8 * (2 * buckets + 1 + L * n)
     if len(blob) < size:
         raise ValueError(f"truncated index blob: {len(blob)} bytes, its header describes {size}")
     if len(blob) > size:
@@ -321,11 +315,11 @@ def index_from_bytes(blob: bytes, dataset: Dataset) -> LshIndex:
     if (family.L, family.d) != (L, d):
         raise ValueError(f"corrupt index blob: its family has L={family.L}, d={family.d}, its header L={L}, d={d}")
     parts = []
-    for dtype, count in (("<u8", buckets), ("<i8", buckets + 1), ("<i8", L + 1), ("<i8", L * n)):
+    for dtype, count in (("<u8", buckets), ("<i8", buckets + 1), ("<i8", L * n)):
         parts.append(np.frombuffer(blob, dtype=dtype, count=count, offset=arrays_at))
         arrays_at += 8 * count
-    keys, offsets, bounds, ids = parts
-    return LshIndex(family=family, dataset=dataset, keys=keys, offsets=offsets, ids=ids, table_bounds=bounds)
+    keys, offsets, ids = parts
+    return LshIndex(family=family, dataset=dataset, keys=keys, offsets=offsets, ids=ids)
 
 
 def save_index(index: LshIndex, path) -> None:

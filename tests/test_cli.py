@@ -1,4 +1,5 @@
 import argparse
+import functools
 import json
 import os
 import re
@@ -12,7 +13,7 @@ import pytest
 
 import hashdiv
 from conftest import edit_family_in_index_blob
-from hashdiv import lsh
+from hashdiv import hashing, linalg, lsh
 from hashdiv.cli import build_parser, main
 from hashdiv.data import load_dense
 
@@ -45,7 +46,7 @@ def test_index_build_and_query(toy_paths, tmp_path, capsys):
                  "--l", "10", "--L", "4", "--seed", "1", "--out", str(idx)]) == 0
     stats = re.search(r"into (\d+) non-empty buckets across 4 tables \(bucket size max (\d+), p99 ([\d.]+)\)",
                       capsys.readouterr().err)
-    sizes = lsh.load_index(idx, load_dense(data)).bucket_sizes()
+    sizes = np.diff(lsh.load_index(idx, load_dense(data)).offsets)
     assert stats and int(stats[1]) == sizes.size and int(stats[2]) == sizes.max()
     assert float(stats[3]) == pytest.approx(np.percentile(sizes, 99), rel=1e-5)
     assert sizes.sum() == 400 * 4
@@ -121,6 +122,52 @@ def test_retrieve_unbuildable_family_fails_before_any_cell(toy_paths, tmp_path, 
     assert "pcahash needs alpha >= l" in err
     assert "[cell]" not in err
     assert not out.exists()
+
+
+def test_index_build_tag_overflow_is_one_error_line(toy_paths, tmp_path, capsys):
+    data, _ = toy_paths
+    idx = tmp_path / "index.bin"
+    capsys.readouterr()
+    rc = main(["index", "build", "--data", str(data), "--l", "64", "--L", "2", "--out", str(idx)])
+    assert rc == 1 and not idx.exists()
+    assert capsys.readouterr().err.splitlines() == [
+        "error: l=64 and L=2 do not fit one index: a tagged key holds the 64 key bits and a 1-bit table number, 65 > 64 bits"
+    ]
+
+
+def test_retrieve_tag_overflow_fails_before_any_cell(toy_paths, tmp_path, capsys):
+    data, queries = toy_paths
+    out = tmp_path / "o.csv"
+    rc = main(["retrieve", "--data", str(data), "--queries", str(queries),
+               "--hashes", "nh,lshdiv", "--l", "64", "--L", "2", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: l=64 and L=2 do not fit one index" in err
+    assert "[cell]" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["lshsdiv", "pcahash"])
+@pytest.mark.parametrize("max_iter", [None, 1])
+def test_index_build_reports_basis_convergence(toy_paths, tmp_path, capsys, monkeypatch, kind, max_iter):
+    # 4 of the 8 toy dimensions converge in about 190 sweeps, so one sweep
+    # leaves the basis unconverged
+    if max_iter is not None:
+        monkeypatch.setattr(hashing, "truncated_svd", functools.partial(linalg.truncated_svd, max_iter=max_iter))
+    data, _ = toy_paths
+    capsys.readouterr()
+    rc = main(["index", "build", "--data", str(data), "--kind", kind, "--alpha", "4", "--l", "4", "--L", "3",
+               "--out", str(tmp_path / "index.bin")])
+    err = capsys.readouterr().err
+    report = re.search(r"SVD basis: (\d+) iterations, converged=(True|False), last residual (\S+)", err)
+    assert rc == 0 and report
+    assert (report[2] == "True") == (max_iter is None)
+    if max_iter is None:
+        assert 1 < int(report[1]) < 300 and float(report[3]) <= 1e-6
+        assert "warning" not in err
+    else:
+        assert int(report[1]) == 1 and float(report[3]) > 1e-6
+        assert "warning: the SVD basis did not converge" in err
 
 
 def test_tune_outputs_json(toy_paths, capsys):

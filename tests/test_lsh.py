@@ -35,24 +35,26 @@ def toy_index(toy_1k):
 
 
 def table_of(index, t):
-    """Table t of the flat layout: its keys and its buckets, in key order."""
-    lo, hi = index.table_bounds[t], index.table_bounds[t + 1]
-    buckets = [index.ids[index.offsets[j] : index.offsets[j + 1]] for j in range(lo, hi)]
-    return index.keys[lo:hi], buckets
+    """Table t of the flat layout, the buckets whose tagged keys read t
+    above bit l: its keys with the tag removed, and its buckets, in key
+    order."""
+    tag = np.uint64(t) << np.uint64(index.family.l)
+    js = np.flatnonzero(index.keys >> np.uint64(index.family.l) == t)
+    buckets = [index.ids[index.offsets[j] : index.offsets[j + 1]] for j in js]
+    return index.keys[js] ^ tag, buckets
 
 
 def build_all_tables(dataset, family):
-    """Reference build: one stable argsort over all L tables at once."""
-    n = dataset.n
-    keys = hash_matrix(family, dataset.vectors).T  # (L, n)
-    order = np.argsort(keys, axis=1, kind="stable")
-    sorted_keys = np.take_along_axis(keys, order, axis=1).ravel()
+    """Reference build: tag every key with its table, then one stable
+    argsort over all L * n tagged keys."""
+    tags = np.arange(family.L, dtype=np.uint64) << np.uint64(family.l)
+    tagged = (hash_matrix(family, dataset.vectors) | tags).T.ravel()  # table after table
+    order = np.argsort(tagged, kind="stable")
+    sorted_keys = tagged[order]
     first = np.ones(sorted_keys.size, dtype=bool)
     first[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    first[::n] = True  # every table opens a bucket
     starts = np.flatnonzero(first)
-    return (sorted_keys[starts], np.append(starts, sorted_keys.size), order.ravel(),
-            np.searchsorted(starts, np.arange(family.L + 1) * n))
+    return sorted_keys[starts], np.append(starts, sorted_keys.size), order % dataset.n
 
 
 class TestBuild:
@@ -61,15 +63,15 @@ class TestBuild:
     def test_matches_all_tables_argsort(self, data):
         n = data.draw(st.integers(1, 80))
         d = data.draw(st.integers(1, 5))
-        l = data.draw(st.integers(1, 64))
         L = data.draw(st.integers(1, 12))
+        l = data.draw(st.integers(1, 64 - (L - 1).bit_length()))  # the tag fits above the key bits
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         points = rng.standard_normal((n, d))
         points[rng.random(n) < 0.3] = points[0]  # duplicates tie inside a bucket
         ds = Dataset(vectors=points)
         family = new_family(PLAIN, l, L, d, seed=data.draw(st.integers(0, 99)))
         index = lsh.build(ds, family)
-        for got, want in zip((index.keys, index.offsets, index.ids, index.table_bounds), build_all_tables(ds, family)):
+        for got, want in zip((index.keys, index.offsets, index.ids), build_all_tables(ds, family)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_peak_memory_is_about_the_index(self):
@@ -84,7 +86,7 @@ class TestBuild:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        index_bytes = index.keys.nbytes + index.offsets.nbytes + index.ids.nbytes + index.table_bounds.nbytes
+        index_bytes = index.keys.nbytes + index.offsets.nbytes + index.ids.nbytes
         assert peak < n * L * 8 + index_bytes + 2**20
 
     def test_single_point(self):
@@ -100,7 +102,7 @@ class TestBuild:
         # with l=1 the one point has key 1 in tables 2..7 of this family
         ds = Dataset(vectors=np.array([[1.0, 0.0]]))
         index = lsh.build(ds, new_family(PLAIN, 1, 8, 2, seed=0))
-        assert index.table_bounds.tolist() == list(range(9))
+        assert (index.keys >> np.uint64(1)).tolist() == list(range(8))
         assert lsh.query(index, ds.vectors[0]).touched == 8
 
     def test_duplicate_points_share_buckets(self):
@@ -114,7 +116,7 @@ class TestBuild:
 
     def test_total_entries_and_occupancy(self, toy_1k, toy_index):
         assert toy_index.ids.size == toy_1k.n * toy_index.family.L
-        assert toy_index.bucket_sizes().sum() == toy_1k.n * toy_index.family.L
+        assert np.diff(toy_index.offsets).sum() == toy_1k.n * toy_index.family.L
         for t in range(toy_index.family.L):
             keys, buckets = table_of(toy_index, t)
             occupancy = toy_1k.n / keys.size
@@ -133,6 +135,16 @@ class TestBuild:
             for key, ids in zip(keys, buckets):
                 assert ids.size > 0 and np.all(np.diff(ids) > 0)
                 assert np.all(point_keys[ids, t] == key)
+
+    @pytest.mark.parametrize("l, L, fits", [(59, 32, True), (64, 1, True), (60, 32, False), (64, 2, False)])
+    def test_table_tag_must_fit_above_the_key_bits(self, l, L, fits):
+        ds = Dataset(vectors=np.array([[1.0, 0.0], [0.0, 1.0]]))
+        family = new_family(PLAIN, l, L, 2, seed=0)
+        if fits:
+            assert lsh.query(lsh.build(ds, family), ds.vectors[1]).ids.tolist() == [1]
+        else:
+            with pytest.raises(ValueError, match=f"l={l} and L={L} do not fit"):
+                lsh.build(ds, family)
 
     def test_empty_dataset_rejected(self):
         fam = new_family(PLAIN, 8, 1, 2, seed=0)
@@ -210,8 +222,11 @@ class TestQuery:
     def test_matches_brute_force_bucket_union_and_survives_persistence(self, data):
         n = data.draw(st.integers(1, 60))
         d = data.draw(st.integers(1, 5))
-        l = data.draw(st.integers(1, 10))
-        L = data.draw(st.integers(1, 6))
+        L = data.draw(st.integers(1, 32))
+        # up to the widest key the tag allows, so the tag sits right above
+        # keys whose top bit is set
+        top = 64 - (L - 1).bit_length()
+        l = data.draw(st.one_of(st.just(top), st.integers(1, top)))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         points = rng.standard_normal((n, d))
         points[rng.random(n) < 0.3] = points[0]  # duplicates share every bucket
@@ -290,6 +305,11 @@ class TestRetrieve:
         q = np.full(shape, 0.5)
         with pytest.raises(ValueError, match=rf"query must be a 1-d array of 8 coordinates, got shape {re.escape(str(shape))}"):
             lsh.retrieve(toy_index if indexed else toy_index.dataset, q, select_nn, 3, 0.5)
+
+    def test_full_scan_passes_the_dataset_rows_uncopied(self, toy_1k):
+        seen = []
+        lsh.retrieve(toy_1k, toy_1k.vectors[3], lambda p: seen.append(p) or select_nn(p), 3, 0.5)
+        assert seen[0].vectors is toy_1k.vectors
 
     def test_empty_union(self):
         ds = Dataset(vectors=np.array([[1.0] + [0.0] * 15]))
@@ -522,6 +542,10 @@ class TestPersistence:
             lsh.index_from_bytes(blob + b"\0", toy_1k)
         with pytest.raises(ValueError, match="magic"):
             lsh.index_from_bytes(b"HDVI" + blob[4:], toy_1k)
+
+    def test_blob_of_the_older_layout_asks_for_a_rebuild(self, toy_1k, toy_index):
+        with pytest.raises(ValueError, match=r"HDV2 .* rebuild it with `hashdiv index build`"):
+            lsh.index_from_bytes(b"HDV2" + lsh.index_to_bytes(toy_index)[4:], toy_1k)
 
     def test_family_disagreeing_with_header_rejected(self, toy_1k, toy_index):
         # the family's L, after its magic, kind code and l
