@@ -85,12 +85,6 @@ def _cmd_toy_gen(args) -> int:
 def _cmd_index_build(args) -> int:
     dataset = load_dense(args.data)
     family = new_family(args.kind, args.l, args.L, dataset.d, alpha=args.alpha, seed=args.seed, dataset=dataset)
-    basis = family.basis
-    if basis is not None:
-        print(f"SVD basis: {basis.iterations} iterations, converged={basis.converged}, "
-              f"last residual {basis.residual_history[-1]:.3g}", file=sys.stderr)
-        if not basis.converged:
-            print("warning: the SVD basis did not converge; its directions are approximate", file=sys.stderr)
     index = lsh.build(dataset, family)
     lsh.save_index(index, args.out)
     sizes = np.diff(index.offsets)

@@ -503,13 +503,10 @@ def _write_json(payload, path) -> None:
 
 
 def emit(rows, path, fmt: str = "csv") -> None:
-    """Write result rows. "csv" writes the table with floats at 3 decimals
-    and then its full-precision twin `<path>.json`, so a rounded table
-    never goes without one; "json" writes only that full-precision form:
-    every field of every row, tagged with the row type."""
-    if fmt == "json":
-        _write_json([{"_type": type(r).__name__, **dataclasses.asdict(r)} for r in rows], path)
-        return
+    """Write result rows: the CSV table with floats at 3 decimals, then its
+    full-precision twin `<path>.json`, so a rounded table never goes without
+    one. The twin holds every field of every row, tagged with the row type.
+    `fmt` is accepted only as "csv", the one value bench/run.py passes."""
     if fmt != "csv":
         raise ValueError(f"unknown output format {fmt!r}")
     fields = type(rows[0]).CSV_FIELDS if rows else ResultRow.CSV_FIELDS
@@ -519,4 +516,4 @@ def emit(rows, path, fmt: str = "csv") -> None:
         lines.append(",".join(_format_cell(d[f]) for f in fields))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-    emit(rows, f"{path}.json", "json")
+    _write_json([{"_type": type(r).__name__, **dataclasses.asdict(r)} for r in rows], f"{path}.json")

@@ -39,10 +39,9 @@ from .linalg import TruncatedBasis, truncated_svd
 PLAIN, PCA, PCA_DIRECT = "lshdiv", "lshsdiv", "pcahash"
 KINDS = (PLAIN, PCA, PCA_DIRECT)
 
-_MAGIC = b"HDVF"
-# kind code, l, L, d, alpha, seed; then has-basis, SVD iterations, converged
-_FIELDS = struct.Struct("<BIIQQq")
-_BASIS_FIELDS = struct.Struct("<BQI")
+_MAGIC = b"HDF2"
+# kind code, l, L, d, alpha, seed, has-basis
+_FIELDS = struct.Struct("<BIIQQqB")
 
 # bytes one row block of `hash_matrix` may hold in its widest float64
 # array: the L * l projections, or the block's rows when d is larger
@@ -126,6 +125,8 @@ def new_family(
     else:
         if basis.U.shape[0] != d:
             raise ValueError(f"basis dimension {basis.U.shape[0]} != family dimension {d}")
+        if not 1 <= basis.U.shape[1] <= d:
+            raise ValueError(f"basis has {basis.U.shape[1]} columns, out of range [1, {d}]")
         if alpha is None:
             alpha = basis.U.shape[1]
     if alpha != basis.U.shape[1]:
@@ -196,34 +197,36 @@ def estimate_collision_rate(a, b, trials: int, seed: int = 0) -> float:
 
 
 def family_to_bytes(family: HashFamily) -> bytes:
-    """Binary sidecar: header (kind code, l, L, d, alpha, seed) plus the
-    basis for the pca kinds. Hyperplanes regenerate bit-identically from
-    the seed."""
-    out = [_MAGIC, _FIELDS.pack(KINDS.index(family.kind), family.l, family.L, family.d, family.alpha or 0, family.seed)]
-    if family.basis is not None:
-        b = family.basis
-        out.append(_BASIS_FIELDS.pack(1, b.iterations, int(b.converged)))
+    """Binary sidecar: header (kind code, l, L, d, alpha, seed, has-basis)
+    plus the basis for the pca kinds. Hyperplanes regenerate bit-identically
+    from the seed."""
+    b = family.basis
+    fields = (KINDS.index(family.kind), family.l, family.L, family.d, family.alpha or 0, family.seed, b is not None)
+    out = [_MAGIC, _FIELDS.pack(*fields)]
+    if b is not None:
         out.append(np.ascontiguousarray(b.U, dtype=np.float64).tobytes())
         out.append(np.ascontiguousarray(b.singular_values, dtype=np.float64).tobytes())
-    else:
-        out.append(_BASIS_FIELDS.pack(0, 0, 0))
     return b"".join(out)
 
 
 def family_from_bytes(blob: bytes) -> HashFamily:
     """Inverse of family_to_bytes. A blob shorter or longer than its fields
     describe, or one whose fields contradict each other, raises ValueError."""
+    if blob[:4] == b"HDVF":  # the layout that also stored SVD iterations and convergence
+        raise ValueError("hash-family blob has the older HDVF layout, which is no longer read: "
+                         "rebuild it with `hashdiv index build`")
     if blob[:4] != _MAGIC:
         raise ValueError("not a hash-family blob (bad magic)")
-    off = len(_MAGIC) + _FIELDS.size + _BASIS_FIELDS.size
+    off = len(_MAGIC) + _FIELDS.size
     if len(blob) < off:
         raise ValueError(f"truncated hash-family blob: {len(blob)} bytes, its fixed fields alone are {off}")
-    code, l, L, d, alpha, seed = _FIELDS.unpack_from(blob, len(_MAGIC))
-    has_basis, iterations, conv = _BASIS_FIELDS.unpack_from(blob, off - _BASIS_FIELDS.size)
+    code, l, L, d, alpha, seed, has_basis = _FIELDS.unpack_from(blob, len(_MAGIC))
     if code >= len(KINDS):
         raise ValueError(f"corrupt hash-family blob: unknown kind code {code}")
     if has_basis != (KINDS[code] != PLAIN):
         raise ValueError(f"corrupt hash-family blob: basis flag {has_basis} for kind {KINDS[code]!r}")
+    if has_basis and not 1 <= alpha <= d:
+        raise ValueError(f"corrupt hash-family blob: alpha={alpha} out of range [1, d={d}]")
     size = off + (8 * alpha * (d + 1) if has_basis else 0)  # U is (d, alpha), then alpha singular values
     if len(blob) != size:
         state = "truncated" if len(blob) < size else "corrupt"
@@ -232,5 +235,5 @@ def family_from_bytes(blob: bytes) -> HashFamily:
     if has_basis:
         U = np.frombuffer(blob, dtype=np.float64, count=d * alpha, offset=off).reshape(d, alpha).copy()
         sv = np.frombuffer(blob, dtype=np.float64, count=alpha, offset=off + 8 * d * alpha).copy()
-        basis = TruncatedBasis(U=U, singular_values=sv, converged=bool(conv), iterations=int(iterations))
-    return new_family(KINDS[code], int(l), int(L), int(d), alpha=int(alpha) or None, seed=int(seed), basis=basis)
+        basis = TruncatedBasis(U=U, singular_values=sv)
+    return new_family(KINDS[code], int(l), int(L), int(d), seed=int(seed), basis=basis)

@@ -323,7 +323,7 @@ class TestC10Determinism:
                 ks=(5, 10), l=10, L=4, seed=7, timing=timing,
             )
             rows = run_retrieval_experiment(config)
-            emit(rows, out, "csv")
+            emit(rows, out)
             return rows
 
         a = tmp_path / "a.csv"

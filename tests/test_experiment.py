@@ -210,7 +210,7 @@ class TestEmit:
 
     def test_csv_three_decimals(self, tmp_path):
         path = tmp_path / "r.csv"
-        emit(self.rows(), path, "csv")
+        emit(self.rows(), path)
         lines = path.read_text().splitlines()
         assert lines[0] == "method,hash,k,precision,subtopic_recall,diversity,h_score,seconds"
         assert lines[1] == "nn,lshdiv,10,0.970,0.790,0.760,0.840,0.112"
@@ -218,24 +218,29 @@ class TestEmit:
 
     def test_empty_rows_header_only(self, tmp_path):
         path = tmp_path / "r.csv"
-        emit([], path, "csv")
+        emit([], path)
         assert path.read_text().splitlines() == ["method,hash,k,precision,subtopic_recall,diversity,h_score,seconds"]
 
     def test_json_roundtrip_to_csv(self, tmp_path):
         rows = self.rows()
-        emit(rows, tmp_path / "r.csv", "csv")
+        emit(rows, tmp_path / "r.csv")
         payload = json.loads((tmp_path / "r.csv.json").read_text())
         assert payload == [{"_type": "ResultRow", **dataclasses.asdict(row)} for row in rows]
 
     def test_json_keeps_full_precision(self, tmp_path):
-        jpath = tmp_path / "r.json"
-        emit(self.rows(), jpath, "json")
-        payload = json.loads(jpath.read_text())
+        emit(self.rows(), tmp_path / "r.csv")
+        payload = json.loads((tmp_path / "r.csv.json").read_text())
         assert payload[1]["h_score"] == 0.3333333
+
+    def test_only_csv_is_a_format(self, tmp_path):
+        # "json" once wrote the twin alone; it must not now write a CSV
+        with pytest.raises(ValueError, match="^unknown output format 'json'$"):
+            emit(self.rows(), tmp_path / "r.json", "json")
+        assert not list(tmp_path.iterdir())
 
     def test_csv_json_twin(self, tmp_path):
         path = tmp_path / "r.csv"
-        emit(self.rows(), path, "csv")
+        emit(self.rows(), path)
         twin = tmp_path / "r.csv.json"
         assert twin.exists()
         payload = json.loads(twin.read_text())
@@ -244,7 +249,7 @@ class TestEmit:
     def test_multilabel_rows(self, tmp_path):
         rows = [MultilabelRow("exact", 10, 0.3, 0.2, 0.24, None, None, 1.5, 1.0)]
         path = tmp_path / "m.csv"
-        emit(rows, path, "csv")
+        emit(rows, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "method,alpha,precision,recall,f_score,diversity,h_score,millis"
         assert lines[1] == "exact,10,0.300,0.200,0.240,,,1.500"

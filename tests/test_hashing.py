@@ -1,3 +1,4 @@
+import struct
 from unittest import mock
 
 import numpy as np
@@ -118,7 +119,7 @@ class TestHashPoint:
 
     def test_zero_projection_maps_to_bit_one(self):
         # the >= 0 convention: an exactly-zero projection sets the bit
-        eye = TruncatedBasis(U=np.eye(4), singular_values=np.ones(4), converged=True, iterations=1)
+        eye = TruncatedBasis(U=np.eye(4), singular_values=np.ones(4))
         fam = new_family(PCA_DIRECT, 4, 1, 4, alpha=4, basis=eye)
         key = hash_vector(fam, np.array([0.0, -1.0, 0.0, 2.0]))[0]
         assert key == 0b1101
@@ -126,7 +127,7 @@ class TestHashPoint:
     def test_pca_identity_basis_matches_plain(self):
         # alpha = d with U = I reproduces the plain family bit for bit
         d = 9
-        eye = TruncatedBasis(U=np.eye(d), singular_values=np.ones(d), converged=True, iterations=1)
+        eye = TruncatedBasis(U=np.eye(d), singular_values=np.ones(d))
         plain = new_family(PLAIN, 12, 3, d, seed=6)
         pca = new_family(PCA, 12, 3, d, alpha=d, seed=6, basis=eye)
         rng = np.random.default_rng(0)
@@ -164,7 +165,7 @@ class TestHashMatrixOracle:
         basis = None
         if kind != PLAIN:
             U = np.linalg.qr(rng.standard_normal((d, alpha)))[0]
-            basis = TruncatedBasis(U=U, singular_values=np.ones(alpha), converged=True, iterations=1)
+            basis = TruncatedBasis(U=U, singular_values=np.ones(alpha))
         fam = new_family(kind, l, L, d, seed=data.draw(st.integers(0, 99)), basis=basis)
         budget = hashing._BLOCK_BYTES if rows_per_block is None else rows_per_block * 8 * max(L * l, d)
         with mock.patch.object(hashing, "_BLOCK_BYTES", budget):
@@ -225,7 +226,7 @@ class TestCollisionLaw:
         d, alpha, l, L = 12, 4, 64, 32
         rng = np.random.default_rng(seed)
         U = np.linalg.qr(rng.standard_normal((d, alpha)))[0]
-        basis = TruncatedBasis(U=U, singular_values=np.ones(alpha), converged=True, iterations=1)
+        basis = TruncatedBasis(U=U, singular_values=np.ones(alpha))
         x, y = rng.standard_normal((2, d))
         px, py = U.T @ x, U.T @ y
         assume(min(np.linalg.norm(px) / np.linalg.norm(x), np.linalg.norm(py) / np.linalg.norm(y)) > 0.1)
@@ -287,10 +288,28 @@ class TestSerialization:
     def _pca_blob(small_toy) -> bytes:
         return family_to_bytes(new_family(PCA, 10, 4, small_toy.d, alpha=4, seed=3, dataset=small_toy))
 
-    @pytest.mark.parametrize("size", [4, 20, 49])
+    @pytest.mark.parametrize("size", [4, 20, 37])
     def test_blob_shorter_than_its_fixed_fields(self, small_toy, size):
-        with pytest.raises(ValueError, match=r"^truncated hash-family blob: .* fixed fields alone are 50"):
+        with pytest.raises(ValueError, match=r"^truncated hash-family blob: .* fixed fields alone are 38"):
             family_from_bytes(self._pca_blob(small_toy)[:size])
+
+    def test_blob_of_the_older_layout_asks_for_a_rebuild(self, small_toy):
+        # HDVF also stored the SVD iteration count and a convergence flag
+        blob = b"HDVF" + self._pca_blob(small_toy)[4:]
+        with pytest.raises(ValueError, match=r"older HDVF layout, .* rebuild it with `hashdiv index build`$"):
+            family_from_bytes(blob)
+
+    @pytest.mark.parametrize("alpha", [0, 9])
+    def test_basis_width_outside_one_to_d(self, alpha):
+        # alpha = 0 once loaded and hashed every point to the all-ones key
+        d = 8
+        U = np.zeros((d, alpha))
+        with pytest.raises(ValueError, match=rf"^basis has {alpha} columns, out of range \[1, 8\]$"):
+            new_family(PCA, 8, 2, d, basis=TruncatedBasis(U=U, singular_values=np.zeros(alpha)))
+        head = b"HDF2" + struct.pack("<BIIQQqB", KINDS.index(PCA), 8, 2, d, alpha, 0, 1)
+        blob = head + bytes(8 * alpha * (d + 1))
+        with pytest.raises(ValueError, match=rf"^corrupt hash-family blob: alpha={alpha} out of range \[1, d=8\]$"):
+            family_from_bytes(blob)
 
     def test_unknown_kind_code(self, small_toy):
         blob = bytearray(self._pca_blob(small_toy))

@@ -547,6 +547,11 @@ class TestPersistence:
         with pytest.raises(ValueError, match=r"HDV2 .* rebuild it with `hashdiv index build`"):
             lsh.index_from_bytes(b"HDV2" + lsh.index_to_bytes(toy_index)[4:], toy_1k)
 
+    def test_family_of_the_older_layout_asks_for_a_rebuild(self, toy_1k, toy_index):
+        blob = edit_family_in_index_blob(lsh.index_to_bytes(toy_index), 0, b"HDVF")
+        with pytest.raises(ValueError, match=r"older HDVF layout, .* rebuild it with `hashdiv index build`$"):
+            lsh.index_from_bytes(blob, toy_1k)
+
     def test_family_disagreeing_with_header_rejected(self, toy_1k, toy_index):
         # the family's L, after its magic, kind code and l
         blob = edit_family_in_index_blob(lsh.index_to_bytes(toy_index), 9, struct.pack("<I", toy_index.family.L - 1))
