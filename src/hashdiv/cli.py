@@ -17,7 +17,7 @@ import typing
 import numpy as np
 
 from . import lsh
-from .data import ToyConfig, load_dense, make_toy, save_dense
+from .data import Dataset, ToyConfig, load_dense, make_toy, save_dense
 from .experiment import (
     ExperimentConfig,
     MultilabelConfig,
@@ -77,6 +77,8 @@ def _cmd_toy_gen(args) -> int:
             seed=args.seed + 1,
         )
         qset = make_toy(qconf)
+        if args.n_queries % 2:  # class 0 gets the odd query, class 1 drops its last
+            qset = Dataset(vectors=qset.vectors[:-1], categories=qset.categories[:-1])
         save_dense(qset, args.queries_out)
         print(f"wrote {qset.n} queries to {args.queries_out}", file=sys.stderr)
     return 0

@@ -73,11 +73,10 @@ class Dataset:
 
     @cached_property
     def digest(self) -> bytes:
-        """sha256 of the vectors: the repr of (shape, False), then the
-        float64 values. An index blob records it so that it loads only
-        against the dataset it was built over. The False once flagged a
-        sparse matrix; it stays so that older blobs still load."""
-        h = hashlib.sha256(repr((self.vectors.shape, False)).encode())
+        """sha256 of the vectors: the repr of their shape, then the float64
+        values. An index blob records it so that it loads only against the
+        dataset it was built over."""
+        h = hashlib.sha256(repr(self.vectors.shape).encode())
         h.update(np.ascontiguousarray(self.vectors, dtype=np.float64))
         return h.digest()
 

@@ -10,7 +10,7 @@ hash names of the CLI and the experiment grid:
   * "pcahash"  (PCA_DIRECT) — the principal directions themselves as
                               hyperplanes (the PCA-hash baseline; no
                               randomness beyond the basis).
-A kind's position in KINDS is its code in the family blob.
+A kind's position in KINDS is its code in the index blob (see lsh).
 
 Bit b of table t is 1 iff the projection is >= 0; the tie at exactly 0 is a
 measure-zero event for continuous data but the convention is fixed so keys
@@ -28,7 +28,6 @@ the same kernel.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +37,6 @@ from .linalg import TruncatedBasis, truncated_svd
 
 PLAIN, PCA, PCA_DIRECT = "lshdiv", "lshsdiv", "pcahash"
 KINDS = (PLAIN, PCA, PCA_DIRECT)
-
-_MAGIC = b"HDF2"
-# kind code, l, L, d, alpha, seed, has-basis
-_FIELDS = struct.Struct("<BIIQQqB")
 
 # bytes one row block of `hash_matrix` may hold in its widest float64
 # array: the L * l projections, or the block's rows when d is larger
@@ -194,46 +189,3 @@ def estimate_collision_rate(a, b, trials: int, seed: int = 0) -> float:
     b = np.asarray(b, dtype=float).ravel()
     r = np.random.default_rng(seed).standard_normal((trials, a.size))
     return float(np.mean((r @ a >= 0.0) == (r @ b >= 0.0)))
-
-
-def family_to_bytes(family: HashFamily) -> bytes:
-    """Binary sidecar: header (kind code, l, L, d, alpha, seed, has-basis)
-    plus the basis for the pca kinds. Hyperplanes regenerate bit-identically
-    from the seed."""
-    b = family.basis
-    fields = (KINDS.index(family.kind), family.l, family.L, family.d, family.alpha or 0, family.seed, b is not None)
-    out = [_MAGIC, _FIELDS.pack(*fields)]
-    if b is not None:
-        out.append(np.ascontiguousarray(b.U, dtype=np.float64).tobytes())
-        out.append(np.ascontiguousarray(b.singular_values, dtype=np.float64).tobytes())
-    return b"".join(out)
-
-
-def family_from_bytes(blob: bytes) -> HashFamily:
-    """Inverse of family_to_bytes. A blob shorter or longer than its fields
-    describe, or one whose fields contradict each other, raises ValueError."""
-    if blob[:4] == b"HDVF":  # the layout that also stored SVD iterations and convergence
-        raise ValueError("hash-family blob has the older HDVF layout, which is no longer read: "
-                         "rebuild it with `hashdiv index build`")
-    if blob[:4] != _MAGIC:
-        raise ValueError("not a hash-family blob (bad magic)")
-    off = len(_MAGIC) + _FIELDS.size
-    if len(blob) < off:
-        raise ValueError(f"truncated hash-family blob: {len(blob)} bytes, its fixed fields alone are {off}")
-    code, l, L, d, alpha, seed, has_basis = _FIELDS.unpack_from(blob, len(_MAGIC))
-    if code >= len(KINDS):
-        raise ValueError(f"corrupt hash-family blob: unknown kind code {code}")
-    if has_basis != (KINDS[code] != PLAIN):
-        raise ValueError(f"corrupt hash-family blob: basis flag {has_basis} for kind {KINDS[code]!r}")
-    if has_basis and not 1 <= alpha <= d:
-        raise ValueError(f"corrupt hash-family blob: alpha={alpha} out of range [1, d={d}]")
-    size = off + (8 * alpha * (d + 1) if has_basis else 0)  # U is (d, alpha), then alpha singular values
-    if len(blob) != size:
-        state = "truncated" if len(blob) < size else "corrupt"
-        raise ValueError(f"{state} hash-family blob: {len(blob)} bytes, its fields describe {size}")
-    basis = None
-    if has_basis:
-        U = np.frombuffer(blob, dtype=np.float64, count=d * alpha, offset=off).reshape(d, alpha).copy()
-        sv = np.frombuffer(blob, dtype=np.float64, count=alpha, offset=off + 8 * d * alpha).copy()
-        basis = TruncatedBasis(U=U, singular_values=sv)
-    return new_family(KINDS[code], int(l), int(L), int(d), seed=int(seed), basis=basis)

@@ -12,8 +12,11 @@ keys (t << l) | key, so one ascending `keys` array holds every table and
 one binary search finds a query's L keys. The bucket of keys[j] is
 ids[offsets[j]:offsets[j + 1]]. Table t's buckets fill ids[t*n:(t+1)*n],
 ids ascending inside each bucket. Build sorts one table at a time into
-its slice of ids. The same three arrays are written to and read from the
-blob as raw bytes. Hash keys outside the index carry no tag.
+its slice of ids. Hash keys outside the index carry no tag.
+
+This module alone reads and writes the index blob: one header holding the
+family's fields and the dataset's digest, then for the pca kinds the
+basis, then the same three arrays as raw bytes.
 """
 
 from __future__ import annotations
@@ -25,21 +28,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .hashing import (
-    PLAIN,
-    HashFamily,
-    family_from_bytes,
-    family_to_bytes,
-    hash_matrix,
-    hash_vector,
-    new_family,
-)
+from .hashing import KINDS, PLAIN, HashFamily, hash_matrix, hash_vector, new_family
+from .linalg import TruncatedBasis
 from .select import SelectionProblem, SelectionResult, select_nn
 
-_MAGIC = b"HDV3"
-# magic, n, d, L, bucket count, family length, sha256 of the dataset's
-# vectors, crc32 of everything after the header, crc32 of the header so far
-_HEADER = struct.Struct("<4sQQQQQ32sII")
+_MAGIC = b"HDV4"
+# magic, kind code (the kind's position in KINDS), n, d, L, l, alpha (0 for
+# the plain kind), seed, bucket count, sha256 of the dataset's vectors,
+# crc32 of everything after the header, crc32 of the header so far. Its
+# 104 bytes keep the arrays after it 8-byte aligned.
+_HEADER = struct.Struct("<4sIQQQQQqQ32sII")
 
 
 @dataclass(frozen=True)
@@ -263,42 +261,49 @@ def tune(dataset: Dataset, target_recall: float, epsilon: float = 1.0, *, seed: 
     )
 
 
-def _arrays_offset(fam_len: int) -> int:
-    """Where the arrays start: after the header and the family blob,
-    rounded up to 8 bytes so that they load aligned."""
-    end = _HEADER.size + fam_len
-    return end + (-end % 8)
-
-
 def index_to_bytes(index: LshIndex) -> bytes:
-    """Header, family blob, zero padding to 8 bytes, then keys, offsets
-    and ids as raw little-endian 64-bit arrays."""
-    fam = family_to_bytes(index.family)
-    ds = index.dataset
-    body = [fam, bytes(_arrays_offset(len(fam)) - _HEADER.size - len(fam))] + [
+    """Header, then for the pca kinds the basis U (d x alpha) and its
+    singular values as float64, then keys, offsets and ids, all raw
+    little-endian 64-bit arrays. Hyperplanes regenerate bit-identically
+    from the seed."""
+    family, ds = index.family, index.dataset
+    basis = [] if family.basis is None else [(family.basis.U, "<f8"), (family.basis.singular_values, "<f8")]
+    body = [
         memoryview(np.ascontiguousarray(a, dtype=dt))
-        for a, dt in ((index.keys, "<u8"), (index.offsets, "<i8"), (index.ids, "<i8"))
+        for a, dt in basis + [(index.keys, "<u8"), (index.offsets, "<i8"), (index.ids, "<i8")]
     ]
     body_crc = 0
     for part in body:
         body_crc = zlib.crc32(part, body_crc)
-    fields = (_MAGIC, ds.n, ds.d, index.family.L, index.keys.size, len(fam), ds.digest, body_crc)
+    fields = (_MAGIC, KINDS.index(family.kind), ds.n, ds.d, family.L, family.l, family.alpha or 0, family.seed,
+              index.keys.size, ds.digest, body_crc)
     header = _HEADER.pack(*fields, 0)[:-4]
     return b"".join([header, struct.pack("<I", zlib.crc32(header)), *body])
 
 
 def index_from_bytes(blob: bytes, dataset: Dataset) -> LshIndex:
+    """Inverse of index_to_bytes, checked against `dataset`. A blob of
+    another layout, shorter or longer than its header describes, failing a
+    checksum, whose fields contradict each other or built over another
+    dataset raises ValueError."""
+    if blob[:4] in (b"HDV2", b"HDV3"):  # HDV2 stored untagged keys, HDV3 a separately framed family blob
+        raise ValueError(f"index blob has the older {blob[:4].decode()} layout, which is no longer read: "
+                         "rebuild it with `hashdiv index build`")
     if len(blob) < _HEADER.size:
         raise ValueError(f"truncated index blob: {len(blob)} bytes, the header alone is {_HEADER.size}")
-    magic, n, d, L, buckets, fam_len, digest, body_crc, header_crc = _HEADER.unpack_from(blob)
-    if magic == b"HDV2":  # the layout before tagged keys, with a fourth array of table bounds
-        raise ValueError("index blob has the older HDV2 layout, which is no longer read: rebuild it with `hashdiv index build`")
+    magic, code, n, d, L, l, alpha, seed, buckets, digest, body_crc, header_crc = _HEADER.unpack_from(blob)
     if magic != _MAGIC:
         raise ValueError("not an index blob (bad magic)")
     if zlib.crc32(memoryview(blob)[: _HEADER.size - 4]) != header_crc:
         raise ValueError("corrupt index blob: header checksum mismatch")
-    arrays_at = _arrays_offset(fam_len)
-    size = arrays_at + 8 * (2 * buckets + 1 + L * n)
+    if code >= len(KINDS):
+        raise ValueError(f"corrupt index blob: unknown kind code {code}")
+    kind = KINDS[code]
+    lo, hi = (0, 0) if kind == PLAIN else (1, d)
+    if not lo <= alpha <= hi:
+        raise ValueError(f"corrupt index blob: alpha={alpha} out of range [{lo}, {hi}] for kind {kind!r}")
+    counts = ((d * alpha, "<f8"), (alpha, "<f8"), (buckets, "<u8"), (buckets + 1, "<i8"), (L * n, "<i8"))
+    size = _HEADER.size + 8 * sum(count for count, _ in counts)
     if len(blob) < size:
         raise ValueError(f"truncated index blob: {len(blob)} bytes, its header describes {size}")
     if len(blob) > size:
@@ -311,14 +316,17 @@ def index_from_bytes(blob: bytes, dataset: Dataset) -> LshIndex:
         raise ValueError(f"index built over {d}-dimensional points, dataset has dimension {dataset.d}")
     if digest != dataset.digest:
         raise ValueError("index built over a different dataset: the digest of its vectors does not match")
-    family = family_from_bytes(blob[_HEADER.size : _HEADER.size + fam_len])
-    if (family.L, family.d) != (L, d):
-        raise ValueError(f"corrupt index blob: its family has L={family.L}, d={family.d}, its header L={L}, d={d}")
-    parts = []
-    for dtype, count in (("<u8", buckets), ("<i8", buckets + 1), ("<i8", L * n)):
-        parts.append(np.frombuffer(blob, dtype=dtype, count=count, offset=arrays_at))
-        arrays_at += 8 * count
-    keys, offsets, ids = parts
+    parts, at = [], _HEADER.size
+    for count, dtype in counts:
+        parts.append(np.frombuffer(blob, dtype=dtype, count=count, offset=at))
+        at += 8 * count
+    U, singular_values, keys, offsets, ids = parts
+    basis = None if kind == PLAIN else TruncatedBasis(U=U.reshape(d, alpha), singular_values=singular_values)
+    try:
+        family = new_family(kind, l, L, d, seed=seed, basis=basis)
+        check_tables(l, L)
+    except ValueError as e:
+        raise ValueError(f"corrupt index blob: {e}") from e
     return LshIndex(family=family, dataset=dataset, keys=keys, offsets=offsets, ids=ids)
 
 

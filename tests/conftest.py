@@ -56,13 +56,16 @@ def pair_at_angle(theta_deg: float, d: int = 8) -> tuple[np.ndarray, np.ndarray]
     return a, b
 
 
-def edit_family_in_index_blob(blob: bytes, offset: int, value: bytes) -> bytes:
-    """An index blob with `value` written at `offset` into its family blob
-    and both checksums recomputed, so only the family's own checks can
-    catch the edit."""
+_HEADER_FIELDS = ("magic", "kind", "n", "d", "L", "l", "alpha", "seed", "buckets", "digest", "body_crc", "header_crc")
+
+
+def edit_index_blob(blob: bytes, body: bytes | None = None, **fields) -> bytes:
+    """An index blob with the named header fields replaced (and its body
+    replaced by `body`, if given) and both checksums recomputed, so only
+    the checks on the fields themselves can catch the edit."""
     head = lsh._HEADER.size
-    out = bytearray(blob)
-    out[head + offset : head + offset + len(value)] = value
-    struct.pack_into("<I", out, head - 8, zlib.crc32(out[head:]))
-    struct.pack_into("<I", out, head - 4, zlib.crc32(out[: head - 4]))
-    return bytes(out)
+    body = blob[head:] if body is None else body
+    values = dict(zip(_HEADER_FIELDS, lsh._HEADER.unpack_from(blob)))
+    values.update(fields, body_crc=zlib.crc32(body))
+    header = lsh._HEADER.pack(*values.values())[:-4]
+    return header + struct.pack("<I", zlib.crc32(header)) + body

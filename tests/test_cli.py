@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import hashdiv
-from conftest import edit_family_in_index_blob
+from conftest import edit_index_blob
 from hashdiv import lsh
 from hashdiv.cli import build_parser, main
 from hashdiv.data import load_dense
@@ -36,6 +36,13 @@ def test_toy_gen_writes_labeled_unit_vectors(toy_paths):
     assert set(ds.categories.tolist()) == {0, 1}
     np.testing.assert_allclose(np.linalg.norm(ds.vectors, axis=1), 1.0, atol=1e-9)
     assert load_dense(queries).n == 20
+
+
+def test_toy_gen_writes_an_odd_query_count_exactly(tmp_path):
+    queries = tmp_path / "queries.csv"
+    assert main(["toy-gen", "--out", str(tmp_path / "data.csv"), "--queries-out", str(queries),
+                 "--n-per-class", "4", "--n-queries", "5"]) == 0
+    assert load_dense(queries).categories.tolist() == [0, 0, 0, 1, 1]
 
 
 def test_index_build_and_query(toy_paths, tmp_path, capsys):
@@ -63,12 +70,12 @@ def test_index_query_unknown_family_kind_is_one_error_line(toy_paths, tmp_path, 
     data, queries = toy_paths
     idx = tmp_path / "index.bin"
     assert main(["index", "build", "--data", str(data), "--l", "10", "--L", "4", "--out", str(idx)]) == 0
-    idx.write_bytes(edit_family_in_index_blob(idx.read_bytes(), 4, b"\x07"))
+    idx.write_bytes(edit_index_blob(idx.read_bytes(), kind=7))
     capsys.readouterr()
     rc = main(["index", "query", "--index", str(idx), "--data", str(data), "--queries", str(queries)])
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
-    assert captured.err.splitlines() == ["error: corrupt hash-family blob: unknown kind code 7"]
+    assert captured.err.splitlines() == ["error: corrupt index blob: unknown kind code 7"]
 
 
 def test_retrieve_grid_and_determinism(toy_paths, tmp_path):

@@ -1,4 +1,3 @@
-import struct
 from unittest import mock
 
 import numpy as np
@@ -6,8 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import pair_at_angle, unit_vector
-from hashdiv import hashing
+from conftest import edit_index_blob, pair_at_angle, unit_vector
+from hashdiv import hashing, lsh
 from hashdiv.data import Dataset, normalize_rows
 from hashdiv.hashing import (
     KINDS,
@@ -16,8 +15,6 @@ from hashdiv.hashing import (
     PLAIN,
     collision_probability,
     estimate_collision_rate,
-    family_from_bytes,
-    family_to_bytes,
     hash_matrix,
     hash_vector,
     new_family,
@@ -261,77 +258,78 @@ class TestHammingConcentration:
 
 
 class TestSerialization:
+    """The family's fields and basis as the index blob stores them."""
+
+    @staticmethod
+    def _roundtrip(fam, dataset):
+        return lsh.index_from_bytes(lsh.index_to_bytes(lsh.build(dataset, fam)), dataset).family
+
     def test_plain_roundtrip(self):
         fam = new_family(PLAIN, 24, 5, 32, seed=44)
-        back = family_from_bytes(family_to_bytes(fam))
-        assert back.kind == PLAIN and back.l == 24 and back.L == 5 and back.d == 32
+        back = self._roundtrip(fam, Dataset(vectors=np.eye(32)))
+        assert back.kind == PLAIN and back.l == 24 and back.L == 5 and back.d == 32 and back.seed == 44
         assert np.array_equal(back.hyperplanes, fam.hyperplanes)
 
     def test_pca_roundtrip_bit_identical_keys(self, small_toy):
         fam = new_family(PCA, 10, 4, small_toy.d, alpha=4, seed=3, dataset=small_toy)
-        back = family_from_bytes(family_to_bytes(fam))
+        back = self._roundtrip(fam, small_toy)
         keys_a = hash_matrix(fam, small_toy.vectors)
         keys_b = hash_matrix(back, small_toy.vectors)
         assert np.array_equal(keys_a, keys_b)
 
-    def test_bad_magic(self):
+    def test_bad_magic(self, small_toy):
         with pytest.raises(ValueError, match="magic"):
-            family_from_bytes(b"XXXX" + b"\x00" * 64)
+            lsh.index_from_bytes(b"XXXX" + self._pca_blob(small_toy)[4:], small_toy)
 
     def test_kind_code_is_position_in_kinds(self, small_toy):
         # the code byte after the magic; reordering KINDS would misread old blobs
         for code, kind in enumerate(("lshdiv", "lshsdiv", "pcahash")):
             fam = new_family(kind, 4, 2, small_toy.d, alpha=4, dataset=small_toy)
-            assert KINDS[code] == kind and family_to_bytes(fam)[4] == code
+            assert KINDS[code] == kind and lsh.index_to_bytes(lsh.build(small_toy, fam))[4] == code
 
     @staticmethod
     def _pca_blob(small_toy) -> bytes:
-        return family_to_bytes(new_family(PCA, 10, 4, small_toy.d, alpha=4, seed=3, dataset=small_toy))
+        fam = new_family(PCA, 10, 4, small_toy.d, alpha=4, seed=3, dataset=small_toy)
+        return lsh.index_to_bytes(lsh.build(small_toy, fam))
 
     @pytest.mark.parametrize("size", [4, 20, 37])
     def test_blob_shorter_than_its_fixed_fields(self, small_toy, size):
-        with pytest.raises(ValueError, match=r"^truncated hash-family blob: .* fixed fields alone are 38"):
-            family_from_bytes(self._pca_blob(small_toy)[:size])
-
-    def test_blob_of_the_older_layout_asks_for_a_rebuild(self, small_toy):
-        # HDVF also stored the SVD iteration count and a convergence flag
-        blob = b"HDVF" + self._pca_blob(small_toy)[4:]
-        with pytest.raises(ValueError, match=r"older HDVF layout, .* rebuild it with `hashdiv index build`$"):
-            family_from_bytes(blob)
+        with pytest.raises(ValueError, match=r"^truncated index blob: .* the header alone is 104"):
+            lsh.index_from_bytes(self._pca_blob(small_toy)[:size], small_toy)
 
     @pytest.mark.parametrize("alpha", [0, 9])
-    def test_basis_width_outside_one_to_d(self, alpha):
+    def test_basis_width_outside_one_to_d(self, small_toy, alpha):
         # alpha = 0 once loaded and hashed every point to the all-ones key
         d = 8
         U = np.zeros((d, alpha))
         with pytest.raises(ValueError, match=rf"^basis has {alpha} columns, out of range \[1, 8\]$"):
             new_family(PCA, 8, 2, d, basis=TruncatedBasis(U=U, singular_values=np.zeros(alpha)))
-        head = b"HDF2" + struct.pack("<BIIQQqB", KINDS.index(PCA), 8, 2, d, alpha, 0, 1)
-        blob = head + bytes(8 * alpha * (d + 1))
-        with pytest.raises(ValueError, match=rf"^corrupt hash-family blob: alpha={alpha} out of range \[1, d=8\]$"):
-            family_from_bytes(blob)
+        blob = edit_index_blob(self._pca_blob(small_toy), alpha=alpha)
+        with pytest.raises(ValueError, match=rf"^corrupt index blob: alpha={alpha} out of range \[1, 6\] for kind 'lshsdiv'$"):
+            lsh.index_from_bytes(blob, small_toy)
 
     def test_unknown_kind_code(self, small_toy):
-        blob = bytearray(self._pca_blob(small_toy))
-        blob[4] = 7
-        with pytest.raises(ValueError, match="^corrupt hash-family blob: unknown kind code 7"):
-            family_from_bytes(bytes(blob))
+        blob = edit_index_blob(self._pca_blob(small_toy), kind=7)
+        with pytest.raises(ValueError, match="^corrupt index blob: unknown kind code 7$"):
+            lsh.index_from_bytes(blob, small_toy)
 
-    def test_basis_flag_contradicting_kind(self):
-        blob = bytearray(family_to_bytes(new_family(PLAIN, 8, 2, 4)))
-        blob[37] = 1  # the has-basis byte, after the magic and 33 bytes of fields
-        with pytest.raises(ValueError, match="^corrupt hash-family blob: basis flag 1 for kind 'lshdiv'"):
-            family_from_bytes(bytes(blob))
+    def test_basis_flag_contradicting_kind(self, small_toy):
+        # alpha is the basis flag too: 0 exactly for the plain kind
+        blob = lsh.index_to_bytes(lsh.build(small_toy, new_family(PLAIN, 8, 2, small_toy.d)))
+        with pytest.raises(ValueError, match=r"^corrupt index blob: alpha=1 out of range \[0, 0\] for kind 'lshdiv'$"):
+            lsh.index_from_bytes(edit_index_blob(blob, alpha=1), small_toy)
 
     def test_short_basis(self, small_toy):
         blob = self._pca_blob(small_toy)
-        with pytest.raises(ValueError, match=rf"^truncated hash-family blob: {len(blob) - 8} bytes, .* {len(blob)}$"):
-            family_from_bytes(blob[:-8])
+        basis_end = lsh._HEADER.size + 8 * 4 * (small_toy.d + 1)
+        short = blob[: basis_end - 8] + blob[basis_end:]
+        with pytest.raises(ValueError, match=rf"^truncated index blob: {len(blob) - 8} bytes, .* {len(blob)}$"):
+            lsh.index_from_bytes(short, small_toy)
 
     def test_trailing_bytes(self, small_toy):
         blob = self._pca_blob(small_toy)
-        with pytest.raises(ValueError, match=rf"^corrupt hash-family blob: {len(blob) + 1} bytes, .* {len(blob)}$"):
-            family_from_bytes(blob + b"\x00")
+        with pytest.raises(ValueError, match=rf"^corrupt index blob: {len(blob) + 1} bytes, .* {len(blob)}$"):
+            lsh.index_from_bytes(blob + b"\x00", small_toy)
 
     @given(
         st.integers(min_value=1, max_value=64),
@@ -341,8 +339,9 @@ class TestSerialization:
     )
     @settings(max_examples=40, deadline=None)
     def test_plain_roundtrip_property(self, l, L, d, seed):
+        assume(l + (L - 1).bit_length() <= 64)  # the tagged keys fit one word
         fam = new_family(PLAIN, l, L, d, seed=seed)
-        back = family_from_bytes(family_to_bytes(fam))
+        back = self._roundtrip(fam, Dataset(vectors=np.eye(d)))
         assert np.array_equal(back.hyperplanes, fam.hyperplanes)
 
 

@@ -1,5 +1,4 @@
 import re
-import struct
 import tracemalloc
 
 import numpy as np
@@ -7,10 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import clustered_dataset, edit_family_in_index_blob, toy_centers
+from conftest import clustered_dataset, edit_index_blob, toy_centers
 from hashdiv import lsh
 from hashdiv.data import Dataset, ToyConfig, make_toy, normalize_rows
-from hashdiv.hashing import PLAIN, hash_matrix, new_family
+from hashdiv.hashing import KINDS, PCA, PCA_DIRECT, PLAIN, hash_matrix, new_family
 from hashdiv.select import (
     SelectionProblem,
     select_greedy_div,
@@ -527,7 +526,7 @@ class TestPersistence:
 
     def test_truncated_blob_rejected(self, toy_1k, toy_index):
         blob = lsh.index_to_bytes(toy_index)
-        for size in (0, 3, 40, 83, 84, 200, len(blob) // 2, len(blob) - 8, len(blob) - 1):
+        for size in (0, 3, 40, 103, 104, 200, len(blob) // 2, len(blob) - 8, len(blob) - 1):
             with pytest.raises(ValueError, match="truncated"):
                 lsh.index_from_bytes(blob[:size], toy_1k)
 
@@ -544,16 +543,63 @@ class TestPersistence:
             lsh.index_from_bytes(b"HDVI" + blob[4:], toy_1k)
 
     def test_blob_of_the_older_layout_asks_for_a_rebuild(self, toy_1k, toy_index):
-        with pytest.raises(ValueError, match=r"HDV2 .* rebuild it with `hashdiv index build`"):
-            lsh.index_from_bytes(b"HDV2" + lsh.index_to_bytes(toy_index)[4:], toy_1k)
+        # HDV2 stored untagged keys, HDV3 a separately framed family blob
+        for magic in (b"HDV2", b"HDV3"):
+            with pytest.raises(ValueError, match=rf"^index blob has the older {magic.decode()} layout, "
+                                                 r".* rebuild it with `hashdiv index build`$"):
+                lsh.index_from_bytes(magic + lsh.index_to_bytes(toy_index)[4:], toy_1k)
 
-    def test_family_of_the_older_layout_asks_for_a_rebuild(self, toy_1k, toy_index):
-        blob = edit_family_in_index_blob(lsh.index_to_bytes(toy_index), 0, b"HDVF")
-        with pytest.raises(ValueError, match=r"older HDVF layout, .* rebuild it with `hashdiv index build`$"):
-            lsh.index_from_bytes(blob, toy_1k)
+    @pytest.mark.parametrize("kind, fields, refusal", [
+        (PLAIN, {"l": 0}, r"l=0 out of range \[1, 64\]"),
+        (PLAIN, {"l": 65}, r"l=65 out of range \[1, 64\]"),
+        (PLAIN, {"L": 0}, r"L must be >= 1"),
+        # once loaded, and every query's tagged keys were wrong
+        (PLAIN, {"l": 63}, r"l=63 and L=4 do not fit one index"),
+        (PCA_DIRECT, {"l": 5}, r"pcahash needs alpha >= l, got alpha=4, l=5"),
+    ])
+    def test_header_the_family_refuses_is_corrupt(self, toy_1k, kind, fields, refusal):
+        # both checksums pass, so only the family's own checks can refuse it
+        alpha = None if kind == PLAIN else 4
+        blob = lsh.index_to_bytes(lsh.build(toy_1k, new_family(kind, 4, 4, toy_1k.d, alpha=alpha, dataset=toy_1k)))
+        body = blob[lsh._HEADER.size : len(blob) - 8 * 4 * toy_1k.n] if fields.get("L") == 0 else None
+        with pytest.raises(ValueError, match=rf"^corrupt index blob: {refusal}"):
+            lsh.index_from_bytes(edit_index_blob(blob, body, **fields), toy_1k)
 
-    def test_family_disagreeing_with_header_rejected(self, toy_1k, toy_index):
-        # the family's L, after its magic, kind code and l
-        blob = edit_family_in_index_blob(lsh.index_to_bytes(toy_index), 9, struct.pack("<I", toy_index.family.L - 1))
-        with pytest.raises(ValueError, match=r"^corrupt index blob: its family has L=3, d=8, its header L=4, d=8"):
-            lsh.index_from_bytes(blob, toy_1k)
+    @given(
+        kind=st.sampled_from(KINDS),
+        l=st.integers(1, 64),
+        L=st.integers(1, 5),
+        d=st.integers(1, 6),
+        alpha=st.integers(1, 6),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    # the shapes of toy_index, of test_hashing's pca blob and of the CI pcahash build
+    @example(kind=PLAIN, l=10, L=4, d=8, alpha=1, seed=1)
+    @example(kind=PCA, l=10, L=4, d=6, alpha=4, seed=3)
+    @example(kind=PCA_DIRECT, l=6, L=4, d=8, alpha=8, seed=0)
+    @settings(max_examples=40, deadline=None)
+    def test_roundtrip_and_every_flip_and_prefix_refused(self, kind, l, L, d, alpha, seed):
+        alpha = min(alpha, d) if kind != PLAIN else None
+        l = min(l, 64 - (L - 1).bit_length(), alpha if kind == PCA_DIRECT else 64)
+        rng = np.random.default_rng(seed)
+        ds = Dataset(vectors=rng.standard_normal((12, d)))
+        index = lsh.build(ds, new_family(kind, l, L, d, alpha=alpha, seed=seed, dataset=ds))
+        blob = lsh.index_to_bytes(index)
+        back = lsh.index_from_bytes(blob, ds)
+        fam, got = index.family, back.family
+        assert (got.kind, got.l, got.L, got.d, got.alpha, got.seed) == (kind, l, L, d, alpha, seed)
+        assert got.hyperplanes.tobytes() == fam.hyperplanes.tobytes()
+        if kind != PLAIN:
+            assert got.basis.U.tobytes() == fam.basis.U.tobytes()
+            assert got.basis.singular_values.tobytes() == fam.basis.singular_values.tobytes()
+        for q in np.vstack([ds.vectors[:3], rng.standard_normal((3, d))]):
+            a, b = lsh.query(index, q), lsh.query(back, q)
+            assert np.array_equal(a.ids, b.ids) and a.touched == b.touched
+        for pos in range(len(blob)):
+            bad = bytearray(blob)
+            bad[pos] ^= 0xFF
+            with pytest.raises(ValueError):
+                lsh.index_from_bytes(bytes(bad), ds)
+        for size in range(len(blob)):
+            with pytest.raises(ValueError):
+                lsh.index_from_bytes(blob[:size], ds)
