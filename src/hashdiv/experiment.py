@@ -214,7 +214,7 @@ def run_retrieval_experiment(config: ExperimentConfig) -> list[ResultRow]:
                 name, config.l, config.L, dataset.d,
                 alpha=config.alpha, seed=config.seed, dataset=dataset, basis=basis,
             )
-            lsh.check_tables(config.l, config.L)
+            lsh.check_tables(config.l, config.L, dataset.n)
             basis = basis or families[name].basis
     rows: list[ResultRow] = []
     for hash_name in config.hashes:

@@ -17,13 +17,15 @@ measure-zero event for continuous data but the convention is fixed so keys
 are reproducible. A key packs l <= 64 bits into one uint64, bit b at
 position b, by one integer product of the bits with the powers of two.
 
-`hash_matrix` walks the rows of a dense (n, d) array in blocks whose
-L * l float64 projections fit a fixed byte budget, writing each block's
-keys into the (n, L) output, so its working memory is bounded by the keys
-it returns, not by n * L * l.
-A row's projections do not depend on the other rows of its block, so the
-keys do not depend on the block size; `hash_vector` is the one-row case of
-the same kernel.
+One kernel hashes a dense (n, d) array under a run of tables: it walks
+the rows in blocks whose float64 projections onto those tables' planes
+fit a fixed byte budget, writing each block's keys into the output, so
+its working memory is bounded by the keys it returns, not by n * L * l.
+`hash_matrix` runs it over all L tables, `hash_table` over one (the index
+build hashes table by table, so it never holds the (n, L) keys), and
+`hash_vector` is the one-row case of `hash_matrix`. A row's projections
+do not depend on the other rows of its block, so the keys do not depend
+on the block size.
 """
 
 from __future__ import annotations
@@ -38,8 +40,9 @@ from .linalg import TruncatedBasis, truncated_svd
 PLAIN, PCA, PCA_DIRECT = "lshdiv", "lshsdiv", "pcahash"
 KINDS = (PLAIN, PCA, PCA_DIRECT)
 
-# bytes one row block of `hash_matrix` may hold in its widest float64
-# array: the L * l projections, or the block's rows when d is larger
+# bytes one row block of the hashing kernel may hold in its widest float64
+# array: the projections onto its tables' planes, or the block's rows when
+# d is larger
 _BLOCK_BYTES = 1 << 18
 
 
@@ -136,22 +139,35 @@ def new_family(
     return HashFamily(kind=kind, l=l, L=L, d=d, alpha=alpha, seed=seed, hyperplanes=planes, basis=basis)
 
 
-def hash_matrix(family: HashFamily, vectors: np.ndarray) -> np.ndarray:
-    """Keys for every row of the dense (n, d) `vectors` under every table:
-    (n, L) uint64."""
+def _hash_tables(family: HashFamily, vectors: np.ndarray, first: int, stop: int) -> np.ndarray:
+    """Keys of every row of the dense (n, d) `vectors` under tables
+    first..stop-1: (n, stop - first) uint64. The one hashing kernel."""
     if vectors.shape[1] != family.d:
         raise ValueError(f"point dimension {vectors.shape[1]} != family dimension {family.d}")
-    n, L, l = vectors.shape[0], family.L, family.l
-    block = max(1, _BLOCK_BYTES // (8 * max(L * l, family.d)))
-    keys = np.empty((n, L), dtype=np.uint64)
+    n, l = vectors.shape[0], family.l
+    planes = family._planes[:, first * l : stop * l]
+    block = max(1, _BLOCK_BYTES // (8 * max(planes.shape[1], family.d)))
+    keys = np.empty((n, stop - first), dtype=np.uint64)
     for lo in range(0, n, block):
         z = vectors[lo : lo + block]
         if family.kind != PLAIN:
             z = z @ family.basis.U  # U^T x, where the pca kinds' hyperplanes live
-        # one fused projection against all L*l hyperplanes
-        bits = (z @ family._planes >= 0.0).reshape(-1, L, l)
+        # one fused projection against the tables' hyperplanes
+        bits = (z @ planes >= 0.0).reshape(z.shape[0], stop - first, l)
         np.matmul(bits, family._pow2, out=keys[lo : lo + block])
     return keys
+
+
+def hash_matrix(family: HashFamily, vectors: np.ndarray) -> np.ndarray:
+    """Keys for every row of the dense (n, d) `vectors` under every table:
+    (n, L) uint64."""
+    return _hash_tables(family, vectors, 0, family.L)
+
+
+def hash_table(family: HashFamily, vectors: np.ndarray, t: int) -> np.ndarray:
+    """Keys for every row of the dense (n, d) `vectors` under table t:
+    (n,) uint64, equal to hash_matrix(family, vectors)[:, t]."""
+    return _hash_tables(family, vectors, t, t + 1)[:, 0]
 
 
 def hash_vector(family: HashFamily, x: np.ndarray) -> np.ndarray:

@@ -11,12 +11,18 @@ The tables are static, so they are stored flat, in the manner of FALCONN
 keys (t << l) | key, so one ascending `keys` array holds every table and
 one binary search finds a query's L keys. The bucket of keys[j] is
 ids[offsets[j]:offsets[j + 1]]. Table t's buckets fill ids[t*n:(t+1)*n],
-ids ascending inside each bucket. Build sorts one table at a time into
-its slice of ids. Hash keys outside the index carry no tag.
+ids ascending inside each bucket; offsets and ids are int32, so L * n
+may not pass 2**31 - 1. Build hashes and sorts one table at a time into
+its slice of ids, so the (n, L) keys never exist. Hash keys outside the
+index carry no tag.
+
+The tuner scores its sampled queries in chunks whose work buffers fit a
+fixed byte budget, so its memory is the sample's keys plus that budget.
 
 This module alone reads and writes the index blob: one header holding the
 family's fields and the dataset's digest, then for the pca kinds the
-basis, then the same three arrays as raw bytes.
+basis, then the same three arrays as raw bytes. Loading checks that the
+arrays form an index over the dataset before any query reads them.
 """
 
 from __future__ import annotations
@@ -28,16 +34,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .hashing import KINDS, PLAIN, HashFamily, hash_matrix, hash_vector, new_family
+from .hashing import KINDS, PLAIN, HashFamily, hash_matrix, hash_table, hash_vector, new_family
 from .linalg import TruncatedBasis
 from .select import SelectionProblem, SelectionResult, select_nn
 
-_MAGIC = b"HDV4"
+_MAGIC = b"HDV5"
 # magic, kind code (the kind's position in KINDS), n, d, L, l, alpha (0 for
 # the plain kind), seed, bucket count, sha256 of the dataset's vectors,
 # crc32 of everything after the header, crc32 of the header so far. Its
 # 104 bytes keep the arrays after it 8-byte aligned.
 _HEADER = struct.Struct("<4sIQQQQQqQ32sII")
+# the most ids (L * n) that int32 offsets and ids can address
+_MAX_IDS = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -52,7 +60,7 @@ class CandidateSet:
 @dataclass
 class LshIndex:
     """Flat tables (see the module docstring): tagged `keys` (B,) uint64,
-    ascending, `offsets` (B + 1,) and `ids` (L * n,) int64. Only non-empty
+    ascending, `offsets` (B + 1,) and `ids` (L * n,) int32. Only non-empty
     buckets are stored. Immutable after build; queries are safe to run
     concurrently."""
 
@@ -63,13 +71,17 @@ class LshIndex:
     ids: np.ndarray
 
 
-def check_tables(l: int, L: int) -> None:
-    """Refuse an (l, L) whose tagged keys do not fit 64 bits. l = 64 with
-    L = 1 fits: numpy shifts the one zero tag by 64 to 0."""
+def check_tables(l: int, L: int, n: int) -> None:
+    """Refuse an (l, L) whose tagged keys do not fit 64 bits, or L tables
+    of n points whose L * n ids an int32 offset cannot address. l = 64
+    with L = 1 fits: numpy shifts the one zero tag by 64 to 0."""
     tag_bits = (L - 1).bit_length()
     if l + tag_bits > 64:
         raise ValueError(f"l={l} and L={L} do not fit one index: a tagged key holds the {l} key bits "
                          f"and a {tag_bits}-bit table number, {l + tag_bits} > 64 bits")
+    if L * n > _MAX_IDS:
+        raise ValueError(f"L={L} tables of n={n} points hold {L * n} ids, more than the {_MAX_IDS} "
+                         "that an index's int32 offsets can address")
 
 
 def build(dataset: Dataset, family: HashFamily) -> LshIndex:
@@ -78,22 +90,29 @@ def build(dataset: Dataset, family: HashFamily) -> LshIndex:
         raise ValueError("cannot index an empty dataset")
     if dataset.d != family.d:
         raise ValueError(f"dataset dimension {dataset.d} != family dimension {family.d}")
-    check_tables(family.l, family.L)
     n, L = dataset.n, family.L
-    keys = hash_matrix(family, dataset.vectors)  # (n, L)
-    # one table at a time, so only one table's sort is alive beside the index
-    ids = np.empty(L * n, dtype=np.int64)
+    check_tables(family.l, L, n)
+    # one table at a time, so only one table's keys and sort are alive
+    # beside the index
+    ids = np.empty(L * n, dtype=np.int32)
+    # numpy's stable sort is a radix sort on 8- and 16-bit integers, so the
+    # keys are sorted in the narrowest unsigned type that holds l bits
+    key_type = np.min_scalar_type((1 << family.l) - 1)
     bucket_keys, starts = [], []
     first = np.ones(n, dtype=bool)  # every table opens a bucket
     for t in range(L):
+        keys = hash_table(family, dataset.vectors, t)
         order = ids[t * n : (t + 1) * n]
-        order[:] = np.argsort(keys[:, t], kind="stable")
-        sorted_keys = keys[order, t]
+        order[:] = np.argsort(keys.astype(key_type, copy=False), kind="stable")
+        sorted_keys = keys[order]
         np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
-        starts.append(np.flatnonzero(first) + t * n)
+        starts.append((np.flatnonzero(first) + t * n).astype(np.int32))
         bucket_keys.append(sorted_keys[first] | np.uint64(t) << np.uint64(family.l))
-    del keys  # freed before the index arrays are concatenated
-    return LshIndex(family, dataset, np.concatenate(bucket_keys), np.concatenate(starts + [[L * n]]), ids)
+        del keys, sorted_keys  # before the next table's keys are hashed
+    keys = np.concatenate(bucket_keys)
+    del bucket_keys  # before the offsets are concatenated
+    starts.append(np.array([L * n], dtype=np.int32))
+    return LshIndex(family, dataset, keys, np.concatenate(starts), ids)
 
 
 def _check_query(q: np.ndarray, d: int) -> None:
@@ -118,7 +137,7 @@ def query(index: LshIndex, q: np.ndarray) -> CandidateSet:
     lo, hi = index.offsets[j].tolist(), index.offsets[j + 1].tolist()
     touched = sum(hi) - sum(lo)
     # np.unique's hash-table path costs more than the sort on a few hundred ids
-    ids = np.concatenate([index.ids[a:b] for a, b in zip(lo, hi)])
+    ids = np.concatenate([index.ids[a:b] for a, b in zip(lo, hi)], dtype=np.intp)
     ids.sort()
     distinct = np.empty(ids.size, dtype=bool)
     distinct[0] = True
@@ -161,12 +180,21 @@ _TUNE_QUERIES = 64
 _TUNE_AT_K = 10
 
 
-def _shared_prefix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Number of low bits on which keys a and b agree (64 if a == b): the
-    trailing zeros of a ^ b, counted as the set bits below its lowest set
-    bit. For a == b the subtraction wraps to all ones."""
-    x = a ^ b
-    return np.bitwise_count((x & -x) - np.uint64(1))
+# bytes that each of tune's two (queries, n) uint64 work buffers may hold,
+# which sets how many sampled queries are scored at once
+_TUNE_BYTES = 1 << 19
+
+
+def _shared_prefix(a: np.ndarray, b: np.ndarray, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
+    """Write to `out` the number of low bits on which keys a and b agree
+    (64 if a == b): the trailing zeros of a ^ b, counted as the set bits
+    below its lowest set bit. For a == b the subtraction wraps to all
+    ones. x and y are uint64 work buffers of out's shape."""
+    np.bitwise_xor(a, b, out=x)
+    np.negative(x, out=y)
+    np.bitwise_and(x, y, out=x)
+    np.subtract(x, np.uint64(1), out=x)
+    np.bitwise_count(x, out=out)
 
 
 def tune(dataset: Dataset, target_recall: float, epsilon: float = 1.0, *, seed: int = 0) -> TuneResult:
@@ -205,8 +233,8 @@ def tune(dataset: Dataset, target_recall: float, epsilon: float = 1.0, *, seed: 
     nq = q_ids.size
 
     max_l, max_L = _L_GRID[-1], _TABLE_GRID[-1]
-    family = new_family(PLAIN, max_l, max_L, dataset.d, seed=seed)
-    all_keys = hash_matrix(family, dataset.vectors)          # (n, max_L)
+    # (n, max_L); the family's planes are not kept past the hashing
+    all_keys = hash_matrix(new_family(PLAIN, max_l, max_L, dataset.d, seed=seed), dataset.vectors)
 
     # leave-one-out ground truth: the nearest neighbors excluding the query
     everyone = np.arange(n)
@@ -217,24 +245,38 @@ def tune(dataset: Dataset, target_recall: float, epsilon: float = 1.0, *, seed: 
         row[:] = nearest[nearest != qi][: row.size]
 
     # per l, table count L and query: hits among true_nn, union size and
-    # touched entries
+    # touched entries, scored for `chunk` queries at a time so that the
+    # work buffers stay within _TUNE_BYTES each
     ls = np.array(_L_GRID)
-    rows = np.arange(nq)[:, None]
-    union = np.zeros((nq, n), dtype=np.uint8)   # longest prefix shared in any table so far
-    touched_hist = np.zeros((nq, 65), dtype=np.int64)
     hits, cands, touched = (np.empty((ls.size, max_L, nq)) for _ in range(3))
+    chunk = min(nq, max(1, _TUNE_BYTES // (8 * n)))
+    x, y = (np.empty((chunk, n), dtype=np.uint64) for _ in range(2))
+    shared, union = (np.empty((chunk, n), dtype=np.uint8) for _ in range(2))
 
     def at_least(hist: np.ndarray) -> np.ndarray:
-        return hist[:, ::-1].cumsum(axis=1)[:, ::-1][:, ls].T   # (len(ls), nq): count of prefix >= l
+        return hist[:, ::-1].cumsum(axis=1)[:, ::-1][:, ls].T   # (len(ls), c): count of prefix >= l
 
-    for t in range(max_L):
-        shared = _shared_prefix(all_keys[q_ids, t][:, None], all_keys[:, t][None, :])
-        touched_hist += np.bincount((shared + rows * 65).ravel(), minlength=nq * 65).reshape(nq, 65)
-        np.maximum(union, shared, out=union)
-        hits[:, t] = (union[rows, true_nn] >= ls[:, None, None]).sum(axis=2)
-        union_hist = np.bincount((union + rows * 65).ravel(), minlength=nq * 65).reshape(nq, 65)
-        cands[:, t] = at_least(union_hist) - 1   # the query itself always collides
-        touched[:, t] = at_least(touched_hist)
+    for lo in range(0, nq, chunk):
+        qs = slice(lo, min(lo + chunk, nq))
+        c = qs.stop - lo
+        rows = np.arange(c)[:, None]
+        row_bins = rows * 65
+        # y is free once x holds the shared prefix, so it holds the
+        # bincount bins (prefix + 65 * row) as int64 in place
+        xc, yc, sh, un = x[:c], y[:c], shared[:c], union[:c]
+        bins = yc.view(np.int64)
+        un.fill(0)   # longest prefix shared in any table so far
+        touched_hist = np.zeros((c, 65), dtype=np.int64)
+        for t in range(max_L):
+            _shared_prefix(all_keys[q_ids[qs], t][:, None], all_keys[:, t], xc, yc, out=sh)
+            np.add(sh, row_bins, out=bins)
+            touched_hist += np.bincount(bins.ravel(), minlength=c * 65).reshape(c, 65)
+            np.maximum(un, sh, out=un)
+            hits[:, t, qs] = (un[rows, true_nn[qs]] >= ls[:, None, None]).sum(axis=2)
+            np.add(un, row_bins, out=bins)
+            union_hist = np.bincount(bins.ravel(), minlength=c * 65).reshape(c, 65)
+            cands[:, t, qs] = at_least(union_hist) - 1   # the query itself always collides
+            touched[:, t, qs] = at_least(touched_hist)
 
     # the means reduce the contiguous query axis, so each is the pairwise
     # sum that np.mean gives one (l, L) pair's queries
@@ -261,16 +303,17 @@ def tune(dataset: Dataset, target_recall: float, epsilon: float = 1.0, *, seed: 
     )
 
 
-def index_to_bytes(index: LshIndex) -> bytes:
-    """Header, then for the pca kinds the basis U (d x alpha) and its
-    singular values as float64, then keys, offsets and ids, all raw
-    little-endian 64-bit arrays. Hyperplanes regenerate bit-identically
-    from the seed."""
+def _blob_parts(index: LshIndex) -> list:
+    """The blob of `index` as a list of buffers: the header, then for the
+    pca kinds the basis U (d x alpha) and its singular values as float64,
+    then keys (uint64), offsets and ids (int32), all raw little-endian
+    arrays viewed in place. Hyperplanes regenerate bit-identically from
+    the seed."""
     family, ds = index.family, index.dataset
     basis = [] if family.basis is None else [(family.basis.U, "<f8"), (family.basis.singular_values, "<f8")]
     body = [
         memoryview(np.ascontiguousarray(a, dtype=dt))
-        for a, dt in basis + [(index.keys, "<u8"), (index.offsets, "<i8"), (index.ids, "<i8")]
+        for a, dt in basis + [(index.keys, "<u8"), (index.offsets, "<i4"), (index.ids, "<i4")]
     ]
     body_crc = 0
     for part in body:
@@ -278,15 +321,45 @@ def index_to_bytes(index: LshIndex) -> bytes:
     fields = (_MAGIC, KINDS.index(family.kind), ds.n, ds.d, family.L, family.l, family.alpha or 0, family.seed,
               index.keys.size, ds.digest, body_crc)
     header = _HEADER.pack(*fields, 0)[:-4]
-    return b"".join([header, struct.pack("<I", zlib.crc32(header)), *body])
+    return [header, struct.pack("<I", zlib.crc32(header)), *body]
+
+
+def index_to_bytes(index: LshIndex) -> bytes:
+    """The index blob (see _blob_parts) as one bytes object."""
+    return b"".join(_blob_parts(index))
+
+
+def _check_arrays(keys: np.ndarray, offsets: np.ndarray, ids: np.ndarray, l: int, L: int, n: int) -> None:
+    """Refuse arrays that are not a flat index of L tables over n points
+    (see the module docstring), so that no query reads out of bounds. Only
+    reductions and (B,) temporaries, none the size of ids."""
+    if keys.size < L:
+        raise ValueError(f"corrupt index blob: {keys.size} buckets cannot give each of {L} tables one")
+    if (keys[1:] <= keys[:-1]).any():
+        raise ValueError("corrupt index blob: bucket keys are not strictly ascending")
+    if keys[-1] >> np.uint64(l) >= L:
+        raise ValueError(f"corrupt index blob: a bucket key's table tag is not below L={L}")
+    if offsets[0] != 0 or offsets[-1] != L * n or (offsets[1:] <= offsets[:-1]).any():
+        raise ValueError(f"corrupt index blob: bucket offsets do not rise strictly from 0 to L*n={L * n}")
+    tables = np.arange(L)
+    firsts = keys.searchsorted(tables.astype(np.uint64) << np.uint64(l))
+    bad = (firsts == keys.size) | (keys.take(firsts, mode="clip") >> np.uint64(l) != tables)
+    bad |= offsets[firsts] != tables * n
+    if bad.any():
+        t = int(np.argmax(bad))
+        raise ValueError(f"corrupt index blob: table {t}'s buckets do not start at id slot {t * n}")
+    if ids.min() < 0 or ids.max() >= n:
+        raise ValueError(f"corrupt index blob: a point id lies outside [0, {n})")
 
 
 def index_from_bytes(blob: bytes, dataset: Dataset) -> LshIndex:
     """Inverse of index_to_bytes, checked against `dataset`. A blob of
     another layout, shorter or longer than its header describes, failing a
-    checksum, whose fields contradict each other or built over another
-    dataset raises ValueError."""
-    if blob[:4] in (b"HDV2", b"HDV3"):  # HDV2 stored untagged keys, HDV3 a separately framed family blob
+    checksum, whose fields or arrays contradict each other or built over
+    another dataset raises ValueError."""
+    if blob[:4] in (b"HDV2", b"HDV3", b"HDV4"):
+        # HDV2 stored untagged keys, HDV3 a separately framed family blob,
+        # HDV4 int64 offsets and ids
         raise ValueError(f"index blob has the older {blob[:4].decode()} layout, which is no longer read: "
                          "rebuild it with `hashdiv index build`")
     if len(blob) < _HEADER.size:
@@ -302,8 +375,8 @@ def index_from_bytes(blob: bytes, dataset: Dataset) -> LshIndex:
     lo, hi = (0, 0) if kind == PLAIN else (1, d)
     if not lo <= alpha <= hi:
         raise ValueError(f"corrupt index blob: alpha={alpha} out of range [{lo}, {hi}] for kind {kind!r}")
-    counts = ((d * alpha, "<f8"), (alpha, "<f8"), (buckets, "<u8"), (buckets + 1, "<i8"), (L * n, "<i8"))
-    size = _HEADER.size + 8 * sum(count for count, _ in counts)
+    counts = ((d * alpha, "<f8"), (alpha, "<f8"), (buckets, "<u8"), (buckets + 1, "<i4"), (L * n, "<i4"))
+    size = _HEADER.size + sum(count * np.dtype(dtype).itemsize for count, dtype in counts)
     if len(blob) < size:
         raise ValueError(f"truncated index blob: {len(blob)} bytes, its header describes {size}")
     if len(blob) > size:
@@ -319,20 +392,23 @@ def index_from_bytes(blob: bytes, dataset: Dataset) -> LshIndex:
     parts, at = [], _HEADER.size
     for count, dtype in counts:
         parts.append(np.frombuffer(blob, dtype=dtype, count=count, offset=at))
-        at += 8 * count
+        at += count * parts[-1].itemsize
     U, singular_values, keys, offsets, ids = parts
     basis = None if kind == PLAIN else TruncatedBasis(U=U.reshape(d, alpha), singular_values=singular_values)
     try:
         family = new_family(kind, l, L, d, seed=seed, basis=basis)
-        check_tables(l, L)
+        check_tables(l, L, n)
     except ValueError as e:
         raise ValueError(f"corrupt index blob: {e}") from e
+    _check_arrays(keys, offsets, ids, l, L, n)
     return LshIndex(family=family, dataset=dataset, keys=keys, offsets=offsets, ids=ids)
 
 
 def save_index(index: LshIndex, path) -> None:
+    """Write the index blob part by part, so no copy of the whole blob is
+    made."""
     with open(path, "wb") as fh:
-        fh.write(index_to_bytes(index))
+        fh.writelines(_blob_parts(index))
 
 
 def load_index(path, dataset: Dataset) -> LshIndex:

@@ -88,9 +88,14 @@ def _result(problem: SelectionProblem, picked: list[int]) -> SelectionResult:
 
 
 def select_nn(problem: SelectionProblem) -> SelectionResult:
-    """Plain nearest neighbors: the k candidates closest to the query."""
+    """Plain nearest neighbors: the k candidates closest to the query,
+    nearest first, ties to the lowest id. Only the candidates within the
+    k-th smallest distance, found by a partition, are sorted."""
     d2 = _sq_dists_to_query(problem)
-    order = np.lexsort((problem.ids, d2))
+    near = np.arange(d2.size)
+    if problem.k < d2.size:
+        near = np.flatnonzero(d2 <= d2[np.argpartition(d2, problem.k - 1)[problem.k - 1]])
+    order = near[np.lexsort((problem.ids[near], d2[near]))]
     return _result(problem, list(order[: problem.k]))
 
 

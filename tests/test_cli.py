@@ -78,6 +78,21 @@ def test_index_query_unknown_family_kind_is_one_error_line(toy_paths, tmp_path, 
     assert captured.err.splitlines() == ["error: corrupt index blob: unknown kind code 7"]
 
 
+def test_index_query_out_of_range_id_is_one_error_line(toy_paths, tmp_path, capsys):
+    # both checksums pass, so only the load's checks on the arrays catch it
+    data, queries = toy_paths
+    idx = tmp_path / "index.bin"
+    assert main(["index", "build", "--data", str(data), "--l", "10", "--L", "4", "--out", str(idx)]) == 0
+    blob = idx.read_bytes()
+    ids_at = len(blob) - 4 * 4 * 400
+    idx.write_bytes(edit_index_blob(blob, blob[lsh._HEADER.size : ids_at] + np.int32(10**6).tobytes() + blob[ids_at + 4 :]))
+    capsys.readouterr()
+    rc = main(["index", "query", "--index", str(idx), "--data", str(data), "--queries", str(queries)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.splitlines() == ["error: corrupt index blob: a point id lies outside [0, 400)"]
+
+
 def test_retrieve_grid_and_determinism(toy_paths, tmp_path):
     data, queries = toy_paths
     out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"

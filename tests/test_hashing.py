@@ -16,6 +16,7 @@ from hashdiv.hashing import (
     collision_probability,
     estimate_collision_rate,
     hash_matrix,
+    hash_table,
     hash_vector,
     new_family,
 )
@@ -167,8 +168,11 @@ class TestHashMatrixOracle:
         budget = hashing._BLOCK_BYTES if rows_per_block is None else rows_per_block * 8 * max(L * l, d)
         with mock.patch.object(hashing, "_BLOCK_BYTES", budget):
             keys = hash_matrix(fam, x)
+            tables = [hash_table(fam, x, t) for t in range(L)]
         assert keys.dtype == np.uint64 and keys.shape == (n, L)
         assert np.array_equal(keys, reference_keys(fam, x))
+        for t in range(L):
+            assert tables[t].dtype == np.uint64 and np.array_equal(tables[t], keys[:, t])
         for i in range(n):
             assert np.array_equal(hash_vector(fam, x[i]), keys[i])
 

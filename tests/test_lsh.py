@@ -53,7 +53,8 @@ def build_all_tables(dataset, family):
     first = np.ones(sorted_keys.size, dtype=bool)
     first[1:] = sorted_keys[1:] != sorted_keys[:-1]
     starts = np.flatnonzero(first)
-    return sorted_keys[starts], np.append(starts, sorted_keys.size), order % dataset.n
+    offsets = np.append(starts, sorted_keys.size).astype(np.int32)
+    return sorted_keys[starts], offsets, (order % dataset.n).astype(np.int32)
 
 
 class TestBuild:
@@ -74,8 +75,9 @@ class TestBuild:
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_peak_memory_is_about_the_index(self):
-        # the (n, L) keys, the index it returns and 1 MiB of work space; a
-        # build that holds n x L*l float projections (20 MiB here) fails
+        # the index it returns and 1 MiB of work space; a build that holds
+        # the (n, L) keys (1.2 MiB here) or the n x L*l float projections
+        # (20 MiB) fails
         n, L = 20_000, 8
         ds = Dataset(vectors=normalize_rows(np.random.default_rng(0).standard_normal((n, 24))))
         family = new_family(PLAIN, 16, L, 24, seed=0)
@@ -86,7 +88,23 @@ class TestBuild:
         finally:
             tracemalloc.stop()
         index_bytes = index.keys.nbytes + index.offsets.nbytes + index.ids.nbytes
-        assert peak < n * L * 8 + index_bytes + 2**20
+        assert peak < index_bytes + 2**20
+
+    @pytest.mark.parametrize("L, n, fits", [(1, 2**31 - 1, True), (1, 2**31, False), (4, 2**29, False)])
+    def test_ids_must_fit_int32(self, L, n, fits):
+        # refused from (l, L, n) alone, before any table or id is allocated
+        tracemalloc.start()
+        try:
+            if fits:
+                lsh.check_tables(16, L, n)
+            else:
+                with pytest.raises(ValueError, match=rf"^L={L} tables of n={n} points hold {L * n} ids, "
+                                                     r"more than the 2147483647"):
+                    lsh.check_tables(16, L, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**14
 
     def test_single_point(self):
         ds = Dataset(vectors=np.array([[1.0, 0.0]]))
@@ -423,6 +441,21 @@ def tune_by_sets(dataset, target_recall, epsilon=1.0, *, seed=0):
                           fallback.expected_touched)
 
 
+class TestTuneMemory:
+    def test_peak_is_the_keys_and_two_bounded_buffers(self):
+        # the (n, 32) keys, two (chunk, n) uint64 buffers of at most
+        # _TUNE_BYTES each and 2 MiB of work space; scoring all 64 queries
+        # at once (7.3 MiB here) fails
+        ds = clustered_dataset(4096)
+        tracemalloc.start()
+        try:
+            lsh.tune(ds, 0.8, seed=42)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ds.n * 32 * 8 + 2 * lsh._TUNE_BYTES + 2**21
+
+
 class TestTuneOracle:
     @settings(max_examples=25, deadline=None)
     @given(st.data())
@@ -542,9 +575,23 @@ class TestPersistence:
         with pytest.raises(ValueError, match="magic"):
             lsh.index_from_bytes(b"HDVI" + blob[4:], toy_1k)
 
+    def test_save_writes_no_copy_of_the_blob(self, tmp_path):
+        index = lsh.build(clustered_dataset(20_000), new_family(PLAIN, 16, 8, 24, seed=0))
+        blob = lsh.index_to_bytes(index)
+        path = tmp_path / "index.bin"
+        tracemalloc.start()
+        try:
+            lsh.save_index(index, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_bytes() == blob
+        assert peak < 2**16 < len(blob)
+
     def test_blob_of_the_older_layout_asks_for_a_rebuild(self, toy_1k, toy_index):
-        # HDV2 stored untagged keys, HDV3 a separately framed family blob
-        for magic in (b"HDV2", b"HDV3"):
+        # HDV2 stored untagged keys, HDV3 a separately framed family blob,
+        # HDV4 int64 offsets and ids
+        for magic in (b"HDV2", b"HDV3", b"HDV4"):
             with pytest.raises(ValueError, match=rf"^index blob has the older {magic.decode()} layout, "
                                                  r".* rebuild it with `hashdiv index build`$"):
                 lsh.index_from_bytes(magic + lsh.index_to_bytes(toy_index)[4:], toy_1k)
@@ -561,9 +608,45 @@ class TestPersistence:
         # both checksums pass, so only the family's own checks can refuse it
         alpha = None if kind == PLAIN else 4
         blob = lsh.index_to_bytes(lsh.build(toy_1k, new_family(kind, 4, 4, toy_1k.d, alpha=alpha, dataset=toy_1k)))
-        body = blob[lsh._HEADER.size : len(blob) - 8 * 4 * toy_1k.n] if fields.get("L") == 0 else None
+        body = blob[lsh._HEADER.size : len(blob) - 4 * 4 * toy_1k.n] if fields.get("L") == 0 else None
         with pytest.raises(ValueError, match=rf"^corrupt index blob: {refusal}"):
             lsh.index_from_bytes(edit_index_blob(blob, body, **fields), toy_1k)
+
+    # toy_index: n=1000, l=10, L=4. Each edit writes `value(arrays)` at
+    # `at(arrays)` of one array.
+    @pytest.mark.parametrize("name, at, value, refusal", [
+        ("ids", lambda a: 0, lambda a: 10**6, r"a point id lies outside \[0, 1000\)"),
+        ("ids", lambda a: -1, lambda a: -1, r"a point id lies outside \[0, 1000\)"),
+        ("keys", lambda a: slice(0, 2), lambda a: a["keys"][1::-1], r"bucket keys are not strictly ascending"),
+        ("keys", lambda a: 1, lambda a: a["keys"][0], r"bucket keys are not strictly ascending"),
+        ("keys", lambda a: -1, lambda a: 4 << 10, r"a bucket key's table tag is not below L=4"),
+        ("offsets", lambda a: 0, lambda a: 1, r"bucket offsets do not rise strictly from 0 to L\*n=4000"),
+        ("offsets", lambda a: -1, lambda a: 3999, r"bucket offsets do not rise strictly from 0 to L\*n=4000"),
+        ("offsets", lambda a: 2, lambda a: a["offsets"][1], r"bucket offsets do not rise strictly from 0 to L\*n=4000"),
+        # table 1's first bucket starts one slot late, so table 0's last holds a table-1 slot
+        ("offsets", lambda a: np.argmax(a["offsets"] == 1000), lambda a: 1001,
+         r"table 1's buckets do not start at id slot 1000"),
+        # table 3's first key retagged as one past table 2's last (1021 here)
+        ("keys", lambda a: np.argmax(a["keys"] >> np.uint64(10) == 3),
+         lambda a: a["keys"][np.argmax(a["keys"] >> np.uint64(10) == 3) - 1] + np.uint64(1),
+         r"table 3's buckets do not start at id slot 3000"),
+    ])
+    def test_arrays_that_are_no_index_are_corrupt(self, toy_1k, toy_index, name, at, value, refusal):
+        arrays = {"keys": toy_index.keys.copy(), "offsets": toy_index.offsets.copy(), "ids": toy_index.ids.copy()}
+        arrays[name][at(arrays)] = value(arrays)
+        # both checksums pass, so only the checks on the arrays can refuse it
+        blob = edit_index_blob(lsh.index_to_bytes(toy_index), b"".join(a.tobytes() for a in arrays.values()))
+        with pytest.raises(ValueError, match=rf"^corrupt index blob: {refusal}$"):
+            lsh.index_from_bytes(blob, toy_1k)
+
+    def test_fewer_buckets_than_tables_is_corrupt(self):
+        # one point gives each of the 3 tables one bucket; a header and
+        # arrays that agree on 2 buckets leave a table without one
+        ds = Dataset(vectors=np.array([[1.0, 0.0]]))
+        index = lsh.build(ds, new_family(PLAIN, 8, 3, 2, seed=0))
+        body = index.keys[:2].tobytes() + np.array([0, 1, 3], dtype=np.int32).tobytes() + index.ids.tobytes()
+        with pytest.raises(ValueError, match=r"^corrupt index blob: 2 buckets cannot give each of 3 tables one$"):
+            lsh.index_from_bytes(edit_index_blob(lsh.index_to_bytes(index), body, buckets=2), ds)
 
     @given(
         kind=st.sampled_from(KINDS),

@@ -130,6 +130,26 @@ class TestSelectNn:
             ref = ref_nn(prob.query, prob.ids.tolist(), prob.vectors.tolist(), 3)
             assert select_nn(prob).ids.tolist() == ref
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_ties_at_the_kth_distance_match_a_full_lexsort(self, data):
+        # small integer coordinates tie many distances exactly, and the
+        # k-th nearest row is copied to scattered positions, so the k-th
+        # place itself is shared
+        m = data.draw(st.integers(1, 40))
+        d = data.draw(st.integers(1, 4))
+        k = data.draw(st.integers(1, m + 2))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        X = rng.integers(-2, 3, size=(m, d)).astype(float)
+        q = rng.integers(-2, 3, size=d).astype(float)
+        ids = np.sort(rng.choice(5 * m, size=m, replace=False))
+        d2 = np.einsum("ij,ij->i", X - q, X - q)
+        kth = np.lexsort((ids, d2))[min(k, m) - 1]
+        X[rng.random(m) < 0.3] = X[kth]
+        d2 = np.einsum("ij,ij->i", X - q, X - q)
+        full = ids[np.lexsort((ids, d2))][:k]
+        assert select_nn(SelectionProblem(q, ids, X, k, 0.5)).ids.tolist() == full.tolist()
+
 
 class TestSelectGreedyDiv:
     def test_k1_is_nn(self):
