@@ -21,11 +21,13 @@ One kernel hashes a dense (n, d) array under a run of tables: it walks
 the rows in blocks whose float64 projections onto those tables' planes
 fit a fixed byte budget, writing each block's keys into the output, so
 its working memory is bounded by the keys it returns, not by n * L * l.
-`hash_matrix` runs it over all L tables, `hash_table` over one (the index
-build hashes table by table, so it never holds the (n, L) keys), and
-`hash_vector` is the one-row case of `hash_matrix`. A row's projections
-do not depend on the other rows of its block, so the keys do not depend
-on the block size.
+`hash_matrix` runs it over all L tables, and `hash_table` over one (the
+index build hashes table by table, so it never holds the (n, L) keys). A
+row's projections do not depend on the other rows of its block, so the
+keys do not depend on the block size. `hash_vector`, the per-request
+hash, is its own one-row path: the kernel's operations on a one-row
+block, without the block loop, so its keys are those of
+`hash_matrix(family, x[None])[0]`.
 """
 
 from __future__ import annotations
@@ -171,8 +173,15 @@ def hash_table(family: HashFamily, vectors: np.ndarray, t: int) -> np.ndarray:
 
 
 def hash_vector(family: HashFamily, x: np.ndarray) -> np.ndarray:
-    """Keys of a single point for all L tables."""
-    return hash_matrix(family, x.reshape(1, -1))[0]
+    """Keys of a single point for all L tables: (L,) uint64, equal to
+    hash_matrix(family, x[None])[0]. The kernel's steps on one row, without
+    its block loop, which costs more than the arithmetic on one row."""
+    z = x.reshape(1, -1)
+    if z.shape[1] != family.d:
+        raise ValueError(f"point dimension {z.shape[1]} != family dimension {family.d}")
+    if family.kind != PLAIN:
+        z = z @ family.basis.U
+    return (z @ family._planes >= 0.0).reshape(family.L, family.l) @ family._pow2
 
 
 def collision_probability(a, b) -> float:

@@ -36,7 +36,7 @@ import numpy as np
 from .data import Dataset
 from .hashing import KINDS, PLAIN, HashFamily, hash_matrix, hash_table, hash_vector, new_family
 from .linalg import TruncatedBasis
-from .select import SelectionProblem, SelectionResult, select_nn
+from .select import SelectionProblem, SelectionResult, _gathered_problem, select_nn
 
 _MAGIC = b"HDV5"
 # magic, kind code (the kind's position in KINDS), n, d, L, l, alpha (0 for
@@ -151,16 +151,22 @@ def retrieve(source: LshIndex | Dataset, q: np.ndarray, select, k: int, lam: flo
     a SelectionProblem. Returns the selection and the candidate count; an
     empty union gives an empty, underfilled selection and count 0. A query
     that is not a 1-d array of the points' dimension, or that is NaN,
-    infinite or zero, raises ValueError on both paths."""
+    infinite or zero, and a k below 1 or a lam outside [0, 1] raise
+    ValueError on both paths, an empty union included.
+
+    Each check runs once: q here, the rows in Dataset and the ids' order in
+    `query`, so the problem skips the public constructor's scans over the
+    candidates."""
     if isinstance(source, Dataset):
         _check_query(q, source.d)
         ids, vectors = np.arange(source.n), source.vectors  # selectors only read it, so no copy
     else:
         ids = query(source, q).ids
         vectors = source.dataset.dense_rows(ids)
-    if ids.size == 0:
-        return SelectionResult(ids=ids, underfilled=True), 0
-    return select(SelectionProblem(query=q, ids=ids, vectors=vectors, k=k, lam=lam)), ids.size
+    problem = _gathered_problem(q, ids, vectors, k, lam)  # checks k and lam, also for an empty union
+    if problem.size == 0:
+        return SelectionResult(ids=problem.ids, underfilled=True), 0
+    return select(problem), problem.size
 
 
 @dataclass(frozen=True)

@@ -133,6 +133,14 @@ def _embed(model: FactorModel, x) -> tuple[np.ndarray, np.ndarray] | None:
     raise ValueError("embedded query H^T x has a NaN or infinite coordinate, or its norm overflows")
 
 
+def _check_request(alpha: int, lam: float) -> None:
+    """Refuse a bad alpha or lambda before a zero embedding returns early."""
+    if alpha < 1:
+        raise ValueError("alpha must be >= 1")
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError("lambda must lie in [0, 1]")
+
+
 def _nothing() -> LabelPrediction:
     """The prediction for a zero embedding: no labels, no evaluations."""
     return LabelPrediction(labels=np.empty(0, dtype=np.intp), scores=np.empty(0), eval_count=0, underfilled=True)
@@ -157,6 +165,7 @@ def predict_mmr(model: FactorModel, x, alpha: int, lam: float) -> LabelPredictio
     3 * alpha best labels form the pool, and MMR picks alpha of them by
     their unit-normalized rows against the unit embedded query (a zero row
     stays zero). eval_count = L_labels."""
+    _check_request(alpha, lam)
     pool = predict_exact(model, x, 3 * alpha)
     if pool.eval_count == 0:
         return pool
@@ -194,8 +203,7 @@ def predict_diverse(model: FactorModel, index: lsh.LshIndex, x, alpha: int, lam:
     embedded query H^T x, then greedily pick alpha diverse labels from the
     collided candidates (from every label when alpha >= n_labels).
     eval_count = candidate count."""
-    if alpha < 1:
-        raise ValueError("alpha must be >= 1")
+    _check_request(alpha, lam)
     embedded = _embed(model, x)
     if embedded is None:
         return _nothing()

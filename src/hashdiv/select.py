@@ -35,6 +35,15 @@ class SelectionProblem:
     lam: float
 
     def __post_init__(self):
+        self._cast_and_check()
+        if (self.ids[1:] <= self.ids[:-1]).any():
+            raise ValueError("candidate ids must be distinct and ascending")
+        if not np.isfinite(self.vectors).all():
+            raise ValueError("a candidate vector has a NaN or infinite coordinate")
+
+    def _cast_and_check(self) -> None:
+        """Cast the fields and run every check but the two scans over the
+        candidates (ids ascending, vectors finite)."""
         object.__setattr__(self, "query", np.asarray(self.query, dtype=float))
         object.__setattr__(self, "ids", np.asarray(self.ids, dtype=int))
         object.__setattr__(self, "vectors", np.asarray(self.vectors, dtype=float))
@@ -50,16 +59,25 @@ class SelectionProblem:
             raise ValueError("candidate ids must be a 1-d array")
         if self.ids.size != self.vectors.shape[0]:
             raise ValueError("ids and vectors disagree on candidate count")
-        if (self.ids[1:] <= self.ids[:-1]).any():
-            raise ValueError("candidate ids must be distinct and ascending")
         if not np.isfinite(self.query).all():
             raise ValueError("query has a NaN or infinite coordinate")
-        if not np.isfinite(self.vectors).all():
-            raise ValueError("a candidate vector has a NaN or infinite coordinate")
 
     @property
     def size(self) -> int:
         return self.ids.size
+
+
+def _gathered_problem(query: np.ndarray, ids: np.ndarray, vectors: np.ndarray, k: int, lam: float) -> SelectionProblem:
+    """SelectionProblem(query, ids, vectors, k, lam) for candidates that are
+    rows of a Dataset, which refuses NaN and infinite coordinates, under
+    distinct ascending ids, as lsh.retrieve gathers them: every check of the
+    public constructor but its two scans over the candidates, which those
+    invariants make redundant (O(m d) of a request's work)."""
+    problem = object.__new__(SelectionProblem)
+    for name, value in zip(("query", "ids", "vectors", "k", "lam"), (query, ids, vectors, k, lam)):
+        object.__setattr__(problem, name, value)
+    problem._cast_and_check()
+    return problem
 
 
 @dataclass(frozen=True)
@@ -106,26 +124,37 @@ def select_greedy_div(problem: SelectionProblem) -> SelectionResult:
 
     over the remaining pool; the first pick is the pure NN since S starts
     empty; the diversity sum is divided by the 1-based iteration index.
-    Ties go to the lowest id. Each pick adds one column of X X^T, computed
-    on demand, so the cost is O(k m d) and no m x m Gram matrix is formed."""
-    d2q = _sq_dists_to_query(problem)
+    Ties go to the lowest id. Each pick but the last adds one column of
+    X X^T, computed on demand, so the cost is O(k m d) and no m x m Gram
+    matrix is formed."""
     m = problem.size
     kk = min(problem.k, m)
+    if kk == 0:
+        return _result(problem, [])
+    base = problem.lam * _sq_dists_to_query(problem)  # picked entries get +inf so they never win argmin
+    # the diversity sum is still zero at the first pick, so its score is
+    # base; the first minimum is the lowest id on ties
+    picked = [int(base.argmin())]
     X = problem.vectors
     sq = np.einsum("ij,ij->i", X, X)
-    base = problem.lam * d2q  # picked entries get +inf so they never win argmin
-    sum_div = np.zeros(m)     # sum of |r - s|^2 over already-picked s
-    score = np.empty(m)
-    picked: list[int] = []
-    for i in range(1, kk + 1):
+    sum_div = np.zeros(m)  # sum of |r - s|^2 over already-picked s
+    col, score = np.empty(m), np.empty(m)
+    for i in range(2, kk + 1):
+        j = picked[-1]
+        base[j] = np.inf
+        # |r - s_j|^2 = sq + (sq[j] - 2 x_r.x_j), in the same IEEE steps:
+        # x * -2 and a + -b are exact rewrites of -(2 x) and a - b.
+        # einsum reduces each row alone, so equal rows get equal bits; a BLAS
+        # product need not, which would let a later twin win a tie. The -2
+        # stays out of the einsum, as it would round subnormal products.
+        np.einsum("ij,j->i", X, X[j], out=col)
+        col *= -2.0
+        col += sq[j]
+        col += sq
+        sum_div += col
         np.divide(sum_div, i, out=score)
         np.subtract(base, score, out=score)
-        j = int(np.argmin(score))  # first minimum = lowest id on ties
-        picked.append(j)
-        base[j] = np.inf
-        # einsum reduces each row alone, so equal rows get equal bits; a BLAS
-        # product need not, which would let a later twin win a tie
-        sum_div += sq + (sq[j] - 2.0 * np.einsum("ij,j->i", X, X[j]))
+        picked.append(int(score.argmin()))  # the method skips np.argmin's dispatch
     return _result(problem, picked)
 
 

@@ -115,6 +115,20 @@ class TestHashPoint:
         for i in (0, 5, 99):
             assert np.array_equal(keys[i], hash_vector(fam, small_toy.vectors[i]))
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_row_path_matches_hash_matrix(self, kind):
+        # alpha = 7 < d = 12 for the pca kinds, so U^T x is a real projection
+        rng = np.random.default_rng(11)
+        ds = Dataset(vectors=normalize_rows(rng.standard_normal((60, 12))))
+        fam = new_family(kind, 6, 5, 12, alpha=None if kind == PLAIN else 7, seed=3, dataset=ds)
+        rows = np.vstack([rng.standard_normal((20, 12)), np.zeros((1, 12)), ds.vectors[:5]])
+        for x in rows:
+            keys = hash_vector(fam, x)
+            assert keys.dtype == np.uint64 and keys.shape == (5,)
+            assert np.array_equal(keys, hash_matrix(fam, x[None])[0])
+        with pytest.raises(ValueError, match="point dimension 7 != family dimension 12"):
+            hash_vector(fam, np.ones(7))
+
     def test_zero_projection_maps_to_bit_one(self):
         # the >= 0 convention: an exactly-zero projection sets the bit
         eye = TruncatedBasis(U=np.eye(4), singular_values=np.ones(4))

@@ -336,6 +336,47 @@ class TestRetrieve:
             res, count = lsh.retrieve(index, -ds.vectors[0], select, 5, 0.5)
             assert res.ids.size == 0 and res.underfilled and count == 0
 
+    @pytest.mark.parametrize("k, lam, cause", [
+        (0, 0.5, "k must be >= 1"), (0, 7.5, "k must be >= 1"), (-3, 0.5, "k must be >= 1"),
+        (3, 7.5, "lambda must lie in"), (3, -0.1, "lambda must lie in"), (3, np.nan, "lambda must lie in"),
+    ])
+    @pytest.mark.parametrize("source", ["index", "empty union", "dataset"])
+    def test_bad_k_or_lambda_rejected_on_every_path(self, source, k, lam, cause):
+        # the same index as test_empty_union: the point finds itself, its
+        # antipode finds nothing
+        ds = Dataset(vectors=np.array([[1.0] + [0.0] * 15]))
+        index = lsh.build(ds, new_family(PLAIN, 64, 1, 16, seed=3))
+        q = -ds.vectors[0] if source == "empty union" else ds.vectors[0]
+        for select in SELECTORS:
+            with pytest.raises(ValueError, match=cause):
+                lsh.retrieve(ds if source == "dataset" else index, q, select, k, lam)
+
+    @pytest.mark.parametrize("q_dtype", [np.float64, np.float32, np.int64])
+    @pytest.mark.parametrize("indexed", [True, False])
+    @pytest.mark.parametrize("integer_data", [True, False])
+    def test_problem_equals_the_public_constructor(self, indexed, q_dtype, integer_data):
+        # the problem retrieve builds skips the public constructor's scans,
+        # so it must hold exactly what the public constructor would
+        rng = np.random.default_rng(5)
+        vectors = rng.integers(-4, 5, size=(40, 6))
+        vectors[vectors[:, 0] == 0, 0] = 1  # no zero rows
+        ds = Dataset(vectors=vectors if integer_data else normalize_rows(vectors))
+        index = lsh.build(ds, new_family(PLAIN, 3, 4, 6, seed=1))
+        q = np.array([2, -1, 0, 3, 1, -2]).astype(q_dtype)
+        seen = []
+        res, count = lsh.retrieve(index if indexed else ds, q, lambda p: seen.append(p) or select_greedy_div(p), 4, 0.7)
+        (problem,) = seen
+        ids = lsh.query(index, q).ids if indexed else np.arange(ds.n)
+        assert ids.size > 0 and count == ids.size
+        public = SelectionProblem(query=q, ids=ids, vectors=ds.dense_rows(ids), k=4, lam=0.7)
+        assert problem.query.dtype == problem.vectors.dtype == np.float64
+        assert problem.ids.dtype == np.intp
+        for name in ("query", "ids", "vectors"):
+            got, want = getattr(problem, name), getattr(public, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert (problem.k, problem.lam, problem.size) == (public.k, public.lam, public.size)
+        assert np.array_equal(res.ids, select_greedy_div(public).ids)
+
 
 class TestTune:
     def test_recall_boundary_rejected(self, toy_1k):

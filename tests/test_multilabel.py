@@ -254,6 +254,19 @@ class TestDegenerateDocuments:
         assert pred.labels.size == 0 and pred.scores.size == 0
         assert pred.eval_count == 0 and pred.underfilled
 
+    @pytest.mark.parametrize("alpha, lam, cause", [
+        (0, 0.5, "alpha must be >= 1"), (3, 5.0, "lambda must lie in"), (3, -0.5, "lambda must lie in"),
+        (3, np.nan, "lambda must lie in"),
+    ])
+    @pytest.mark.parametrize("method", ["mmr", "diverse"])
+    def test_bad_alpha_or_lambda_raises_on_a_zero_embedding(self, model_and_index, method, alpha, lam, cause):
+        model, index = model_and_index
+        with pytest.raises(ValueError, match=cause):
+            if method == "mmr":
+                predict_mmr(model, np.zeros(4), alpha, lam)
+            else:
+                predict_diverse(model, index, np.zeros(4), alpha, lam)
+
     @pytest.mark.parametrize("at", [0, 3])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("method", PREDICTORS)

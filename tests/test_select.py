@@ -83,6 +83,34 @@ def ref_rerank(q, ids, X, k):
     return [ids[i] for i in chosen]
 
 
+def loop_greedy_div(problem):
+    """select_greedy_div in its plain form: every pick, the first and the
+    last included, runs the whole score and diversity update, and each
+    column is one expression. The library skips the steps that cannot
+    change a pick and updates the column in place by exact rewrites, so
+    the two must pick the same ids, bit-level ties included."""
+    diff = problem.vectors - problem.query
+    d2q = np.einsum("ij,ij->i", diff, diff)
+    m = problem.size
+    kk = min(problem.k, m)
+    X = problem.vectors
+    sq = np.einsum("ij,ij->i", X, X)
+    base = problem.lam * d2q  # picked entries get +inf so they never win argmin
+    sum_div = np.zeros(m)     # sum of |r - s|^2 over already-picked s
+    score = np.empty(m)
+    picked: list[int] = []
+    for i in range(1, kk + 1):
+        np.divide(sum_div, i, out=score)
+        np.subtract(base, score, out=score)
+        j = int(np.argmin(score))  # first minimum = lowest id on ties
+        picked.append(j)
+        base[j] = np.inf
+        # einsum reduces each row alone, so equal rows get equal bits; a BLAS
+        # product need not, which would let a later twin win a tie
+        sum_div += sq + (sq[j] - 2.0 * np.einsum("ij,j->i", X, X[j]))
+    return problem.ids[picked]
+
+
 def eq2_objective(q, X, subset, lam):
     subset = list(subset)
     c = sum(-float(np.dot(q, X[i])) for i in subset)
@@ -198,6 +226,37 @@ class TestSelectGreedyDiv:
         prob = twin_problem(seed, m, d, n_dup, k, lam)
         ref = ref_greedy(prob.query, prob.ids.tolist(), prob.vectors.tolist(), k, lam)
         assert select_greedy_div(prob).ids.tolist() == ref
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 300),
+        d=st.integers(1, 64),
+        n_dup=st.integers(0, 300),
+        k=st.integers(1, 24),
+        lam=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+        scale=st.sampled_from([1.0, 1e-161]),
+    )
+    # m < k; both ends of lambda; subnormal products, where -2 folded into
+    # the einsum would round them differently
+    @example(seed=1, m=3, d=4, n_dup=2, k=10, lam=0.5, scale=1.0)
+    @example(seed=2, m=40, d=8, n_dup=20, k=12, lam=0.0, scale=1.0)
+    @example(seed=3, m=40, d=8, n_dup=20, k=12, lam=1.0, scale=1.0)
+    @example(seed=4, m=60, d=8, n_dup=30, k=10, lam=0.5, scale=1e-162)
+    def test_equals_the_plain_loop(self, seed, m, d, n_dup, k, lam, scale):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((m, d)) * scale
+        X = np.vstack([X, X[rng.choice(m, size=min(n_dup, m), replace=False)]])
+        X = X[rng.permutation(X.shape[0])]
+        ids = np.sort(rng.choice(10 * X.shape[0], size=X.shape[0], replace=False))
+        prob = SelectionProblem(rng.standard_normal(d) * scale, ids, X, k=k, lam=lam)
+        res = select_greedy_div(prob)
+        assert np.array_equal(res.ids, loop_greedy_div(prob))
+        assert res.underfilled == (X.shape[0] < k)
+
+    def test_empty_pool(self):
+        res = select_greedy_div(SelectionProblem(np.ones(3), np.empty(0, dtype=int), np.empty((0, 3)), k=4, lam=0.5))
+        assert res.ids.size == 0 and res.underfilled
 
 
 class TestSelectMmr:
