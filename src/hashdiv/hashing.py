@@ -5,8 +5,7 @@ hash names of the CLI and the experiment grid:
   * "lshdiv"   (PLAIN)      — Gaussian hyperplanes in the ambient space,
   * "lshsdiv"  (PCA)        — Gaussian hyperplanes drawn in the span of the
                               data's top principal components (random
-                              directions *within* the top subspace,
-                              bit = sign(r . (U^T x))),
+                              directions *within* the top subspace),
   * "pcahash"  (PCA_DIRECT) — the principal directions themselves as
                               hyperplanes (the PCA-hash baseline; no
                               randomness beyond the basis).
@@ -17,17 +16,19 @@ measure-zero event for continuous data but the convention is fixed so keys
 are reproducible. A key packs l <= 64 bits into one uint64, bit b at
 position b, by one integer product of the bits with the powers of two.
 
-One kernel hashes a dense (n, d) array under a run of tables: it walks
-the rows in blocks whose float64 projections onto those tables' planes
-fit a fixed byte budget, writing each block's keys into the output, so
-its working memory is bounded by the keys it returns, not by n * L * l.
-`hash_matrix` runs it over all L tables, and `hash_table` over one (the
-index build hashes table by table, so it never holds the (n, L) keys). A
-row's projections do not depend on the other rows of its block, so the
-keys do not depend on the block size. `hash_vector`, the per-request
-hash, is its own one-row path: the kernel's operations on a one-row
-block, without the block loop, so its keys are those of
-`hash_matrix(family, x[None])[0]`.
+One kernel hashes a dense (n, d) array under a run of tables, for every
+kind: as sign(r . (U^T x)) = sign((U r) . x) (Charikar, STOC 2002), a
+family folds its basis U into its planes once, so a row costs one product
+with the ambient normals, d * L * l multiply-adds. It walks the rows in
+blocks whose float64 projections onto those tables' planes fit a fixed
+byte budget, writing each block's keys into the output, so its working
+memory is bounded by the keys it returns, not by n * L * l. `hash_matrix`
+runs it over all L tables, and `hash_table` over one (the index build
+hashes table by table, so it never holds the (n, L) keys). A row's
+projections do not depend on the other rows of its block, so the keys do
+not depend on the block size. `hash_vector`, the per-request hash, is its
+own one-row path: the kernel's operations on a one-row block, without the
+block loop, so its keys are those of `hash_matrix(family, x[None])[0]`.
 """
 
 from __future__ import annotations
@@ -54,9 +55,9 @@ class HashFamily:
     (kind, l, L, d, alpha, seed) plus the PCA basis for the pca kinds.
 
     hyperplanes has shape (L, l, d) for PLAIN and (L, l, alpha) for the
-    projected kinds (the effective ambient-space normal is then U @ r).
-    Immutable after construction; hashing is pure. Families compare and
-    hash by identity.
+    projected kinds; hashing reads only the ambient normals U @ r, folded
+    once into `_planes`. Immutable after construction; hashing is pure.
+    Families compare and hash by identity.
     """
 
     kind: str
@@ -69,11 +70,15 @@ class HashFamily:
     basis: TruncatedBasis | None = None
 
     def __post_init__(self):
-        # the hashing kernel's operands, computed once: all L * l planes as
-        # contiguous columns, and the weight 2^b of bit b in a key
-        planes = np.ascontiguousarray(self.hyperplanes.reshape(self.L * self.l, -1).T)
-        object.__setattr__(self, "_planes", planes)
+        # computed once: all L * l ambient normals as contiguous columns (for
+        # pcahash's one-hot r, U @ r is exactly a column of U), the weight 2^b
+        # of bit b in a key, and table t's tag t << l in an index (see lsh)
+        planes = self.hyperplanes.reshape(self.L * self.l, -1).T
+        if self.basis is not None:
+            planes = self.basis.U @ planes
+        object.__setattr__(self, "_planes", np.ascontiguousarray(planes))
         object.__setattr__(self, "_pow2", np.left_shift(np.uint64(1), np.arange(self.l, dtype=np.uint64)))
+        object.__setattr__(self, "_tags", np.arange(self.L, dtype=np.uint64) << np.uint64(self.l))
 
 
 def _hyperplane(seed: int, table: int, bit: int, dim: int) -> np.ndarray:
@@ -111,10 +116,8 @@ def new_family(
         raise ValueError("d must be >= 1")
 
     if kind == PLAIN:
-        planes = np.stack([np.stack([_hyperplane(seed, t, b, d) for b in range(l)]) for t in range(L)])
-        return HashFamily(kind=kind, l=l, L=L, d=d, alpha=None, seed=seed, hyperplanes=planes)
-
-    if basis is None:
+        alpha, basis = None, None
+    elif basis is None:
         if dataset is None:
             raise ValueError(f"kind {kind!r} requires a dataset or a precomputed basis")
         if dataset.d != d:
@@ -127,17 +130,16 @@ def new_family(
             raise ValueError(f"basis dimension {basis.U.shape[0]} != family dimension {d}")
         if not 1 <= basis.U.shape[1] <= d:
             raise ValueError(f"basis has {basis.U.shape[1]} columns, out of range [1, {d}]")
-        if alpha is None:
-            alpha = basis.U.shape[1]
-    if alpha != basis.U.shape[1]:
-        raise ValueError(f"alpha={alpha} does not match basis with {basis.U.shape[1]} columns")
+        if alpha not in (None, basis.U.shape[1]):
+            raise ValueError(f"alpha={alpha} does not match basis with {basis.U.shape[1]} columns")
+        alpha = basis.U.shape[1]
 
-    if kind == PCA:
-        planes = np.stack([np.stack([_hyperplane(seed, t, b, alpha) for b in range(l)]) for t in range(L)])
-    else:  # PCA_DIRECT: r = standard basis vectors, distinct directions per table
+    if kind == PCA_DIRECT:  # r = standard basis vectors, distinct directions per table
         if alpha < l:
             raise ValueError(f"{PCA_DIRECT} needs alpha >= l, got alpha={alpha}, l={l}")
         planes = np.eye(alpha)[np.arange(L * l) % alpha].reshape(L, l, alpha)
+    else:
+        planes = np.stack([np.stack([_hyperplane(seed, t, b, alpha or d) for b in range(l)]) for t in range(L)])
     return HashFamily(kind=kind, l=l, L=L, d=d, alpha=alpha, seed=seed, hyperplanes=planes, basis=basis)
 
 
@@ -152,9 +154,6 @@ def _hash_tables(family: HashFamily, vectors: np.ndarray, first: int, stop: int)
     keys = np.empty((n, stop - first), dtype=np.uint64)
     for lo in range(0, n, block):
         z = vectors[lo : lo + block]
-        if family.kind != PLAIN:
-            z = z @ family.basis.U  # U^T x, where the pca kinds' hyperplanes live
-        # one fused projection against the tables' hyperplanes
         bits = (z @ planes >= 0.0).reshape(z.shape[0], stop - first, l)
         np.matmul(bits, family._pow2, out=keys[lo : lo + block])
     return keys
@@ -179,8 +178,6 @@ def hash_vector(family: HashFamily, x: np.ndarray) -> np.ndarray:
     z = x.reshape(1, -1)
     if z.shape[1] != family.d:
         raise ValueError(f"point dimension {z.shape[1]} != family dimension {family.d}")
-    if family.kind != PLAIN:
-        z = z @ family.basis.U
     return (z @ family._planes >= 0.0).reshape(family.L, family.l) @ family._pow2
 
 

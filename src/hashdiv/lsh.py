@@ -36,7 +36,7 @@ import numpy as np
 from .data import Dataset
 from .hashing import KINDS, PLAIN, HashFamily, hash_matrix, hash_table, hash_vector, new_family
 from .linalg import TruncatedBasis
-from .select import SelectionProblem, SelectionResult, _gathered_problem, select_nn
+from .select import SelectionResult, _gathered_problem, select_nn
 
 _MAGIC = b"HDV5"
 # magic, kind code (the kind's position in KINDS), n, d, L, l, alpha (0 for
@@ -107,7 +107,7 @@ def build(dataset: Dataset, family: HashFamily) -> LshIndex:
         sorted_keys = keys[order]
         np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
         starts.append((np.flatnonzero(first) + t * n).astype(np.int32))
-        bucket_keys.append(sorted_keys[first] | np.uint64(t) << np.uint64(family.l))
+        bucket_keys.append(sorted_keys[first] | family._tags[t])
         del keys, sorted_keys  # before the next table's keys are hashed
     keys = np.concatenate(bucket_keys)
     del bucket_keys  # before the offsets are concatenated
@@ -120,7 +120,7 @@ def _check_query(q: np.ndarray, d: int) -> None:
         raise ValueError(f"query must be a 1-d array of {d} coordinates, got shape {q.shape}")
     if not np.isfinite(q).all():
         raise ValueError("query has a NaN or infinite coordinate")
-    if not q.any():
+    if not np.count_nonzero(q):
         raise ValueError("query is the zero vector, which has no direction")
 
 
@@ -129,7 +129,7 @@ def query(index: LshIndex, q: np.ndarray) -> CandidateSet:
     deduplicated, ascending id."""
     _check_query(q, index.family.d)
     family = index.family
-    want = hash_vector(family, q) | np.arange(family.L, dtype=np.uint64) << np.uint64(family.l)
+    want = hash_vector(family, q) | family._tags
     j = index.keys.searchsorted(want)
     j = j[index.keys.take(j, mode="clip") == want]
     if j.size == 0:
@@ -242,12 +242,14 @@ def tune(dataset: Dataset, target_recall: float, epsilon: float = 1.0, *, seed: 
     # (n, max_L); the family's planes are not kept past the hashing
     all_keys = hash_matrix(new_family(PLAIN, max_l, max_L, dataset.d, seed=seed), dataset.vectors)
 
-    # leave-one-out ground truth: the nearest neighbors excluding the query
+    # leave-one-out ground truth: the nearest neighbors excluding the query;
+    # Dataset rows are finite and arange ascending, so the problem skips the
+    # public constructor's scans over all n rows
     everyone = np.arange(n)
     at_k = min(_TUNE_AT_K, n - 1)
     true_nn = np.empty((nq, at_k), dtype=np.intp)
     for row, qi, qv in zip(true_nn, q_ids, qvecs):
-        nearest = select_nn(SelectionProblem(qv, everyone, dataset.vectors, _TUNE_AT_K + 1, 0.0)).ids
+        nearest = select_nn(_gathered_problem(qv, everyone, dataset.vectors, _TUNE_AT_K + 1, 0.0)).ids
         row[:] = nearest[nearest != qi][: row.size]
 
     # per l, table count L and query: hits among true_nn, union size and
@@ -335,10 +337,11 @@ def index_to_bytes(index: LshIndex) -> bytes:
     return b"".join(_blob_parts(index))
 
 
-def _check_arrays(keys: np.ndarray, offsets: np.ndarray, ids: np.ndarray, l: int, L: int, n: int) -> None:
-    """Refuse arrays that are not a flat index of L tables over n points
-    (see the module docstring), so that no query reads out of bounds. Only
-    reductions and (B,) temporaries, none the size of ids."""
+def _check_arrays(keys: np.ndarray, offsets: np.ndarray, ids: np.ndarray, family: HashFamily, n: int) -> None:
+    """Refuse arrays that are not a flat index of the family's L tables over
+    n points (see the module docstring), so that no query reads out of
+    bounds. Only reductions and (B,) temporaries, none the size of ids."""
+    l, L = family.l, family.L
     if keys.size < L:
         raise ValueError(f"corrupt index blob: {keys.size} buckets cannot give each of {L} tables one")
     if (keys[1:] <= keys[:-1]).any():
@@ -348,7 +351,7 @@ def _check_arrays(keys: np.ndarray, offsets: np.ndarray, ids: np.ndarray, l: int
     if offsets[0] != 0 or offsets[-1] != L * n or (offsets[1:] <= offsets[:-1]).any():
         raise ValueError(f"corrupt index blob: bucket offsets do not rise strictly from 0 to L*n={L * n}")
     tables = np.arange(L)
-    firsts = keys.searchsorted(tables.astype(np.uint64) << np.uint64(l))
+    firsts = keys.searchsorted(family._tags)
     bad = (firsts == keys.size) | (keys.take(firsts, mode="clip") >> np.uint64(l) != tables)
     bad |= offsets[firsts] != tables * n
     if bad.any():
@@ -406,7 +409,7 @@ def index_from_bytes(blob: bytes, dataset: Dataset) -> LshIndex:
         check_tables(l, L, n)
     except ValueError as e:
         raise ValueError(f"corrupt index blob: {e}") from e
-    _check_arrays(keys, offsets, ids, l, L, n)
+    _check_arrays(keys, offsets, ids, family, n)
     return LshIndex(family=family, dataset=dataset, keys=keys, offsets=offsets, ids=ids)
 
 

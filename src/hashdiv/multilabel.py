@@ -146,35 +146,41 @@ def _nothing() -> LabelPrediction:
     return LabelPrediction(labels=np.empty(0, dtype=np.intp), scores=np.empty(0), eval_count=0, underfilled=True)
 
 
+def _top(model: FactorModel, z: np.ndarray, alpha: int) -> LabelPrediction:
+    """The alpha best labels for the embedded query z by a full scan."""
+    scores = model.W @ z
+    order = np.lexsort((np.arange(model.n_labels), -scores))
+    take = order[: min(alpha, model.n_labels)]
+    return LabelPrediction(labels=take, scores=scores[take], eval_count=model.n_labels, underfilled=take.size < alpha)
+
+
 def predict_exact(model: FactorModel, x, alpha: int) -> LabelPrediction:
     """Top-alpha labels by full linear scan, ties by ascending id;
     eval_count = L_labels."""
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
     embedded = _embed(model, x)
-    if embedded is None:
-        return _nothing()
-    scores = model.W @ embedded[0]
-    order = np.lexsort((np.arange(model.n_labels), -scores))
-    take = order[: min(alpha, model.n_labels)]
-    return LabelPrediction(labels=take, scores=scores[take], eval_count=model.n_labels, underfilled=take.size < alpha)
+    return _nothing() if embedded is None else _top(model, embedded[0], alpha)
 
 
 def predict_mmr(model: FactorModel, x, alpha: int, lam: float) -> LabelPrediction:
     """MMR baseline (Carbonell & Goldstein, 1998): the exact scan's
     3 * alpha best labels form the pool, and MMR picks alpha of them by
-    their unit-normalized rows against the unit embedded query (a zero row
-    stays zero). eval_count = L_labels."""
+    their unit-normalized rows (`normalize_rows`, so a row whose norm
+    overflows keeps its direction; a zero row stays zero) against the unit
+    embedded query. eval_count = L_labels."""
     _check_request(alpha, lam)
-    pool = predict_exact(model, x, 3 * alpha)
-    if pool.eval_count == 0:
-        return pool
-    q = _embed(model, x)[1]
+    embedded = _embed(model, x)
+    if embedded is None:
+        return _nothing()
+    z, q = embedded
+    pool = _top(model, z, 3 * alpha)
     order = np.argsort(pool.labels)  # SelectionProblem wants ascending ids
     ids, scores = pool.labels[order], pool.scores[order]
     rows = model.W[ids]
-    norms = np.linalg.norm(rows, axis=1)
-    unit_rows = rows / np.where(norms == 0, 1.0, norms)[:, None]
+    nonzero = rows.any(axis=1)
+    unit_rows = np.zeros_like(rows)
+    unit_rows[nonzero] = normalize_rows(rows[nonzero])
     res = select_mmr(SelectionProblem(query=q, ids=ids, vectors=unit_rows, k=alpha, lam=lam))
     picked = scores[np.searchsorted(ids, res.ids)]
     return LabelPrediction(labels=res.ids, scores=picked, eval_count=pool.eval_count, underfilled=res.underfilled)

@@ -95,6 +95,24 @@ class QpSolveReport:
     gap: float  # Frank-Wolfe gap at alpha: relaxed_objective - gap <= relaxed optimum
 
 
+_MAX = np.finfo(float).max
+
+
+def _check_scale(problem: SelectionProblem, sq: np.ndarray, most: int) -> None:
+    """Raise ValueError unless `most` * B is at most half the largest
+    float64, B the largest squared norm among the candidates (their `sq`)
+    and the query. A selector passes the bound on its scores and sums in
+    units of B (|x.y| <= B, |x - y|^2 <= 4B), so none of them overflows
+    into a quiet wrong pick, with room left for rounding. einsum warns of
+    no overflow, and a squared norm that overflowed is inf and fails;
+    hypot scales, so |q| cannot overflow on the way, and a Python float
+    product overflows to inf without a warning."""
+    qn = math.hypot(*problem.query.tolist())
+    top = sq[sq.argmax()] if sq.size else 0.0  # argmax costs less than max
+    if not max(top, qn * qn) <= _MAX / (2 * most):
+        raise ValueError("candidate or query vectors too large: their selection scores would overflow float64")
+
+
 def _sq_dists_to_query(problem: SelectionProblem) -> np.ndarray:
     diff = problem.vectors - problem.query
     return np.einsum("ij,ij->i", diff, diff)
@@ -126,17 +144,19 @@ def select_greedy_div(problem: SelectionProblem) -> SelectionResult:
     empty; the diversity sum is divided by the 1-based iteration index.
     Ties go to the lowest id. Each pick but the last adds one column of
     X X^T, computed on demand, so the cost is O(k m d) and no m x m Gram
-    matrix is formed."""
+    matrix is formed. Vectors so large that a score could overflow float64
+    raise ValueError."""
     m = problem.size
     kk = min(problem.k, m)
     if kk == 0:
         return _result(problem, [])
+    X = problem.vectors
+    sq = np.einsum("ij,ij->i", X, X)
+    _check_scale(problem, sq, 4 * kk)  # a diversity sum adds kk - 1 squared distances
     base = problem.lam * _sq_dists_to_query(problem)  # picked entries get +inf so they never win argmin
     # the diversity sum is still zero at the first pick, so its score is
     # base; the first minimum is the lowest id on ties
     picked = [int(base.argmin())]
-    X = problem.vectors
-    sq = np.einsum("ij,ij->i", X, X)
     sum_div = np.zeros(m)  # sum of |r - s|^2 over already-picked s
     col, score = np.empty(m), np.empty(m)
     for i in range(2, kk + 1):
@@ -164,8 +184,10 @@ def select_mmr(problem: SelectionProblem) -> SelectionResult:
     lam * sim(q, r) - (1 - lam) * max_{s in S} sim(r, s).
 
     Ties go to the lowest id: the similarities are row-wise einsums, which
-    give equal rows equal bits where a BLAS product need not."""
+    give equal rows equal bits where a BLAS product need not. Vectors so
+    large that a similarity could overflow float64 raise ValueError."""
     X = problem.vectors
+    _check_scale(problem, np.einsum("ij,ij->i", X, X), 1)
     sims = np.einsum("ij,j->i", X, problem.query)
     m = problem.size
     kk = min(problem.k, m)
@@ -178,7 +200,7 @@ def select_mmr(problem: SelectionProblem) -> SelectionResult:
         else:
             score = problem.lam * sims - (1.0 - problem.lam) * max_sel
         score[~available] = -np.inf
-        j = int(np.argmax(score))
+        j = int(score.argmax())
         picked.append(j)
         available[j] = False
         np.maximum(max_sel, np.einsum("ij,j->i", X, X[j]), out=max_sel)

@@ -227,6 +227,17 @@ class TestPredictMmr:
         assert pred.labels.size == 4
         np.testing.assert_allclose(pred.scores, model.W[pred.labels] @ (model.H.T @ X[0]), rtol=0, atol=1e-12)
 
+    def test_row_whose_norm_overflows_keeps_its_direction(self):
+        # label 0 is the first pick at unit scale; at 1e200 its norm
+        # overflows, and dividing by it once made the row a zero vector
+        W = np.array([[1, 1, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 1, 0]], dtype=float)
+        x = np.array([1.0, 0.9, 0.2, 0.1])
+        unit = predict_mmr(FactorModel(W=W, H=np.eye(4)), x, alpha=3, lam=0.5)
+        W[0] *= 1e200
+        big = predict_mmr(FactorModel(W=W, H=np.eye(4)), x, alpha=3, lam=0.5)
+        assert unit.labels[0] == 0
+        assert big.labels.tolist() == unit.labels.tolist()
+
 
 PREDICTORS = {
     "exact": lambda model, index, x: predict_exact(model, x, 2),

@@ -258,6 +258,23 @@ class TestSelectGreedyDiv:
         res = select_greedy_div(SelectionProblem(np.ones(3), np.empty(0, dtype=int), np.empty((0, 3)), k=4, lam=0.5))
         assert res.ids.size == 0 and res.underfilled
 
+    # 60 rows, d = 16: at 1e155 every squared norm overflows, at 1e153 the
+    # running diversity sum does; both once gave a repeated id
+    @pytest.mark.parametrize("scale", [1e155, 1e153])
+    def test_overflowing_scores_raise(self, scale):
+        with pytest.raises(ValueError, match="overflow"):
+            select_greedy_div(scaled_problem(scale))
+
+    def test_a_power_of_two_scale_below_the_bound_keeps_the_picks(self):
+        # scaling by 2^460 is exact, so every score scales exactly by 2^920
+        assert np.array_equal(select_greedy_div(scaled_problem(2.0**460)).ids, select_greedy_div(scaled_problem(1.0)).ids)
+
+
+def scaled_problem(scale: float) -> SelectionProblem:
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((60, 16)) * scale
+    return SelectionProblem(rng.standard_normal(16) * scale, np.arange(60), X, k=10, lam=0.5)
+
 
 class TestSelectMmr:
     def test_lambda_one_equals_nn(self):
@@ -295,6 +312,12 @@ class TestSelectMmr:
         prob = twin_problem(seed, m, d, n_dup, k, lam)
         ref = ref_mmr(prob.query, prob.ids.tolist(), prob.vectors.tolist(), k, lam)
         assert select_mmr(prob).ids.tolist() == ref
+
+    def test_overflowing_similarities_raise(self):
+        # at 1e155 every similarity of two rows overflows, which once gave
+        # the pool's index order after the first pick
+        with pytest.raises(ValueError, match="overflow"):
+            select_mmr(scaled_problem(1e155))
 
 
 class TestSelectRerank:
