@@ -65,6 +65,8 @@ def _config(cls, args):
 
 def _cmd_toy_gen(args) -> int:
     d = args.d
+    if d < 1:
+        raise ValueError(f"--d must be at least 1, got {d}")
     centers = (tuple([1.0] + [0.0] * (d - 1)), tuple([-1.0] + [0.0] * (d - 1)))
     config = ToyConfig(n_per_class=args.n_per_class, class_centers=centers, spread=args.spread, seed=args.seed)
     save_dense(make_toy(config), args.out)

@@ -201,8 +201,9 @@ def save_dense(dataset: Dataset, path) -> None:
 def load_sparse(path, d: int) -> Dataset:
     """Read a LIBSVM-style multi-label file: ``lab1,lab2 idx:val idx:val ...``
     per line, feature indices 1-based in the file and stored 0-based.
-    Indices must be strictly increasing and < d. The rows are parsed into
-    a dense (n, d) float64 array of unit rows; absent features are 0.
+    Indices must be strictly increasing and < d, and label ids >= 0. The
+    rows are parsed into a dense (n, d) float64 array of unit rows; absent
+    features are 0.
     """
     if d <= 0:
         raise ValueError("dimension d must be positive")
@@ -224,6 +225,8 @@ def load_sparse(path, d: int) -> Dataset:
                 labels = frozenset(int(t) for t in tokens[0].split(","))
             except ValueError:
                 raise ParseError(path, line_no, f"bad label field {tokens[0]!r}") from None
+            if min(labels) < 0:
+                raise ParseError(path, line_no, f"negative label id in {tokens[0]!r}")
             start = 1
         prev = -1
         row_idx: list[int] = []

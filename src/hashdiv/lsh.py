@@ -36,7 +36,7 @@ import numpy as np
 from .data import Dataset
 from .hashing import KINDS, PLAIN, HashFamily, hash_matrix, hash_table, hash_vector, new_family
 from .linalg import TruncatedBasis
-from .select import SelectionResult, _gathered_problem, select_nn
+from .select import SelectionProblem, SelectionResult, select_nn
 
 _MAGIC = b"HDV5"
 # magic, kind code (the kind's position in KINDS), n, d, L, l, alpha (0 for
@@ -152,18 +152,16 @@ def retrieve(source: LshIndex | Dataset, q: np.ndarray, select, k: int, lam: flo
     empty union gives an empty, underfilled selection and count 0. A query
     that is not a 1-d array of the points' dimension, or that is NaN,
     infinite or zero, and a k below 1 or a lam outside [0, 1] raise
-    ValueError on both paths, an empty union included.
-
-    Each check runs once: q here, the rows in Dataset and the ids' order in
-    `query`, so the problem skips the public constructor's scans over the
-    candidates."""
+    ValueError on both paths, an empty union included. The problem is
+    built by the public constructor, whose squared norms of the candidates
+    also bound every selector's scores against overflow."""
     if isinstance(source, Dataset):
         _check_query(q, source.d)
         ids, vectors = np.arange(source.n), source.vectors  # selectors only read it, so no copy
     else:
         ids = query(source, q).ids
         vectors = source.dataset.dense_rows(ids)
-    problem = _gathered_problem(q, ids, vectors, k, lam)  # checks k and lam, also for an empty union
+    problem = SelectionProblem(q, ids, vectors, k, lam)  # checks k and lam, also for an empty union
     if problem.size == 0:
         return SelectionResult(ids=problem.ids, underfilled=True), 0
     return select(problem), problem.size
@@ -242,14 +240,12 @@ def tune(dataset: Dataset, target_recall: float, epsilon: float = 1.0, *, seed: 
     # (n, max_L); the family's planes are not kept past the hashing
     all_keys = hash_matrix(new_family(PLAIN, max_l, max_L, dataset.d, seed=seed), dataset.vectors)
 
-    # leave-one-out ground truth: the nearest neighbors excluding the query;
-    # Dataset rows are finite and arange ascending, so the problem skips the
-    # public constructor's scans over all n rows
+    # leave-one-out ground truth: the nearest neighbors excluding the query
     everyone = np.arange(n)
     at_k = min(_TUNE_AT_K, n - 1)
     true_nn = np.empty((nq, at_k), dtype=np.intp)
     for row, qi, qv in zip(true_nn, q_ids, qvecs):
-        nearest = select_nn(_gathered_problem(qv, everyone, dataset.vectors, _TUNE_AT_K + 1, 0.0)).ids
+        nearest = select_nn(SelectionProblem(qv, everyone, dataset.vectors, _TUNE_AT_K + 1, 0.0)).ids
         row[:] = nearest[nearest != qi][: row.size]
 
     # per l, table count L and query: hits among true_nn, union size and

@@ -26,7 +26,10 @@ from .linalg import project_capped_simplex
 class SelectionProblem:
     """Query + candidate pool. `ids` must be distinct and ascending, with
     `vectors[i]` the dense vector of candidate `ids[i]`; `query` is a 1-d
-    array with one coordinate per column of `vectors`."""
+    array with one coordinate per column of `vectors`. The candidates'
+    squared norms are kept in `_sq` and their largest in `_sq_max`, which
+    bounds every selector's scores (_check_scale): finite rows whose norms
+    overflow are accepted here and refused by every selector."""
 
     query: np.ndarray
     ids: np.ndarray
@@ -35,15 +38,6 @@ class SelectionProblem:
     lam: float
 
     def __post_init__(self):
-        self._cast_and_check()
-        if (self.ids[1:] <= self.ids[:-1]).any():
-            raise ValueError("candidate ids must be distinct and ascending")
-        if not np.isfinite(self.vectors).all():
-            raise ValueError("a candidate vector has a NaN or infinite coordinate")
-
-    def _cast_and_check(self) -> None:
-        """Cast the fields and run every check but the two scans over the
-        candidates (ids ascending, vectors finite)."""
         object.__setattr__(self, "query", np.asarray(self.query, dtype=float))
         object.__setattr__(self, "ids", np.asarray(self.ids, dtype=int))
         object.__setattr__(self, "vectors", np.asarray(self.vectors, dtype=float))
@@ -61,23 +55,20 @@ class SelectionProblem:
             raise ValueError("ids and vectors disagree on candidate count")
         if not np.isfinite(self.query).all():
             raise ValueError("query has a NaN or infinite coordinate")
+        if (self.ids[1:] <= self.ids[:-1]).any():
+            raise ValueError("candidate ids must be distinct and ascending")
+        sq = np.einsum("ij,ij->i", self.vectors, self.vectors)
+        top = float(sq[sq.argmax()]) if sq.size else 0.0  # argmax costs less than max, and picks a NaN
+        # einsum warns of no overflow; only a norm that is not finite needs
+        # the scan that tells a bad coordinate from an overflowed norm
+        if not math.isfinite(top) and not np.isfinite(self.vectors).all():
+            raise ValueError("a candidate vector has a NaN or infinite coordinate")
+        object.__setattr__(self, "_sq", sq)
+        object.__setattr__(self, "_sq_max", top)
 
     @property
     def size(self) -> int:
         return self.ids.size
-
-
-def _gathered_problem(query: np.ndarray, ids: np.ndarray, vectors: np.ndarray, k: int, lam: float) -> SelectionProblem:
-    """SelectionProblem(query, ids, vectors, k, lam) for candidates that are
-    rows of a Dataset, which refuses NaN and infinite coordinates, under
-    distinct ascending ids, as lsh.retrieve gathers them: every check of the
-    public constructor but its two scans over the candidates, which those
-    invariants make redundant (O(m d) of a request's work)."""
-    problem = object.__new__(SelectionProblem)
-    for name, value in zip(("query", "ids", "vectors", "k", "lam"), (query, ids, vectors, k, lam)):
-        object.__setattr__(problem, name, value)
-    problem._cast_and_check()
-    return problem
 
 
 @dataclass(frozen=True)
@@ -98,18 +89,17 @@ class QpSolveReport:
 _MAX = np.finfo(float).max
 
 
-def _check_scale(problem: SelectionProblem, sq: np.ndarray, most: int) -> None:
+def _check_scale(problem: SelectionProblem, most: int) -> None:
     """Raise ValueError unless `most` * B is at most half the largest
-    float64, B the largest squared norm among the candidates (their `sq`)
-    and the query. A selector passes the bound on its scores and sums in
-    units of B (|x.y| <= B, |x - y|^2 <= 4B), so none of them overflows
-    into a quiet wrong pick, with room left for rounding. einsum warns of
-    no overflow, and a squared norm that overflowed is inf and fails;
-    hypot scales, so |q| cannot overflow on the way, and a Python float
-    product overflows to inf without a warning."""
+    float64, B the largest squared norm among the candidates (the
+    problem's `_sq_max`) and the query. A selector passes the bound on its
+    scores and sums in units of B (|x.y| <= B, |x - y|^2 <= 4B), so none
+    of them overflows into a quiet wrong pick, with room left for
+    rounding. A squared norm that overflowed is inf and fails; hypot
+    scales, so |q| cannot overflow on the way, and a Python float product
+    overflows to inf without a warning."""
     qn = math.hypot(*problem.query.tolist())
-    top = sq[sq.argmax()] if sq.size else 0.0  # argmax costs less than max
-    if not max(top, qn * qn) <= _MAX / (2 * most):
+    if not max(problem._sq_max, qn * qn) <= _MAX / (2 * most):
         raise ValueError("candidate or query vectors too large: their selection scores would overflow float64")
 
 
@@ -126,7 +116,9 @@ def _result(problem: SelectionProblem, picked: list[int]) -> SelectionResult:
 def select_nn(problem: SelectionProblem) -> SelectionResult:
     """Plain nearest neighbors: the k candidates closest to the query,
     nearest first, ties to the lowest id. Only the candidates within the
-    k-th smallest distance, found by a partition, are sorted."""
+    k-th smallest distance, found by a partition, are sorted. Vectors so
+    large that a squared distance could overflow float64 raise ValueError."""
+    _check_scale(problem, 4)
     d2 = _sq_dists_to_query(problem)
     near = np.arange(d2.size)
     if problem.k < d2.size:
@@ -150,9 +142,8 @@ def select_greedy_div(problem: SelectionProblem) -> SelectionResult:
     kk = min(problem.k, m)
     if kk == 0:
         return _result(problem, [])
-    X = problem.vectors
-    sq = np.einsum("ij,ij->i", X, X)
-    _check_scale(problem, sq, 4 * kk)  # a diversity sum adds kk - 1 squared distances
+    X, sq = problem.vectors, problem._sq
+    _check_scale(problem, 4 * kk)  # a diversity sum adds kk - 1 squared distances
     base = problem.lam * _sq_dists_to_query(problem)  # picked entries get +inf so they never win argmin
     # the diversity sum is still zero at the first pick, so its score is
     # base; the first minimum is the lowest id on ties
@@ -187,7 +178,7 @@ def select_mmr(problem: SelectionProblem) -> SelectionResult:
     give equal rows equal bits where a BLAS product need not. Vectors so
     large that a similarity could overflow float64 raise ValueError."""
     X = problem.vectors
-    _check_scale(problem, np.einsum("ij,ij->i", X, X), 1)
+    _check_scale(problem, 1)
     sims = np.einsum("ij,j->i", X, problem.query)
     m = problem.size
     kk = min(problem.k, m)
@@ -210,12 +201,14 @@ def select_mmr(problem: SelectionProblem) -> SelectionResult:
 def select_rerank(problem: SelectionProblem) -> SelectionResult:
     """Backward selection: restrict to the 3 * k nearest candidates, then
     greedily grow the set maximizing summed squared distance to the points
-    already chosen, starting from the nearest."""
+    already chosen, starting from the nearest. Vectors so large that a
+    score could overflow float64 raise ValueError."""
     if problem.size == 0:
         return _result(problem, [])
-    d2q = _sq_dists_to_query(problem)
     m = problem.size
     kk = min(problem.k, m)
+    _check_scale(problem, 4 * kk)  # a diversity sum adds kk squared distances
+    d2q = _sq_dists_to_query(problem)
     pool_size = min(3 * problem.k, m)
     by_distance = np.lexsort((problem.ids, d2q))
     in_pool = np.zeros(m, dtype=bool)
@@ -283,6 +276,8 @@ def qp_relax_solve(problem: SelectionProblem, max_iter: int = 500, tol: float = 
     a face step (_face_step) then minimizes on it. Neither step raises f.
     f is convex, so the iterate is converged once the Frank-Wolfe gap is at
     most tol * max(1, |f|) or the gradient step t |d| is at most tol.
+    Vectors so large that X^T X or a gradient could overflow float64
+    raise ValueError.
     """
     m = problem.size
     if m == 0:
@@ -291,6 +286,10 @@ def qp_relax_solve(problem: SelectionProblem, max_iter: int = 500, tol: float = 
         raise ValueError(f"k={problem.k} exceeds candidate count {m}")
     X = problem.vectors
     k = problem.k
+    # an entry of X^T X sums m products; |X^T a| <= k |x|, so a gradient
+    # entry is at most (2k + 1) B and its dot with a step of 1-norm 2k at
+    # most 2k (2k + 1) B
+    _check_scale(problem, max(m, 2 * k * (2 * k + 1)))
     # lam * c = -2 X target, so f(a) = |X^T a - target|^2 - |target|^2
     target = 0.5 * problem.lam * problem.query
 

@@ -45,6 +45,14 @@ def test_toy_gen_writes_an_odd_query_count_exactly(tmp_path):
     assert load_dense(queries).categories.tolist() == [0, 0, 0, 1, 1]
 
 
+@pytest.mark.parametrize("d", ["0", "-2"])
+def test_toy_gen_refuses_a_dimension_below_one(tmp_path, capsys, d):
+    out = tmp_path / "data.csv"
+    assert main(["toy-gen", "--out", str(out), "--d", d]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: --d must be at least 1, got {d}"]
+    assert not out.exists()
+
+
 def test_index_build_and_query(toy_paths, tmp_path, capsys):
     data, queries = toy_paths
     idx = tmp_path / "index.bin"

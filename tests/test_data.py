@@ -131,6 +131,14 @@ def test_load_sparse_index_out_of_range(tmp_path):
         load_sparse(p, d=4)
 
 
+def test_load_sparse_negative_label_rejected(tmp_path):
+    # a negative id would index the label matrix from its end
+    p = tmp_path / "neg.svm"
+    p.write_text("1 1:1.0\n-3,1 1:0.5 2:0.5\n")
+    with pytest.raises(ParseError, match=r"neg\.svm:2: negative label id in '-3,1'"):
+        load_sparse(p, d=3)
+
+
 def test_load_sparse_non_monotone(tmp_path):
     p = tmp_path / "mono.svm"
     p.write_text("1 3:1.0 2:1.0\n")

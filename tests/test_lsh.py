@@ -355,8 +355,9 @@ class TestRetrieve:
     @pytest.mark.parametrize("indexed", [True, False])
     @pytest.mark.parametrize("integer_data", [True, False])
     def test_problem_equals_the_public_constructor(self, indexed, q_dtype, integer_data):
-        # the problem retrieve builds skips the public constructor's scans,
-        # so it must hold exactly what the public constructor would
+        # retrieve builds its problem with the public constructor from the
+        # rows it gathers, so it must hold exactly what the constructor
+        # gives on dense_rows of the same ids
         rng = np.random.default_rng(5)
         vectors = rng.integers(-4, 5, size=(40, 6))
         vectors[vectors[:, 0] == 0, 0] = 1  # no zero rows

@@ -266,8 +266,30 @@ class TestSelectGreedyDiv:
             select_greedy_div(scaled_problem(scale))
 
     def test_a_power_of_two_scale_below_the_bound_keeps_the_picks(self):
-        # scaling by 2^460 is exact, so every score scales exactly by 2^920
-        assert np.array_equal(select_greedy_div(scaled_problem(2.0**460)).ids, select_greedy_div(scaled_problem(1.0)).ids)
+        # scaling by 2^460 is exact, so every score scales exactly by 2^920;
+        # qprel is left out, as its step clamp makes its picks depend on the
+        # scale
+        for select in (select_nn, select_rerank, select_greedy_div, select_mmr):
+            assert np.array_equal(select(scaled_problem(2.0**460)).ids, select(scaled_problem(1.0)).ids), select
+
+
+# 60 rows, d = 16: at 1e155 nn and rerank once returned [0 1 ... 9] and
+# qprel an unnamed LinAlgError; at 1e153 rerank's diversity sums overflow
+# and its picks changed
+@pytest.mark.parametrize("select, scale", [(select_nn, 1e155), (select_rerank, 1e155), (select_rerank, 1e153),
+                                           (select_qp_rel, 1e155)])
+def test_overflowing_scores_raise(select, scale):
+    with pytest.raises(ValueError, match="overflow"):
+        select(scaled_problem(scale))
+
+
+def test_finite_rows_whose_norms_overflow_are_accepted_then_refused_by_every_selector():
+    # every coordinate is finite, but |x|^2 = 1e400 is not
+    X = np.array([[1e200, 0.0], [0.0, 1.0], [0.6, 0.8]])
+    prob = SelectionProblem(np.array([1.0, 0.0]), [0, 1, 2], X, k=2, lam=0.5)
+    for select in (select_nn, select_rerank, select_greedy_div, select_mmr, select_qp_rel):
+        with pytest.raises(ValueError, match="overflow"):
+            select(prob)
 
 
 def scaled_problem(scale: float) -> SelectionProblem:
