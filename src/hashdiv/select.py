@@ -5,11 +5,13 @@ ascending-id order and break score ties by ascending id, which makes every
 strategy a pure deterministic function of its input.
 
 qp_relax_solve minimizes the quadratic form lam * c^T a + |X^T a|^2
-(c_i = -q.x_i, X the candidate vectors as rows, so |X^T a|^2 = a^T G a for
-the Gram matrix G, which is never formed) over the capped simplex by
-spectral projected gradient with face steps; this form absorbs constants
-differently from the greedy score, so its lam is not numerically
-interchangeable with greedy's.
+(c_i = -q.x_i, X the candidate vectors as rows) over the capped simplex.
+The form is |X^T a - t|^2 - |t|^2 for t = lam q / 2, so it is solved in the
+candidates' d-dimensional image: by Wolfe's min-norm point over the images
+of the k-sets, or, when t lies inside that image, by the least-norm a that
+reaches it, found by semismooth Newton on a (d + 1)-dimensional dual. This
+form absorbs constants differently from the greedy score, so its lam is
+not numerically interchangeable with greedy's.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .linalg import project_capped_simplex
 
 
 @dataclass(frozen=True)
@@ -230,93 +230,221 @@ def select_rerank(problem: SelectionProblem) -> SelectionResult:
     return _result(problem, picked)
 
 
-def _fw_gap(grad: np.ndarray, alpha: np.ndarray, k: int) -> float:
-    """Frank-Wolfe duality gap g.a - min over the capped simplex of g.z; the
-    minimizer puts weight 1 on the k smallest gradient entries (Jaggi,
-    ICML 2013). For a convex objective f(a) - gap lower-bounds the minimum."""
-    return float(grad @ alpha - np.partition(grad, k - 1)[:k].sum())
+def _power_of_two_near(r: float) -> float:
+    """The power of two nearest r > 0 on a log scale, 1.0 for r = 0.
+    Dividing by it is exact, so a problem scaled by any power of two is
+    solved on the same bits."""
+    if r == 0.0:
+        return 1.0
+    mant, e = math.frexp(r)  # r = mant * 2^e with 0.5 <= mant < 1
+    return math.ldexp(1.0, e - (mant < math.sqrt(0.5)))
 
 
-def _face_step(X: np.ndarray, alpha: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Minimize |X^T a - target|^2 over the face of the capped simplex that
-    alpha lies on: the coordinates strictly inside (0, 1) move by the
-    min-norm least-squares step delta with sum(delta) = 0, cut short where a
-    coordinate reaches a bound. The objective is convex along delta with its
-    minimum at the full step, so the cut step still descends. This is the
-    face phase of GPCG (More & Toraldo, SIAM J. Optim. 1991); as X^T a has
-    only d entries, a direct least-squares solve replaces its conjugate
-    gradients."""
-    free = np.flatnonzero((alpha > 0.0) & (alpha < 1.0))
-    if free.size < 2:
-        return alpha
-    B = X[free].T
-    # with centered columns the step moves X^T a as B @ delta does for any
-    # sum(delta) = 0; centering delta again removes the rounding that an
-    # ill-conditioned B leaves in its sum
-    delta = np.linalg.lstsq(B - B.mean(axis=1, keepdims=True), target - X.T @ alpha, rcond=1e-10)[0]
-    delta -= delta.mean()
-    a = alpha[free]
-    with np.errstate(divide="ignore"):
-        room = np.where(delta > 0, 1.0 - a, a) / np.abs(delta)
-    out = alpha.copy()
-    out[free] = np.clip(a + min(1.0, float(room.min())) * delta, 0.0, 1.0)
-    return out
+def _oracle(X: np.ndarray, t: np.ndarray, k: int, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The linear oracle of P = Z - t at y: the k-set S minimizing y.(X^T 1[S]),
+    the k smallest entries of X y, and its vertex X^T 1[S] - t."""
+    S = (X @ y).argpartition(k - 1)[:k]
+    return S, X[S].sum(axis=0) - t
+
+
+def _wolfe(X: np.ndarray, t: np.ndarray, k: int, S: np.ndarray, v: np.ndarray, max_iter: int,
+           tol: float) -> tuple[np.ndarray, int]:
+    """Wolfe's min-norm point of P = Z - t, started at its vertex v, the
+    image of the k-set S. The corral holds affinely independent vertices,
+    so at most d + 1. Each major cycle adds the oracle's vertex at the
+    current point x; each minor cycle moves x to the corral's affine
+    min-norm point, weights mu solving (G + 1 1^T) mu = 1 up to scale for
+    the corral Gram G, or as far toward it as the weights stay
+    nonnegative, dropping the vertex whose weight reaches zero. |x| falls
+    at every major cycle, and x stops once the Frank-Wolfe gap
+    2 (|x|^2 - x.v) is at most tol * max(1, |f|), f = |x|^2 - |t|^2, or
+    after max_iter vertices past the first. Returns alpha, the corral's
+    weighted sum of k-set indicators, exactly 1.0 for a candidate in every
+    k-set, and the count of vertices added."""
+    m, d = X.shape
+    sets = np.empty((d + 1, k), dtype=np.intp)
+    V = np.empty((d + 1, d))
+    G = np.empty((d + 1, d + 1))
+    sets[0], V[0] = S, v
+    G[0, 0] = xx = float(v @ v)
+    lam, x = np.ones(1), v
+    tt = float(t @ t)
+    it = 0
+    while it < max_iter:
+        S, v = _oracle(X, t, k, x)
+        drop = xx - x @ v
+        vv = float(v @ v)
+        # the gap rule, or a drop below rounding, where v lies in the corral's affine hull
+        if 2.0 * drop <= tol * max(1.0, abs(xx - tt)) or drop <= 1e-14 * math.sqrt(xx * vv):
+            break
+        r = lam.size
+        if r == d + 1:
+            break  # a full corral spans R^d: x is 0 up to rounding
+        it += 1
+        sets[r], V[r] = S, v
+        G[r, :r] = G[:r, r] = V[:r] @ v
+        G[r, r] = vv
+        lam = np.append(lam, 0.0)
+        while True:
+            r = lam.size
+            try:
+                mu = np.linalg.solve(G[:r, :r] + 1.0, np.ones(r))
+            except np.linalg.LinAlgError:
+                mu = lam  # rounding made the corral dependent: keep its last point
+                break
+            mu /= mu.sum()
+            if mu.min() > 0.0:
+                break
+            # step from lam toward mu until the first weight reaches zero
+            out = np.flatnonzero(mu <= 0.0)
+            room = lam[out] - mu[out]
+            ratio = np.divide(lam[out], room, out=np.zeros(out.size), where=room > 0.0)
+            j = ratio.argmin()
+            lam += ratio[j] * (mu - lam)
+            lam[out[j]] = 0.0
+            keep = np.flatnonzero(lam > 0.0)
+            sets[: keep.size], V[: keep.size] = sets[keep], V[keep]
+            G[: keep.size, : keep.size] = G[np.ix_(keep, keep)]
+            lam = lam[keep]
+        lam = mu
+        x = lam @ V[:r]
+        new_xx = float(x @ x)
+        if not new_xx < xx:
+            break  # rounding left no descent
+        xx = new_xx
+    keep = np.flatnonzero(lam > 0.0)  # a vertex the last solve could not weigh
+    sets, lam = sets[keep].ravel(), lam[keep]
+    alpha = np.bincount(sets, weights=np.repeat(lam, k), minlength=m)
+    alpha[np.bincount(sets, minlength=m) == lam.size] = 1.0
+    return alpha, it
+
+
+_NEWTON_STEPS = 20   # successful solves take at most about 7
+_NEWTON_TOL = 1e-13  # on |(X^T a - t, sum(a) - k)| relative to |(t, k)|
+
+
+def _min_norm_alpha(X: np.ndarray, t: np.ndarray, k: int) -> np.ndarray | None:
+    """The least-norm a with X^T a = t, sum(a) = k and 0 <= a <= 1, or
+    None when there is none (t outside Z) or Newton's method does not
+    reach it. Its dual is the unconstrained convex problem in w = (y, tau)
+
+        min psi(w) = sum_i h(x_i.y + tau) - t.y - k tau,
+
+    h(s) = 0, s^2/2 or s - 1/2 below 0, on [0, 1] and above 1, whose
+    gradient is (X^T a - t, sum(a) - k) at a = clip(X y + tau, 0, 1). A
+    semismooth Newton step solves with the generalized Hessian, the Gram
+    of [X, 1] over the rows strictly inside (0, 1), and a backtracking line
+    search keeps it descending. When t lies outside Z, psi falls without
+    bound along a y that separates t from Z, and the iterate's own y soon
+    proves it. The start w = (0, k/m) is a = k/m, so when no weight reaches
+    a bound the first step is the exact least-squares projection of
+    a = k/m onto X^T a = t, sum(a) = k. Equal rows of X get equal weights:
+    s is a row-wise einsum."""
+    m, d = X.shape
+    A = np.column_stack([X, np.ones(m)])
+    b = np.append(t, k)
+    stop = _NEWTON_TOL * math.sqrt(float(b @ b))
+
+    def dual(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, np.ndarray, float]:
+        s = np.einsum("ij,j->i", A, w)
+        a = np.clip(s, 0.0, 1.0)
+        grad = A.T @ a - b
+        return s, a, float(a @ (s - 0.5 * a) - b @ w), grad, math.sqrt(float(grad @ grad))
+
+    w = np.zeros(d + 1)
+    w[d] = k / m
+    s, a, psi, grad, gn = dual(w)
+    for i in range(_NEWTON_STEPS):
+        if gn <= stop:
+            return a
+        # y separates t from Z once t.y exceeds the largest y.z over Z, the
+        # sum of the k largest entries of X y, that is once b.w exceeds the
+        # sum of the k largest entries of s, by more than rounding (the rows
+        # and t have norms below 2); the start has y = 0
+        if i and b @ w - np.partition(s, m - k)[m - k:].sum() > 1e-12 * (k + 2) * math.sqrt(float(w @ w)):
+            return None
+        AF = A[(s > 0.0) & (s < 1.0)]
+        # the Gram H of the free rows is singular when they span fewer than
+        # d + 1 dimensions (twins, or too few of them): a gradient step of
+        # length at most 1 runs along its null space, which only rows at a
+        # bound can end
+        ev, U = np.linalg.eigh(AF.T @ AF)
+        inv = np.divide(1.0, ev, out=np.full(d + 1, 1.0 / gn), where=ev > 1e-12 * ev[-1])
+        step = U @ (inv * (U.T @ -grad))
+        slope = float(grad @ step)
+        h = 1.0
+        while True:
+            w2 = w + h * step
+            s2, a2, psi2, grad2, gn2 = dual(w2)
+            # near the solution psi's decrease drops below its rounding,
+            # and the gradient's does not
+            if psi2 <= psi + 1e-4 * h * slope or gn2 <= (1.0 - 1e-4 * h) * gn:
+                break
+            h *= 0.5
+            if h < 1e-12:
+                return None
+        w, s, a, psi, grad, gn = w2, s2, a2, psi2, grad2, gn2
+    return None
 
 
 def qp_relax_solve(problem: SelectionProblem, max_iter: int = 500, tol: float = 1e-8) -> QpSolveReport:
     """Minimize f(a) = lam * c^T a + |X^T a|^2 over the capped simplex
-    {sum a = k, 0 <= a <= 1}, started at a = k/m.
+    {sum a = k, 0 <= a <= 1}.
 
-    Each iteration takes one spectral projected gradient step (Birgin,
-    Martinez & Raydan, SIAM J. Optim. 2000): it projects a - s g, moves
-    along d = proj - a by the exact line minimizer
-    t = min(1, -g.d / (2 |X^T d|^2)) and sets the next s to the
-    Barzilai-Borwein step |d|^2 / (2 |X^T d|^2), clamped to [1e-10, 1e10],
-    the first s being 1 / (2 lambda_max(X^T X)). The step picks the face;
-    a face step (_face_step) then minimizes on it. Neither step raises f.
-    f is convex, so the iterate is converged once the Frank-Wolfe gap is at
-    most tol * max(1, |f|) or the gradient step t |d| is at most tol.
-    Vectors so large that X^T X or a gradient could overflow float64
-    raise ValueError.
+    With t = lam q / 2, f(a) = |X^T a - t|^2 - |t|^2, so f depends on a only
+    through the d-vector X^T a: the problem is the min-norm point of
+    P = Z - t, Z = {X^T a}, whose vertices are the images of the k-sets.
+    Wolfe's algorithm finds it in d-space (Wolfe, Math. Programming 1976;
+    _wolfe). It is a fully corrective Frank-Wolfe method (Lacoste-Julien &
+    Jaggi, NeurIPS 2015), started at the vertex that Frank-Wolfe steps to
+    from a = k/m and stopped on the Frank-Wolfe gap. `iterations` counts
+    the vertices added past that first one, and max_iter bounds it. The
+    returned alpha is sum_j lam_j 1[S_j] over the corral's k-sets S_j,
+    with exactly 1.0 where a candidate lies in every one, so ties among
+    the ones go by id.
+
+    When t lies in Z, every a with X^T a = t is optimal, and alpha is the
+    least-norm one, the projection of a = k/m onto the optimal set
+    (_min_norm_alpha), with iterations 0. It is sought first unless the
+    start vertex v, at the image p of a = k/m, proves t outside Z by
+    p.v > 0; Wolfe runs when there is no such a.
+
+    The problem is solved on X and t divided by the power of two nearest
+    the larger of the largest candidate norm and |t|, so a problem scaled
+    by a power of two gets the same alpha. relaxed_objective, gap and
+    converged are computed from the returned alpha, converged being
+    gap <= tol * max(1, |f|) on the scaled problem. Vectors so large that
+    a vertex, a corral Gram entry (up to (k sqrt(B) + |t|)^2), the gap or
+    the Newton Gram over m rows could overflow float64 raise ValueError.
     """
     m = problem.size
     if m == 0:
         raise ValueError("QP relaxation needs a nonempty candidate set")
     if problem.k > m:
         raise ValueError(f"k={problem.k} exceeds candidate count {m}")
-    X = problem.vectors
     k = problem.k
-    # an entry of X^T X sums m products; |X^T a| <= k |x|, so a gradient
-    # entry is at most (2k + 1) B and its dot with a step of 1-norm 2k at
-    # most 2k (2k + 1) B
-    _check_scale(problem, max(m, 2 * k * (2 * k + 1)))
-    # lam * c = -2 X target, so f(a) = |X^T a - target|^2 - |target|^2
-    target = 0.5 * problem.lam * problem.query
-
-    def evaluate(a: np.ndarray) -> tuple[np.ndarray, float, float]:
-        xa = X.T @ a
-        grad = 2.0 * (X @ (xa - target))
-        f = float(xa @ (xa - 2.0 * target))
-        return grad, f, _fw_gap(grad, a, k)
-
-    alpha = np.full(m, k / m)
-    grad, f, gap = evaluate(alpha)
-    converged = gap <= tol * max(1.0, abs(f))
-    top = float(np.linalg.eigvalsh(X.T @ X)[-1])
-    step = 1.0 / (2.0 * top) if top > 0 else 1.0
-    it = 0
-    while not converged and it < max_iter:
-        it += 1
-        d = project_capped_simplex(alpha - step * grad, k) - alpha
-        xd = X.T @ d
-        curv = float(xd @ xd)
-        dd = float(d @ d)
-        t = 1.0 if curv <= 0 else min(1.0, max(0.0, -float(grad @ d) / (2.0 * curv)))
-        step = 1e10 if curv <= 0 else min(1e10, max(1e-10, dd / (2.0 * curv)))
-        alpha = _face_step(X, alpha + t * d, target)
-        grad, f, gap = evaluate(alpha)
-        converged = gap <= tol * max(1.0, abs(f)) or t * math.sqrt(dd) <= tol
-    return QpSolveReport(alpha=alpha, relaxed_objective=f, iterations=it, converged=converged, gap=gap)
+    # a vertex sums k rows, so |v| <= k sqrt(B) + |t| <= (k + 1/2) sqrt(B)
+    # for B bounding |x|^2 and |q|^2, and a Gram entry or the gap
+    # 2 (|x|^2 - x.v) is at most (2k + 1)^2 B; the Newton Gram sums m
+    # products of at most B
+    _check_scale(problem, max(m, (2 * k + 1) ** 2))
+    t = 0.5 * problem.lam * problem.query
+    scale = _power_of_two_near(max(math.sqrt(problem._sq_max), math.hypot(*t.tolist())))
+    X, t = problem.vectors / scale, t / scale
+    p = X.sum(axis=0) * (k / m) - t
+    S, v = _oracle(X, t, k, p)
+    alpha, it = None, 0
+    if p @ v <= 0.0:  # p.v, the least p.(z - t) over Z, is positive only when t lies outside Z
+        alpha = _min_norm_alpha(X, t, k)
+    if alpha is None:
+        alpha, it = _wolfe(X, t, k, S, v, max_iter, tol)
+    # the certificate, from alpha
+    p = X.T @ alpha - t
+    g = X @ p
+    f = float(p @ p - t @ t)
+    gap = 2.0 * float(g @ alpha - np.partition(g, k - 1)[:k].sum())
+    return QpSolveReport(alpha=alpha, relaxed_objective=f * scale * scale, iterations=it,
+                         converged=gap <= tol * max(1.0, abs(f)), gap=gap * scale * scale)
 
 
 def select_qp_rel(problem: SelectionProblem, max_iter: int = 500, tol: float = 1e-8) -> SelectionResult:

@@ -266,11 +266,12 @@ class TestSelectGreedyDiv:
             select_greedy_div(scaled_problem(scale))
 
     def test_a_power_of_two_scale_below_the_bound_keeps_the_picks(self):
-        # scaling by 2^460 is exact, so every score scales exactly by 2^920;
-        # qprel is left out, as its step clamp makes its picks depend on the
-        # scale
-        for select in (select_nn, select_rerank, select_greedy_div, select_mmr):
-            assert np.array_equal(select(scaled_problem(2.0**460)).ids, select(scaled_problem(1.0)).ids), select
+        # scaling by a power of two is exact, so every score scales exactly
+        # by its square; qprel solves on the rows divided by a power of two
+        # near their largest norm, the same bits at every scale
+        for scale in (2.0**460, 2.0**-200):
+            for select in (select_nn, select_rerank, select_greedy_div, select_mmr, select_qp_rel):
+                assert np.array_equal(select(scaled_problem(scale)).ids, select(scaled_problem(1.0)).ids), (select, scale)
 
 
 # 60 rows, d = 16: at 1e155 nn and rerank once returned [0 1 ... 9] and
@@ -383,8 +384,9 @@ class TestQpRelax:
 
     def test_objective_monotone_decrease(self):
         # the solver is deterministic, so max_iter=j stops it after its first
-        # j iterations; tol=0 keeps it from stopping sooner. This clustered
-        # problem keeps moving for many iterations, so most steps are strict
+        # j vertices; tol=0 keeps it from stopping sooner. This clustered
+        # problem takes many vertices, and each one that Wolfe's algorithm
+        # adds lowers the objective, so most steps are strict
         prob = random_problem(15, n=60, k=10, clustered=True)
         objs = [qp_relax_solve(prob, max_iter=j, tol=0.0).relaxed_objective for j in range(22)]
         steps = np.diff(objs)
@@ -414,8 +416,7 @@ class TestQpRelax:
         st.floats(0.0, 1.0),
         st.booleans(),
     )
-    # a degenerate instance on which projected gradient steps alone still had
-    # a relative gap of 1.4e-8 after 500 iterations
+    # a degenerate instance: six candidates in d = 3, k = 1 and lam = 1
     @example(seed=1012, n=6, d=3, k=1, lam=1.0, clustered=False)
     @settings(max_examples=100, deadline=None)
     def test_converges_with_certified_bound(self, seed, n, d, k, lam, clustered):
@@ -440,6 +441,95 @@ class TestQpRelax:
         assert len(reports) >= 150
         assert np.mean([r.converged for r in reports]) >= 0.95
         assert np.median([r.iterations for r in reports]) <= 100
+
+    def test_max_iter_zero_returns_a_feasible_unconverged_alpha(self):
+        # the pool lies to one side of the target, so Wolfe's algorithm runs,
+        # and max_iter=0 stops it at its first vertex
+        prob = random_problem(15, n=60, k=10, clustered=True)
+        rep = qp_relax_solve(prob, max_iter=0)
+        assert rep.iterations == 0 and not rep.converged
+        assert abs(rep.alpha.sum() - 10) <= 1e-9
+        assert np.all(rep.alpha >= 0.0) and np.all(rep.alpha <= 1.0)
+        assert rep.relaxed_objective > qp_relax_solve(prob).relaxed_objective
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 10), d=st.integers(1, 3), k=st.integers(1, 9),
+           lam=st.floats(0.05, 1.0))
+    def test_target_inside_the_image_gives_the_least_norm_alpha(self, seed, n, d, k, lam):
+        # t = X^T a0 for an a0 strictly inside the capped simplex, so every
+        # a with X^T a = t is optimal; the solver returns the least-norm one,
+        # which SLSQP finds from a0. d + 1 < n leaves more than one optimal a
+        d, k = min(d, n - 2), min(k, n - 1)
+        prob, a0 = target_inside_problem(seed, n, d, k, lam)
+        rep = qp_relax_solve(prob)
+        assert rep.iterations == 0 and rep.converged
+        np.testing.assert_allclose(rep.alpha, least_norm_optimum(prob, a0), atol=1e-6)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_exact_twins_get_equal_weight_when_the_target_is_inside(self, seed):
+        prob, a0 = target_inside_problem(seed, 10, 2, 3, 0.5, n_twins=4)
+        rep = qp_relax_solve(prob)
+        assert rep.iterations == 0
+        _, first, inverse = np.unique(prob.vectors, axis=0, return_index=True, return_inverse=True)
+        assert np.array_equal(rep.alpha, rep.alpha[first][inverse.ravel()])
+        np.testing.assert_allclose(rep.alpha, least_norm_optimum(prob, a0), atol=1e-6)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 10), d=st.integers(1, 6), k=st.integers(1, 10),
+           lam=st.floats(0.0, 1.0), n_dup=st.integers(0, 5))
+    def test_ragged_problems_are_feasible_with_a_certified_gap(self, seed, n, d, k, lam, n_dup):
+        # rows of norms from 0.1 to 3, some of them exact copies; the
+        # reported objective and gap are recomputed here from alpha
+        rng = np.random.default_rng(seed)
+        k = min(k, n)
+        X = rng.standard_normal((n, d)) * rng.uniform(0.1, 3.0, size=(n, 1))
+        X[rng.integers(0, n, n_dup)] = X[rng.integers(0, n, n_dup)]
+        q = rng.standard_normal(d) * rng.uniform(0.1, 3.0)
+        prob = SelectionProblem(q, np.arange(n), X, k=k, lam=lam)
+        rep = qp_relax_solve(prob)
+        a = rep.alpha
+        assert rep.converged
+        assert abs(a.sum() - k) <= 1e-9 * k
+        assert np.all(a >= 0.0) and np.all(a <= 1.0)
+        grad = 2.0 * X @ (X.T @ a) - lam * X @ q
+        f = a @ X @ (X.T @ a) - lam * q @ (X.T @ a)
+        gap = grad @ a - np.sort(grad)[:k].sum()
+        scale = max(1.0, abs(f))
+        assert abs(rep.relaxed_objective - f) <= 1e-9 * scale
+        assert abs(rep.gap - gap) <= 1e-9 * scale and rep.gap <= 1e-8 * scale
+        best = min(eq2_objective(q, X, s, lam) for s in combinations(range(n), k))
+        assert rep.relaxed_objective - rep.gap <= best + 1e-9 * max(1.0, abs(best))
+
+
+def target_inside_problem(seed, n, d, k, lam, n_twins=0):
+    """n rows (the last n_twins copies of earlier ones) and a target
+    t = lam q / 2 = X^T a0, a0 a mix of k/n and random k-sets, so every
+    a0 entry lies strictly inside (0, 1)."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    if n_twins:
+        X[n - n_twins:] = X[rng.choice(n - n_twins, n_twins)]
+    mix = np.zeros(n)
+    for w in rng.dirichlet(np.ones(4)):
+        mix[rng.choice(n, k, replace=False)] += w
+    a0 = 0.2 * k / n + 0.8 * mix
+    return SelectionProblem(2.0 * (X.T @ a0) / lam, np.arange(n), X, k=k, lam=lam), a0
+
+
+def least_norm_optimum(prob, a0):
+    """min |a|^2 subject to X^T a = X^T a0, sum(a) = k, 0 <= a <= 1, by
+    SLSQP. The equalities [X, 1]^T a = [X, 1]^T a0 are taken along an
+    orthonormal basis of their row space, so twins leave none dependent."""
+    from scipy.optimize import minimize
+
+    A = np.column_stack([prob.vectors, np.ones(a0.size)]).T
+    U, sv, _ = np.linalg.svd(A, full_matrices=False)
+    B = U[:, sv > 1e-10 * sv[0]].T @ A
+    res = minimize(lambda a: a @ a, a0, jac=lambda a: 2.0 * a, method="SLSQP", bounds=[(0.0, 1.0)] * a0.size,
+                   constraints=[{"type": "eq", "fun": lambda a: B @ (a - a0), "jac": lambda a: B}],
+                   options={"ftol": 1e-15, "maxiter": 500})
+    assert res.success, res.message
+    return res.x
 
 
 class TestSelectQpRel:
