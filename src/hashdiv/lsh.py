@@ -27,6 +27,7 @@ arrays form an index over the dataset before any query reads them.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -118,7 +119,8 @@ def build(dataset: Dataset, family: HashFamily) -> LshIndex:
 def _check_query(q: np.ndarray, d: int) -> None:
     if q.shape != (d,):
         raise ValueError(f"query must be a 1-d array of {d} coordinates, got shape {q.shape}")
-    if not np.isfinite(q).all():
+    # as in SelectionProblem, a finite |q| proves every coordinate finite
+    if not math.isfinite(math.hypot(*q.tolist())) and not np.isfinite(q).all():
         raise ValueError("query has a NaN or infinite coordinate")
     if not np.count_nonzero(q):
         raise ValueError("query is the zero vector, which has no direction")

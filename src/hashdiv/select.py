@@ -53,7 +53,10 @@ class SelectionProblem:
             raise ValueError("candidate ids must be a 1-d array")
         if self.ids.size != self.vectors.shape[0]:
             raise ValueError("ids and vectors disagree on candidate count")
-        if not np.isfinite(self.query).all():
+        # a finite |q| proves every coordinate finite; only a NaN, an inf or
+        # a norm beyond float64 needs the scan. hypot scales, so it neither
+        # overflows nor warns where q @ q would, from |q| about 1e154 up.
+        if not math.isfinite(math.hypot(*self.query.tolist())) and not np.isfinite(self.query).all():
             raise ValueError("query has a NaN or infinite coordinate")
         if (self.ids[1:] <= self.ids[:-1]).any():
             raise ValueError("candidate ids must be distinct and ascending")
@@ -244,7 +247,9 @@ def _oracle(X: np.ndarray, t: np.ndarray, k: int, y: np.ndarray) -> tuple[np.nda
     """The linear oracle of P = Z - t at y: the k-set S minimizing y.(X^T 1[S]),
     the k smallest entries of X y, and its vertex X^T 1[S] - t."""
     S = (X @ y).argpartition(k - 1)[:k]
-    return S, X[S].sum(axis=0) - t
+    v = np.add.reduce(X[S])
+    v -= t
+    return S, v
 
 
 def _wolfe(X: np.ndarray, t: np.ndarray, k: int, S: np.ndarray, v: np.ndarray, max_iter: int,
@@ -260,62 +265,78 @@ def _wolfe(X: np.ndarray, t: np.ndarray, k: int, S: np.ndarray, v: np.ndarray, m
     2 (|x|^2 - x.v) is at most tol * max(1, |f|), f = |x|^2 - |t|^2, or
     after max_iter vertices past the first. Returns alpha, the corral's
     weighted sum of k-set indicators, exactly 1.0 for a candidate in every
-    k-set, and the count of vertices added."""
+    k-set, and the count of vertices added.
+
+    The corral's at most d + 1 weights are Python floats: the ratio test
+    (the first minimum wins), the step toward mu and the drop are the same
+    IEEE operations that numpy would run on arrays of a few entries,
+    without its per-call dispatch. G1 holds G + 1 1^T, so a solve reads its
+    leading block, and a drop compacts the arrays in order with `take`."""
     m, d = X.shape
     sets = np.empty((d + 1, k), dtype=np.intp)
     V = np.empty((d + 1, d))
-    G = np.empty((d + 1, d + 1))
+    G1 = np.empty((d + 1, d + 1))
+    ones = np.ones(d + 1)
     sets[0], V[0] = S, v
-    G[0, 0] = xx = float(v @ v)
-    lam, x = np.ones(1), v
-    tt = float(t @ t)
+    xx = float(v.dot(v))  # 1-d .dot is the ddot that @ calls, minus its dispatch
+    G1[0, 0] = xx + 1.0
+    lam, x = [1.0], v
+    tt = float(t.dot(t))
     it = 0
     while it < max_iter:
         S, v = _oracle(X, t, k, x)
-        drop = xx - x @ v
-        vv = float(v @ v)
+        drop = xx - float(x.dot(v))
+        vv = float(v.dot(v))
         # the gap rule, or a drop below rounding, where v lies in the corral's affine hull
         if 2.0 * drop <= tol * max(1.0, abs(xx - tt)) or drop <= 1e-14 * math.sqrt(xx * vv):
             break
-        r = lam.size
+        r = len(lam)
         if r == d + 1:
             break  # a full corral spans R^d: x is 0 up to rounding
         it += 1
         sets[r], V[r] = S, v
-        G[r, :r] = G[:r, r] = V[:r] @ v
-        G[r, r] = vv
-        lam = np.append(lam, 0.0)
+        g = V[:r] @ v
+        g += 1.0
+        G1[r, :r] = G1[:r, r] = g
+        G1[r, r] = vv + 1.0
+        lam.append(0.0)
         while True:
-            r = lam.size
+            r = len(lam)
             try:
-                mu = np.linalg.solve(G[:r, :r] + 1.0, np.ones(r))
+                mu = np.linalg.solve(G1[:r, :r], ones[:r])
             except np.linalg.LinAlgError:
-                mu = lam  # rounding made the corral dependent: keep its last point
+                mu = np.array(lam)  # rounding made the corral dependent: keep its last point
                 break
-            mu /= mu.sum()
-            if mu.min() > 0.0:
+            mu /= np.add.reduce(mu)
+            w = mu.tolist()
+            if all(u > 0.0 for u in w):
+                lam = w
                 break
             # step from lam toward mu until the first weight reaches zero
-            out = np.flatnonzero(mu <= 0.0)
-            room = lam[out] - mu[out]
-            ratio = np.divide(lam[out], room, out=np.zeros(out.size), where=room > 0.0)
-            j = ratio.argmin()
-            lam += ratio[j] * (mu - lam)
-            lam[out[j]] = 0.0
-            keep = np.flatnonzero(lam > 0.0)
-            sets[: keep.size], V[: keep.size] = sets[keep], V[keep]
-            G[: keep.size, : keep.size] = G[np.ix_(keep, keep)]
-            lam = lam[keep]
-        lam = mu
-        x = lam @ V[:r]
-        new_xx = float(x @ x)
+            j = step = -1
+            for i, u in enumerate(w):
+                if u <= 0.0:
+                    room = lam[i] - u
+                    ratio = lam[i] / room if room > 0.0 else 0.0
+                    if j < 0 or ratio < step:
+                        j, step = i, ratio
+            lam = [a + step * (u - a) for a, u in zip(lam, w)]
+            lam[j] = 0.0
+            keep = [i for i, a in enumerate(lam) if a > 0.0]
+            lam = [lam[i] for i in keep]
+            # compact in order, since the solves' bits depend on it
+            n, keep = len(keep), np.array(keep)
+            sets[:n], V[:n] = sets.take(keep, 0), V.take(keep, 0)
+            G1[:n, :n] = G1.take(keep, 0).take(keep, 1)
+        x = mu @ V[:r]
+        new_xx = float(x.dot(x))
         if not new_xx < xx:
             break  # rounding left no descent
         xx = new_xx
-    keep = np.flatnonzero(lam > 0.0)  # a vertex the last solve could not weigh
-    sets, lam = sets[keep].ravel(), lam[keep]
-    alpha = np.bincount(sets, weights=np.repeat(lam, k), minlength=m)
-    alpha[np.bincount(sets, minlength=m) == lam.size] = 1.0
+    keep = [i for i, a in enumerate(lam) if a > 0.0]  # a vertex the last solve could not weigh
+    sets = sets[keep].ravel()
+    alpha = np.bincount(sets, weights=np.repeat([lam[i] for i in keep], k), minlength=m)
+    alpha[np.bincount(sets, minlength=m) == len(keep)] = 1.0
     return alpha, it
 
 
@@ -387,6 +408,35 @@ def _min_norm_alpha(X: np.ndarray, t: np.ndarray, k: int) -> np.ndarray | None:
     return None
 
 
+def _relaxed_alpha(problem: SelectionProblem, max_iter: int,
+                   tol: float) -> tuple[np.ndarray, int, np.ndarray, np.ndarray, float]:
+    """The solve that qp_relax_solve describes, without its certificate:
+    returns alpha, the count of vertices added, and the X and t it was
+    solved on with the power of two they were divided by."""
+    m = problem.size
+    if m == 0:
+        raise ValueError("QP relaxation needs a nonempty candidate set")
+    if problem.k > m:
+        raise ValueError(f"k={problem.k} exceeds candidate count {m}")
+    k = problem.k
+    # a vertex sums k rows, so |v| <= k sqrt(B) + |t| <= (k + 1/2) sqrt(B)
+    # for B bounding |x|^2 and |q|^2, and a Gram entry or the gap
+    # 2 (|x|^2 - x.v) is at most (2k + 1)^2 B; the Newton Gram sums m
+    # products of at most B
+    _check_scale(problem, max(m, (2 * k + 1) ** 2))
+    t = 0.5 * problem.lam * problem.query
+    scale = _power_of_two_near(max(math.sqrt(problem._sq_max), math.hypot(*t.tolist())))
+    X, t = problem.vectors / scale, t / scale
+    p = X.sum(axis=0) * (k / m) - t
+    S, v = _oracle(X, t, k, p)
+    alpha, it = None, 0
+    if p @ v <= 0.0:  # p.v, the least p.(z - t) over Z, is positive only when t lies outside Z
+        alpha = _min_norm_alpha(X, t, k)
+    if alpha is None:
+        alpha, it = _wolfe(X, t, k, S, v, max_iter, tol)
+    return alpha, it, X, t, scale
+
+
 def qp_relax_solve(problem: SelectionProblem, max_iter: int = 500, tol: float = 1e-8) -> QpSolveReport:
     """Minimize f(a) = lam * c^T a + |X^T a|^2 over the capped simplex
     {sum a = k, 0 <= a <= 1}.
@@ -413,31 +463,13 @@ def qp_relax_solve(problem: SelectionProblem, max_iter: int = 500, tol: float = 
     the larger of the largest candidate norm and |t|, so a problem scaled
     by a power of two gets the same alpha. relaxed_objective, gap and
     converged are computed from the returned alpha, converged being
-    gap <= tol * max(1, |f|) on the scaled problem. Vectors so large that
+    gap <= tol * max(1, |f|) on the scaled problem; select_qp_rel runs the
+    same solve and skips this certificate. Vectors so large that
     a vertex, a corral Gram entry (up to (k sqrt(B) + |t|)^2), the gap or
     the Newton Gram over m rows could overflow float64 raise ValueError.
     """
-    m = problem.size
-    if m == 0:
-        raise ValueError("QP relaxation needs a nonempty candidate set")
-    if problem.k > m:
-        raise ValueError(f"k={problem.k} exceeds candidate count {m}")
+    alpha, it, X, t, scale = _relaxed_alpha(problem, max_iter, tol)
     k = problem.k
-    # a vertex sums k rows, so |v| <= k sqrt(B) + |t| <= (k + 1/2) sqrt(B)
-    # for B bounding |x|^2 and |q|^2, and a Gram entry or the gap
-    # 2 (|x|^2 - x.v) is at most (2k + 1)^2 B; the Newton Gram sums m
-    # products of at most B
-    _check_scale(problem, max(m, (2 * k + 1) ** 2))
-    t = 0.5 * problem.lam * problem.query
-    scale = _power_of_two_near(max(math.sqrt(problem._sq_max), math.hypot(*t.tolist())))
-    X, t = problem.vectors / scale, t / scale
-    p = X.sum(axis=0) * (k / m) - t
-    S, v = _oracle(X, t, k, p)
-    alpha, it = None, 0
-    if p @ v <= 0.0:  # p.v, the least p.(z - t) over Z, is positive only when t lies outside Z
-        alpha = _min_norm_alpha(X, t, k)
-    if alpha is None:
-        alpha, it = _wolfe(X, t, k, S, v, max_iter, tol)
     # the certificate, from alpha
     p = X.T @ alpha - t
     g = X @ p
@@ -449,12 +481,15 @@ def qp_relax_solve(problem: SelectionProblem, max_iter: int = 500, tol: float = 
 
 def select_qp_rel(problem: SelectionProblem, max_iter: int = 500, tol: float = 1e-8) -> SelectionResult:
     """Round the relaxed solution: keep the k largest fractional weights
-    (ties by ascending id). With fewer candidates than k the whole pool is
-    returned underfilled (the relaxation is only solvable for k <= n)."""
+    (ties by ascending id). The weights are qp_relax_solve's alpha, bit for
+    bit, from the same solve without the certificate (objective and gap),
+    which rounding does not read. With fewer candidates than k the whole
+    pool is returned underfilled (the relaxation is only solvable for
+    k <= n)."""
     if problem.size == 0:
         return _result(problem, [])
     if problem.k >= problem.size:
         return _result(problem, list(range(problem.size)))
-    report = qp_relax_solve(problem, max_iter=max_iter, tol=tol)
-    order = np.lexsort((problem.ids, -report.alpha))
+    alpha = _relaxed_alpha(problem, max_iter, tol)[0]
+    order = np.lexsort((problem.ids, -alpha))
     return _result(problem, list(order[: problem.k]))

@@ -234,6 +234,13 @@ class TestQuery:
         with pytest.raises(ValueError, match="zero vector"):
             lsh.query(toy_index, np.zeros(toy_index.family.d))
 
+    @pytest.mark.parametrize("scale", [2.0**600, 2.0**-600])
+    def test_finite_query_whose_squared_norm_overflows_or_underflows_is_accepted(self, toy_1k, toy_index, scale):
+        # q @ q is inf at 2^600 and 0 at 2^-600; hashing is by signs, so a
+        # power-of-two scale of q names the same buckets
+        q = toy_1k.vectors[5]
+        assert np.array_equal(lsh.query(toy_index, scale * q).ids, lsh.query(toy_index, q).ids)
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_matches_brute_force_bucket_union_and_survives_persistence(self, data):

@@ -1,6 +1,8 @@
+import math
+from itertools import combinations
+
 import numpy as np
 import pytest
-from itertools import combinations
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,8 @@ from hashdiv.hashing import PLAIN, new_family
 from hashdiv.lsh import build, query
 from hashdiv.select import (
     SelectionProblem,
+    _oracle,
+    _wolfe,
     qp_relax_solve,
     select_greedy_div,
     select_mmr,
@@ -532,6 +536,122 @@ def least_norm_optimum(prob, a0):
     return res.x
 
 
+# ---------------------------------------------------------------------------
+# reference Wolfe loop: the corral's weights, ratio test, drops and
+# compaction as numpy arrays, one array operation per step. The library
+# keeps the weights as Python floats and must run the same floating-point
+# operations in the same order, so its alpha is equal bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def reference_oracle(X, t, k, y):
+    S = (X @ y).argpartition(k - 1)[:k]
+    return S, X[S].sum(axis=0) - t
+
+
+def reference_wolfe(X, t, k, S, v, max_iter, tol):
+    """Returns alpha, the vertices added and the count of corral drops."""
+    m, d = X.shape
+    sets = np.empty((d + 1, k), dtype=np.intp)
+    V = np.empty((d + 1, d))
+    G = np.empty((d + 1, d + 1))
+    sets[0], V[0] = S, v
+    G[0, 0] = xx = float(v @ v)
+    lam, x = np.ones(1), v
+    tt = float(t @ t)
+    it = drops = 0
+    while it < max_iter:
+        S, v = reference_oracle(X, t, k, x)
+        drop = xx - x @ v
+        vv = float(v @ v)
+        if 2.0 * drop <= tol * max(1.0, abs(xx - tt)) or drop <= 1e-14 * math.sqrt(xx * vv):
+            break
+        r = lam.size
+        if r == d + 1:
+            break
+        it += 1
+        sets[r], V[r] = S, v
+        G[r, :r] = G[:r, r] = V[:r] @ v
+        G[r, r] = vv
+        lam = np.append(lam, 0.0)
+        while True:
+            r = lam.size
+            try:
+                mu = np.linalg.solve(G[:r, :r] + 1.0, np.ones(r))
+            except np.linalg.LinAlgError:
+                mu = lam
+                break
+            mu /= mu.sum()
+            if mu.min() > 0.0:
+                break
+            out = np.flatnonzero(mu <= 0.0)
+            room = lam[out] - mu[out]
+            ratio = np.divide(lam[out], room, out=np.zeros(out.size), where=room > 0.0)
+            j = ratio.argmin()
+            lam += ratio[j] * (mu - lam)
+            lam[out[j]] = 0.0
+            keep = np.flatnonzero(lam > 0.0)
+            sets[: keep.size], V[: keep.size] = sets[keep], V[keep]
+            G[: keep.size, : keep.size] = G[np.ix_(keep, keep)]
+            lam = lam[keep]
+            drops += 1
+        lam = mu
+        x = lam @ V[:r]
+        new_xx = float(x @ x)
+        if not new_xx < xx:
+            break
+        xx = new_xx
+    keep = np.flatnonzero(lam > 0.0)
+    sets, lam = sets[keep].ravel(), lam[keep]
+    alpha = np.bincount(sets, weights=np.repeat(lam, k), minlength=m)
+    alpha[np.bincount(sets, minlength=m) == lam.size] = 1.0
+    return alpha, it, drops
+
+
+def wolfe_inputs(seed, shape):
+    """A pool of 2 to 120 rows in d = 1 to 10, k up to 15, and lam in
+    [0, 1]: rows of norms from 0.1 to 3 ("ragged"), small integers
+    ("integer": ties and dependent vertices) or a tight cluster
+    ("clustered": many corral drops), up to half of them overwritten by
+    copies of others. The sizes come from the seed, so every example has a
+    pool's size. Returns X, t = lam q / 2, k and the image of a = k/m."""
+    rng = np.random.default_rng(seed)
+    m, d = int(rng.integers(2, 121)), int(rng.integers(1, 11))
+    k = int(rng.integers(1, min(m, 15) + 1))
+    if shape == "integer":
+        X = rng.integers(-2, 3, size=(m, d)).astype(float)
+    else:
+        X = rng.standard_normal((m, d)) * rng.uniform(0.1, 3.0, size=(m, 1))
+    if shape == "clustered":
+        X = rng.standard_normal(d) + 0.3 * X
+    n_dup = int(rng.integers(0, m // 2 + 1))
+    X[rng.integers(0, m, n_dup)] = X[rng.integers(0, m, n_dup)]
+    t = 0.5 * rng.uniform(0.0, 1.0) * rng.standard_normal(d)
+    return X, t, k, X.sum(axis=0) * (k / m) - t
+
+
+def test_wolfe_runs_the_reference_operations():
+    drops = []
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(["ragged", "integer", "clustered"]),
+           max_iter=st.sampled_from([0, 3, 500]))
+    def check(seed, shape, max_iter):
+        X, t, k, p = wolfe_inputs(seed, shape)
+        S, v = _oracle(X, t, k, p)
+        S_ref, v_ref = reference_oracle(X, t, k, p)
+        assert np.array_equal(S, S_ref) and np.array_equal(v, v_ref)
+        alpha, it = _wolfe(X, t, k, S, v, max_iter, 1e-8)
+        alpha_ref, it_ref, n_drops = reference_wolfe(X, t, k, S_ref, v_ref, max_iter, 1e-8)
+        assert np.array_equal(alpha, alpha_ref) and it == it_ref
+        drops.append(n_drops)
+
+    check()
+    # the drop path, the one the scalar bookkeeping rewrote, ran: in about
+    # 15% of the examples
+    assert sum(n > 0 for n in drops) >= len(drops) // 20
+
+
 class TestSelectQpRel:
     def test_integral_alpha_passthrough(self):
         # candidates equal to q plus orthogonal noise: the relaxed solution is
@@ -542,6 +662,21 @@ class TestSelectQpRel:
         rep = qp_relax_solve(prob, max_iter=3000, tol=1e-12)
         res = select_qp_rel(prob, max_iter=3000, tol=1e-12)
         assert res.ids.tolist() == [int(np.argmax(rep.alpha))]
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(["ragged", "integer", "clustered"]),
+           max_iter=st.sampled_from([0, 3, 500]), tol=st.sampled_from([1e-8, 1e-3]))
+    def test_picks_are_the_top_k_of_the_reported_alpha(self, seed, shape, max_iter, tol):
+        # select_qp_rel skips the certificate; its picks must still be the
+        # k largest entries of qp_relax_solve's alpha, ties to the lowest id
+        X, t, k, _ = wolfe_inputs(seed, shape)
+        m = X.shape[0]
+        k = min(k, m - 1)  # k >= m returns the pool without a solve
+        ids = np.cumsum(np.random.default_rng(seed).integers(1, 4, m))
+        prob = SelectionProblem(2.0 * t, ids, X, k=k, lam=1.0)
+        alpha = qp_relax_solve(prob, max_iter, tol).alpha
+        want = sorted(range(m), key=lambda i: (-alpha[i], ids[i]))[:k]
+        assert select_qp_rel(prob, max_iter, tol).ids.tolist() == ids[want].tolist()
 
     def test_n_equals_k_returns_all(self):
         prob = random_problem(3, n=5, k=5)
@@ -600,6 +735,13 @@ class TestProblemValidation:
     def test_non_finite_query_rejected(self, bad):
         with pytest.raises(ValueError, match="query"):
             SelectionProblem(np.array([bad, 0.0]), [0], np.ones((1, 2)), k=1, lam=0.5)
+
+    @pytest.mark.parametrize("scale", [2.0**600, 2.0**-600])
+    def test_finite_query_whose_squared_norm_overflows_or_underflows_is_accepted(self, scale):
+        # q @ q is inf at 2^600 and 0 at 2^-600, yet every coordinate is finite
+        q = np.array([scale, -scale])
+        prob = SelectionProblem(q, [0], np.ones((1, 2)), k=1, lam=0.5)
+        assert np.array_equal(prob.query, q)
 
     def test_all_selectors_return_min_k_distinct(self):
         for seed in range(5):
