@@ -99,15 +99,15 @@ def _unit(row: np.ndarray) -> np.ndarray | None:
     why its callers ignore overflow; any other row keeps the bits of
     row / norm, and one with an infinite entry is returned as is for the
     caller's finite check."""
-    norm = np.linalg.norm(row)
-    if norm == 0.0 or norm == np.inf:
+    norm = math.sqrt(row.dot(row))  # np.linalg.norm's own steps, without its wrapper
+    if norm == 0.0 or norm == math.inf:
         peak = np.max(np.abs(row), initial=0.0)
         if peak == 0.0:
             return None
         if peak == np.inf:
             return row
         row = row / peak
-        norm = np.linalg.norm(row)
+        norm = math.sqrt(row.dot(row))
     return row / norm
 
 
@@ -127,24 +127,43 @@ def normalize_rows(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _lines(path: Path):
+    """(1-based line number, stripped text) of each nonblank line of the
+    UTF-8 text file `path`, LF or CRLF."""
+    for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        line = raw.strip()
+        if line:
+            yield line_no, line
+
+
+def _unit_row(path: Path, line_no: int, values: list[float]) -> np.ndarray:
+    """One line's parsed values as a unit row, by `_unit`, so its caller
+    ignores overflow too. A NaN or infinite value, then a zero row, raises
+    ParseError naming the line. A finite sum proves every value finite, so
+    only a NaN, an inf or a sum beyond float64 needs the scan."""
+    row = np.array(values, dtype=float)
+    if not math.isfinite(sum(values)) and not np.isfinite(row).all():
+        raise ParseError(path, line_no, "a NaN or infinite value")
+    row = _unit(row)
+    if row is None:
+        raise ParseError(path, line_no, "zero vector cannot be normalized")
+    return row
+
+
 @np.errstate(over="ignore")
 def load_dense(path) -> Dataset:
     """Read a dense CSV dataset: one point per line, comma-separated values,
     with an optional ``category:subtopic:`` prefix fused onto the first field
     (e.g. ``0:3:0.12,0.5,...``). LF or CRLF, UTF-8. Rows are scaled to unit
-    norm.
+    norm. The first faulty line in file order raises ParseError.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
     rows: list = []
     cats: list[int] = []
     subs: list[int] = []
     arity = None
     labeled = False
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line:
-            continue
+    for line_no, line in _lines(path):
         fields = line.split(",")
         cat = sub = MISSING
         if ":" in fields[0]:
@@ -165,20 +184,11 @@ def load_dense(path) -> Dataset:
             arity = len(values)
         elif len(values) != arity:
             raise ParseError(path, line_no, f"ragged row: {len(values)} values, expected {arity}")
-        values = _unit(np.array(values))
-        if values is None:
-            raise ParseError(path, line_no, "zero vector cannot be normalized")
-        rows.append(values)
+        rows.append(_unit_row(path, line_no, values))
         cats.append(cat)
         subs.append(sub)
-    vectors = np.array(rows, dtype=float).reshape(len(rows), arity or 0)
-    # a NaN or infinite field leaves its row non-finite
-    bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
-    if bad.size:
-        line_no = [i for i, raw in enumerate(text.splitlines(), 1) if raw.strip()][bad[0]]
-        raise ParseError(path, line_no, "a NaN or infinite value")
     return Dataset(
-        vectors=vectors,
+        vectors=np.array(rows, dtype=float).reshape(len(rows), arity or 0),
         categories=np.array(cats, dtype=int) if labeled else None,
         subtopics=np.array(subs, dtype=int) if labeled else None,
     )
@@ -208,15 +218,11 @@ def load_sparse(path, d: int) -> Dataset:
     if d <= 0:
         raise ValueError("dimension d must be positive")
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
     rows: list[int] = []
     indices: list[int] = []
     values: list[float] = []
     label_sets: list[frozenset[int]] = []
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line:
-            continue
+    for line_no, line in _lines(path):
         tokens = line.split()
         start = 0
         labels: frozenset[int] = frozenset()
@@ -247,9 +253,7 @@ def load_sparse(path, d: int) -> Dataset:
             prev = idx
             row_idx.append(idx)
             row_val.append(val)
-        row_val = _unit(np.array(row_val))
-        if row_val is None:
-            raise ParseError(path, line_no, "zero vector cannot be normalized")
+        row_val = _unit_row(path, line_no, row_val)
         rows.extend([len(label_sets)] * len(row_idx))
         indices.extend(row_idx)
         values.extend(row_val)

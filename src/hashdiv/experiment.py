@@ -22,6 +22,7 @@ from .hashing import KINDS, new_family
 from .metrics import HierarchyTree
 from .multilabel import FactorModel, LabelPrediction
 from .select import (
+    check_lam,
     select_greedy_div,
     select_mmr,
     select_nn,
@@ -121,8 +122,7 @@ class ExperimentConfig:
         for h in self.hashes:
             if h not in HASHES:
                 raise ValueError(f"unknown hash {h!r}, expected one of {HASHES}")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError("lambda must lie in [0, 1]")
+        check_lam(self.lam)
 
     from_dict = classmethod(_from_dict)
 
@@ -287,8 +287,7 @@ class MultilabelConfig:
             raise ValueError("LIBSVM data files need the feature dimension d")
         if self.alpha < 1 or self.pool < self.alpha:
             raise ValueError("need pool >= alpha >= 1")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError("lambda must lie in [0, 1]")
+        check_lam(self.lam)
 
     from_dict = classmethod(_from_dict)
 
@@ -437,6 +436,8 @@ def run_multilabel_experiment(config: MultilabelConfig) -> list[MultilabelRow]:
             train_ds = test_ds = dataset
         if config.factors:
             model = multilabel.load_factors(config.factors)
+            if model.d != config.d:
+                raise ExperimentError(f"factors file {config.factors} has {model.d} features, the data {config.d}")
         else:
             Y = _label_matrix([train_ds.label_sets[i] for i in train_idx], n_labels)
             model = multilabel.fit_lowrank_ridge(train_ds.vectors[train_idx], Y, config.rank, config.ridge)

@@ -27,7 +27,6 @@ arrays form an index over the dataset before any query reads them.
 
 from __future__ import annotations
 
-import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -37,7 +36,7 @@ import numpy as np
 from .data import Dataset
 from .hashing import KINDS, PLAIN, HashFamily, hash_matrix, hash_table, hash_vector, new_family
 from .linalg import TruncatedBasis
-from .select import SelectionProblem, SelectionResult, select_nn
+from .select import SelectionProblem, SelectionResult, check_query, select_nn
 
 _MAGIC = b"HDV5"
 # magic, kind code (the kind's position in KINDS), n, d, L, l, alpha (0 for
@@ -117,12 +116,8 @@ def build(dataset: Dataset, family: HashFamily) -> LshIndex:
 
 
 def _check_query(q: np.ndarray, d: int) -> None:
-    if q.shape != (d,):
-        raise ValueError(f"query must be a 1-d array of {d} coordinates, got shape {q.shape}")
-    # as in SelectionProblem, a finite |q| proves every coordinate finite
-    if not math.isfinite(math.hypot(*q.tolist())) and not np.isfinite(q).all():
-        raise ValueError("query has a NaN or infinite coordinate")
-    if not np.count_nonzero(q):
+    """`check_query`, then refuse a zero query, which has no direction."""
+    if check_query(q, d) == 0.0:
         raise ValueError("query is the zero vector, which has no direction")
 
 

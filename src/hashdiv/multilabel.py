@@ -26,7 +26,7 @@ from . import lsh
 from .data import Dataset, normalize_rows
 from .hashing import PCA, new_family
 from .linalg import truncated_svd
-from .select import SelectionProblem, select_greedy_div, select_mmr
+from .select import SelectionProblem, check_lam, select_greedy_div, select_mmr
 
 _MAGIC = b"HDVM"
 _HEADER = 4 + 24  # magic, then (L, d, k) as three u64
@@ -122,9 +122,12 @@ def fit_lowrank_ridge(X, Y, k: int, ridge: float) -> FactorModel:
 def _embed(model: FactorModel, x) -> tuple[np.ndarray, np.ndarray] | None:
     """The step every predictor starts from: the embedded query z = H^T x
     and its unit vector, or None when |z| is zero, so no label score can
-    rank. A document with a NaN or infinite value, or whose |z| overflows,
-    raises ValueError, and numpy warns of neither."""
-    x = np.asarray(x, dtype=float).ravel()
+    rank. A document that is not a 1-d array of the model's d features,
+    one with a NaN or infinite value, or one whose |z| overflows raises
+    ValueError, and numpy warns of neither."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (model.d,):
+        raise ValueError(f"document must be a 1-d array of {model.d} features, got shape {x.shape}")
     if np.isfinite(x).all():
         z = model.H.T @ x
         nz = np.linalg.norm(z)
@@ -137,8 +140,7 @@ def _check_request(alpha: int, lam: float) -> None:
     """Refuse a bad alpha or lambda before a zero embedding returns early."""
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lambda must lie in [0, 1]")
+    check_lam(lam)
 
 
 def _nothing() -> LabelPrediction:

@@ -22,14 +22,34 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def check_query(q: np.ndarray, d: int) -> float:
+    """|q| (inf beyond float64), or ValueError unless the query q is a 1-d
+    array of d finite coordinates. A finite |q| proves every coordinate
+    finite, so only a NaN, an inf or a norm beyond float64 needs the scan;
+    hypot scales, so it neither overflows nor warns where q @ q would."""
+    if q.shape != (d,):
+        raise ValueError(f"query must be a 1-d array of {d} coordinates, got shape {q.shape}")
+    norm = math.hypot(*q.tolist())
+    if not math.isfinite(norm) and not np.isfinite(q).all():
+        raise ValueError("query has a NaN or infinite coordinate")
+    return norm
+
+
+def check_lam(lam: float) -> None:
+    """Raise ValueError unless lam lies in [0, 1], which a NaN does not."""
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError("lambda must lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class SelectionProblem:
     """Query + candidate pool. `ids` must be distinct and ascending, with
     `vectors[i]` the dense vector of candidate `ids[i]`; `query` is a 1-d
     array with one coordinate per column of `vectors`. The candidates'
-    squared norms are kept in `_sq` and their largest in `_sq_max`, which
-    bounds every selector's scores (_check_scale): finite rows whose norms
-    overflow are accepted here and refused by every selector."""
+    squared norms are kept in `_sq` and their largest in `_sq_max`, and
+    |q| in `_q_norm`; together they bound every selector's scores
+    (_check_scale): finite rows whose norms overflow are accepted here and
+    refused by every selector."""
 
     query: np.ndarray
     ids: np.ndarray
@@ -43,21 +63,14 @@ class SelectionProblem:
         object.__setattr__(self, "vectors", np.asarray(self.vectors, dtype=float))
         if self.vectors.ndim != 2:
             raise ValueError(f"candidate vectors must be a 2-d array, got shape {self.vectors.shape}")
-        if self.query.shape != self.vectors.shape[1:]:
-            raise ValueError(f"query must be a 1-d array of {self.vectors.shape[1]} coordinates, got shape {self.query.shape}")
+        q_norm = check_query(self.query, self.vectors.shape[1])
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError("lambda must lie in [0, 1]")
+        check_lam(self.lam)
         if self.ids.ndim != 1:
             raise ValueError("candidate ids must be a 1-d array")
         if self.ids.size != self.vectors.shape[0]:
             raise ValueError("ids and vectors disagree on candidate count")
-        # a finite |q| proves every coordinate finite; only a NaN, an inf or
-        # a norm beyond float64 needs the scan. hypot scales, so it neither
-        # overflows nor warns where q @ q would, from |q| about 1e154 up.
-        if not math.isfinite(math.hypot(*self.query.tolist())) and not np.isfinite(self.query).all():
-            raise ValueError("query has a NaN or infinite coordinate")
         if (self.ids[1:] <= self.ids[:-1]).any():
             raise ValueError("candidate ids must be distinct and ascending")
         sq = np.einsum("ij,ij->i", self.vectors, self.vectors)
@@ -68,6 +81,7 @@ class SelectionProblem:
             raise ValueError("a candidate vector has a NaN or infinite coordinate")
         object.__setattr__(self, "_sq", sq)
         object.__setattr__(self, "_sq_max", top)
+        object.__setattr__(self, "_q_norm", q_norm)
 
     @property
     def size(self) -> int:
@@ -95,14 +109,13 @@ _MAX = np.finfo(float).max
 def _check_scale(problem: SelectionProblem, most: int) -> None:
     """Raise ValueError unless `most` * B is at most half the largest
     float64, B the largest squared norm among the candidates (the
-    problem's `_sq_max`) and the query. A selector passes the bound on its
-    scores and sums in units of B (|x.y| <= B, |x - y|^2 <= 4B), so none
-    of them overflows into a quiet wrong pick, with room left for
-    rounding. A squared norm that overflowed is inf and fails; hypot
-    scales, so |q| cannot overflow on the way, and a Python float product
-    overflows to inf without a warning."""
-    qn = math.hypot(*problem.query.tolist())
-    if not max(problem._sq_max, qn * qn) <= _MAX / (2 * most):
+    problem's `_sq_max`) and the query (the square of its `_q_norm`). A
+    selector passes the bound on its scores and sums in units of B
+    (|x.y| <= B, |x - y|^2 <= 4B), so none of them overflows into a quiet
+    wrong pick, with room left for rounding. A squared norm that
+    overflowed is inf and fails, and a Python float product overflows to
+    inf without a warning."""
+    if not max(problem._sq_max, problem._q_norm * problem._q_norm) <= _MAX / (2 * most):
         raise ValueError("candidate or query vectors too large: their selection scores would overflow float64")
 
 

@@ -12,7 +12,7 @@ import pytest
 
 import hashdiv
 from conftest import edit_index_blob
-from hashdiv import lsh
+from hashdiv import lsh, multilabel
 from hashdiv.cli import build_parser, main
 from hashdiv.data import load_dense
 
@@ -261,6 +261,22 @@ def test_multilabel_truncated_factor_file_is_one_error_line(tmp_path, capsys, si
     err = capsys.readouterr().err
     assert [line for line in err.splitlines() if "error" in line] == [
         f"error: truncated factor file: {size} bytes, the header alone is 28"
+    ]
+
+
+def test_multilabel_factors_of_another_dimension_refused_before_any_index(tmp_path, capsys, monkeypatch):
+    _write_docs(tmp_path / "docs.svm")
+    rng = np.random.default_rng(1)
+    factors = tmp_path / "m.bin"
+    multilabel.save_factors(multilabel.FactorModel(W=rng.standard_normal((2, 2)), H=rng.standard_normal((5, 2))), factors)
+    built = []
+    monkeypatch.setattr(multilabel, "build_label_index", lambda *args, **kwargs: built.append(args))
+    rc = main(["multilabel", "--data", str(tmp_path / "docs.svm"), "--d", "7", "--factors", str(factors),
+               "--rank", "2", "--methods", "exact,lshsdiv", "--alpha", "1", "--pool", "2", "--out", str(tmp_path / "m.csv")])
+    assert rc == 1 and built == []
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error" in line] == [
+        f"error: factors file {factors} has 5 features, the data 7"
     ]
 
 

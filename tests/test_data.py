@@ -219,6 +219,16 @@ def test_load_dense_rejects_non_finite_field(tmp_path, field):
             load_dense(path)
 
 
+@pytest.mark.parametrize("text", ["1,0\nnan,1\n1,0\n1,0,0\n", "1,0\ninf,1\n0,0\n"], ids=["then-ragged", "then-zero"])
+def test_load_dense_reports_the_first_faulty_line(tmp_path, text):
+    # a NaN or infinite line is reported ahead of any later fault
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=":2: a NaN or infinite value$") as exc:
+        load_dense(path)
+    assert exc.value.line_no == 2
+
+
 @pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
 def test_load_sparse_rejects_non_finite_field(tmp_path, field):
     path = tmp_path / "bad.svm"

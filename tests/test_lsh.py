@@ -330,6 +330,32 @@ class TestRetrieve:
         with pytest.raises(ValueError, match=rf"query must be a 1-d array of 8 coordinates, got shape {re.escape(str(shape))}"):
             lsh.retrieve(toy_index if indexed else toy_index.dataset, q, select_nn, 3, 0.5)
 
+    @pytest.mark.parametrize("q, message", [
+        (np.full(1, 0.5), "query must be a 1-d array of 8 coordinates, got shape (1,)"),
+        (np.full(3, 0.5), "query must be a 1-d array of 8 coordinates, got shape (3,)"),
+        (np.full((2, 4), 0.5), "query must be a 1-d array of 8 coordinates, got shape (2, 4)"),
+        (np.array([0.5, np.nan] + [0.0] * 6), "query has a NaN or infinite coordinate"),
+        (np.array([0.5, -np.inf] + [0.0] * 6), "query has a NaN or infinite coordinate"),
+        (np.zeros(8), "query is the zero vector, which has no direction"),
+    ], ids=["shape-1", "shape-3", "shape-2x4", "nan", "inf", "zero"])
+    def test_one_query_rule_on_every_entry_point(self, toy_index, q, message):
+        # the query rule has one home, so each entry point refuses a bad
+        # query with the same words; the zero rule is the index's alone
+        ds = toy_index.dataset
+        calls = {
+            "query": lambda: lsh.query(toy_index, q),
+            "retrieve index": lambda: lsh.retrieve(toy_index, q, select_nn, 3, 0.5),
+            "retrieve dataset": lambda: lsh.retrieve(ds, q, select_nn, 3, 0.5),
+            "problem": lambda: SelectionProblem(q, np.arange(5), ds.vectors[:5], 3, 0.5),
+        }
+        for name, call in calls.items():
+            if name == "problem" and not q.any():
+                assert select_nn(call()).ids.size == 3
+                continue
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == message, name
+
     def test_full_scan_passes_the_dataset_rows_uncopied(self, toy_1k):
         seen = []
         lsh.retrieve(toy_1k, toy_1k.vectors[3], lambda p: seen.append(p) or select_nn(p), 3, 0.5)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -286,3 +288,18 @@ class TestDegenerateDocuments:
         x[at] = bad
         with pytest.raises(ValueError, match=r"^embedded query H\^T x has a NaN or infinite coordinate, or its norm"):
             PREDICTORS[method](*model_and_index, x)
+
+    @pytest.fixture(scope="class")
+    def six_features(self):
+        rng = np.random.default_rng(5)
+        model = FactorModel(W=rng.standard_normal((8, 2)), H=rng.standard_normal((6, 2)))
+        return model, build_label_index(model, 4, 2, seed=0)
+
+    @pytest.mark.parametrize("fill", [0.0, 0.5])
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (1, 6), (5,), (7,)])
+    @pytest.mark.parametrize("method", PREDICTORS)
+    def test_document_of_the_wrong_shape_raises(self, six_features, method, shape, fill):
+        # a (2, 3) document is not the 6-vector it would ravel to; a zero
+        # one is refused before the zero embedding's early return
+        with pytest.raises(ValueError, match=rf"^document must be a 1-d array of 6 features, got shape {re.escape(str(shape))}$"):
+            PREDICTORS[method](*six_features, np.full(shape, fill))

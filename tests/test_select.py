@@ -297,6 +297,27 @@ def test_finite_rows_whose_norms_overflow_are_accepted_then_refused_by_every_sel
             select(prob)
 
 
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_greedy_refuses_the_query_at_the_float_where_its_square_passes_the_bound(k):
+    # greedy's bound is |q|^2 <= max / (2 * 4 kk), kk = min(k, m), with
+    # |q| the hypot the constructor keeps: the float just below the square
+    # root of the bound is accepted and the next one refused
+    bound = np.finfo(float).max / (2 * 4 * min(k, 3))
+    below = math.sqrt(bound)
+    while below * below > bound:
+        below = math.nextafter(below, 0.0)
+    while (nxt := math.nextafter(below, math.inf)) * nxt <= bound:
+        below = nxt
+    above = math.nextafter(below, math.inf)
+    assert below * below <= bound < above * above
+    assert math.hypot(below, 0.0, 0.0) == below and math.hypot(above, 0.0, 0.0) == above
+    X = np.eye(3)
+    res = select_greedy_div(SelectionProblem(np.array([below, 0.0, 0.0]), [0, 1, 2], X, k=k, lam=0.5))
+    assert res.ids[0] == 0 and res.ids.size == min(k, 3)
+    with pytest.raises(ValueError, match="would overflow float64"):
+        select_greedy_div(SelectionProblem(np.array([above, 0.0, 0.0]), [0, 1, 2], X, k=k, lam=0.5))
+
+
 def scaled_problem(scale: float) -> SelectionProblem:
     rng = np.random.default_rng(7)
     X = rng.standard_normal((60, 16)) * scale
