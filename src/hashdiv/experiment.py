@@ -28,6 +28,7 @@ from .select import (
     select_nn,
     select_qp_rel,
     select_rerank,
+    top_k,
 )
 
 _SELECTORS = {
@@ -342,13 +343,13 @@ def _label_matrix(label_sets, n_labels: int) -> np.ndarray:
 
 def _pred_sets(pred: LabelPrediction, cutoff: float, alpha: int) -> LabelPrediction:
     """Final prediction: drop labels scored below the cutoff, then cap at
-    the alpha best scores (ties by ascending label id). Each label keeps
-    its own score."""
+    the alpha best scores (top_k: ties by ascending label id). Each label
+    keeps its own score."""
     keep = pred.scores >= cutoff
     labels, scores = pred.labels[keep], pred.scores[keep]
     if labels.size > alpha:
-        order = np.lexsort((labels, -scores))[:alpha]
-        labels, scores = labels[order], scores[order]
+        take = top_k(-scores, labels, alpha)
+        labels, scores = labels[take], scores[take]
     return dataclasses.replace(pred, labels=labels, scores=scores)
 
 

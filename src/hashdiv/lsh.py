@@ -115,16 +115,20 @@ def build(dataset: Dataset, family: HashFamily) -> LshIndex:
     return LshIndex(family, dataset, keys, np.concatenate(starts), ids)
 
 
-def _check_query(q: np.ndarray, d: int) -> None:
-    """`check_query`, then refuse a zero query, which has no direction."""
+def _check_query(q, d: int) -> np.ndarray:
+    """q as a float array, as `SelectionProblem` converts it, after
+    `check_query` and a refusal of the zero query, which has no
+    direction."""
+    q = np.asarray(q, dtype=float)
     if check_query(q, d) == 0.0:
         raise ValueError("query is the zero vector, which has no direction")
+    return q
 
 
 def query(index: LshIndex, q: np.ndarray) -> CandidateSet:
     """Union of the L buckets matching the keys of the dense query q,
     deduplicated, ascending id."""
-    _check_query(q, index.family.d)
+    q = _check_query(q, index.family.d)
     family = index.family
     want = hash_vector(family, q) | family._tags
     j = index.keys.searchsorted(want)
@@ -153,7 +157,7 @@ def retrieve(source: LshIndex | Dataset, q: np.ndarray, select, k: int, lam: flo
     built by the public constructor, whose squared norms of the candidates
     also bound every selector's scores against overflow."""
     if isinstance(source, Dataset):
-        _check_query(q, source.d)
+        q = _check_query(q, source.d)
         ids, vectors = np.arange(source.n), source.vectors  # selectors only read it, so no copy
     else:
         ids = query(source, q).ids

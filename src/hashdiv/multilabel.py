@@ -26,7 +26,7 @@ from . import lsh
 from .data import Dataset, normalize_rows
 from .hashing import PCA, new_family
 from .linalg import truncated_svd
-from .select import SelectionProblem, check_lam, select_greedy_div, select_mmr
+from .select import SelectionProblem, check_lam, select_greedy_div, select_mmr, top_k
 
 _MAGIC = b"HDVM"
 _HEADER = 4 + 24  # magic, then (L, d, k) as three u64
@@ -57,9 +57,17 @@ class FactorModel:
     def k(self) -> int:
         return self.W.shape[1]
 
+    def _document(self, x) -> np.ndarray:
+        """x as a float array, or ValueError unless it is a 1-d array of
+        the model's d features."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.d,):
+            raise ValueError(f"document must be a 1-d array of {self.d} features, got shape {x.shape}")
+        return x
+
     def scores(self, x) -> np.ndarray:
         """All label scores W (H^T x); the exact linear-scan quantity."""
-        return self.W @ (self.H.T @ np.asarray(x, dtype=float).ravel())
+        return self.W @ (self.H.T @ self._document(x))
 
 
 @dataclass(frozen=True)
@@ -125,9 +133,7 @@ def _embed(model: FactorModel, x) -> tuple[np.ndarray, np.ndarray] | None:
     rank. A document that is not a 1-d array of the model's d features,
     one with a NaN or infinite value, or one whose |z| overflows raises
     ValueError, and numpy warns of neither."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.d,):
-        raise ValueError(f"document must be a 1-d array of {model.d} features, got shape {x.shape}")
+    x = model._document(x)
     if np.isfinite(x).all():
         z = model.H.T @ x
         nz = np.linalg.norm(z)
@@ -148,44 +154,39 @@ def _nothing() -> LabelPrediction:
     return LabelPrediction(labels=np.empty(0, dtype=np.intp), scores=np.empty(0), eval_count=0, underfilled=True)
 
 
-def _top(model: FactorModel, z: np.ndarray, alpha: int) -> LabelPrediction:
-    """The alpha best labels for the embedded query z by a full scan."""
-    scores = model.W @ z
-    order = np.lexsort((np.arange(model.n_labels), -scores))
-    take = order[: min(alpha, model.n_labels)]
-    return LabelPrediction(labels=take, scores=scores[take], eval_count=model.n_labels, underfilled=take.size < alpha)
-
-
 def predict_exact(model: FactorModel, x, alpha: int) -> LabelPrediction:
     """Top-alpha labels by full linear scan, ties by ascending id;
     eval_count = L_labels."""
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
     embedded = _embed(model, x)
-    return _nothing() if embedded is None else _top(model, embedded[0], alpha)
+    if embedded is None:
+        return _nothing()
+    scores = model.W @ embedded[0]
+    # a full sort, not top_k: C7's speedup gate times it (ROADMAP item 1)
+    take = np.lexsort((np.arange(model.n_labels), -scores))[:alpha]
+    return LabelPrediction(labels=take, scores=scores[take], eval_count=model.n_labels, underfilled=take.size < alpha)
 
 
 def predict_mmr(model: FactorModel, x, alpha: int, lam: float) -> LabelPrediction:
     """MMR baseline (Carbonell & Goldstein, 1998): the exact scan's
-    3 * alpha best labels form the pool, and MMR picks alpha of them by
-    their unit-normalized rows (`normalize_rows`, so a row whose norm
-    overflows keeps its direction; a zero row stays zero) against the unit
-    embedded query. eval_count = L_labels."""
+    3 * alpha best labels (top_k) form the pool, and MMR picks alpha of
+    them by their unit-normalized rows (`normalize_rows`, so a row whose
+    norm overflows keeps its direction; a zero row stays zero) against the
+    unit embedded query. eval_count = L_labels."""
     _check_request(alpha, lam)
     embedded = _embed(model, x)
     if embedded is None:
         return _nothing()
     z, q = embedded
-    pool = _top(model, z, 3 * alpha)
-    order = np.argsort(pool.labels)  # SelectionProblem wants ascending ids
-    ids, scores = pool.labels[order], pool.scores[order]
+    scores = model.W @ z
+    ids = np.sort(top_k(-scores, np.arange(model.n_labels), 3 * alpha))  # SelectionProblem wants ascending ids
     rows = model.W[ids]
     nonzero = rows.any(axis=1)
     unit_rows = np.zeros_like(rows)
     unit_rows[nonzero] = normalize_rows(rows[nonzero])
     res = select_mmr(SelectionProblem(query=q, ids=ids, vectors=unit_rows, k=alpha, lam=lam))
-    picked = scores[np.searchsorted(ids, res.ids)]
-    return LabelPrediction(labels=res.ids, scores=picked, eval_count=pool.eval_count, underfilled=res.underfilled)
+    return LabelPrediction(labels=res.ids, scores=scores[res.ids], eval_count=model.n_labels, underfilled=res.underfilled)
 
 
 def build_label_index(

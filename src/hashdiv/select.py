@@ -1,8 +1,14 @@
 """Retrieval / diversification strategies over a candidate set.
 
 All selectors consume a SelectionProblem whose candidates are kept in
-ascending-id order and break score ties by ascending id, which makes every
-strategy a pure deterministic function of its input.
+ascending-id order, and every strategy is a pure deterministic function of
+its input. One ranking rule, the k best first with ties to the lowest id,
+lives in top_k: nn, rerank's pool and qprel's rounding rank through it, as
+do the multilabel MMR pool and cutoff. Greedy, MMR and rerank also break
+their score ties by ascending id, twin candidates included. qprel does not
+for exact twins on Wolfe's path: its oracle's partition order decides
+which copies enter a k-set, so their weights, and the picks, need not
+favour the lowest id.
 
 qp_relax_solve minimizes the quadratic form lam * c^T a + |X^T a|^2
 (c_i = -q.x_i, X the candidate vectors as rows) over the capped simplex.
@@ -124,23 +130,31 @@ def _sq_dists_to_query(problem: SelectionProblem) -> np.ndarray:
     return np.einsum("ij,ij->i", diff, diff)
 
 
-def _result(problem: SelectionProblem, picked: list[int]) -> SelectionResult:
+def _result(problem: SelectionProblem, picked: list[int] | np.ndarray) -> SelectionResult:
     ids = problem.ids[picked]
     return SelectionResult(ids=ids, underfilled=ids.size < problem.k)
 
 
+def top_k(keys: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the k smallest keys (all of them when k >= their
+    count), smallest first, ties to the lowest `ids` value; the ids need
+    not be ascending. A partition finds the k-th key, and only the keys at
+    or below it are sorted. A NaN key ranks last, as a full sort puts it:
+    the mask "not above the k-th key" keeps it, and keeps every key when
+    the k-th is NaN."""
+    if k < keys.size:
+        near = (~(keys > np.partition(keys, k - 1)[k - 1])).nonzero()[0]
+    else:
+        near = np.arange(keys.size)
+    return near[np.lexsort((ids[near], keys[near]))][:k]
+
+
 def select_nn(problem: SelectionProblem) -> SelectionResult:
     """Plain nearest neighbors: the k candidates closest to the query,
-    nearest first, ties to the lowest id. Only the candidates within the
-    k-th smallest distance, found by a partition, are sorted. Vectors so
-    large that a squared distance could overflow float64 raise ValueError."""
+    nearest first, ties to the lowest id (top_k). Vectors so large that a
+    squared distance could overflow float64 raise ValueError."""
     _check_scale(problem, 4)
-    d2 = _sq_dists_to_query(problem)
-    near = np.arange(d2.size)
-    if problem.k < d2.size:
-        near = np.flatnonzero(d2 <= d2[np.argpartition(d2, problem.k - 1)[problem.k - 1]])
-    order = near[np.lexsort((problem.ids[near], d2[near]))]
-    return _result(problem, list(order[: problem.k]))
+    return _result(problem, top_k(_sq_dists_to_query(problem), problem.ids, problem.k))
 
 
 def select_greedy_div(problem: SelectionProblem) -> SelectionResult:
@@ -215,34 +229,27 @@ def select_mmr(problem: SelectionProblem) -> SelectionResult:
 
 
 def select_rerank(problem: SelectionProblem) -> SelectionResult:
-    """Backward selection: restrict to the 3 * k nearest candidates, then
-    greedily grow the set maximizing summed squared distance to the points
-    already chosen, starting from the nearest. Vectors so large that a
-    score could overflow float64 raise ValueError."""
+    """Backward selection: restrict to the 3 * k nearest candidates
+    (top_k), then greedily grow the set maximizing summed squared distance
+    to the points already chosen, starting from the nearest. Only the pool
+    is scored, in ascending id order, so argmax gives ties to the lowest
+    id. Vectors so large that a score could overflow float64 raise
+    ValueError."""
     if problem.size == 0:
         return _result(problem, [])
-    m = problem.size
-    kk = min(problem.k, m)
+    kk = min(problem.k, problem.size)
     _check_scale(problem, 4 * kk)  # a diversity sum adds kk squared distances
-    d2q = _sq_dists_to_query(problem)
-    pool_size = min(3 * problem.k, m)
-    by_distance = np.lexsort((problem.ids, d2q))
-    in_pool = np.zeros(m, dtype=bool)
-    in_pool[by_distance[:pool_size]] = True
-
-    nearest = int(by_distance[0])
-    picked = [nearest]
-    in_pool[nearest] = False
-    sum_div = np.zeros(m)
-    diff = problem.vectors - problem.vectors[nearest]
-    sum_div += np.einsum("ij,ij->i", diff, diff)
+    pool = top_k(_sq_dists_to_query(problem), problem.ids, 3 * problem.k)
+    rest = np.sort(pool[1:])
+    picked = [pool[0]]
+    X = problem.vectors[rest]
+    sum_div = np.zeros(rest.size)
     for _ in range(kk - 1):
-        score = np.where(in_pool, sum_div, -np.inf)
-        j = int(np.argmax(score))
-        picked.append(j)
-        in_pool[j] = False
-        diff = problem.vectors - problem.vectors[j]
+        diff = X - problem.vectors[picked[-1]]
         sum_div += np.einsum("ij,ij->i", diff, diff)
+        j = int(sum_div.argmax())
+        picked.append(rest[j])
+        sum_div[j] = -np.inf
     return _result(problem, picked)
 
 
@@ -504,5 +511,4 @@ def select_qp_rel(problem: SelectionProblem, max_iter: int = 500, tol: float = 1
     if problem.k >= problem.size:
         return _result(problem, list(range(problem.size)))
     alpha = _relaxed_alpha(problem, max_iter, tol)[0]
-    order = np.lexsort((problem.ids, -alpha))
-    return _result(problem, list(order[: problem.k]))
+    return _result(problem, top_k(-alpha, problem.ids, problem.k))

@@ -337,23 +337,28 @@ class TestRetrieve:
         (np.array([0.5, np.nan] + [0.0] * 6), "query has a NaN or infinite coordinate"),
         (np.array([0.5, -np.inf] + [0.0] * 6), "query has a NaN or infinite coordinate"),
         (np.zeros(8), "query is the zero vector, which has no direction"),
-    ], ids=["shape-1", "shape-3", "shape-2x4", "nan", "inf", "zero"])
-    def test_one_query_rule_on_every_entry_point(self, toy_index, q, message):
+        (np.full(8, 0.5), None),
+    ], ids=["shape-1", "shape-3", "shape-2x4", "nan", "inf", "zero", "good"])
+    @pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
+    def test_one_query_rule_on_every_entry_point(self, toy_index, q, message, as_list):
         # the query rule has one home, so each entry point refuses a bad
-        # query with the same words; the zero rule is the index's alone
+        # query with the same words and answers a Python list as its array;
+        # the zero rule is the index's alone
         ds = toy_index.dataset
         calls = {
-            "query": lambda: lsh.query(toy_index, q),
-            "retrieve index": lambda: lsh.retrieve(toy_index, q, select_nn, 3, 0.5),
-            "retrieve dataset": lambda: lsh.retrieve(ds, q, select_nn, 3, 0.5),
-            "problem": lambda: SelectionProblem(q, np.arange(5), ds.vectors[:5], 3, 0.5),
+            "query": lambda q: lsh.query(toy_index, q).ids,
+            "retrieve index": lambda q: lsh.retrieve(toy_index, q, select_nn, 3, 0.5)[0].ids,
+            "retrieve dataset": lambda q: lsh.retrieve(ds, q, select_nn, 3, 0.5)[0].ids,
+            "problem": lambda q: select_nn(SelectionProblem(q, np.arange(5), ds.vectors[:5], 3, 0.5)).ids,
         }
+        arg = q.tolist() if as_list else q
         for name, call in calls.items():
-            if name == "problem" and not q.any():
-                assert select_nn(call()).ids.size == 3
+            if message is None or (name == "problem" and not q.any()):
+                ids = call(arg)
+                assert ids.size >= 3 and ids.tolist() == call(q).tolist(), name
                 continue
             with pytest.raises(ValueError) as exc:
-                call()
+                call(arg)
             assert str(exc.value) == message, name
 
     def test_full_scan_passes_the_dataset_rows_uncopied(self, toy_1k):

@@ -297,9 +297,10 @@ class TestDegenerateDocuments:
 
     @pytest.mark.parametrize("fill", [0.0, 0.5])
     @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (1, 6), (5,), (7,)])
-    @pytest.mark.parametrize("method", PREDICTORS)
+    @pytest.mark.parametrize("method", [*PREDICTORS, "scores"])
     def test_document_of_the_wrong_shape_raises(self, six_features, method, shape, fill):
         # a (2, 3) document is not the 6-vector it would ravel to; a zero
         # one is refused before the zero embedding's early return
+        call = {**PREDICTORS, "scores": lambda model, index, x: model.scores(x)}[method]
         with pytest.raises(ValueError, match=rf"^document must be a 1-d array of 6 features, got shape {re.escape(str(shape))}$"):
-            PREDICTORS[method](*six_features, np.full(shape, fill))
+            call(*six_features, np.full(shape, fill))

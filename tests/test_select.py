@@ -19,6 +19,7 @@ from hashdiv.select import (
     select_nn,
     select_qp_rel,
     select_rerank,
+    top_k,
 )
 
 # ---------------------------------------------------------------------------
@@ -181,6 +182,25 @@ class TestSelectNn:
         d2 = np.einsum("ij,ij->i", X - q, X - q)
         full = ids[np.lexsort((ids, d2))][:k]
         assert select_nn(SelectionProblem(q, ids, X, k, 0.5)).ids.tolist() == full.tolist()
+
+
+class TestTopK:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        keys=st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0, math.inf, math.nan]), min_size=1, max_size=40),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 42),
+    )
+    # the k-th key is NaN, so every key is kept for the sort
+    @example(keys=[math.nan, 1.0, math.nan, 0.0], seed=0, k=3)
+    # NaN keys past a finite k-th key never reach the first k
+    @example(keys=[math.nan, 1.0, math.nan, 0.0], seed=0, k=2)
+    def test_matches_a_full_lexsort(self, keys, seed, k):
+        # few distinct keys tie often, -0.0 ties 0.0, and the ids are
+        # distinct but not ascending, so every tie is broken by them
+        keys = np.array(keys)
+        ids = np.random.default_rng(seed).choice(5 * keys.size, size=keys.size, replace=False)
+        assert top_k(keys, ids, k).tolist() == np.lexsort((ids, keys))[:k].tolist()
 
 
 class TestSelectGreedyDiv:
@@ -382,6 +402,32 @@ class TestSelectRerank:
             prob = random_problem(seed, n=12, k=3)
             ref = ref_rerank(prob.query, prob.ids.tolist(), prob.vectors.tolist(), 3)
             assert select_rerank(prob).ids.tolist() == ref
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 160),
+        d=st.sampled_from([5, 8, 24]),
+        n_dup=st.integers(1, 160),
+        k=st.integers(1, 12),
+    )
+    def test_duplicate_rows_tie_to_lowest_id(self, seed, m, d, n_dup, k):
+        # twins tie on their distance to the query, at the pool's edge
+        # too, and on every diversity sum
+        prob = twin_problem(seed, m, d, n_dup, k, 0.5)
+        ref = ref_rerank(prob.query, prob.ids.tolist(), prob.vectors.tolist(), k)
+        assert select_rerank(prob).ids.tolist() == ref
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40), d=st.integers(1, 4), k=st.integers(1, 15))
+    def test_integer_rows_tie_to_lowest_id(self, seed, m, d, k):
+        # small integer coordinates tie the diversity sums of distinct rows
+        # at different distances from the query, and every sum is exact
+        rng = np.random.default_rng(seed)
+        X = rng.integers(-2, 3, size=(m, d)).astype(float)
+        ids = np.sort(rng.choice(5 * m, size=m, replace=False))
+        prob = SelectionProblem(rng.integers(-2, 3, size=d).astype(float), ids, X, k=k, lam=0.5)
+        assert select_rerank(prob).ids.tolist() == ref_rerank(prob.query, ids.tolist(), X.tolist(), k)
 
 class TestQpRelax:
     def test_n_equals_k_all_ones(self):
