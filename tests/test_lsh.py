@@ -355,7 +355,8 @@ class TestRetrieve:
         for name, call in calls.items():
             if message is None or (name == "problem" and not q.any()):
                 ids = call(arg)
-                assert ids.size >= 3 and ids.tolist() == call(q).tolist(), name
+                # the bucket union may hold more than k ids; a selector returns k
+                assert ids.tolist() == call(q).tolist() and (ids.size >= 3 if name == "query" else ids.size == 3), name
                 continue
             with pytest.raises(ValueError) as exc:
                 call(arg)

@@ -429,6 +429,7 @@ class TestSelectRerank:
         prob = SelectionProblem(rng.integers(-2, 3, size=d).astype(float), ids, X, k=k, lam=0.5)
         assert select_rerank(prob).ids.tolist() == ref_rerank(prob.query, ids.tolist(), X.tolist(), k)
 
+
 class TestQpRelax:
     def test_n_equals_k_all_ones(self):
         prob = random_problem(1, n=4, k=4)
