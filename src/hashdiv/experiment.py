@@ -2,6 +2,13 @@
 cell, collect accuracy/diversity/efficiency metrics, and emit table-shaped
 results as CSV (3-decimal) plus a full-precision JSON twin.
 
+Every input is checked once, right after loading and before any hash
+family or index is built: a grid over an empty, mismatched or unlabeled
+file fails before its first SVD. Each cell column is the mean of its
+per-query values, leaving out the ones that are undefined. A pick set
+with no on-topic pick that carries a subtopic label scores entropy
+diversity 0.0, an empty one included.
+
 Timing covers query + selection only; index construction and file IO stay
 outside the clock. Progress goes to stderr, results to the output file.
 """
@@ -12,6 +19,7 @@ import dataclasses
 import json
 import sys
 import time
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,6 +89,20 @@ def _from_dict(cls, values: dict, **overrides):
     return cls(**values)
 
 
+def _as_tuples(config) -> None:
+    """Each `tuple[T, ...]` field of the config dataclass `config` made a
+    tuple of T, as the CLI's comma lists are. Only a list or a tuple is
+    taken, so that a string or a number raises ValueError naming the field
+    instead of being split into characters or failing to iterate."""
+    hints = typing.get_type_hints(type(config))
+    for f in dataclasses.fields(config):
+        hint, value = hints[f.name], getattr(config, f.name)
+        if typing.get_origin(hint) is tuple:
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"config field {f.name!r} must be a list, got {type(value).__name__} {value!r}")
+            setattr(config, f.name, tuple(map(typing.get_args(hint)[0], value)))
+
+
 # Field metadata holds argparse keywords for the flag that hashdiv.cli
 # derives from each field.
 _NO_TIMING = {"help": "report 0.0 times for byte-reproducible output"}
@@ -108,9 +130,7 @@ class ExperimentConfig:
     timing: bool = field(default=True, metadata=_NO_TIMING)
 
     def __post_init__(self):
-        self.methods = tuple(self.methods)
-        self.hashes = tuple(self.hashes)
-        self.ks = tuple(int(k) for k in self.ks)
+        _as_tuples(self)
         if not self.methods:
             raise ValueError("method list must be nonempty")
         if not self.hashes:
@@ -162,30 +182,31 @@ def _progress(msg: str) -> None:
     print(msg, file=sys.stderr, flush=True)
 
 
+def _means(per_query) -> list:
+    """Each column's mean over its values that are not None; None for a
+    column that holds only None."""
+    out = []
+    for column in zip(*per_query):
+        values = [v for v in column if v is not None]
+        out.append(float(np.mean(values)) if values else None)
+    return out
+
+
 def _query_eval(dataset, source, q, qcat, selector, k, lam, timing):
     """One query through `lsh.retrieve` from `source` (`dataset` or its
     index), then metrics against `dataset`'s labels: (precision,
     subtopic recall or None, diversity, h-score, seconds, candidate
-    fraction)."""
+    fraction). The query and the dataset carry category labels."""
     t0 = time.perf_counter()
     result, count = lsh.retrieve(source, q, selector, k, lam)
     elapsed = time.perf_counter() - t0 if timing else 0.0
     selected = result.ids
 
-    if qcat == MISSING:
-        raise ExperimentError("query has no category label; precision is undefined")
-    cats = dataset.categories
-    if cats is None:
-        raise ExperimentError("dataset has no category labels; precision is undefined")
-    precision = metrics.precision_at_k(selected, lambda i: cats[i] == qcat, k)
-    has_subtopics = qcat in dataset.subtopic_count_per_category and dataset.subtopic_count_per_category[qcat] >= 2
-    if selected.size == 0:
-        sr = 0.0 if has_subtopics else None
-        div = 0.0
-    elif has_subtopics:
+    precision = metrics.precision_at_k(selected, lambda i: dataset.categories[i] == qcat, k)
+    if dataset.subtopic_count_per_category.get(qcat, 0) >= 2:
         sr = metrics.subtopic_recall(selected, dataset, qcat, k)
-        on_topic = any(cats[i] == qcat for i in selected)
-        div = metrics.entropy_diversity(selected, dataset, qcat) if on_topic else 0.0
+        # entropy needs an on-topic pick that carries a subtopic label
+        div = metrics.entropy_diversity(selected, dataset, qcat) if metrics._subtopics(selected, dataset, qcat) else 0.0
     else:
         sr = None
         # no subtopic labels: report mean pairwise squared distance, scaled
@@ -202,7 +223,11 @@ def run_retrieval_experiment(config: ExperimentConfig) -> list[ResultRow]:
             raise ExperimentError(f"{path} holds no points")
     if queries.d != dataset.d:
         raise ExperimentError(f"query dimension {queries.d} != dataset dimension {dataset.d}")
-    qcats = [MISSING] * queries.n if queries.categories is None else queries.categories.tolist()
+    if queries.categories is None or (queries.categories == MISSING).any():
+        raise ExperimentError("query has no category label; precision is undefined")
+    if dataset.categories is None:
+        raise ExperimentError("dataset has no category labels; precision is undefined")
+    qcats = queries.categories.tolist()
 
     # every family and its table layout first, so one that cannot be built
     # fails before any cell runs; each index is still built only when its
@@ -226,13 +251,10 @@ def run_retrieval_experiment(config: ExperimentConfig) -> list[ResultRow]:
         for method in config.methods:
             select = _SELECTORS[method]
             for k in config.ks:
-                precs, srs, divs, hs, secs, fracs = zip(*_each_query(
+                precision, sr, div, h, secs, frac = _means(_each_query(
                     lambda i: _query_eval(dataset, source, queries.vectors[i], qcats[i], select, k, config.lam, config.timing),
                     queries.n, f"method={method}, hash={hash_name}",
                 ))
-                srs = [s for s in srs if s is not None]
-                sr = float(np.mean(srs)) if srs else None
-                precision, div, h, secs, frac = (float(np.mean(v)) for v in (precs, divs, hs, secs, fracs))
                 rows.append(ResultRow(method, hash_name, k, precision, sr, div, h, secs, frac))
                 _progress(f"[cell] {method}/{hash_name}/k={k}: P={precision:.3f} D={div:.3f} h={h:.3f}")
     return rows
@@ -274,7 +296,7 @@ class MultilabelConfig:
     predictions_json: str | None = field(default=None, metadata={"help": "JSON of the first method's labels and scores"})
 
     def __post_init__(self):
-        self.methods = tuple(self.methods)
+        _as_tuples(self)
         if not self.methods:
             raise ValueError("method list must be nonempty")
         for m in self.methods:
@@ -427,23 +449,20 @@ def run_multilabel_experiment(config: MultilabelConfig) -> list[MultilabelRow]:
         n_labels = max((max(s) for s in dataset.label_sets if s), default=-1) + 1
         if n_labels < 1:
             raise ExperimentError("no labels found in the data file")
+        train_idx, val_idx, test_idx = _split_indices(dataset.n, config.seed)
+        test_ds = dataset
         if config.test is not None:
             test_ds = load_sparse(config.test, d=config.d)
-            train_ds = dataset
-            train_idx, val_idx, _ = _split_indices(dataset.n, config.seed)
             test_idx = np.arange(test_ds.n)
-        else:
-            train_idx, val_idx, test_idx = _split_indices(dataset.n, config.seed)
-            train_ds = test_ds = dataset
         if config.factors:
             model = multilabel.load_factors(config.factors)
             if model.d != config.d:
                 raise ExperimentError(f"factors file {config.factors} has {model.d} features, the data {config.d}")
         else:
-            Y = _label_matrix([train_ds.label_sets[i] for i in train_idx], n_labels)
-            model = multilabel.fit_lowrank_ridge(train_ds.vectors[train_idx], Y, config.rank, config.ridge)
-        X_val = train_ds.vectors[val_idx]
-        truth_val = [train_ds.label_sets[i] for i in val_idx]
+            Y = _label_matrix([dataset.label_sets[i] for i in train_idx], n_labels)
+            model = multilabel.fit_lowrank_ridge(dataset.vectors[train_idx], Y, config.rank, config.ridge)
+        X_val = dataset.vectors[val_idx]
+        truth_val = [dataset.label_sets[i] for i in val_idx]
         X_test = test_ds.vectors[test_idx]
         truth_test = [test_ds.label_sets[i] for i in test_idx]
 
@@ -462,13 +481,12 @@ def run_multilabel_experiment(config: MultilabelConfig) -> list[MultilabelRow]:
             return final, (time.perf_counter() - t0) * 1e3 if config.timing else 0.0
 
         finals, times = zip(*_each_query(one, len(X_test), f"method={method}, split=test"))
-        per_doc = [_doc_scores(final.labels, truth, tree) for final, truth in zip(finals, truth_test)]
         # only diversity and h are None, on a document with no labels or no tree
-        ps, rs, fs, divs, hs = ([v for v in col if v is not None] for col in zip(*per_doc))
-        p, r, f, ms = (float(np.mean(v)) for v in (ps, rs, fs, times))
-        div, h = (float(np.mean(v)) if v else None for v in (divs, hs))
-        eval_frac = float(np.mean([final.eval_count for final in finals])) / model.n_labels
-        rows.append(MultilabelRow(method, config.alpha, p, r, f, div, h, ms, eval_frac))
+        p, r, f, div, h, ms, evals = _means(
+            (*_doc_scores(final.labels, truth, tree), t, final.eval_count)
+            for final, truth, t in zip(finals, truth_test, times)
+        )
+        rows.append(MultilabelRow(method, config.alpha, p, r, f, div, h, ms, evals / model.n_labels))
         if method == config.methods[0]:
             predictions = finals
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .data import MISSING, Dataset
+from .data import MISSING, Dataset, ParseError, _lines
 
 
 @dataclass(frozen=True)
@@ -53,17 +54,24 @@ def precision_at_k(retrieved, relevant, k: int) -> float:
     return hits / k
 
 
+def _subtopics(retrieved, dataset: Dataset, category: int) -> Counter[int]:
+    """How many of the retrieved items that belong to `category` carry
+    each subtopic label, in order of first appearance; items with no
+    subtopic label are left out."""
+    counter: Counter[int] = Counter()
+    for i in retrieved:
+        if dataset.categories[i] == category and dataset.subtopics[i] != MISSING:
+            counter[int(dataset.subtopics[i])] += 1
+    return counter
+
+
 def subtopic_recall(retrieved, dataset: Dataset, category: int, k: int) -> float:
     """Distinct subtopics of `category` covered by relevant items in the
     top-k, over the category's total subtopic count m."""
     m = dataset.subtopic_count_per_category.get(category)
     if m is None or m < 1:
         raise ValueError(f"unknown category {category} (no labeled subtopics)")
-    covered = set()
-    for i in list(retrieved)[:k]:
-        if dataset.categories[i] == category and dataset.subtopics[i] != MISSING:
-            covered.add(int(dataset.subtopics[i]))
-    return len(covered) / m
+    return len(_subtopics(list(retrieved)[:k], dataset, category)) / m
 
 
 def _normalized_entropy(counts: list[int], m: int) -> float:
@@ -81,10 +89,7 @@ def entropy_diversity(retrieved, dataset: Dataset, category: int) -> float:
         raise ValueError(f"unknown category {category}")
     if m < 2:
         raise ValueError(f"entropy diversity undefined for m={m} subtopics")
-    counter: Counter[int] = Counter()
-    for i in retrieved:
-        if dataset.categories[i] == category and dataset.subtopics[i] != MISSING:
-            counter[int(dataset.subtopics[i])] += 1
+    counter = _subtopics(retrieved, dataset, category)
     if not counter:
         raise ValueError("no retrieved item carries a subtopic label")
     return _normalized_entropy(list(counter.values()), m)
@@ -159,16 +164,15 @@ def bfs_prune(edges, root: int) -> HierarchyTree:
 
 
 def load_hierarchy(path):
-    """Edge list file: one 'child parent' pair of integer ids per line."""
+    """Edge list file: one 'child parent' pair of integer ids per nonblank
+    line, read as `data.load_dense` reads its lines; a faulty line raises
+    ParseError."""
+    path = Path(path)
     edges = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                child, parent = map(int, line.split())
-            except ValueError:
-                raise ValueError(f"{path}:{line_no}: expected 'child parent' integer ids, got {line!r}") from None
-            edges.append((child, parent))
+    for line_no, line in _lines(path):
+        try:
+            child, parent = map(int, line.split())
+        except ValueError:
+            raise ParseError(path, line_no, f"expected 'child parent' integer ids, got {line!r}") from None
+        edges.append((child, parent))
     return edges

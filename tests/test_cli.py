@@ -295,6 +295,15 @@ def test_bad_config_reports_error_not_traceback(tmp_path, argv, cause):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("key, value", [("ks", "25"), ("ks", 10), ("methods", "nn")])
+def test_config_list_field_given_as_a_scalar_is_one_error_line(tmp_path, capsys, key, value):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"data": "d.csv", "queries": "q.csv", "out": "o.csv", key: value}))
+    assert main(["retrieve", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: config field {key!r} must be a list, got {type(value).__name__} {value!r}"]
+
+
 def _surface(parser, path=()):
     """{subcommand path: {option string: dest}} for every leaf parser."""
     subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]

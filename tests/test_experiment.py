@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import toy_centers
-from hashdiv import hashing
+from hashdiv import experiment, hashing, lsh
 from hashdiv.data import ToyConfig, make_toy, save_dense
 from hashdiv.experiment import (
     ExperimentConfig,
@@ -32,6 +32,10 @@ def toy_files(tmp_path_factory):
     save_dense(make_toy(ToyConfig(n_per_class=150, class_centers=toy_centers(8), spread=0.25, seed=0)), data)
     save_dense(make_toy(ToyConfig(n_per_class=10, class_centers=toy_centers(8), spread=0.25, seed=1)), queries)
     return str(data), str(queries)
+
+
+def row(v) -> str:
+    return ",".join(repr(float(x)) for x in v)
 
 
 def base_config(toy_files, out, **kw):
@@ -74,6 +78,17 @@ class TestConfig:
         p.write_text(json.dumps({"data": "a", "queries": "b", "out": "c", "ks": [10, 20]}))
         cfg = ExperimentConfig.from_dict(json.loads(p.read_text()))
         assert cfg.ks == (10, 20)
+
+    @pytest.mark.parametrize("key, value", [("ks", "25"), ("ks", 10), ("methods", "nn"), ("hashes", "nh")])
+    def test_list_field_must_be_a_list(self, key, value):
+        # "25" would run k=2 and k=5, and "nn" the methods "n" and "n"
+        with pytest.raises(ValueError, match=f"^config field '{key}' must be a list, got {type(value).__name__}"):
+            ExperimentConfig.from_dict({"data": "a", "queries": "b", "out": "c", key: value})
+
+    def test_multilabel_list_field_must_be_a_list(self):
+        with pytest.raises(ValueError, match="^config field 'methods' must be a list, got str 'exact'$"):
+            MultilabelConfig.from_dict({"out": "c", "synthetic": True, "methods": "exact"})
+        assert MultilabelConfig.from_dict({"out": "c", "synthetic": True, "methods": ["exact"]}).methods == ("exact",)
 
 
 class TestRetrievalRuns:
@@ -177,6 +192,58 @@ class TestRetrievalRuns:
         # the diversity-aware selector must cover more subtopics than plain NN
         assert rows["greedy"].subtopic_recall >= rows["nn"].subtopic_recall
         assert rows["greedy"].diversity > rows["nn"].diversity
+
+    def test_on_topic_picks_without_subtopic_labels_score_zero_diversity(self, tmp_path):
+        # category 0 has two labeled subtopics far from the query, and
+        # on-topic points with no subtopic label next to it: nn picks only
+        # those, so the pick set has no subtopic to take an entropy over
+        d = 6
+        eye = np.eye(d)
+        lines = [f"0:-1:{row(eye[0] + 0.01 * i * eye[5])}" for i in range(4)]
+        lines += [f"0:{sub}:{row(eye[1 + sub])}" for sub in (0, 1)]
+        lines += [f"1:0:{row(eye[3])}", f"1:1:{row(eye[4])}"]
+        data, queries = tmp_path / "data.csv", tmp_path / "q.csv"
+        data.write_text("\n".join(lines) + "\n")
+        queries.write_text(f"0:0:{row(eye[0])}\n")
+        config = ExperimentConfig(
+            data=str(data), queries=str(queries), out=str(tmp_path / "o.csv"),
+            methods=("nn",), hashes=("nh",), ks=(3,), timing=False,
+        )
+        assert run_retrieval_experiment(config) == [ResultRow("nn", "nh", 3, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0)]
+
+    @pytest.mark.parametrize("qcat, recall", [(0, 0.0), (1, None)])
+    def test_empty_union_scores_through_the_general_branches(self, tmp_path, qcat, recall):
+        # the query lies far from every point, so none of its 20-bit keys
+        # is occupied: an empty pick set gets precision 0, diversity 0 and
+        # subtopic recall 0 (None for category 1, which has no subtopics)
+        # from the same rules as any other pick set
+        d = 8
+        eye = np.eye(d)
+        lines = [f"0:{i % 2}:{row(eye[0] + 0.1 * i * eye[1])}" for i in range(6)]
+        lines += [f"1:-1:{row(-eye[0] + 0.1 * i * eye[1])}" for i in range(6)]
+        data, queries = tmp_path / "data.csv", tmp_path / "q.csv"
+        data.write_text("\n".join(lines) + "\n")
+        queries.write_text(f"{qcat}:-1:{row(eye[2] + eye[3] - eye[4])}\n")
+        config = ExperimentConfig(
+            data=str(data), queries=str(queries), out=str(tmp_path / "o.csv"),
+            methods=("nn", "greedy"), hashes=("lshdiv",), ks=(4,), l=20, L=1, seed=3, timing=False,
+        )
+        rows = run_retrieval_experiment(config)
+        assert rows == [ResultRow(m, "lshdiv", 4, 0.0, recall, 0.0, 0.0, 0.0, 0.0) for m in ("nn", "greedy")]
+
+    @pytest.mark.parametrize("unlabeled", ["data", "queries"])
+    def test_unlabeled_input_refused_before_any_family_or_index(self, toy_files, tmp_path, monkeypatch, unlabeled):
+        path = tmp_path / "unlabeled.csv"
+        labeled = Path(toy_files[unlabeled == "queries"]).read_text().splitlines()
+        path.write_text("".join(line.split(":", 2)[2] + "\n" for line in labeled))
+        built = []
+        monkeypatch.setattr(experiment, "new_family", lambda *args, **kwargs: built.append(args))
+        monkeypatch.setattr(lsh, "build", lambda *args, **kwargs: built.append(args))
+        config = base_config(toy_files, tmp_path / "o.csv", hashes=("nh", "lshsdiv"), **{unlabeled: str(path)})
+        cause = "dataset has no category labels" if unlabeled == "data" else "query has no category label"
+        with pytest.raises(ExperimentError, match=f"^{cause}; precision is undefined$"):
+            run_retrieval_experiment(config)
+        assert built == []
 
     @pytest.mark.parametrize("empty", ["data", "queries"])
     def test_empty_input_file_is_named(self, toy_files, tmp_path, empty):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hashdiv.data import Dataset
+from hashdiv.data import Dataset, ParseError
 from hashdiv.metrics import (
     bfs_prune,
     entropy_diversity,
@@ -194,6 +194,17 @@ class TestBfsPrune:
         p.write_text(text)
         with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:{line}: expected 'child parent' integer ids"):
             load_hierarchy(p)
+
+    def test_load_hierarchy_reads_lines_as_the_data_readers_do(self, tmp_path):
+        # CRLF and blank lines as load_dense takes them; a bad line is a
+        # ParseError that carries its line number
+        p = tmp_path / "h.txt"
+        p.write_text("1 0\r\n\r\n  2 0  \r\n", newline="")
+        assert load_hierarchy(p) == [(1, 0), (2, 0)]
+        p.write_text("1 0\r\n\r\n2 x\r\n", newline="")
+        with pytest.raises(ParseError) as info:
+            load_hierarchy(p)
+        assert (info.value.path, info.value.line_no) == (str(p), 3)
 
 
 class TestTreeDiversity:
