@@ -89,18 +89,36 @@ def _from_dict(cls, values: dict, **overrides):
     return cls(**values)
 
 
-def _as_tuples(config) -> None:
-    """Each `tuple[T, ...]` field of the config dataclass `config` made a
-    tuple of T, as the CLI's comma lists are. Only a list or a tuple is
-    taken, so that a string or a number raises ValueError naming the field
-    instead of being split into characters or failing to iterate."""
+def _is_a(value, types: tuple) -> bool:
+    """Whether `value` is an instance of one of `types`, where a bool is
+    no int or float and an int is a float."""
+    if isinstance(value, bool):
+        return bool in types
+    return isinstance(value, types) or (float in types and isinstance(value, int))
+
+
+def _check_types(config) -> None:
+    """The one type rule of the config dataclasses: each field of
+    `config`, and each item of a `tuple[T, ...]` field, must be an
+    instance of its annotated type (`_is_a`; `T | None` also takes None),
+    else ValueError names the field. A tuple field takes only a list or a
+    tuple, so that a string or a number is refused instead of being split
+    into characters or failing to iterate, and is made a tuple."""
     hints = typing.get_type_hints(type(config))
     for f in dataclasses.fields(config):
         hint, value = hints[f.name], getattr(config, f.name)
         if typing.get_origin(hint) is tuple:
             if not isinstance(value, (list, tuple)):
                 raise ValueError(f"config field {f.name!r} must be a list, got {type(value).__name__} {value!r}")
-            setattr(config, f.name, tuple(map(typing.get_args(hint)[0], value)))
+            item = typing.get_args(hint)[0]
+            for v in value:
+                if not _is_a(v, (item,)):
+                    raise ValueError(f"config field {f.name!r} must be a list of {item.__name__}, "
+                                     f"got {type(v).__name__} {v!r} in it")
+            setattr(config, f.name, tuple(value))
+        elif not _is_a(value, types := typing.get_args(hint) or (hint,)):
+            expected = " or ".join("None" if t is type(None) else t.__name__ for t in types)
+            raise ValueError(f"config field {f.name!r} must be {expected}, got {type(value).__name__} {value!r}")
 
 
 # Field metadata holds argparse keywords for the flag that hashdiv.cli
@@ -130,7 +148,7 @@ class ExperimentConfig:
     timing: bool = field(default=True, metadata=_NO_TIMING)
 
     def __post_init__(self):
-        _as_tuples(self)
+        _check_types(self)
         if not self.methods:
             raise ValueError("method list must be nonempty")
         if not self.hashes:
@@ -296,7 +314,7 @@ class MultilabelConfig:
     predictions_json: str | None = field(default=None, metadata={"help": "JSON of the first method's labels and scores"})
 
     def __post_init__(self):
-        _as_tuples(self)
+        _check_types(self)
         if not self.methods:
             raise ValueError("method list must be nonempty")
         for m in self.methods:

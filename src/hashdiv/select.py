@@ -164,38 +164,46 @@ def select_greedy_div(problem: SelectionProblem) -> SelectionResult:
 
     over the remaining pool; the first pick is the pure NN since S starts
     empty; the diversity sum is divided by the 1-based iteration index.
-    Ties go to the lowest id. Each pick but the last adds one column of
-    X X^T, computed on demand, so the cost is O(k m d) and no m x m Gram
-    matrix is formed. Vectors so large that a score could overflow float64
-    raise ValueError."""
+    With p the sum of the picked rows,
+
+        i * score_i(r) + sum_{s in S} |s|^2 = i * lam |q - r|^2 + (1 - i) |r|^2 + (2 r).p,
+
+    and the left side ranks r as score_i does. So each pick after the first
+    is one row-wise product of the m x (d + 2) array [2X | |r|^2 | lam |q - r|^2]
+    with w = [p | 1 - i | i]: O(k m d) in all, and no m x m Gram matrix
+    is formed. Ties go to the lowest id, exact ties between distinct rows
+    included: on rows whose products are exact (small integers, a dyadic
+    lam) the product is the exact left side, with no division to round.
+    Vectors so large that a score could overflow float64 raise ValueError."""
     m = problem.size
     kk = min(problem.k, m)
     if kk == 0:
         return _result(problem, [])
-    X, sq = problem.vectors, problem._sq
-    _check_scale(problem, 4 * kk)  # a diversity sum adds kk - 1 squared distances
-    base = problem.lam * _sq_dists_to_query(problem)  # picked entries get +inf so they never win argmin
-    # the diversity sum is still zero at the first pick, so its score is
-    # base; the first minimum is the lowest id on ties
-    picked = [int(base.argmin())]
-    sum_div = np.zeros(m)  # sum of |r - s|^2 over already-picked s
-    col, score = np.empty(m), np.empty(m)
+    X = problem.vectors
+    d = X.shape[1]
+    # |r|^2 <= B, |q - r|^2 <= 4B and |r.p| <= (kk - 1) B, so every term and
+    # partial sum of the product is at most 7 kk B: at most 7/8 of the
+    # largest float64 under this bound, 4 kk B <= max / 2
+    _check_scale(problem, 4 * kk)
+    A = np.empty((m, d + 2))
+    np.multiply(X, 2.0, out=A[:, :d])  # doubling is exact
+    A[:, d] = problem._sq
+    base = A[:, d + 1]
+    np.multiply(_sq_dists_to_query(problem), problem.lam, out=base)  # picked rows get +inf
+    # the first score is base; the first minimum is the lowest id on ties
+    j = int(base.argmin())  # the method skips np.argmin's dispatch
+    picked = [j]
+    w, score = np.zeros(d + 2), np.empty(m)
+    p = w[:d]  # the sum of the picked rows
     for i in range(2, kk + 1):
-        j = picked[-1]
+        p += X[j]
+        w[d], w[d + 1] = 1 - i, i
         base[j] = np.inf
-        # |r - s_j|^2 = sq + (sq[j] - 2 x_r.x_j), in the same IEEE steps:
-        # x * -2 and a + -b are exact rewrites of -(2 x) and a - b.
         # einsum reduces each row alone, so equal rows get equal bits; a BLAS
-        # product need not, which would let a later twin win a tie. The -2
-        # stays out of the einsum, as it would round subnormal products.
-        np.einsum("ij,j->i", X, X[j], out=col)
-        col *= -2.0
-        col += sq[j]
-        col += sq
-        sum_div += col
-        np.divide(sum_div, i, out=score)
-        np.subtract(base, score, out=score)
-        picked.append(int(score.argmin()))  # the method skips np.argmin's dispatch
+        # product need not, which would let a later twin win a tie
+        np.einsum("ij,j->i", A, w, out=score)
+        j = int(score.argmin())
+        picked.append(j)
     return _result(problem, picked)
 
 
@@ -209,22 +217,24 @@ def select_mmr(problem: SelectionProblem) -> SelectionResult:
     large that a similarity could overflow float64 raise ValueError."""
     X = problem.vectors
     _check_scale(problem, 1)
-    sims = np.einsum("ij,j->i", X, problem.query)
     m = problem.size
     kk = min(problem.k, m)
-    available = np.ones(m, dtype=bool)
+    if kk == 0:
+        return _result(problem, [])
+    sims = np.einsum("ij,j->i", X, problem.query)
+    j = int(sims.argmax())
+    picked = [j]
+    rel = problem.lam * sims  # picked entries get -inf so they never win argmax
     max_sel = np.full(m, -np.inf)  # max similarity to any selected point
-    picked: list[int] = []
-    for i in range(kk):
-        if i == 0:
-            score = sims.copy()
-        else:
-            score = problem.lam * sims - (1.0 - problem.lam) * max_sel
-        score[~available] = -np.inf
+    col, score = np.empty(m), np.empty(m)
+    for _ in range(1, kk):
+        rel[j] = -np.inf
+        np.einsum("ij,j->i", X, X[j], out=col)
+        np.maximum(max_sel, col, out=max_sel)
+        np.multiply(max_sel, 1.0 - problem.lam, out=score)
+        np.subtract(rel, score, out=score)
         j = int(score.argmax())
         picked.append(j)
-        available[j] = False
-        np.maximum(max_sel, np.einsum("ij,j->i", X, X[j]), out=max_sel)
     return _result(problem, picked)
 
 

@@ -304,6 +304,20 @@ def test_config_list_field_given_as_a_scalar_is_one_error_line(tmp_path, capsys,
     assert err.splitlines() == [f"error: config field {key!r} must be a list, got {type(value).__name__} {value!r}"]
 
 
+@pytest.mark.parametrize("command, values, message", [
+    ("retrieve", {"ks": [2.5, True]}, "config field 'ks' must be a list of int, got float 2.5 in it"),
+    ("retrieve", {"l": "16"}, "config field 'l' must be int, got str '16'"),
+    ("multilabel", {"alpha": "10"}, "config field 'alpha' must be int, got str '10'"),
+])
+def test_config_field_of_the_wrong_type_is_one_error_line(tmp_path, capsys, command, values, message):
+    required = {"retrieve": {"data": "d.csv", "queries": "q.csv", "out": "o.csv"},
+                "multilabel": {"out": "o.csv", "synthetic": True}}[command]
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({**required, **values}))
+    assert main([command, "--config", str(config)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
 def _surface(parser, path=()):
     """{subcommand path: {option string: dest}} for every leaf parser."""
     subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]

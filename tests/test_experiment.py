@@ -91,6 +91,34 @@ class TestConfig:
         assert MultilabelConfig.from_dict({"out": "c", "synthetic": True, "methods": ["exact"]}).methods == ("exact",)
 
 
+    @pytest.mark.parametrize("cls, values, message", [
+        # [2.5, true] once ran k=2 and k=1, and "16" stayed a string
+        (ExperimentConfig, {"ks": [2.5, True]}, "config field 'ks' must be a list of int, got float 2.5 in it"),
+        (ExperimentConfig, {"ks": [5, True]}, "config field 'ks' must be a list of int, got bool True in it"),
+        (ExperimentConfig, {"ks": ["5"]}, "config field 'ks' must be a list of int, got str '5' in it"),
+        (ExperimentConfig, {"l": "16"}, "config field 'l' must be int, got str '16'"),
+        (ExperimentConfig, {"L": 8.0}, "config field 'L' must be int, got float 8.0"),
+        (ExperimentConfig, {"lam": True}, "config field 'lam' must be float, got bool True"),
+        (ExperimentConfig, {"alpha": 4.0}, "config field 'alpha' must be int or None, got float 4.0"),
+        (ExperimentConfig, {"timing": 0}, "config field 'timing' must be bool, got int 0"),
+        (ExperimentConfig, {"methods": ["nn", 1]}, "config field 'methods' must be a list of str, got int 1 in it"),
+        # "10" once ended in a TypeError from the first comparison with it
+        (MultilabelConfig, {"alpha": "10"}, "config field 'alpha' must be int, got str '10'"),
+        (MultilabelConfig, {"test": 3}, "config field 'test' must be str or None, got int 3"),
+    ])
+    def test_field_must_have_its_annotated_type(self, cls, values, message):
+        required = {"data": "a", "queries": "b", "out": "c"} if cls is ExperimentConfig else {"out": "c", "synthetic": True}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cls.from_dict({**required, **values})
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cls(**required, **values)
+
+    def test_an_int_is_a_float_and_none_fills_an_optional_field(self):
+        cfg = ExperimentConfig.from_dict({"data": "a", "queries": "b", "out": "c", "lam": 1, "alpha": None, "ks": [5, 10]})
+        assert (cfg.lam, cfg.alpha, cfg.ks) == (1, None, (5, 10))
+        assert MultilabelConfig.from_dict({"out": "c", "synthetic": True, "ridge": 2, "d": None}).ridge == 2
+
+
 class TestRetrievalRuns:
     def test_nn_nh_matches_brute_force(self, toy_files, tmp_path):
         config = base_config(toy_files, tmp_path / "o.csv", hashes=("nh",), ks=(5,))

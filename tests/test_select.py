@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -90,29 +91,73 @@ def ref_rerank(q, ids, X, k):
 
 def loop_greedy_div(problem):
     """select_greedy_div in its plain form: every pick, the first and the
-    last included, runs the whole score and diversity update, and each
-    column is one expression. The library skips the steps that cannot
-    change a pick and updates the column in place by exact rewrites, so
-    the two must pick the same ids, bit-level ties included."""
-    diff = problem.vectors - problem.query
-    d2q = np.einsum("ij,ij->i", diff, diff)
-    m = problem.size
-    kk = min(problem.k, m)
+    last included, builds the whole weight w = [p | 1 - i | i], p the sum
+    of the picked rows, and the whole score A w for A = [2X | |r|^2 |
+    lam |q - r|^2]. The library skips the steps that cannot change a pick
+    and updates w in place, so the two must pick the same ids, bit-level
+    ties included."""
     X = problem.vectors
+    m, d = X.shape
+    diff = X - problem.query
     sq = np.einsum("ij,ij->i", X, X)
-    base = problem.lam * d2q  # picked entries get +inf so they never win argmin
-    sum_div = np.zeros(m)     # sum of |r - s|^2 over already-picked s
-    score = np.empty(m)
+    A = np.column_stack([2.0 * X, sq, problem.lam * np.einsum("ij,ij->i", diff, diff)])
+    p = np.zeros(d)
     picked: list[int] = []
-    for i in range(1, kk + 1):
-        np.divide(sum_div, i, out=score)
-        np.subtract(base, score, out=score)
-        j = int(np.argmin(score))  # first minimum = lowest id on ties
-        picked.append(j)
-        base[j] = np.inf
+    for i in range(1, min(problem.k, m) + 1):
         # einsum reduces each row alone, so equal rows get equal bits; a BLAS
         # product need not, which would let a later twin win a tie
-        sum_div += sq + (sq[j] - 2.0 * np.einsum("ij,j->i", X, X[j]))
+        score = np.einsum("ij,j->i", A, np.concatenate([p, [1 - i, i]]))
+        j = int(np.argmin(score))  # first minimum = lowest id on ties
+        picked.append(j)
+        A[j, d + 1] = np.inf  # picked rows never win argmin again
+        p = p + X[j]
+    return problem.ids[picked]
+
+
+def fraction_greedy(q, X, k, lam):
+    """ref_greedy in exact rational arithmetic, so every tie is exact and
+    goes to the lowest position."""
+    q, lam = [Fraction(v) for v in q], Fraction(lam)
+    X = [[Fraction(v) for v in row] for row in X]
+
+    def sq(a, b):
+        return sum((x - y) ** 2 for x, y in zip(a, b))
+
+    remaining, chosen = list(range(len(X))), []
+    for i in range(1, min(k, len(X)) + 1):
+        best = min(remaining, key=lambda r: (lam * sq(q, X[r]) - sum(sq(X[r], X[s]) for s in chosen) / i, r))
+        chosen.append(best)
+        remaining.remove(best)
+    return chosen
+
+
+@st.composite
+def integer_rows(draw):
+    """1 to 12 rows and a query of 1 to 3 coordinates in [-3, 3]."""
+    d = draw(st.integers(1, 3))
+    coords = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    return draw(st.lists(coords, min_size=1, max_size=12)), draw(coords)
+
+
+def loop_mmr(problem):
+    """select_mmr as first written: every pick forms the whole score
+    lam * sims - (1 - lam) * max_sel and masks the picked entries with
+    -inf. The library puts -inf into lam * sims once per pick and writes
+    into preallocated arrays, which are the same IEEE operations, so the
+    two must pick the same ids."""
+    X = problem.vectors
+    sims = np.einsum("ij,j->i", X, problem.query)
+    m = problem.size
+    available = np.ones(m, dtype=bool)
+    max_sel = np.full(m, -np.inf)
+    picked: list[int] = []
+    for i in range(min(problem.k, m)):
+        score = sims.copy() if i == 0 else problem.lam * sims - (1.0 - problem.lam) * max_sel
+        score[~available] = -np.inf
+        j = int(score.argmax())
+        picked.append(j)
+        available[j] = False
+        np.maximum(max_sel, np.einsum("ij,j->i", X, X[j]), out=max_sel)
     return problem.ids[picked]
 
 
@@ -261,8 +306,8 @@ class TestSelectGreedyDiv:
         lam=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
         scale=st.sampled_from([1.0, 1e-161]),
     )
-    # m < k; both ends of lambda; subnormal products, where -2 folded into
-    # the einsum would round them differently
+    # m < k; both ends of lambda; subnormal squared norms and products,
+    # where underflow, not the scores' real order, sets the picks
     @example(seed=1, m=3, d=4, n_dup=2, k=10, lam=0.5, scale=1.0)
     @example(seed=2, m=40, d=8, n_dup=20, k=12, lam=0.0, scale=1.0)
     @example(seed=3, m=40, d=8, n_dup=20, k=12, lam=1.0, scale=1.0)
@@ -277,6 +322,18 @@ class TestSelectGreedyDiv:
         res = select_greedy_div(prob)
         assert np.array_equal(res.ids, loop_greedy_div(prob))
         assert res.underfilled == (X.shape[0] < k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=integer_rows(), k=st.integers(1, 14), lam=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]))
+    # at the third pick rows 2 and 3 tie at exactly 1/6; a score divided by
+    # i rounds them apart and picks 3 first
+    @example(rows=([[1], [2], [-1], [1]], [2]), k=4, lam=0.5)
+    def test_exact_ties_go_to_the_lowest_id(self, rows, k, lam):
+        # small integer rows and a dyadic lambda tie many scores exactly,
+        # and every product and sum of the kernel is exact on them
+        X, q = rows
+        prob = SelectionProblem(np.array(q, dtype=float), np.arange(len(X)), np.array(X, dtype=float), k=k, lam=lam)
+        assert select_greedy_div(prob).ids.tolist() == fraction_greedy(q, X, k, lam)
 
     def test_empty_pool(self):
         res = select_greedy_div(SelectionProblem(np.ones(3), np.empty(0, dtype=int), np.empty((0, 3)), k=4, lam=0.5))
@@ -380,6 +437,32 @@ class TestSelectMmr:
         prob = twin_problem(seed, m, d, n_dup, k, lam)
         ref = ref_mmr(prob.query, prob.ids.tolist(), prob.vectors.tolist(), k, lam)
         assert select_mmr(prob).ids.tolist() == ref
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(0, 120),
+        d=st.integers(1, 24),
+        n_dup=st.integers(0, 60),
+        k=st.integers(1, 15),
+        lam=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+        integer=st.booleans(),
+    )
+    @example(seed=0, m=0, d=3, n_dup=0, k=4, lam=0.5, integer=False)  # an empty pool
+    def test_equals_the_plain_loop(self, seed, m, d, n_dup, k, lam, integer):
+        # integer rows tie many similarities exactly, and copied rows are twins
+        rng = np.random.default_rng(seed)
+        if integer:
+            X, q = rng.integers(-2, 3, size=(m, d)).astype(float), rng.integers(-2, 3, size=d).astype(float)
+        else:
+            X, q = rng.standard_normal((m, d)), rng.standard_normal(d)
+        X = np.vstack([X, X[rng.choice(m, size=min(n_dup, m), replace=False)]])
+        X = X[rng.permutation(X.shape[0])]
+        ids = np.sort(rng.choice(10 * X.shape[0], size=X.shape[0], replace=False))
+        prob = SelectionProblem(q, ids, X, k=k, lam=lam)
+        res = select_mmr(prob)
+        assert np.array_equal(res.ids, loop_mmr(prob))
+        assert res.underfilled == (X.shape[0] < k)
 
     def test_overflowing_similarities_raise(self):
         # at 1e155 every similarity of two rows overflows, which once gave
