@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -93,38 +94,37 @@ class Dataset:
         return {c: len(subs) for c, subs in counts.items()}
 
 
-def _unit(row: np.ndarray) -> np.ndarray | None:
-    """`row` / its L2 norm, or None for a zero row. A finite row whose norm
-    over- or underflows is first divided by its largest |entry|, which is
-    why its callers ignore overflow; any other row keeps the bits of
-    row / norm, and one with an infinite entry is returned as is for the
-    caller's finite check."""
-    norm = math.sqrt(row.dot(row))  # np.linalg.norm's own steps, without its wrapper
-    if norm == 0.0 or norm == math.inf:
-        peak = np.max(np.abs(row), initial=0.0)
-        if peak == 0.0:
-            return None
-        if peak == np.inf:
-            return row
-        row = row / peak
-        norm = math.sqrt(row.dot(row))
-    return row / norm
+_BLOCK = 1 << 13  # values per block of squares in `_normalize` (64 KiB)
 
 
 @np.errstate(over="ignore")
+def _normalize(x: np.ndarray) -> np.ndarray:
+    """Divide each row of the 2-d float array `x` by its
+    np.linalg.norm(x, axis=1) in place, and return `x`. The norms are taken
+    a block of rows at a time: each row's sum is its own, so the bits are
+    those of one call over the whole array, and the squares' temporary
+    stays small. A finite row whose norm over- or underflows is first
+    divided by its largest |entry|; a zero row stays zero, and a row with
+    an infinite entry is left as is."""
+    step = max(1, _BLOCK // max(1, x.shape[1]))
+    for start in range(0, x.shape[0], step):
+        block = x[start : start + step]
+        norms = np.linalg.norm(block, axis=1)
+        for i in np.flatnonzero((norms == 0.0) | (norms == np.inf)):
+            peak = np.max(np.abs(block[i]), initial=0.0)
+            if 0.0 < peak < np.inf:
+                block[i] /= peak
+                norms[i] = np.linalg.norm(block[i : i + 1], axis=1)[0]
+            else:
+                norms[i] = 1.0
+        block /= norms[:, None]
+    return x
+
+
 def normalize_rows(x: np.ndarray) -> np.ndarray:
-    """Scale each row to unit L2 norm; zero rows raise. A row whose norm
-    over- or underflows is rescaled as in `_unit`."""
-    x = np.asarray(x, dtype=float)
-    norms = np.linalg.norm(x, axis=1)
-    odd = (norms == 0.0) | (norms == np.inf)
-    out = x / np.where(odd, 1.0, norms)[:, None]
-    for i in np.flatnonzero(odd):
-        row = _unit(x[i])
-        if row is None:
-            raise ValueError(f"zero vector at row {i} cannot be normalized")
-        out[i] = row
-    return out
+    """A float copy of the 2-d array `x` with unit rows, by `_normalize`,
+    the one unit-row rule. A zero row stays zero."""
+    return _normalize(np.array(x, dtype=float))
 
 
 def _lines(path: Path):
@@ -136,29 +136,26 @@ def _lines(path: Path):
             yield line_no, line
 
 
-def _unit_row(path: Path, line_no: int, values: list[float]) -> np.ndarray:
-    """One line's parsed values as a unit row, by `_unit`, so its caller
-    ignores overflow too. A NaN or infinite value, then a zero row, raises
-    ParseError naming the line. A finite sum proves every value finite, so
-    only a NaN, an inf or a sum beyond float64 needs the scan."""
-    row = np.array(values, dtype=float)
-    if not math.isfinite(sum(values)) and not np.isfinite(row).all():
+def _check_line(path: Path, line_no: int, values: list[float]) -> None:
+    """ParseError naming the line for a NaN or infinite value, then for a
+    line of zeros, which has no direction. A finite sum proves every value
+    finite, so only a NaN, an inf or a sum beyond float64 needs the scan."""
+    if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
         raise ParseError(path, line_no, "a NaN or infinite value")
-    row = _unit(row)
-    if row is None:
+    if not any(values):
         raise ParseError(path, line_no, "zero vector cannot be normalized")
-    return row
 
 
-@np.errstate(over="ignore")
 def load_dense(path) -> Dataset:
     """Read a dense CSV dataset: one point per line, comma-separated values,
     with an optional ``category:subtopic:`` prefix fused onto the first field
-    (e.g. ``0:3:0.12,0.5,...``). LF or CRLF, UTF-8. Rows are scaled to unit
-    norm. The first faulty line in file order raises ParseError.
+    (e.g. ``0:3:0.12,0.5,...``). LF or CRLF, UTF-8. Each line is checked as
+    it is read, so the first faulty line in file order raises ParseError;
+    then the whole file's rows are scaled to unit norm at once, by the
+    `normalize_rows` rule.
     """
     path = Path(path)
-    rows: list = []
+    rows = array("d")
     cats: list[int] = []
     subs: list[int] = []
     arity = None
@@ -184,11 +181,12 @@ def load_dense(path) -> Dataset:
             arity = len(values)
         elif len(values) != arity:
             raise ParseError(path, line_no, f"ragged row: {len(values)} values, expected {arity}")
-        rows.append(_unit_row(path, line_no, values))
+        _check_line(path, line_no, values)
+        rows.extend(values)
         cats.append(cat)
         subs.append(sub)
     return Dataset(
-        vectors=np.array(rows, dtype=float).reshape(len(rows), arity or 0),
+        vectors=_normalize(np.frombuffer(rows).reshape(len(cats), arity or 0)),
         categories=np.array(cats, dtype=int) if labeled else None,
         subtopics=np.array(subs, dtype=int) if labeled else None,
     )
@@ -207,20 +205,21 @@ def save_dense(dataset: Dataset, path) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
-@np.errstate(over="ignore")
 def load_sparse(path, d: int) -> Dataset:
     """Read a LIBSVM-style multi-label file: ``lab1,lab2 idx:val idx:val ...``
     per line, feature indices 1-based in the file and stored 0-based.
-    Indices must be strictly increasing and < d, and label ids >= 0. The
-    rows are parsed into a dense (n, d) float64 array of unit rows; absent
-    features are 0.
+    Indices must be strictly increasing and < d, and label ids >= 0. Each
+    line is checked as it is read, so the first faulty line in file order
+    raises ParseError. The rows fill a dense (n, d) float64 array, absent
+    features 0, which is then scaled to unit rows in place by the
+    `normalize_rows` rule.
     """
     if d <= 0:
         raise ValueError("dimension d must be positive")
     path = Path(path)
     rows: list[int] = []
     indices: list[int] = []
-    values: list[float] = []
+    values = array("d")
     label_sets: list[frozenset[int]] = []
     for line_no, line in _lines(path):
         tokens = line.split()
@@ -253,14 +252,14 @@ def load_sparse(path, d: int) -> Dataset:
             prev = idx
             row_idx.append(idx)
             row_val.append(val)
-        row_val = _unit_row(path, line_no, row_val)
+        _check_line(path, line_no, row_val)
         rows.extend([len(label_sets)] * len(row_idx))
         indices.extend(row_idx)
         values.extend(row_val)
         label_sets.append(labels)
     vectors = np.zeros((len(label_sets), d))
-    vectors[np.array(rows, dtype=np.intp), np.array(indices, dtype=np.intp)] = np.array(values, dtype=float)
-    return Dataset(vectors=vectors, label_sets=tuple(label_sets))
+    vectors[np.array(rows, dtype=np.intp), np.array(indices, dtype=np.intp)] = np.frombuffer(values)
+    return Dataset(vectors=_normalize(vectors), label_sets=tuple(label_sets))
 
 
 @dataclass(frozen=True)
@@ -292,8 +291,6 @@ def make_toy(config: ToyConfig) -> Dataset:
     n = config.n_per_class
     rng = np.random.default_rng(config.seed)
     clouds = [centers[c] + config.spread * rng.standard_normal((n, d)) for c in range(2)]
-    vectors = np.vstack(clouds) if n > 0 else np.empty((0, d))
-    if n > 0:
-        vectors = normalize_rows(vectors)
+    vectors = _normalize(np.vstack(clouds))
     categories = np.repeat(np.arange(2), n)
     return Dataset(vectors=vectors, categories=categories)

@@ -228,8 +228,9 @@ def _query_eval(dataset, source, q, qcat, selector, k, lam, timing):
     else:
         sr = None
         # no subtopic labels: report mean pairwise squared distance, scaled
-        # by its max (4 on unit vectors) so the h-score stays in range
-        div = metrics.mean_pairwise_distance(dataset.dense_rows(selected)) / 4.0
+        # by its max (4 on unit vectors, which rounding can pass, hence the
+        # cap) so the h-score stays in range
+        div = min(1.0, metrics.mean_pairwise_distance(dataset.dense_rows(selected)) / 4.0)
     return precision, sr, div, metrics.h_score(precision, div), elapsed, count / dataset.n
 
 

@@ -98,13 +98,15 @@ def entropy_diversity(retrieved, dataset: Dataset, category: int) -> float:
 def mean_pairwise_distance(vectors) -> float:
     """Mean squared distance over unordered pairs; 0 for fewer than two
     points. This is the set-diversity measure used when no subtopic labels
-    exist (toy data); for unit vectors it lies in [0, 4]."""
+    exist (toy data); for unit vectors it lies in [0, 4] up to rounding.
+    The Gram-matrix sum can round below 0 on twin rows, so it is clamped
+    at 0."""
     x = np.atleast_2d(np.asarray(vectors, dtype=float))
     n = x.shape[0]
     if n < 2:
         return 0.0
     sq = np.einsum("ij,ij->i", x, x)
-    total = float(np.sum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)))
+    total = max(0.0, float(np.sum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T))))
     return total / (n * (n - 1))
 
 

@@ -181,11 +181,7 @@ def predict_mmr(model: FactorModel, x, alpha: int, lam: float) -> LabelPredictio
     z, q = embedded
     scores = model.W @ z
     ids = np.sort(top_k(-scores, np.arange(model.n_labels), 3 * alpha))  # SelectionProblem wants ascending ids
-    rows = model.W[ids]
-    nonzero = rows.any(axis=1)
-    unit_rows = np.zeros_like(rows)
-    unit_rows[nonzero] = normalize_rows(rows[nonzero])
-    res = select_mmr(SelectionProblem(query=q, ids=ids, vectors=unit_rows, k=alpha, lam=lam))
+    res = select_mmr(SelectionProblem(query=q, ids=ids, vectors=normalize_rows(model.W[ids]), k=alpha, lam=lam))
     return LabelPrediction(labels=res.ids, scores=scores[res.ids], eval_count=model.n_labels, underfilled=res.underfilled)
 
 

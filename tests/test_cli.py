@@ -53,6 +53,41 @@ def test_toy_gen_refuses_a_dimension_below_one(tmp_path, capsys, d):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", ["-1", "-3"])
+def test_toy_gen_refuses_a_negative_query_count(tmp_path, capsys, n):
+    out, queries = tmp_path / "data.csv", tmp_path / "queries.csv"
+    assert main(["toy-gen", "--out", str(out), "--queries-out", str(queries), "--n-queries", n]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: --n-queries must be at least 0, got {n}"]
+    assert not out.exists() and not queries.exists()
+
+
+def test_retrieve_over_duplicate_points(tmp_path):
+    # twin rows: the mean pairwise squared distance of a pick set can round below 0
+    data, queries, out = tmp_path / "t.csv", tmp_path / "tq.csv", tmp_path / "dup.out.csv"
+    assert main(["toy-gen", "--out", str(data), "--queries-out", str(queries),
+                 "--n-per-class", "100", "--n-queries", "10"]) == 0
+    dup = tmp_path / "dup.csv"
+    dup.write_text(data.read_text() * 2)
+    assert main(["retrieve", "--data", str(dup), "--queries", str(queries), "--methods", "nn,greedy",
+                 "--hashes", "nh,lshdiv", "--ks", "2,5", "--l", "6", "--L", "4", "--no-timing", "--out", str(out)]) == 0
+    rows = json.loads(Path(f"{out}.json").read_text())
+    assert len(rows) == 8 and all(0.0 <= r["diversity"] <= 1.0 for r in rows)
+
+
+@pytest.mark.parametrize("draw", [4, 25])
+def test_retrieve_over_an_antipodal_pair(tmp_path, draw):
+    # v and -v lie 4 apart squared, which the Gram-matrix sum can round past
+    rng = np.random.default_rng(0)
+    for _ in range(draw):
+        v = rng.standard_normal(8)
+    data, queries, out = tmp_path / "pm.csv", tmp_path / "pmq.csv", tmp_path / "pm.out.csv"
+    data.write_text("".join(f"{c}:0:" + ",".join(map(repr, r.tolist())) + "\n" for c, r in ((0, v), (1, -v))))
+    queries.write_text(data.read_text().splitlines()[0] + "\n")
+    assert main(["retrieve", "--data", str(data), "--queries", str(queries), "--methods", "nn",
+                 "--hashes", "nh", "--ks", "2", "--no-timing", "--out", str(out)]) == 0
+    assert [r["diversity"] for r in json.loads(Path(f"{out}.json").read_text())] == [1.0]
+
+
 def test_index_build_and_query(toy_paths, tmp_path, capsys):
     data, queries = toy_paths
     idx = tmp_path / "index.bin"

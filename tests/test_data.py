@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -58,13 +59,13 @@ def test_ordinary_rows_keep_the_plain_arithmetic(tmp_path):
     svm.write_text("".join("0 " + " ".join(f"{i + 1}:{v!r}" for i, v in enumerate(r) if v) + "\n"
                            for r in raw.tolist()))
     path.write_text("".join(",".join(repr(v) for v in r) + "\n" for r in raw.tolist()))
-    # each value divided by the float of the norm of the values its line stores
-    for vectors, stored in ((load_dense(path).vectors, lambda r: r),
-                            (load_sparse(svm, d=8).vectors, lambda r: [v for v in r if v])):
-        assert np.array_equal(vectors, [[v / float(np.linalg.norm(stored(r))) for v in r] for r in raw.tolist()])
+    # both loaders normalize the whole file by the one rule, normalize_rows
+    for vectors in (load_dense(path).vectors, load_sparse(svm, d=8).vectors):
+        assert np.array_equal(vectors, normalize_rows(raw))
     assert np.array_equal(normalize_rows(raw), raw / np.linalg.norm(raw, axis=1)[:, None])
-    with pytest.raises(ValueError, match="zero vector at row 2"):
-        normalize_rows(np.vstack([raw[:2], np.zeros(8)]))
+    # a zero row stays zero
+    out = normalize_rows(np.vstack([raw[:2], np.zeros(8)]))
+    assert np.array_equal(out[:2], normalize_rows(raw[:2])) and not out[2].any()
 
 
 def test_load_dense_zero_vector_rejected(tmp_path):
@@ -235,3 +236,62 @@ def test_load_sparse_rejects_non_finite_field(tmp_path, field):
     path.write_text(f"0 1:1.0\n1 2:0.5 3:{field}\n")
     with pytest.raises(ParseError, match=":2: .*NaN or infinite"):
         load_sparse(path, d=3)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1,0\n0:1,0.5\n", "expected 'category:subtopic:value' prefix, got '0:1'"),
+    ("1,0\na:1:0.5,1\n", "non-integer label in prefix 'a:1:0.5'"),
+    ("1,0\n0.5,x\n", "non-numeric value"),
+], ids=["prefix-arity", "label", "value"])
+def test_load_dense_refuses_a_malformed_line(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f":2: {re.escape(message)}$") as exc:
+        load_dense(path)
+    assert exc.value.line_no == 2
+
+
+@pytest.mark.parametrize("text, d, error, message", [
+    ("0 1:1.0\n", 0, ValueError, "dimension d must be positive"),
+    ("0 1:1.0\n", -1, ValueError, "dimension d must be positive"),
+    ("0 1:1.0\na,1 1:0.5\n", 3, ParseError, ":2: bad label field 'a,1'"),
+    ("0 1:1.0\n1 x:0.5\n", 3, ParseError, ":2: bad feature token 'x:0.5'"),
+    ("0 1:1.0\n1 1:0.5:2\n", 3, ParseError, ":2: bad feature token '1:0.5:2'"),
+    ("0 1:1.0\n1 2:y\n", 3, ParseError, ":2: bad feature token '2:y'"),
+], ids=["d-zero", "d-negative", "label", "index", "arity", "value"])
+def test_load_sparse_refuses_bad_input(tmp_path, text, d, error, message):
+    path = tmp_path / "bad.svm"
+    path.write_text(text)
+    with pytest.raises(error, match=f"{re.escape(message)}$"):
+        load_sparse(path, d=d)
+
+
+@pytest.mark.parametrize("loader, kwargs, text", [
+    (load_dense, {}, "1,0\n0,0\n1,0,0\n"),
+    (load_sparse, {"d": 3}, "0 1:1.0\n1 2:0.0\n2 x:1.0\n"),
+], ids=["dense-then-ragged", "sparse-then-bad-token"])
+def test_a_zero_row_is_reported_ahead_of_a_later_fault(tmp_path, loader, kwargs, text):
+    # the zero-row check runs per line, before the file is normalized
+    path = tmp_path / "zero.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=":2: zero vector cannot be normalized$") as exc:
+        loader(path, **kwargs)
+    assert exc.value.line_no == 2
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"vectors": np.ones(3)}, "vectors must be 2-d"),
+    ({"vectors": np.ones((3, 2)), "categories": np.zeros(2)}, "categories must have one entry per point"),
+    ({"vectors": np.ones((3, 2)), "subtopics": np.zeros((3, 1))}, "subtopics must have one entry per point"),
+    ({"vectors": np.ones((3, 2)), "label_sets": (frozenset(),) * 4}, "label_sets must have one entry per point"),
+])
+def test_dataset_refuses_a_mismatched_shape(fields, message):
+    with pytest.raises(ValueError, match=message):
+        Dataset(**fields)
+
+
+@pytest.mark.parametrize("shape", [(2500, 8), (40, 500)])
+def test_normalize_rows_matches_one_whole_array_division(shape):
+    # the norms come a block of rows at a time; these shapes span several blocks
+    raw = np.random.default_rng(5).standard_normal(shape) * np.logspace(-3, 3, shape[0])[:, None]
+    assert np.array_equal(normalize_rows(raw), raw / np.linalg.norm(raw, axis=1)[:, None])

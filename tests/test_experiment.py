@@ -62,6 +62,21 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown hash"):
             ExperimentConfig(data="x", queries="q", out="o", hashes=("md5",))
 
+    @pytest.mark.parametrize("cls, fields, message", [
+        (ExperimentConfig, {"hashes": ()}, "hash list must be nonempty"),
+        (ExperimentConfig, {"ks": ()}, "k list must be nonempty with k >= 1"),
+        (ExperimentConfig, {"ks": (5, 0)}, "k list must be nonempty with k >= 1"),
+        (MultilabelConfig, {"methods": ()}, "method list must be nonempty"),
+        (MultilabelConfig, {"methods": ("exact", "nn")}, "unknown multilabel method 'nn'"),
+        (MultilabelConfig, {"synthetic": False, "data": "x.svm"}, "LIBSVM data files need the feature dimension d"),
+        (MultilabelConfig, {"alpha": 0}, r"need pool >= alpha >= 1"),
+        (MultilabelConfig, {"alpha": 10, "pool": 9}, r"need pool >= alpha >= 1"),
+    ])
+    def test_config_refusals(self, cls, fields, message):
+        base = {"data": "x", "queries": "q"} if cls is ExperimentConfig else {"synthetic": True}
+        with pytest.raises(ValueError, match=f"^{message}"):
+            cls(out="o", **{**base, **fields})
+
     def test_from_file_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             ExperimentConfig.from_dict({"data": "a", "queries": "b", "out": "c", "bogus": 1})

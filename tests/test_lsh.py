@@ -425,6 +425,16 @@ class TestTune:
         with pytest.raises(ValueError):
             lsh.tune(toy_1k, target_recall=1.0)
 
+    @pytest.mark.parametrize("empty, epsilon, message", [
+        (False, 0.0, "epsilon must be positive"),
+        (False, -1.0, "epsilon must be positive"),
+        (True, 1.0, "cannot tune on an empty dataset"),
+    ])
+    def test_bad_epsilon_or_empty_dataset_rejected(self, toy_1k, empty, epsilon, message):
+        ds = Dataset(vectors=np.empty((0, toy_1k.d))) if empty else toy_1k
+        with pytest.raises(ValueError, match=message):
+            lsh.tune(ds, 0.8, epsilon)
+
     def test_identical_points_cheapest_pair(self):
         ds = Dataset(vectors=np.tile([[0.6, 0.8]], (64, 1)))
         res = lsh.tune(ds, target_recall=0.9, seed=0)
@@ -626,6 +636,11 @@ class TestPersistence:
         wrong = Dataset(vectors=np.eye(8))
         with pytest.raises(ValueError, match="points"):
             lsh.load_index(path, wrong)
+
+    def test_wrong_dataset_dimension_rejected(self, toy_1k, toy_index):
+        flat = Dataset(vectors=toy_1k.vectors[:, :4].copy())
+        with pytest.raises(ValueError, match=f"built over {toy_1k.d}-dimensional points, dataset has dimension 4"):
+            lsh.index_from_bytes(lsh.index_to_bytes(toy_index), flat)
 
     def test_same_vectors_in_a_new_dataset_accepted(self, toy_1k, toy_index):
         back = lsh.index_from_bytes(lsh.index_to_bytes(toy_index), Dataset(vectors=toy_1k.vectors.copy()))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hashdiv.data import Dataset, ParseError
+from hashdiv.data import Dataset, ParseError, normalize_rows
 from hashdiv.metrics import (
     bfs_prune,
     entropy_diversity,
@@ -143,6 +143,13 @@ class TestMeanPairwiseDistance:
 
     def test_antipodal_pair(self):
         assert mean_pairwise_distance(np.array([[1.0, 0.0], [-1.0, 0.0]])) == pytest.approx(4.0)
+
+    def test_twin_rows_never_read_negative(self):
+        # the Gram-matrix sum of a unit row and its twin can round below 0
+        rng = np.random.default_rng(0)
+        for d in range(2, 60):
+            v = normalize_rows(rng.standard_normal((1, d)))
+            assert mean_pairwise_distance(np.vstack([v, v])) >= 0.0
 
     def test_matches_double_loop(self):
         rng = np.random.default_rng(4)
