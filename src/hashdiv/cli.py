@@ -67,6 +67,8 @@ def _cmd_toy_gen(args) -> int:
     d = args.d
     if d < 1:
         raise ValueError(f"--d must be at least 1, got {d}")
+    if args.n_per_class < 0:
+        raise ValueError(f"--n-per-class must be at least 0, got {args.n_per_class}")
     if args.n_queries < 0:
         raise ValueError(f"--n-queries must be at least 0, got {args.n_queries}")
     centers = (tuple([1.0] + [0.0] * (d - 1)), tuple([-1.0] + [0.0] * (d - 1)))

@@ -98,33 +98,36 @@ _BLOCK = 1 << 13  # values per block of squares in `_normalize` (64 KiB)
 
 
 @np.errstate(over="ignore")
-def _normalize(x: np.ndarray) -> np.ndarray:
-    """Divide each row of the 2-d float array `x` by its
-    np.linalg.norm(x, axis=1) in place, and return `x`. The norms are taken
-    a block of rows at a time: each row's sum is its own, so the bits are
-    those of one call over the whole array, and the squares' temporary
-    stays small. A finite row whose norm over- or underflows is first
-    divided by its largest |entry|; a zero row stays zero, and a row with
-    an infinite entry is left as is."""
+def _normalize(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write each row of the 2-d float array `x` divided by its
+    np.linalg.norm(x, axis=1) into `out`, which has x's shape and may be x
+    itself, and return `out`. The norms are taken a block of rows at a
+    time: each row's sum is its own, so the bits are those of one call over
+    the whole array, and the squares' temporary stays small. A finite row
+    whose norm over- or underflows is first divided by its largest |entry|;
+    a zero row stays zero, and a row with an infinite entry is copied as
+    is."""
     step = max(1, _BLOCK // max(1, x.shape[1]))
     for start in range(0, x.shape[0], step):
-        block = x[start : start + step]
+        block, dest = x[start : start + step], out[start : start + step]
         norms = np.linalg.norm(block, axis=1)
-        for i in np.flatnonzero((norms == 0.0) | (norms == np.inf)):
+        odd = np.flatnonzero((norms == 0.0) | (norms == np.inf))
+        norms[odd] = 1.0
+        np.divide(block, norms[:, None], out=dest)
+        for i in odd:
             peak = np.max(np.abs(block[i]), initial=0.0)
             if 0.0 < peak < np.inf:
-                block[i] /= peak
-                norms[i] = np.linalg.norm(block[i : i + 1], axis=1)[0]
-            else:
-                norms[i] = 1.0
-        block /= norms[:, None]
-    return x
+                np.divide(block[i], peak, out=dest[i])
+                dest[i] /= np.linalg.norm(dest[i : i + 1], axis=1)[0]
+    return out
 
 
 def normalize_rows(x: np.ndarray) -> np.ndarray:
-    """A float copy of the 2-d array `x` with unit rows, by `_normalize`,
-    the one unit-row rule. A zero row stays zero."""
-    return _normalize(np.array(x, dtype=float))
+    """A new float array of the 2-d array `x`'s rows scaled to unit
+    length by `_normalize`, the one unit-row rule; `x` is left as it is. A
+    zero row stays zero."""
+    x = np.asarray(x, dtype=float)
+    return _normalize(x, np.empty_like(x))
 
 
 def _lines(path: Path):
@@ -185,8 +188,9 @@ def load_dense(path) -> Dataset:
         rows.extend(values)
         cats.append(cat)
         subs.append(sub)
+    vectors = np.frombuffer(rows).reshape(len(cats), arity or 0)
     return Dataset(
-        vectors=_normalize(np.frombuffer(rows).reshape(len(cats), arity or 0)),
+        vectors=_normalize(vectors, vectors),
         categories=np.array(cats, dtype=int) if labeled else None,
         subtopics=np.array(subs, dtype=int) if labeled else None,
     )
@@ -259,7 +263,7 @@ def load_sparse(path, d: int) -> Dataset:
         label_sets.append(labels)
     vectors = np.zeros((len(label_sets), d))
     vectors[np.array(rows, dtype=np.intp), np.array(indices, dtype=np.intp)] = np.frombuffer(values)
-    return Dataset(vectors=_normalize(vectors), label_sets=tuple(label_sets))
+    return Dataset(vectors=_normalize(vectors, vectors), label_sets=tuple(label_sets))
 
 
 @dataclass(frozen=True)
@@ -291,6 +295,6 @@ def make_toy(config: ToyConfig) -> Dataset:
     n = config.n_per_class
     rng = np.random.default_rng(config.seed)
     clouds = [centers[c] + config.spread * rng.standard_normal((n, d)) for c in range(2)]
-    vectors = _normalize(np.vstack(clouds))
+    vectors = np.vstack(clouds)
     categories = np.repeat(np.arange(2), n)
-    return Dataset(vectors=vectors, categories=categories)
+    return Dataset(vectors=_normalize(vectors, vectors), categories=categories)

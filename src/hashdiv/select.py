@@ -15,9 +15,11 @@ qp_relax_solve minimizes the quadratic form lam * c^T a + |X^T a|^2
 The form is |X^T a - t|^2 - |t|^2 for t = lam q / 2, so it is solved in the
 candidates' d-dimensional image: by Wolfe's min-norm point over the images
 of the k-sets, or, when t lies inside that image, by the least-norm a that
-reaches it, found by semismooth Newton on a (d + 1)-dimensional dual. This
-form absorbs constants differently from the greedy score, so its lam is
-not numerically interchangeable with greedy's.
+reaches it, found by semismooth Newton on a (d + 1)-dimensional dual.
+Wolfe's corral keeps the Cholesky factor of its bordered Gram up to date
+as vertices enter and leave, in Python floats, so its minor cycles call
+no solver. This form absorbs constants differently from the greedy score,
+so its lam is not numerically interchangeable with greedy's.
 """
 
 from __future__ import annotations
@@ -282,6 +284,54 @@ def _oracle(X: np.ndarray, t: np.ndarray, k: int, y: np.ndarray) -> tuple[np.nda
     return S, v
 
 
+def _factor_row(a: list[float], L: list[list[float]], y: list[float]) -> bool:
+    """Append to L, the lower Cholesky factor of a positive definite
+    matrix M, and to y = L^-1 1 the rows that M bordered by `a` (its new
+    last row, diagonal last) adds, or return False and leave both as they
+    are when the pivot is not positive: the new row is dependent on the
+    others up to rounding. Every sum runs left to right over ascending p:
+
+        L_ij = (a_j - sum_{p<j} L_ip L_jp) / L_jj,  L_ii = sqrt(a_i - sum_{p<i} L_ip^2),
+        y_i = (1 - sum_{p<i} L_ip y_p) / L_ii."""
+    row = []
+    for j, Lj in enumerate(L):
+        s = a[j]
+        for p in range(j):
+            s -= row[p] * Lj[p]
+        row.append(s / Lj[j])
+    s = a[len(L)]
+    for u in row:
+        s -= u * u
+    if not s > 0.0:  # a NaN too
+        return False
+    piv = math.sqrt(s)
+    s = 1.0
+    for u, w in zip(row, y):
+        s -= u * w
+    row.append(piv)
+    L.append(row)
+    y.append(s / piv)
+    return True
+
+
+def _affine_weights(L: list[list[float]], y: list[float]) -> list[float]:
+    """mu = L^-T y scaled to sum 1, for L and y as _factor_row keeps them:
+    mu_i = (y_i - sum_{p>i} L_pi mu_p) / L_ii from the last row up, each
+    sum over ascending p, then each mu_i divided by their sum, taken left
+    to right."""
+    r = len(y)
+    mu = [0.0] * r
+    for i in range(r - 1, -1, -1):
+        s = y[i]
+        for p in range(i + 1, r):
+            s -= L[p][i] * mu[p]
+        mu[i] = s / L[i][i]
+    total = mu[0]
+    for u in mu[1:]:
+        total += u
+    return [u / total for u in mu]
+
+
 def _wolfe(X: np.ndarray, t: np.ndarray, k: int, S: np.ndarray, v: np.ndarray, max_iter: int,
            tol: float) -> tuple[np.ndarray, int]:
     """Wolfe's min-norm point of P = Z - t, started at its vertex v, the
@@ -293,23 +343,28 @@ def _wolfe(X: np.ndarray, t: np.ndarray, k: int, S: np.ndarray, v: np.ndarray, m
     nonnegative, dropping the vertex whose weight reaches zero. |x| falls
     at every major cycle, and x stops once the Frank-Wolfe gap
     2 (|x|^2 - x.v) is at most tol * max(1, |f|), f = |x|^2 - |t|^2, or
-    after max_iter vertices past the first. Returns alpha, the corral's
-    weighted sum of k-set indicators, exactly 1.0 for a candidate in every
-    k-set, and the count of vertices added.
+    after max_iter vertices past the first, or when the Cholesky factor of
+    G + 1 1^T finds a vertex dependent on the others up to rounding (a
+    pivot that is not positive): x stays at its last point. Returns
+    alpha, the corral's weighted sum of k-set indicators, exactly 1.0 for
+    a candidate in every k-set, and the count of vertices added.
 
-    The corral's at most d + 1 weights are Python floats: the ratio test
-    (the first minimum wins), the step toward mu and the drop are the same
-    IEEE operations that numpy would run on arrays of a few entries,
-    without its per-call dispatch. G1 holds G + 1 1^T, so a solve reads its
-    leading block, and a drop compacts the arrays in order with `take`."""
+    As in Wolfe (Math. Programming 1976), the factor is updated, not
+    re-solved: the lower triangle of G + 1 1^T, its Cholesky factor L and
+    y = L^-1 1 are Python-float rows. A vertex that enters appends one
+    row to each (_factor_row); a drop compacts the rows in order and
+    re-factors from the first dropped one; and each minor cycle's mu is
+    L^-T y by back substitution (_affine_weights). The weights, the ratio
+    test (the first minimum wins) and the step toward mu are Python floats
+    too, so only a drop's compaction of the corral's k-sets and vertices
+    calls numpy within a minor cycle."""
     m, d = X.shape
     sets = np.empty((d + 1, k), dtype=np.intp)
     V = np.empty((d + 1, d))
-    G1 = np.empty((d + 1, d + 1))
-    ones = np.ones(d + 1)
     sets[0], V[0] = S, v
     xx = float(v.dot(v))  # 1-d .dot is the ddot that @ calls, minus its dispatch
-    G1[0, 0] = xx + 1.0
+    A, L, y = [[xx + 1.0]], [], []
+    _factor_row(A[0], L, y)  # its pivot is at least 1
     lam, x = [1.0], v
     tt = float(t.dot(t))
     it = 0
@@ -323,50 +378,53 @@ def _wolfe(X: np.ndarray, t: np.ndarray, k: int, S: np.ndarray, v: np.ndarray, m
         r = len(lam)
         if r == d + 1:
             break  # a full corral spans R^d: x is 0 up to rounding
+        row = (V[:r].dot(v) + 1.0).tolist()
+        row.append(vv + 1.0)
+        if not _factor_row(row, L, y):
+            break
         it += 1
         sets[r], V[r] = S, v
-        g = V[:r] @ v
-        g += 1.0
-        G1[r, :r] = G1[:r, r] = g
-        G1[r, r] = vv + 1.0
+        A.append(row)
         lam.append(0.0)
         while True:
-            r = len(lam)
-            try:
-                mu = np.linalg.solve(G1[:r, :r], ones[:r])
-            except np.linalg.LinAlgError:
-                mu = np.array(lam)  # rounding made the corral dependent: keep its last point
-                break
-            mu /= np.add.reduce(mu)
-            w = mu.tolist()
-            if all(u > 0.0 for u in w):
-                lam = w
+            mu = _affine_weights(L, y)
+            if min(mu) > 0.0:
                 break
             # step from lam toward mu until the first weight reaches zero
             j = step = -1
-            for i, u in enumerate(w):
+            for i, u in enumerate(mu):
                 if u <= 0.0:
                     room = lam[i] - u
                     ratio = lam[i] / room if room > 0.0 else 0.0
                     if j < 0 or ratio < step:
                         j, step = i, ratio
-            lam = [a + step * (u - a) for a, u in zip(lam, w)]
+            lam = [a + step * (u - a) for a, u in zip(lam, mu)]
             lam[j] = 0.0
-            keep = [i for i, a in enumerate(lam) if a > 0.0]
-            lam = [lam[i] for i in keep]
-            # compact in order, since the solves' bits depend on it
-            n, keep = len(keep), np.array(keep)
-            sets[:n], V[:n] = sets.take(keep, 0), V.take(keep, 0)
-            G1[:n, :n] = G1.take(keep, 0).take(keep, 1)
-        x = mu @ V[:r]
+            # drop vertex j, and any other whose weight rounding took to 0,
+            # compacting in order; rows before the first keep their factor
+            out = [i for i, a in enumerate(lam) if not a > 0.0]
+            for i in reversed(out):
+                n = len(lam) - 1
+                sets[i:n], V[i:n] = sets[i + 1 : n + 1], V[i + 1 : n + 1]
+                del lam[i], A[i]
+                for a in A[i:]:
+                    del a[i]
+            del L[out[0] :], y[out[0] :]
+            if not all(_factor_row(a, L, y) for a in A[out[0] :]):
+                mu = None  # the corral left is dependent up to rounding: keep lam
+                break
+        if mu is None:
+            break
+        lam = mu
+        x = np.array(lam).dot(V[: len(lam)])
         new_xx = float(x.dot(x))
         if not new_xx < xx:
             break  # rounding left no descent
         xx = new_xx
-    keep = [i for i, a in enumerate(lam) if a > 0.0]  # a vertex the last solve could not weigh
-    sets = sets[keep].ravel()
-    alpha = np.bincount(sets, weights=np.repeat([lam[i] for i in keep], k), minlength=m)
-    alpha[np.bincount(sets, minlength=m) == len(keep)] = 1.0
+    r = len(lam)
+    sets = sets[:r].ravel()
+    alpha = np.bincount(sets, weights=np.repeat(lam, k), minlength=m)
+    alpha[np.bincount(sets, minlength=m) == r] = 1.0
     return alpha, it
 
 
@@ -475,13 +533,16 @@ def qp_relax_solve(problem: SelectionProblem, max_iter: int = 500, tol: float = 
     through the d-vector X^T a: the problem is the min-norm point of
     P = Z - t, Z = {X^T a}, whose vertices are the images of the k-sets.
     Wolfe's algorithm finds it in d-space (Wolfe, Math. Programming 1976;
-    _wolfe). It is a fully corrective Frank-Wolfe method (Lacoste-Julien &
-    Jaggi, NeurIPS 2015), started at the vertex that Frank-Wolfe steps to
-    from a = k/m and stopped on the Frank-Wolfe gap. `iterations` counts
-    the vertices added past that first one, and max_iter bounds it. The
-    returned alpha is sum_j lam_j 1[S_j] over the corral's k-sets S_j,
-    with exactly 1.0 where a candidate lies in every one, so ties among
-    the ones go by id.
+    _wolfe), with the corral's affine min-norm weights taken from a
+    Cholesky factor that is updated as vertices enter and leave, as in
+    Wolfe's paper, not re-solved. It is a fully corrective Frank-Wolfe
+    method (Lacoste-Julien & Jaggi, NeurIPS 2015), started at the vertex
+    that Frank-Wolfe steps to from a = k/m and stopped on the Frank-Wolfe
+    gap, or where the factor finds the corral dependent up to rounding.
+    `iterations` counts the vertices added past that first one, and
+    max_iter bounds it. The returned alpha is sum_j lam_j 1[S_j] over the
+    corral's k-sets S_j, with exactly 1.0 where a candidate lies in every
+    one, so ties among the ones go by id.
 
     When t lies in Z, every a with X^T a = t is optimal, and alpha is the
     least-norm one, the projection of a = k/m onto the optimal set

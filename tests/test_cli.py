@@ -61,6 +61,14 @@ def test_toy_gen_refuses_a_negative_query_count(tmp_path, capsys, n):
     assert not out.exists() and not queries.exists()
 
 
+@pytest.mark.parametrize("n", ["-1", "-3"])
+def test_toy_gen_refuses_a_negative_per_class_count(tmp_path, capsys, n):
+    out, queries = tmp_path / "data.csv", tmp_path / "queries.csv"
+    assert main(["toy-gen", "--out", str(out), "--queries-out", str(queries), "--n-per-class", n]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: --n-per-class must be at least 0, got {n}"]
+    assert not out.exists() and not queries.exists()
+
+
 def test_retrieve_over_duplicate_points(tmp_path):
     # twin rows: the mean pairwise squared distance of a pick set can round below 0
     data, queries, out = tmp_path / "t.csv", tmp_path / "tq.csv", tmp_path / "dup.out.csv"

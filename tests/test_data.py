@@ -290,6 +290,16 @@ def test_dataset_refuses_a_mismatched_shape(fields, message):
         Dataset(**fields)
 
 
+def test_normalize_rows_leaves_its_input_as_it_is():
+    # ordinary, overflowing, zero and subnormal rows, the last three fixed up one by one
+    raw = np.array([[3.0, 4.0], [1e200, 1e200], [0.0, 0.0], [0.0, 5e-324], [np.inf, 1.0]])
+    before = raw.copy()
+    out = normalize_rows(raw)
+    assert np.array_equal(raw, before) and not np.shares_memory(out, raw)
+    assert np.array_equal(out[[0, 2, 3, 4]], [[0.6, 0.8], [0.0, 0.0], [0.0, 1.0], [np.inf, 1.0]])
+    assert abs(np.linalg.norm(out[1]) - 1.0) < 1e-15
+
+
 @pytest.mark.parametrize("shape", [(2500, 8), (40, 500)])
 def test_normalize_rows_matches_one_whole_array_division(shape):
     # the norms come a block of rows at a time; these shapes span several blocks

@@ -8,10 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hashdiv import select
+from hashdiv.data import ToyConfig, load_dense, make_toy, save_dense
 from hashdiv.hashing import PLAIN, new_family
 from hashdiv.lsh import build, query
 from hashdiv.select import (
     SelectionProblem,
+    _factor_row,
     _oracle,
     _wolfe,
     qp_relax_solve,
@@ -689,9 +692,13 @@ def least_norm_optimum(prob, a0):
 
 # ---------------------------------------------------------------------------
 # reference Wolfe loop: the corral's weights, ratio test, drops and
-# compaction as numpy arrays, one array operation per step. The library
-# keeps the weights as Python floats and must run the same floating-point
-# operations in the same order, so its alpha is equal bit for bit.
+# compaction as numpy arrays, one array operation per step, with the
+# corral's affine weights computed from G + 1 1^T from scratch at every
+# minor cycle. With cholesky_weights the library, which keeps Python floats
+# and updates its factor as vertices enter and leave, must run the same
+# floating-point operations in the same order, so its alpha is equal bit
+# for bit. lapack_weights is the library's solve before the factor update:
+# rounding apart, the same algorithm.
 # ---------------------------------------------------------------------------
 
 
@@ -700,8 +707,70 @@ def reference_oracle(X, t, k, y):
     return S, X[S].sum(axis=0) - t
 
 
-def reference_wolfe(X, t, k, S, v, max_iter, tol):
-    """Returns alpha, the vertices added and the count of corral drops."""
+def reference_factor(M):
+    """The textbook row Cholesky factor L of the matrix M, row by row,
+    with y = L^-1 1, or None at the first pivot that is not positive.
+    Every sum is a Python float sum, left to right over ascending p:
+    L_ij = (M_ij - sum_{p<j} L_ip L_jp) / L_jj for j < i, then
+    L_ii = sqrt(M_ii - sum_{p<i} L_ip^2), then y_i = (1 - sum_{p<i} L_ip y_p) / L_ii."""
+    n = len(M)
+    L, y = [[0.0] * n for _ in range(n)], [0.0] * n
+    for i in range(n):
+        for j in range(i + 1):
+            s = float(M[i][j])
+            for p in range(j):
+                s -= L[i][p] * L[j][p]
+            if j < i:
+                L[i][j] = s / L[j][j]
+            elif s > 0.0:
+                L[i][i] = math.sqrt(s)
+            else:
+                return None
+        s = 1.0
+        for p in range(i):
+            s -= L[i][p] * y[p]
+        y[i] = s / L[i][i]
+    return L, y
+
+
+def reference_weights(L, y):
+    """mu = L^-T y by back substitution from the last row up, each sum
+    left to right over ascending p, then divided by its left-to-right sum."""
+    n = len(y)
+    mu = [0.0] * n
+    for i in reversed(range(n)):
+        s = y[i]
+        for p in range(i + 1, n):
+            s -= L[p][i] * mu[p]
+        mu[i] = s / L[i][i]
+    total = mu[0]
+    for u in mu[1:]:
+        total += u
+    return np.array([u / total for u in mu])
+
+
+def cholesky_weights(M):
+    """reference_weights of reference_factor(M), or None at a pivot that is
+    not positive."""
+    factor = reference_factor(M)
+    return None if factor is None else reference_weights(*factor)
+
+
+def lapack_weights(M):
+    """The solution of M mu = 1 by np.linalg.solve, divided by its sum, or
+    None where LAPACK finds M singular."""
+    try:
+        mu = np.linalg.solve(M, np.ones(len(M)))
+    except np.linalg.LinAlgError:
+        return None
+    return mu / mu.sum()
+
+
+def reference_wolfe(X, t, k, S, v, max_iter, tol, weights=cholesky_weights):
+    """Returns alpha, the vertices added and the count of corral drops.
+    `weights` maps G + 1 1^T to the corral's affine weights, or to None
+    where that matrix is singular up to rounding: a vertex that makes it so
+    is not added, and a drop that does stops the loop."""
     m, d = X.shape
     sets = np.empty((d + 1, k), dtype=np.intp)
     V = np.empty((d + 1, d))
@@ -720,20 +789,17 @@ def reference_wolfe(X, t, k, S, v, max_iter, tol):
         r = lam.size
         if r == d + 1:
             break
+        G[r, :r] = G[:r, r] = V[:r].dot(v)
+        G[r, r] = vv
+        if weights(G[: r + 1, : r + 1] + 1.0) is None:
+            break
         it += 1
         sets[r], V[r] = S, v
-        G[r, :r] = G[:r, r] = V[:r] @ v
-        G[r, r] = vv
         lam = np.append(lam, 0.0)
         while True:
             r = lam.size
-            try:
-                mu = np.linalg.solve(G[:r, :r] + 1.0, np.ones(r))
-            except np.linalg.LinAlgError:
-                mu = lam
-                break
-            mu /= mu.sum()
-            if mu.min() > 0.0:
+            mu = weights(G[:r, :r] + 1.0)
+            if mu is None or mu.min() > 0.0:
                 break
             out = np.flatnonzero(mu <= 0.0)
             room = lam[out] - mu[out]
@@ -746,14 +812,15 @@ def reference_wolfe(X, t, k, S, v, max_iter, tol):
             G[: keep.size, : keep.size] = G[np.ix_(keep, keep)]
             lam = lam[keep]
             drops += 1
+        if mu is None:
+            break
         lam = mu
-        x = lam @ V[:r]
+        x = lam.dot(V[:r])
         new_xx = float(x @ x)
         if not new_xx < xx:
             break
         xx = new_xx
-    keep = np.flatnonzero(lam > 0.0)
-    sets, lam = sets[keep].ravel(), lam[keep]
+    sets = sets[: lam.size].ravel()
     alpha = np.bincount(sets, weights=np.repeat(lam, k), minlength=m)
     alpha[np.bincount(sets, minlength=m) == lam.size] = 1.0
     return alpha, it, drops
@@ -781,6 +848,11 @@ def wolfe_inputs(seed, shape):
     return X, t, k, X.sum(axis=0) * (k / m) - t
 
 
+def relaxed_objective(X, t, alpha):
+    p = X.T @ alpha - t
+    return float(p @ p - t @ t)
+
+
 def test_wolfe_runs_the_reference_operations():
     drops = []
 
@@ -796,11 +868,75 @@ def test_wolfe_runs_the_reference_operations():
         alpha_ref, it_ref, n_drops = reference_wolfe(X, t, k, S_ref, v_ref, max_iter, 1e-8)
         assert np.array_equal(alpha, alpha_ref) and it == it_ref
         drops.append(n_drops)
+        # the solve that the factor update replaced reaches the same objective
+        f = relaxed_objective(X, t, reference_wolfe(X, t, k, S, v, max_iter, 1e-8, lapack_weights)[0])
+        assert abs(relaxed_objective(X, t, alpha) - f) <= 1e-12 * max(1.0, abs(f))
 
     check()
-    # the drop path, the one the scalar bookkeeping rewrote, ran: in about
+    # the drop path, the one the partial re-factor runs, ran: in about
     # 15% of the examples
     assert sum(n > 0 for n in drops) >= len(drops) // 20
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_factor_updates_equal_a_factor_from_scratch(seed):
+    # rows appended one at a time give reference_factor's bits; so do the
+    # rows of a subset, factored again from the first row left out on top
+    # of the rows before it, as a drop from the corral does
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(2, 10))
+    V = rng.standard_normal((r, r + 1)) * rng.uniform(0.1, 3.0, size=(r, 1))
+    M = V @ V.T + 1.0
+    L, y = [], []
+    assert all(_factor_row(M[i, : i + 1].tolist(), L, y) for i in range(r))
+    ref_L, ref_y = reference_factor(M)
+    assert L == [row[: i + 1] for i, row in enumerate(ref_L)] and y == ref_y
+    keep = sorted(rng.choice(r, int(rng.integers(1, r)), replace=False).tolist())
+    first = next(i for i in range(r) if i not in keep)
+    K = M[np.ix_(keep, keep)]
+    del L[first:], y[first:]
+    assert all(_factor_row(K[c, : c + 1].tolist(), L, y) for c in range(first, len(keep)))
+    ref_L, ref_y = reference_factor(K)
+    assert L == [row[: i + 1] for i, row in enumerate(ref_L)] and y == ref_y
+
+
+def test_a_dependent_vertex_is_refused_and_leaves_the_factor():
+    # the collinear vertices (0, 0), (2, 0) and (1, 0): G + 1 1^T has a third pivot of exactly 0
+    V = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 0.0]])
+    M = V @ V.T + 1.0
+    assert M.tolist() == [[1.0, 1.0, 1.0], [1.0, 5.0, 3.0], [1.0, 3.0, 2.0]]
+    L, y = [], []
+    assert _factor_row([1.0], L, y) and _factor_row([1.0, 5.0], L, y)
+    assert (L, y) == ([[1.0], [1.0, 2.0]], [1.0, 0.0])
+    assert not _factor_row([1.0, 3.0, 2.0], L, y)
+    assert (L, y) == ([[1.0], [1.0, 2.0]], [1.0, 0.0])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_toy_picks_equal_the_lapack_solves(tmp_path, monkeypatch, seed):
+    # the C5 toy shape through the CSV round trip, plain l = 12, L = 6,
+    # k = 10, lambda = 0.5: every pool's ordered picks are those of the
+    # loop that solves each minor cycle by np.linalg.solve
+    centers = ((1.0,) + (0.0,) * 7, (-1.0,) + (0.0,) * 7)
+    paths = tmp_path / "base.csv", tmp_path / "queries.csv"
+    save_dense(make_toy(ToyConfig(500, centers, 0.25, seed)), paths[0])
+    save_dense(make_toy(ToyConfig(100, centers, 0.25, seed + 1)), paths[1])
+    data, queries = load_dense(paths[0]), load_dense(paths[1])
+    index = build(data, new_family(PLAIN, 12, 6, data.d, seed=0))
+    problems = []
+    for q in queries.vectors:
+        ids = query(index, q).ids
+        problems.append(SelectionProblem(q, ids, data.dense_rows(ids), k=10, lam=0.5))
+    picks = [select_qp_rel(p).ids.tolist() for p in problems]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return reference_wolfe(*args, lapack_weights)[:2]
+
+    monkeypatch.setattr(select, "_wolfe", counted)
+    assert [select_qp_rel(p).ids.tolist() for p in problems] == picks
+    assert len(calls) >= 190, len(calls)  # Wolfe's path, not the least-norm one, on almost every pool
 
 
 class TestSelectQpRel:
