@@ -278,8 +278,8 @@ class ToyConfig:
     def __post_init__(self):
         if self.n_per_class < 0:
             raise ValueError("n_per_class must be >= 0")
-        if self.spread <= 0:
-            raise ValueError("spread must be > 0")
+        if not 0 < self.spread < math.inf:   # also refuses NaN
+            raise ValueError(f"spread must be finite and > 0, got {self.spread}")
         centers = np.asarray(self.class_centers, dtype=float)
         if centers.shape[0] != 2:
             raise ValueError("exactly two class centers required")

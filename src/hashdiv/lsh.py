@@ -16,8 +16,12 @@ may not pass 2**31 - 1. Build hashes and sorts one table at a time into
 its slice of ids, so the (n, L) keys never exist. Hash keys outside the
 index carry no tag.
 
-The tuner scores its sampled queries in chunks whose work buffers fit a
-fixed byte budget, so its memory is the sample's keys plus that budget.
+The tuner reads its grid from the same kind of sorted tables: sorted by
+their low 8 key bits, each table holds the points that can share a
+sampled query's bucket at any grid l in one range, and only the (query,
+point) pairs inside those ranges are scored. Its memory is the sample's
+keys, a (64, n) uint8 running maximum (a quarter of the keys) and one
+slice of pairs within a fixed byte budget.
 
 This module alone reads and writes the index blob: one header holding the
 family's fields and the dataset's digest, then for the pca kinds the
@@ -185,21 +189,21 @@ _TUNE_QUERIES = 64
 _TUNE_AT_K = 10
 
 
-# bytes that each of tune's two (queries, n) uint64 work buffers may hold,
-# which sets how many sampled queries are scored at once
+# bytes that the work arrays of one slice of tune's (query, point) pairs
+# may hold together: a slice holds _TUNE_BYTES // 64 pairs, and fewer
+# than 64 bytes a pair are alive at once
 _TUNE_BYTES = 1 << 19
 
 
-def _shared_prefix(a: np.ndarray, b: np.ndarray, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
-    """Write to `out` the number of low bits on which keys a and b agree
-    (64 if a == b): the trailing zeros of a ^ b, counted as the set bits
-    below its lowest set bit. For a == b the subtraction wraps to all
-    ones. x and y are uint64 work buffers of out's shape."""
-    np.bitwise_xor(a, b, out=x)
-    np.negative(x, out=y)
-    np.bitwise_and(x, y, out=x)
-    np.subtract(x, np.uint64(1), out=x)
-    np.bitwise_count(x, out=out)
+def _shared_prefix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The number of low bits on which the uint64 keys a and b agree (64
+    if a == b), as uint8: the trailing zeros of a ^ b, counted as the set
+    bits below its lowest set bit. For a == b the subtraction wraps to all
+    ones. Overwrites a."""
+    x = np.bitwise_xor(a, b, out=a)
+    x &= -x
+    x -= np.uint64(1)
+    return np.bitwise_count(x)
 
 
 def tune(dataset: Dataset, target_recall: float, epsilon: float = 1.0, *, seed: int = 0) -> TuneResult:
@@ -223,11 +227,21 @@ def tune(dataset: Dataset, target_recall: float, epsilon: float = 1.0, *, seed: 
     agree on the low l bits, so one shared-prefix length per (q, i, t)
     answers every l; its running max over tables gives the union for
     every L. The whole grid is then scored as (l, L) arrays.
+
+    Every grid l is at least 8, so only the pairs whose keys agree on the
+    low 8 bits are scored: each table is radix-sorted by those bits, a
+    binary search finds each query's range, and the work per table is the
+    pairs in the queries' ranges, not 64 n. The running max is a (64, n)
+    uint8 array, a quarter of the (n, 32) keys, and the per-query
+    histograms of touched and union prefixes change only where a pair's
+    prefix or the max rises. The pairs are scored in slices of
+    _TUNE_BYTES // 64 pairs, so the memory stays the keys, the max and
+    one slice even when every point shares one bucket.
     """
     if not 0.0 < target_recall < 1.0:
         raise ValueError("target_recall must lie strictly between 0 and 1")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not epsilon > 0:   # also refuses NaN
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
     n = dataset.n
     if n == 0:
         raise ValueError("cannot tune on an empty dataset")
@@ -250,38 +264,61 @@ def tune(dataset: Dataset, target_recall: float, epsilon: float = 1.0, *, seed: 
         row[:] = nearest[nearest != qi][: row.size]
 
     # per l, table count L and query: hits among true_nn, union size and
-    # touched entries, scored for `chunk` queries at a time so that the
-    # work buffers stay within _TUNE_BYTES each
+    # touched entries, from the pairs in each query's range of the table
+    # sorted by its low _L_GRID[0] key bits
     ls = np.array(_L_GRID)
+    low_bits = np.uint64((1 << _L_GRID[0]) - 1)
     hits, cands, touched = (np.empty((ls.size, max_L, nq)) for _ in range(3))
-    chunk = min(nq, max(1, _TUNE_BYTES // (8 * n)))
-    x, y = (np.empty((chunk, n), dtype=np.uint64) for _ in range(2))
-    shared, union = (np.empty((chunk, n), dtype=np.uint8) for _ in range(2))
+    longest = np.zeros((nq, n), dtype=np.uint8)   # longest prefix that q shares with i in any table so far
+    cells = longest.reshape(-1)
+    # bin 65 q + p counts the points whose longest prefix with q is p, and
+    # the pairs of prefix p; bins of p below _L_GRID[0] are never read
+    union_hist, touched_hist = (np.zeros(nq * 65, dtype=np.int64) for _ in range(2))
+    per_slice = _TUNE_BYTES // 64
+    rows = np.arange(nq)
+    # the loop calls the methods argsort and repeat: through np.argsort and
+    # np.repeat it left about 9 KB of objects on Python's free lists, which
+    # the tracemalloc peak of a later build counted
 
     def at_least(hist: np.ndarray) -> np.ndarray:
-        return hist[:, ::-1].cumsum(axis=1)[:, ::-1][:, ls].T   # (len(ls), c): count of prefix >= l
+        return hist.reshape(nq, 65)[:, ::-1].cumsum(axis=1)[:, ::-1][:, ls].T   # (len(ls), nq): count of prefix >= l
 
-    for lo in range(0, nq, chunk):
-        qs = slice(lo, min(lo + chunk, nq))
-        c = qs.stop - lo
-        rows = np.arange(c)[:, None]
-        row_bins = rows * 65
-        # y is free once x holds the shared prefix, so it holds the
-        # bincount bins (prefix + 65 * row) as int64 in place
-        xc, yc, sh, un = x[:c], y[:c], shared[:c], union[:c]
-        bins = yc.view(np.int64)
-        un.fill(0)   # longest prefix shared in any table so far
-        touched_hist = np.zeros((c, 65), dtype=np.int64)
-        for t in range(max_L):
-            _shared_prefix(all_keys[q_ids[qs], t][:, None], all_keys[:, t], xc, yc, out=sh)
-            np.add(sh, row_bins, out=bins)
-            touched_hist += np.bincount(bins.ravel(), minlength=c * 65).reshape(c, 65)
-            np.maximum(un, sh, out=un)
-            hits[:, t, qs] = (un[rows, true_nn[qs]] >= ls[:, None, None]).sum(axis=2)
-            np.add(un, row_bins, out=bins)
-            union_hist = np.bincount(bins.ravel(), minlength=c * 65).reshape(c, 65)
-            cands[:, t, qs] = at_least(union_hist) - 1   # the query itself always collides
-            touched[:, t, qs] = at_least(touched_hist)
+    for t in range(max_L):
+        keys = all_keys[:, t]
+        q_keys = keys[q_ids]
+        low = (keys & low_bits).astype(np.uint8)
+        order = low.argsort(kind="stable")   # numpy sorts uint8 by radix
+        sorted_low = low[order]
+        q_low = low[q_ids]
+        start = sorted_low.searchsorted(q_low)
+        size = sorted_low.searchsorted(q_low, side="right") - start
+        # all queries' pairs in one flat run: query j's are pairs
+        # [ends[j] - size[j], ends[j]), pair p joining j to point
+        # order[p + shift[j]]
+        ends = size.cumsum()
+        shift = start - (ends - size)
+        total = int(ends[-1])
+        for lo in range(0, total, per_slice):
+            hi = min(lo + per_slice, total)
+            a, b = ends.searchsorted(lo, side="right"), ends.searchsorted(hi) + 1   # the queries with pairs in [lo, hi)
+            counts = np.minimum(ends[a:b], hi) - np.maximum(ends[a:b] - size[a:b], lo)
+            q = rows[a:b].repeat(counts)
+            i = order[np.arange(lo, hi) + shift[a:b].repeat(counts)]
+            shared = _shared_prefix(q_keys[q], keys[i])
+            bins = q * 65
+            touched_hist += np.bincount(bins + shared, minlength=nq * 65)
+            # move each point whose longest prefix with q rose from its
+            # old union bin to the new one
+            cell = q * n + i
+            old = cells[cell]
+            rose = shared > old
+            cell, bins, new, old = cell[rose], bins[rose], shared[rose], old[rose]
+            cells[cell] = new
+            union_hist += np.bincount(bins + new, minlength=nq * 65)
+            union_hist -= np.bincount(bins + old, minlength=nq * 65)
+        hits[:, t] = (longest[rows[:, None], true_nn] >= ls[:, None, None]).sum(axis=2)
+        cands[:, t] = at_least(union_hist) - 1   # the query itself always collides
+        touched[:, t] = at_least(touched_hist)
 
     # the means reduce the contiguous query axis, so each is the pairwise
     # sum that np.mean gives one (l, L) pair's queries

@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -175,8 +176,9 @@ def test_make_toy_unit_norm():
 
 
 def test_toy_config_validation():
-    with pytest.raises(ValueError, match="spread"):
-        ToyConfig(n_per_class=1, class_centers=((1.0, 0.0), (0.0, 1.0)), spread=0.0, seed=0)
+    for spread in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="spread must be finite and > 0"):
+            ToyConfig(n_per_class=1, class_centers=((1.0, 0.0), (0.0, 1.0)), spread=spread, seed=0)
     with pytest.raises(ValueError, match="distinct"):
         ToyConfig(n_per_class=1, class_centers=((1.0, 0.0), (1.0, 0.0)), spread=0.1, seed=0)
 

@@ -428,6 +428,7 @@ class TestTune:
     @pytest.mark.parametrize("empty, epsilon, message", [
         (False, 0.0, "epsilon must be positive"),
         (False, -1.0, "epsilon must be positive"),
+        (False, float("nan"), "epsilon must be positive"),
         (True, 1.0, "cannot tune on an empty dataset"),
     ])
     def test_bad_epsilon_or_empty_dataset_rejected(self, toy_1k, empty, epsilon, message):
@@ -532,11 +533,22 @@ def tune_by_sets(dataset, target_recall, epsilon=1.0, *, seed=0):
                           fallback.expected_touched)
 
 
+def low_bucket_sizes(dataset, seed):
+    """Per table, the number of points that share each point's low 8 key
+    bits in tune's maximal family: (n, 32)."""
+    low = hash_matrix(new_family(PLAIN, 64, 32, dataset.d, seed=seed), dataset.vectors) & np.uint64(255)
+    sizes = np.empty(low.shape, dtype=np.intp)
+    for t, col in enumerate(low.T):
+        _, bucket, counts = np.unique(col, return_inverse=True, return_counts=True)
+        sizes[:, t] = counts[bucket]
+    return sizes
+
+
 class TestTuneMemory:
     def test_peak_is_the_keys_and_two_bounded_buffers(self):
-        # the (n, 32) keys, two (chunk, n) uint64 buffers of at most
-        # _TUNE_BYTES each and 2 MiB of work space; scoring all 64 queries
-        # at once (7.3 MiB here) fails
+        # the (n, 32) keys, the (64, n) uint8 longest prefixes, one slice
+        # of pairs within _TUNE_BYTES and 2 MiB of work space; scoring all
+        # 64 queries against all points at once (7.3 MiB here) fails
         ds = clustered_dataset(4096)
         tracemalloc.start()
         try:
@@ -546,21 +558,48 @@ class TestTuneMemory:
             tracemalloc.stop()
         assert peak < ds.n * 32 * 8 + 2 * lsh._TUNE_BYTES + 2**21
 
+    def test_peak_stays_bounded_when_every_bucket_is_a_quarter_of_the_points(self):
+        # 4 distinct rows: each query's low-8-bit bucket holds about 1,000
+        # points in every table, so each table has over 57,600 pairs;
+        # scoring a table's pairs in one piece (7.1 MiB here) fails
+        rng = np.random.default_rng(0)
+        ds = Dataset(vectors=normalize_rows(rng.standard_normal((4, 24)))[rng.integers(0, 4, 4096)])
+        assert low_bucket_sizes(ds, 42).min() >= 900
+        tracemalloc.start()
+        try:
+            lsh.tune(ds, 0.8, seed=42)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ds.n * 32 * 8 + 2 * lsh._TUNE_BYTES + 2**21
+
+
+def oracle_dataset(data) -> Dataset:
+    """1 to 100 points in 1 to 6 dimensions, Gaussian or in 4 tight
+    clusters, with none, some or most of them overwritten by copies of
+    others."""
+    n = data.draw(st.integers(1, 100))
+    d = data.draw(st.integers(1, 6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if data.draw(st.booleans()):
+        points = rng.standard_normal((n, d))
+    else:  # clustered, so that some pairs reach the target
+        points = rng.standard_normal((4, d))[rng.integers(0, 4, n)] + 0.05 * rng.standard_normal((n, d))
+    dup = rng.random(n) < data.draw(st.sampled_from([0.0, 0.3, 0.9]))
+    points[dup] = points[rng.integers(0, n, dup.sum())]
+    return Dataset(vectors=points)
+
+
+# 320 bytes are 5 pairs a slice, fewer than most buckets hold, so a
+# query's bucket is split across several slices
+_FEW_PAIRS = 320
+
 
 class TestTuneOracle:
     @settings(max_examples=25, deadline=None)
     @given(st.data())
     def test_matches_set_based_tuner(self, data):
-        n = data.draw(st.integers(1, 100))
-        d = data.draw(st.integers(1, 6))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        if data.draw(st.booleans()):
-            points = rng.standard_normal((n, d))
-        else:  # clustered, so that some pairs reach the target
-            points = rng.standard_normal((4, d))[rng.integers(0, 4, n)] + 0.05 * rng.standard_normal((n, d))
-        dup = rng.random(n) < data.draw(st.sampled_from([0.0, 0.3, 0.9]))
-        points[dup] = points[rng.integers(0, n, dup.sum())]
-        ds = Dataset(vectors=points)
+        ds = oracle_dataset(data)
         kwargs = dict(
             epsilon=data.draw(st.sampled_from([0.5, 1.0, 3.0])),
             seed=data.draw(st.integers(0, 50)),
@@ -570,6 +609,22 @@ class TestTuneOracle:
 
     def test_matches_set_based_tuner_on_toy(self, toy_1k):
         sample = Dataset(vectors=toy_1k.vectors[::4])
+        assert lsh.tune(sample, 0.8, seed=3) == tune_by_sets(sample, 0.8, seed=3)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def test_buckets_split_across_pair_slices_match_set_based_tuner(self, data):
+        ds = oracle_dataset(data)
+        seed = data.draw(st.integers(0, 50))
+        target = data.draw(st.sampled_from([0.3, 0.8, 0.95]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lsh, "_TUNE_BYTES", _FEW_PAIRS)
+            assert lsh.tune(ds, target, seed=seed) == tune_by_sets(ds, target, seed=seed)
+
+    def test_buckets_split_across_pair_slices_match_set_based_tuner_on_toy(self, toy_1k, monkeypatch):
+        sample = Dataset(vectors=toy_1k.vectors[::4])
+        assert np.median(low_bucket_sizes(sample, 3)) > _FEW_PAIRS // 64
+        monkeypatch.setattr(lsh, "_TUNE_BYTES", _FEW_PAIRS)
         assert lsh.tune(sample, 0.8, seed=3) == tune_by_sets(sample, 0.8, seed=3)
 
 

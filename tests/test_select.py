@@ -859,6 +859,10 @@ def test_wolfe_runs_the_reference_operations():
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(["ragged", "integer", "clustered"]),
            max_iter=st.sampled_from([0, 3, 500]))
+    # at max_iter 3 the factor update converges after 3 vertices and 2
+    # drops; the solve it replaced needs a 4th vertex and a 3rd drop, so
+    # the cut stops it at a higher objective
+    @example(seed=222, shape="clustered", max_iter=3)
     def check(seed, shape, max_iter):
         X, t, k, p = wolfe_inputs(seed, shape)
         S, v = _oracle(X, t, k, p)
@@ -868,9 +872,20 @@ def test_wolfe_runs_the_reference_operations():
         alpha_ref, it_ref, n_drops = reference_wolfe(X, t, k, S_ref, v_ref, max_iter, 1e-8)
         assert np.array_equal(alpha, alpha_ref) and it == it_ref
         drops.append(n_drops)
-        # the solve that the factor update replaced reaches the same objective
+        # the solve that the factor update replaced reaches the same
+        # objective when both stop by their own rule
         f = relaxed_objective(X, t, reference_wolfe(X, t, k, S, v, max_iter, 1e-8, lapack_weights)[0])
-        assert abs(relaxed_objective(X, t, alpha) - f) <= 1e-12 * max(1.0, abs(f))
+        objective = relaxed_objective(X, t, alpha)
+        if max_iter != 3:
+            assert abs(objective - f) <= 1e-12 * max(1.0, abs(f))
+            return
+        # cut short, the two can stop at different steps: each lies between
+        # the start vertex's objective and the complete solve's
+        start = relaxed_objective(X, t, _wolfe(X, t, k, S, v, 0, 1e-8)[0])
+        least = relaxed_objective(X, t, _wolfe(X, t, k, S, v, 500, 1e-8)[0])
+        for g in (objective, f):
+            rounding = 1e-12 * max(1.0, abs(g))
+            assert least - rounding <= g <= start + rounding
 
     check()
     # the drop path, the one the partial re-factor runs, ran: in about
