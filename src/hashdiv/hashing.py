@@ -29,10 +29,23 @@ projections do not depend on the other rows of its block, so the keys do
 not depend on the block size. `hash_vector`, the per-request hash, is its
 own one-row path: the kernel's operations on a one-row block, without the
 block loop, so its keys are those of `hash_matrix(family, x[None])[0]`.
+
+Drawn plane (t, b) of a seed is
+Generator(Philox(SeedSequence(seed, spawn_key=(t, b)))).standard_normal(dim):
+it depends only on (seed, t, b), so an (l, L) family is a bit-exact prefix
+of any larger one with the same seed, which `lsh.tune` relies on. Building
+a SeedSequence and a Philox per plane costs about ten times the draw, so
+`new_family` builds neither. It runs numpy's SeedSequence mixing as uint32
+array arithmetic over every (t, b) at once, which yields each plane's
+Philox key, then draws every plane from one Philox generator, set to that
+key with its counter at 0 and its buffer empty, as a new generator is. The
+seed is an integer in [0, 2**63), what the index blob's signed 64-bit
+field holds.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +60,14 @@ KINDS = (PLAIN, PCA, PCA_DIRECT)
 # array: the projections onto its tables' planes, or the block's rows when
 # d is larger
 _BLOCK_BYTES = 1 << 18
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): entropy pool words,
+# the hashmix multipliers of the pool (A) and of generate_state (B), and the
+# pool mixing multipliers
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,12 +102,75 @@ class HashFamily:
         object.__setattr__(self, "_tags", np.arange(self.L, dtype=np.uint64) << np.uint64(self.l))
 
 
-def _hyperplane(seed: int, table: int, bit: int, dim: int) -> np.ndarray:
-    # Counter-based generator keyed by (seed, table, bit): hyperplane (t, b)
-    # is reproducible independent of construction order, which also makes an
-    # (l, L) family a bit-exact prefix of any larger family with the same seed.
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(table, bit))
-    return np.random.Generator(np.random.Philox(ss)).standard_normal(dim)
+def check_seed(seed) -> int:
+    """The seed as an int, refused with a ValueError unless it is an
+    integer in [0, 2**63), the range of the index blob's seed field."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = None
+    if value is None or not 0 <= value < 2**63:
+        raise ValueError(f"seed={seed!r} is not an integer in [0, 2**63)")
+    return value
+
+
+def _hash_steps(const: int, mult: int):
+    """The (xor, multiply) constants of successive hashmix steps: a step
+    xors with the running constant, multiplies the constant by mult, then
+    multiplies by the new constant."""
+    while True:
+        nxt = const * mult & 0xFFFFFFFF
+        yield np.uint32(const), np.uint32(nxt)
+        const = nxt
+
+
+def _hashmix(value: np.ndarray, steps) -> np.ndarray:
+    xor, mul = next(steps)
+    value = (value ^ xor) * mul
+    return value ^ value >> np.uint32(16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return r ^ r >> np.uint32(16)
+
+
+def _philox_keys(seed: int, L: int, l: int) -> np.ndarray:
+    """(L * l, 2) uint64: row t * l + b is the key that
+    Philox(SeedSequence(seed, spawn_key=(t, b))) takes, its
+    generate_state(2, uint64), by numpy's algorithm on uint32 arrays over
+    every (t, b) at once. The entropy is the seed's 32-bit words, low
+    first, zero-padded to the pool size (so seed < 2**128), then t and b."""
+    t, b = np.divmod(np.arange(L * l, dtype=np.uint32), np.uint32(l))
+    steps = _hash_steps(_INIT_A, _MULT_A)
+    pool = [_hashmix(np.uint32([seed >> s & 0xFFFFFFFF]), steps) for s in range(0, 32 * _POOL_SIZE, 32)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], steps))
+    for word in (t, b):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, steps))
+    steps = _hash_steps(_INIT_B, _MULT_B)
+    state = [_hashmix(word, steps).astype(np.uint64) for word in pool]
+    keys = np.empty((L * l, 2), dtype=np.uint64)
+    keys[:, 0] = state[0] | state[1] << np.uint64(32)
+    keys[:, 1] = state[2] | state[3] << np.uint64(32)
+    return keys
+
+
+def _gaussian_planes(seed: int, L: int, l: int, dim: int) -> np.ndarray:
+    """(L, l, dim) standard normal planes, plane (t, b) drawn as by a new
+    Philox generator keyed by (seed, t, b) (see the module docstring)."""
+    bitgen = np.random.Philox(0)
+    draw = np.random.Generator(bitgen).standard_normal
+    fresh = bitgen.state  # counter 0, buffer empty
+    planes = np.empty((L * l, dim))
+    for key, row in zip(_philox_keys(seed, L, l), planes):
+        fresh["state"]["key"] = key
+        bitgen.state = fresh
+        draw(out=row)
+    return planes.reshape(L, l, dim)
 
 
 def new_family(
@@ -100,7 +184,8 @@ def new_family(
     dataset: Dataset | None = None,
     basis: TruncatedBasis | None = None,
 ) -> HashFamily:
-    """Construct a hash family; deterministic for a fixed seed.
+    """Construct a hash family; deterministic for a fixed seed, an integer
+    in [0, 2**63).
 
     The pca kinds need either a precomputed basis or a dataset to compute
     the truncated SVD from. alpha defaults to min(200, d, n) when derived
@@ -114,6 +199,7 @@ def new_family(
         raise ValueError("L must be >= 1")
     if d < 1:
         raise ValueError("d must be >= 1")
+    seed = check_seed(seed)
 
     if kind == PLAIN:
         alpha, basis = None, None
@@ -139,7 +225,7 @@ def new_family(
             raise ValueError(f"{PCA_DIRECT} needs alpha >= l, got alpha={alpha}, l={l}")
         planes = np.eye(alpha)[np.arange(L * l) % alpha].reshape(L, l, alpha)
     else:
-        planes = np.stack([np.stack([_hyperplane(seed, t, b, alpha or d) for b in range(l)]) for t in range(L)])
+        planes = _gaussian_planes(seed, L, l, alpha or d)
     return HashFamily(kind=kind, l=l, L=L, d=d, alpha=alpha, seed=seed, hyperplanes=planes, basis=basis)
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .hashing import KINDS, PLAIN, HashFamily, hash_matrix, hash_table, hash_vector, new_family
+from .hashing import KINDS, PLAIN, HashFamily, check_seed, hash_matrix, hash_table, hash_vector, new_family
 from .linalg import TruncatedBasis
 from .select import SelectionProblem, SelectionResult, check_query, select_nn
 
@@ -209,7 +209,8 @@ def _shared_prefix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def tune(dataset: Dataset, target_recall: float, epsilon: float = 1.0, *, seed: int = 0) -> TuneResult:
     """Grid-search (l, L) on a held-out query sample.
 
-    The sample is 64 points drawn by `seed` (every point when n <= 64),
+    The sample is 64 points drawn by `seed`, an integer in [0, 2**63) as
+    for `new_family` (every point when n <= 64),
     and the measure is recall@10 (over the n - 1 others when n <= 10);
     both are fixed. Recall is measured leave-one-out (the sampled query
     point is removed from its own ground truth and candidate set,
@@ -242,6 +243,7 @@ def tune(dataset: Dataset, target_recall: float, epsilon: float = 1.0, *, seed: 
         raise ValueError("target_recall must lie strictly between 0 and 1")
     if not epsilon > 0:   # also refuses NaN
         raise ValueError(f"epsilon must be positive, got {epsilon}")
+    seed = check_seed(seed)
     n = dataset.n
     if n == 0:
         raise ValueError("cannot tune on an empty dataset")

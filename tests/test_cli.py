@@ -207,6 +207,20 @@ def test_index_build_tag_overflow_is_one_error_line(toy_paths, tmp_path, capsys)
     ]
 
 
+@pytest.mark.parametrize("seed", ["-1", "9223372036854775808"])
+def test_seed_outside_the_blob_field_is_one_error_line(toy_paths, tmp_path, capsys, seed):
+    # 2**63 once built the whole index and died packing the header
+    data, _ = toy_paths
+    idx = tmp_path / "index.bin"
+    capsys.readouterr()
+    assert main(["index", "build", "--data", str(data), "--l", "10", "--L", "4", "--seed", seed, "--out", str(idx)]) == 1
+    assert not idx.exists()
+    assert main(["tune", "--data", str(data), "--seed", seed]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: seed={seed} is not an integer in [0, 2**63)"] * 2
+
+
 def test_retrieve_tag_overflow_fails_before_any_cell(toy_paths, tmp_path, capsys):
     data, queries = toy_paths
     out = tmp_path / "o.csv"

@@ -1,8 +1,9 @@
+import re
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import edit_index_blob, pair_at_angle, unit_vector
@@ -23,7 +24,62 @@ from hashdiv.hashing import (
 from hashdiv.linalg import TruncatedBasis
 
 
+def reference_planes(seed: int, l: int, L: int, dim: int) -> np.ndarray:
+    """(L, l, dim): plane (t, b) from its own SeedSequence and Philox
+    generator, the definition new_family reproduces without building them."""
+    return np.array([
+        [np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(t, b)))).standard_normal(dim)
+         for b in range(l)]
+        for t in range(L)
+    ]).reshape(L, l, dim)
+
+
 class TestNewFamily:
+    @given(
+        kind=st.sampled_from([PLAIN, PCA]),
+        l=st.integers(1, 64),
+        L=st.integers(1, 32),
+        dim=st.integers(1, 6),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    @example(kind=PLAIN, l=64, L=32, dim=3, seed=2**63 - 1)
+    @example(kind=PCA, l=5, L=3, dim=2, seed=2**32)
+    @example(kind=PLAIN, l=1, L=1, dim=1, seed=0)
+    @settings(max_examples=30, deadline=None)
+    def test_planes_equal_one_generator_per_plane(self, kind, l, L, dim, seed):
+        # seeds of one and two 32-bit words, every table and bit index
+        if kind == PLAIN:
+            fam = new_family(PLAIN, l, L, dim, seed=seed)
+        else:
+            basis = TruncatedBasis(U=np.eye(dim + 1)[:, :dim], singular_values=np.ones(dim))
+            fam = new_family(PCA, l, L, dim + 1, seed=seed, basis=basis)
+        assert fam.hyperplanes.dtype == np.float64
+        np.testing.assert_array_equal(fam.hyperplanes, reference_planes(seed, l, L, dim))
+
+    def test_pinned_planes(self):
+        # literal values: a change that moves every Philox key fails here
+        # even if the reference above moved with it
+        planes = new_family(PLAIN, 3, 2, 4, seed=2**40 + 9).hyperplanes
+        np.testing.assert_array_equal(
+            planes[0, 0], [0.22197858848138816, 1.677396898534265, -0.17499410578730185, -1.627145253195565]
+        )
+        np.testing.assert_array_equal(
+            planes[1, 2], [-0.9542147649817654, -0.6778581919888382, 0.20467825311990975, 0.9016754599585373]
+        )
+
+    @pytest.mark.parametrize("seed", [-1, 2**63, 2**64 + 1, 1.0, "3", None])
+    def test_seed_outside_the_blob_field_is_refused_before_any_work(self, seed):
+        ds = Dataset(vectors=normalize_rows(np.random.default_rng(0).standard_normal((20, 6))))
+        for kind in KINDS:
+            with mock.patch.object(hashing, "truncated_svd", side_effect=AssertionError("SVD before the seed check")):
+                with pytest.raises(ValueError, match=rf"^seed={re.escape(repr(seed))} is not an integer in \[0, 2\*\*63\)$"):
+                    new_family(kind, 4, 2, 6, seed=seed, dataset=ds)
+
+    def test_numpy_integer_seed_is_stored_as_int(self):
+        fam = new_family(PLAIN, 4, 2, 3, seed=np.int64(2**63 - 1))
+        assert type(fam.seed) is int and fam.seed == 2**63 - 1
+        np.testing.assert_array_equal(fam.hyperplanes, reference_planes(2**63 - 1, 4, 2, 3))
+
     def test_deterministic(self):
         a = new_family(PLAIN, 8, 3, 16, seed=5)
         b = new_family(PLAIN, 8, 3, 16, seed=5)
@@ -325,6 +381,17 @@ class TestSerialization:
         blob = edit_index_blob(self._pca_blob(small_toy), alpha=alpha)
         with pytest.raises(ValueError, match=rf"^corrupt index blob: alpha={alpha} out of range \[1, 6\] for kind 'lshsdiv'$"):
             lsh.index_from_bytes(blob, small_toy)
+
+    def test_negative_seed_field(self, small_toy):
+        # the signed field holds -1 after an edit; the load names the seed
+        blob = edit_index_blob(self._pca_blob(small_toy), seed=-1)
+        with pytest.raises(ValueError, match=r"^corrupt index blob: seed=-1 is not an integer in \[0, 2\*\*63\)$"):
+            lsh.index_from_bytes(blob, small_toy)
+
+    def test_largest_seed_roundtrips(self, small_toy):
+        fam = new_family(PLAIN, 6, 3, small_toy.d, seed=2**63 - 1)
+        back = self._roundtrip(fam, small_toy)
+        assert back.seed == 2**63 - 1 and np.array_equal(back.hyperplanes, fam.hyperplanes)
 
     def test_unknown_kind_code(self, small_toy):
         blob = edit_index_blob(self._pca_blob(small_toy), kind=7)

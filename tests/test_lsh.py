@@ -436,6 +436,12 @@ class TestTune:
         with pytest.raises(ValueError, match=message):
             lsh.tune(ds, 0.8, epsilon)
 
+    @pytest.mark.parametrize("seed", [-1, 2**63])
+    def test_seed_outside_the_family_range_rejected(self, toy_1k, seed):
+        # the family's seed rule, checked before the sample is drawn
+        with pytest.raises(ValueError, match=rf"^seed={seed} is not an integer in \[0, 2\*\*63\)$"):
+            lsh.tune(toy_1k, 0.8, seed=seed)
+
     def test_identical_points_cheapest_pair(self):
         ds = Dataset(vectors=np.tile([[0.6, 0.8]], (64, 1)))
         res = lsh.tune(ds, target_recall=0.9, seed=0)
