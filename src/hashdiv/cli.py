@@ -76,13 +76,9 @@ def _cmd_toy_gen(args) -> int:
     save_dense(make_toy(config), args.out)
     print(f"wrote {2 * args.n_per_class} points to {args.out}", file=sys.stderr)
     if args.queries_out:
-        qconf = ToyConfig(
-            n_per_class=args.n_queries // 2 + args.n_queries % 2,
-            class_centers=centers,
-            spread=args.spread,
-            seed=args.seed + 1,
-        )
-        qset = make_toy(qconf)
+        # the next seed, wrapping to 0 past the largest that check_seed takes
+        half = args.n_queries // 2 + args.n_queries % 2
+        qset = make_toy(dataclasses.replace(config, n_per_class=half, seed=(args.seed + 1) % 2**63))
         if args.n_queries % 2:  # class 0 gets the odd query, class 1 drops its last
             qset = Dataset(vectors=qset.vectors[:-1], categories=qset.categories[:-1])
         save_dense(qset, args.queries_out)

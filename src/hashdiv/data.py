@@ -1,4 +1,4 @@
-"""Dataset types, text-format ingestion, and the two-class synthetic generator.
+"""Dataset types, text-format ingestion, the two-class toy generator, the seed rule.
 
 All downstream geometry (collision law, greedy selection, the relaxed QP)
 assumes unit-norm vectors, so loaders normalize every row and reject zero
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,6 +27,18 @@ class ParseError(ValueError):
         super().__init__(f"{path}:{line_no}: {message}")
         self.path = str(path)
         self.line_no = line_no
+
+
+def check_seed(seed) -> int:
+    """The seed as an int, refused with a ValueError unless it is an
+    integer in [0, 2**63), the range of the index blob's seed field."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = None
+    if value is None or not 0 <= value < 2**63:
+        raise ValueError(f"seed={seed!r} is not an integer in [0, 2**63)")
+    return value
 
 
 @dataclass
@@ -285,6 +298,7 @@ class ToyConfig:
             raise ValueError("exactly two class centers required")
         if np.allclose(centers[0], centers[1]):
             raise ValueError("class centers must be distinct")
+        check_seed(self.seed)
 
 
 def make_toy(config: ToyConfig) -> Dataset:

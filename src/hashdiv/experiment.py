@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lsh, metrics, multilabel
-from .data import MISSING, load_dense, load_sparse
+from .data import MISSING, check_seed, load_dense, load_sparse
 from .hashing import KINDS, new_family
 from .metrics import HierarchyTree
 from .multilabel import FactorModel, LabelPrediction
@@ -162,6 +162,7 @@ class ExperimentConfig:
             if h not in HASHES:
                 raise ValueError(f"unknown hash {h!r}, expected one of {HASHES}")
         check_lam(self.lam)
+        check_seed(self.seed)
 
     from_dict = classmethod(_from_dict)
 
@@ -295,7 +296,7 @@ class MultilabelConfig:
 
     out: str
     data: str | None = field(default=None, metadata={"help": "LIBSVM-style file: 'lab1,lab2 idx:val ...'"})
-    d: int | None = field(default=None, metadata={"help": "feature dimension of the LIBSVM data"})
+    d: int | None = field(default=None, metadata={"help": "feature dimension (synthetic: >= 2 * rank, the default)"})
     test: str | None = None
     factors: str | None = field(default=None, metadata={"help": "binary factor-model file"})
     hierarchy: str | None = field(default=None, metadata={"help": "'child parent' edge list for tree diversity"})
@@ -327,9 +328,12 @@ class MultilabelConfig:
             raise ValueError("synthetic mode reads no test or factors file")
         if self.data is not None and self.d is None:
             raise ValueError("LIBSVM data files need the feature dimension d")
+        if self.synthetic and self.d is not None and self.d < 2 * self.rank:
+            raise ValueError(f"synthetic d={self.d} must be at least 2 * rank, {2 * self.rank} for rank={self.rank}")
         if self.alpha < 1 or self.pool < self.alpha:
             raise ValueError("need pool >= alpha >= 1")
         check_lam(self.lam)
+        check_seed(self.seed)
 
     from_dict = classmethod(_from_dict)
 
@@ -348,7 +352,7 @@ def make_planted(
     standard deviation 0.15, truth = sign of the exact score. Returns
     (model, query matrix, positive-label sets)."""
     cluster_spread = 0.15
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     centers = rng.standard_normal((n_clusters, k))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
     assign = rng.integers(0, n_clusters, size=n_labels)
@@ -457,7 +461,7 @@ def run_multilabel_experiment(config: MultilabelConfig) -> list[MultilabelRow]:
 
     if config.synthetic:
         model, X_all, truth_all = make_planted(
-            config.n_labels, config.rank, max(config.d or 0, 2 * config.rank),
+            config.n_labels, config.rank, config.d or 2 * config.rank,
             config.n_queries * 2, seed=config.seed,
         )
         half = config.n_queries

@@ -15,6 +15,8 @@ Bit b of table t is 1 iff the projection is >= 0; the tie at exactly 0 is a
 measure-zero event for continuous data but the convention is fixed so keys
 are reproducible. A key packs l <= 64 bits into one uint64, bit b at
 position b, by one integer product of the bits with the powers of two.
+This module keeps the planes and the keys only: the table tags of an
+index and the rule of which (l, L) fit one index belong to lsh.
 
 One kernel hashes a dense (n, d) array under a run of tables, for every
 kind: as sign(r . (U^T x)) = sign((U r) . x) (Charikar, STOC 2002), a
@@ -40,17 +42,16 @@ array arithmetic over every (t, b) at once, which yields each plane's
 Philox key, then draws every plane from one Philox generator, set to that
 key with its counter at 0 and its buffer empty, as a new generator is. The
 seed is an integer in [0, 2**63), what the index blob's signed 64-bit
-field holds.
+field holds (`data.check_seed`).
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, check_seed
 from .linalg import TruncatedBasis, truncated_svd
 
 PLAIN, PCA, PCA_DIRECT = "lshdiv", "lshsdiv", "pcahash"
@@ -92,26 +93,13 @@ class HashFamily:
 
     def __post_init__(self):
         # computed once: all L * l ambient normals as contiguous columns (for
-        # pcahash's one-hot r, U @ r is exactly a column of U), the weight 2^b
-        # of bit b in a key, and table t's tag t << l in an index (see lsh)
+        # pcahash's one-hot r, U @ r is exactly a column of U) and the weight
+        # 2^b of bit b in a key
         planes = self.hyperplanes.reshape(self.L * self.l, -1).T
         if self.basis is not None:
             planes = self.basis.U @ planes
         object.__setattr__(self, "_planes", np.ascontiguousarray(planes))
         object.__setattr__(self, "_pow2", np.left_shift(np.uint64(1), np.arange(self.l, dtype=np.uint64)))
-        object.__setattr__(self, "_tags", np.arange(self.L, dtype=np.uint64) << np.uint64(self.l))
-
-
-def check_seed(seed) -> int:
-    """The seed as an int, refused with a ValueError unless it is an
-    integer in [0, 2**63), the range of the index blob's seed field."""
-    try:
-        value = operator.index(seed)
-    except TypeError:
-        value = None
-    if value is None or not 0 <= value < 2**63:
-        raise ValueError(f"seed={seed!r} is not an integer in [0, 2**63)")
-    return value
 
 
 def _hash_steps(const: int, mult: int):
@@ -265,27 +253,6 @@ def hash_vector(family: HashFamily, x: np.ndarray) -> np.ndarray:
     if z.shape[1] != family.d:
         raise ValueError(f"point dimension {z.shape[1]} != family dimension {family.d}")
     return (z @ family._planes >= 0.0).reshape(family.L, family.l) @ family._pow2
-
-
-def collision_probability(a, b) -> float:
-    """Per-bit agreement probability of two points under a random sign
-    projection: 1 - theta(a, b) / pi.
-
-    The angle is taken as 2 atan2(|u - v|, |u + v|) on the unit vectors
-    rather than arccos of the cosine: arccos loses half the digits near
-    cos = -1 and +1, so (anti)parallel pairs would drift from 0 and 1 with
-    the scale of the inputs."""
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    ma, mb = np.max(np.abs(a)), np.max(np.abs(b))
-    if ma == 0.0 or mb == 0.0:
-        raise ValueError("collision probability undefined for zero vectors")
-    # Divide by the largest entry first, so squaring tiny entries in the
-    # norm cannot underflow to subnormals.
-    u, v = a / ma, b / mb
-    u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
-    theta = 2.0 * np.arctan2(np.linalg.norm(u - v), np.linalg.norm(u + v))
-    return 1.0 - float(theta) / np.pi
 
 
 def estimate_collision_rate(a, b, trials: int, seed: int = 0) -> float:

@@ -11,10 +11,11 @@ The tables are static, so they are stored flat, in the manner of FALCONN
 keys (t << l) | key, so one ascending `keys` array holds every table and
 one binary search finds a query's L keys. The bucket of keys[j] is
 ids[offsets[j]:offsets[j + 1]]. Table t's buckets fill ids[t*n:(t+1)*n],
-ids ascending inside each bucket; offsets and ids are int32, so L * n
-may not pass 2**31 - 1. Build hashes and sorts one table at a time into
-its slice of ids, so the (n, L) keys never exist. Hash keys outside the
-index carry no tag.
+ids ascending inside each bucket; offsets and ids are int32. Build hashes
+and sorts one table at a time into its slice of ids, so the (n, L) keys
+never exist. This module alone knows the layout: `build` and
+`index_from_bytes` make the tags and keep them on the index (hash keys
+carry none), and `check_tables` is the one rule of which (l, L) fit it.
 
 The tuner reads its grid from the same kind of sorted tables: sorted by
 their low 8 key bits, each table holds the points that can share a
@@ -37,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
-from .hashing import KINDS, PLAIN, HashFamily, check_seed, hash_matrix, hash_table, hash_vector, new_family
+from .data import Dataset, check_seed
+from .hashing import KINDS, PLAIN, HashFamily, hash_matrix, hash_table, hash_vector, new_family
 from .linalg import TruncatedBasis
 from .select import SelectionProblem, SelectionResult, check_query, select_nn
 
@@ -64,28 +65,42 @@ class CandidateSet:
 @dataclass
 class LshIndex:
     """Flat tables (see the module docstring): tagged `keys` (B,) uint64,
-    ascending, `offsets` (B + 1,) and `ids` (L * n,) int32. Only non-empty
-    buckets are stored. Immutable after build; queries are safe to run
-    concurrently."""
+    ascending, `offsets` (B + 1,) and `ids` (L * n,) int32, and table t's
+    tag t << l in `tags` (L,) uint64. Only non-empty buckets are stored.
+    Immutable after build; queries are safe to run concurrently."""
 
     family: HashFamily
     dataset: Dataset
     keys: np.ndarray
     offsets: np.ndarray
     ids: np.ndarray
+    tags: np.ndarray
+
+
+def _tags(family: HashFamily) -> np.ndarray:
+    """(L,) uint64: table t's tag t << l. l = 64 with L = 1 fits: numpy
+    shifts the one zero tag by 64 to 0."""
+    return np.arange(family.L, dtype=np.uint64) << np.uint64(family.l)
+
+
+def _misfit(l: int, L: int, n: int) -> str:
+    """Why L tables of l-bit keys over n points do not fit one index, or ""."""
+    tag_bits = (L - 1).bit_length()
+    if l + tag_bits > 64:
+        return (f"l={l} and L={L} do not fit one index: a tagged key holds the {l} key bits "
+                f"and a {tag_bits}-bit table number, {l + tag_bits} > 64 bits")
+    if L * n > _MAX_IDS:
+        return (f"L={L} tables of n={n} points hold {L * n} ids, more than the {_MAX_IDS} "
+                "that an index's int32 offsets can address")
+    return ""
 
 
 def check_tables(l: int, L: int, n: int) -> None:
     """Refuse an (l, L) whose tagged keys do not fit 64 bits, or L tables
-    of n points whose L * n ids an int32 offset cannot address. l = 64
-    with L = 1 fits: numpy shifts the one zero tag by 64 to 0."""
-    tag_bits = (L - 1).bit_length()
-    if l + tag_bits > 64:
-        raise ValueError(f"l={l} and L={L} do not fit one index: a tagged key holds the {l} key bits "
-                         f"and a {tag_bits}-bit table number, {l + tag_bits} > 64 bits")
-    if L * n > _MAX_IDS:
-        raise ValueError(f"L={L} tables of n={n} points hold {L * n} ids, more than the {_MAX_IDS} "
-                         "that an index's int32 offsets can address")
+    of n points whose L * n ids an int32 offset cannot address: the fits
+    rule of build, load, the experiment's pre-check and tune's grid."""
+    if misfit := _misfit(l, L, n):
+        raise ValueError(misfit)
 
 
 def build(dataset: Dataset, family: HashFamily) -> LshIndex:
@@ -96,6 +111,7 @@ def build(dataset: Dataset, family: HashFamily) -> LshIndex:
         raise ValueError(f"dataset dimension {dataset.d} != family dimension {family.d}")
     n, L = dataset.n, family.L
     check_tables(family.l, L, n)
+    tags = _tags(family)
     # one table at a time, so only one table's keys and sort are alive
     # beside the index
     ids = np.empty(L * n, dtype=np.int32)
@@ -111,12 +127,12 @@ def build(dataset: Dataset, family: HashFamily) -> LshIndex:
         sorted_keys = keys[order]
         np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
         starts.append((np.flatnonzero(first) + t * n).astype(np.int32))
-        bucket_keys.append(sorted_keys[first] | family._tags[t])
+        bucket_keys.append(sorted_keys[first] | tags[t])
         del keys, sorted_keys  # before the next table's keys are hashed
     keys = np.concatenate(bucket_keys)
     del bucket_keys  # before the offsets are concatenated
     starts.append(np.array([L * n], dtype=np.int32))
-    return LshIndex(family, dataset, keys, np.concatenate(starts), ids)
+    return LshIndex(family, dataset, keys, np.concatenate(starts), ids, tags)
 
 
 def _check_query(q, d: int) -> np.ndarray:
@@ -133,8 +149,7 @@ def query(index: LshIndex, q: np.ndarray) -> CandidateSet:
     """Union of the L buckets matching the keys of the dense query q,
     deduplicated, ascending id."""
     q = _check_query(q, index.family.d)
-    family = index.family
-    want = hash_vector(family, q) | family._tags
+    want = hash_vector(index.family, q) | index.tags
     j = index.keys.searchsorted(want)
     j = j[index.keys.take(j, mode="clip") == want]
     if j.size == 0:
@@ -220,7 +235,8 @@ def tune(dataset: Dataset, target_recall: float, epsilon: float = 1.0, *, seed: 
     count breaks the tie; the count preference is soft because degenerate
     data (duplicates) can make any recall-feasible pair exceed it. If no
     pair reaches the target, the best-recall pair is returned with
-    feasible False. Ties go to the first pair in (l, L) order.
+    feasible False. Ties go to the first pair in (l, L) order. Only pairs
+    that `check_tables` accepts are returned.
 
     Because hyperplane (t, b) depends only on (seed, t, b), every grid pair
     is a prefix of the one maximal family, so the dataset is hashed once.
@@ -332,14 +348,15 @@ def tune(dataset: Dataset, target_recall: float, epsilon: float = 1.0, *, seed: 
     margin = 1.64 * recalls.std(axis=-1) / np.sqrt(nq)
     mean_cand = cands.mean(axis=-1)
     mean_touched = touched.mean(axis=-1)
-    feasible = recall >= target_recall + margin
+    fits = np.array([[not _misfit(l, L, n) for L in _TABLE_GRID] for l in _L_GRID])
+    feasible = fits & (recall >= target_recall + margin)
     candidate_cap = 4.0 * n ** (1.0 / (1.0 + epsilon))
     for ok in (feasible & (mean_cand <= candidate_cap), feasible):
         if ok.any():
             pick = np.argmin(np.where(ok, mean_touched, np.inf))
             break
     else:
-        pick = np.argmax(recall)
+        pick = np.argmax(np.where(fits, recall, -1.0))
     li, Li = np.unravel_index(pick, recall.shape)
     return TuneResult(
         _L_GRID[li], _TABLE_GRID[Li], bool(feasible[li, Li]),
@@ -373,11 +390,11 @@ def index_to_bytes(index: LshIndex) -> bytes:
     return b"".join(_blob_parts(index))
 
 
-def _check_arrays(keys: np.ndarray, offsets: np.ndarray, ids: np.ndarray, family: HashFamily, n: int) -> None:
-    """Refuse arrays that are not a flat index of the family's L tables over
-    n points (see the module docstring), so that no query reads out of
+def _check_arrays(keys: np.ndarray, offsets: np.ndarray, ids: np.ndarray, tags: np.ndarray, l: int, n: int) -> None:
+    """Refuse arrays that are not a flat index of the L tables tagged `tags`
+    over n points (see the module docstring), so that no query reads out of
     bounds. Only reductions and (B,) temporaries, none the size of ids."""
-    l, L = family.l, family.L
+    L = tags.size
     if keys.size < L:
         raise ValueError(f"corrupt index blob: {keys.size} buckets cannot give each of {L} tables one")
     if (keys[1:] <= keys[:-1]).any():
@@ -387,7 +404,7 @@ def _check_arrays(keys: np.ndarray, offsets: np.ndarray, ids: np.ndarray, family
     if offsets[0] != 0 or offsets[-1] != L * n or (offsets[1:] <= offsets[:-1]).any():
         raise ValueError(f"corrupt index blob: bucket offsets do not rise strictly from 0 to L*n={L * n}")
     tables = np.arange(L)
-    firsts = keys.searchsorted(family._tags)
+    firsts = keys.searchsorted(tags)
     bad = (firsts == keys.size) | (keys.take(firsts, mode="clip") >> np.uint64(l) != tables)
     bad |= offsets[firsts] != tables * n
     if bad.any():
@@ -445,8 +462,9 @@ def index_from_bytes(blob: bytes, dataset: Dataset) -> LshIndex:
         check_tables(l, L, n)
     except ValueError as e:
         raise ValueError(f"corrupt index blob: {e}") from e
-    _check_arrays(keys, offsets, ids, family, n)
-    return LshIndex(family=family, dataset=dataset, keys=keys, offsets=offsets, ids=ids)
+    tags = _tags(family)
+    _check_arrays(keys, offsets, ids, tags, l, n)
+    return LshIndex(family, dataset, keys, offsets, ids, tags)
 
 
 def save_index(index: LshIndex, path) -> None:

@@ -221,6 +221,39 @@ def test_seed_outside_the_blob_field_is_one_error_line(toy_paths, tmp_path, caps
     assert captured.err.splitlines() == [f"error: seed={seed} is not an integer in [0, 2**63)"] * 2
 
 
+@pytest.mark.parametrize("verb", ["toy-gen", "multilabel", "retrieve"])
+def test_negative_seed_is_one_error_line_on_every_verb(toy_paths, tmp_path, capsys, verb):
+    data, queries = toy_paths
+    new_queries, out = tmp_path / "new-queries.csv", tmp_path / "out.csv"
+    args = {
+        "toy-gen": ["--queries-out", str(new_queries)],
+        "multilabel": ["--synthetic", "--n-labels", "50", "--n-queries", "5"],
+        # over nh alone the seed once reached no family, and the grid ran
+        "retrieve": ["--data", str(data), "--queries", str(queries), "--hashes", "nh"],
+    }[verb]
+    capsys.readouterr()
+    assert main([verb, *args, "--seed", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: seed=-1 is not an integer in [0, 2**63)"]
+    assert not out.exists() and not Path(f"{out}.json").exists() and not new_queries.exists()
+
+
+def test_toy_gen_largest_seed_draws_its_queries_with_seed_zero(tmp_path):
+    # the queries take the next seed, which wraps past the seed range
+    data, queries, zero = tmp_path / "data.csv", tmp_path / "queries.csv", tmp_path / "zero.csv"
+    assert main(["toy-gen", "--out", str(data), "--queries-out", str(queries), "--n-per-class", "10",
+                 "--n-queries", "4", "--seed", str(2**63 - 1)]) == 0
+    assert main(["toy-gen", "--out", str(zero), "--n-per-class", "2", "--seed", "0"]) == 0
+    assert queries.read_text() == zero.read_text()
+
+
+def test_multilabel_synthetic_d_below_twice_the_rank_is_one_error_line(tmp_path, capsys):
+    # d=3 once ran silently at d=40
+    out = tmp_path / "ml.csv"
+    assert main(["multilabel", "--synthetic", "--d", "3", "--rank", "20", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: synthetic d=3 must be at least 2 * rank, 40 for rank=20"]
+    assert not out.exists()
+
+
 def test_retrieve_tag_overflow_fails_before_any_cell(toy_paths, tmp_path, capsys):
     data, queries = toy_paths
     out = tmp_path / "o.csv"

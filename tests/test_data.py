@@ -183,6 +183,13 @@ def test_toy_config_validation():
         ToyConfig(n_per_class=1, class_centers=((1.0, 0.0), (1.0, 0.0)), spread=0.1, seed=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**63, 1.0])
+def test_toy_config_refuses_a_seed_outside_the_blob_field(seed):
+    # the one seed rule, data.check_seed, before numpy sees the seed
+    with pytest.raises(ValueError, match=rf"^seed={re.escape(repr(seed))} is not an integer in \[0, 2\*\*63\)$"):
+        ToyConfig(n_per_class=1, seed=seed)
+
+
 def test_subtopic_counts(tmp_path):
     p = tmp_path / "st.csv"
     p.write_text("0:0:1,0\n0:1:0.9,0.1\n0:1:0.8,0.2\n1:0:0,1\n")

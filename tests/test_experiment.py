@@ -71,6 +71,10 @@ class TestConfig:
         (MultilabelConfig, {"synthetic": False, "data": "x.svm"}, "LIBSVM data files need the feature dimension d"),
         (MultilabelConfig, {"alpha": 0}, r"need pool >= alpha >= 1"),
         (MultilabelConfig, {"alpha": 10, "pool": 9}, r"need pool >= alpha >= 1"),
+        # the seed rule of every seeded entry point, before any file is read
+        (ExperimentConfig, {"seed": -1}, r"seed=-1 is not an integer in \[0, 2\*\*63\)$"),
+        (MultilabelConfig, {"seed": 2**63}, r"seed=9223372036854775808 is not an integer in \[0, 2\*\*63\)$"),
+        (MultilabelConfig, {"d": 3, "rank": 20}, r"synthetic d=3 must be at least 2 \* rank, 40 for rank=20$"),
     ])
     def test_config_refusals(self, cls, fields, message):
         base = {"data": "x", "queries": "q"} if cls is ExperimentConfig else {"synthetic": True}
@@ -455,6 +459,18 @@ class TestMultilabelExperiment:
                                   rank=4, methods=("exact",), timing=False)
         with pytest.raises(ExperimentError, match="no queries to run"):
             run_multilabel_experiment(config)
+
+    @pytest.mark.parametrize("d, used", [(None, 8), (8, 8), (11, 11)])
+    def test_synthetic_d_is_used_as_given_or_twice_the_rank(self, tmp_path, d, used):
+        config = MultilabelConfig(out=str(tmp_path / "m.csv"), synthetic=True, n_labels=50, n_queries=5,
+                                  rank=4, d=d, methods=("exact",), timing=False)
+        with mock.patch("hashdiv.experiment.make_planted", wraps=experiment.make_planted) as planted:
+            run_multilabel_experiment(config)
+        assert planted.call_args.args[2] == used
+
+    def test_planted_model_refuses_a_seed_outside_the_blob_field(self):
+        with pytest.raises(ValueError, match=r"^seed=-1 is not an integer in \[0, 2\*\*63\)$"):
+            experiment.make_planted(10, 2, 4, 1, seed=-1)
 
     def test_requires_data_or_synthetic(self, tmp_path):
         with pytest.raises(ValueError, match="data file or synthetic"):

@@ -448,6 +448,37 @@ class TestTune:
         assert res.feasible
         assert (res.l, res.L) == (8, 1)  # everything collides; cheapest wins
 
+    def test_near_duplicate_pick_fits_one_index(self):
+        # (64, 2) touches the fewest entries among the pairs that reach the
+        # target, but its tagged keys need 65 bits
+        rng = np.random.default_rng(3)
+        base = normalize_rows(rng.standard_normal((20, 16)))
+        ds = Dataset(vectors=normalize_rows(np.repeat(base, 16, axis=0) + 2e-3 * rng.standard_normal((320, 16))))
+        res = lsh.tune(ds, 0.95, seed=3)
+        lsh.check_tables(res.l, res.L, ds.n)
+        assert (res.l, res.L, res.feasible) == (60, 2, True)
+        index = lsh.build(ds, new_family(PLAIN, res.l, res.L, ds.d, seed=3))
+        assert 0 in lsh.query(index, ds.vectors[0]).ids
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_base=st.integers(2, 20),
+        copies=st.integers(10, 20),
+        d=st.integers(2, 16),
+        noise=st.floats(1e-4, 1e-2),
+        target=st.floats(0.8, 0.99),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_pick_on_near_duplicates_fits_one_index(self, n_base, copies, d, noise, target, seed):
+        # near-duplicates collide on long keys, where the pairs that do not
+        # fit one index lie
+        rng = np.random.default_rng(seed)
+        base = normalize_rows(rng.standard_normal((n_base, d)))
+        pts = normalize_rows(np.repeat(base, copies, axis=0) + noise * rng.standard_normal((n_base * copies, d)))
+        ds = Dataset(vectors=pts)
+        res = lsh.tune(ds, target, seed=seed)
+        lsh.check_tables(res.l, res.L, ds.n)
+
     def test_tuned_pair_hits_target_on_fresh_queries(self, toy_1k):
         res = lsh.tune(toy_1k, target_recall=0.8, seed=4)
         assert res.feasible
@@ -516,6 +547,10 @@ def tune_by_sets(dataset, target_recall, epsilon=1.0, *, seed=0):
                 if bucket is not None:
                     unions[qi].update(bucket)
                     touched[qi] += len(bucket)
+            try:
+                lsh.check_tables(l, L, n)
+            except ValueError:   # no index holds this pair, so tune may not return it
+                continue
             at = min(at_k, n - 1) or 1
             recalls = np.array([len((u - {int(q)}) & t10) / at for u, t10, q in zip(unions, true_nn, q_ids)])
             recall = float(recalls.mean())
