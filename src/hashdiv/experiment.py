@@ -5,9 +5,7 @@ results as CSV (3-decimal) plus a full-precision JSON twin.
 Every input is checked once, right after loading and before any hash
 family or index is built: a grid over an empty, mismatched or unlabeled
 file fails before its first SVD. Each cell column is the mean of its
-per-query values, leaving out the ones that are undefined. A pick set
-with no on-topic pick that carries a subtopic label scores entropy
-diversity 0.0, an empty one included.
+per-query values, leaving out the ones that are undefined.
 
 Timing covers query + selection only; index construction and file IO stay
 outside the clock. Progress goes to stderr, results to the output file.
@@ -27,7 +25,6 @@ import numpy as np
 from . import lsh, metrics, multilabel
 from .data import MISSING, check_seed, load_dense, load_sparse
 from .hashing import KINDS, new_family
-from .metrics import HierarchyTree
 from .multilabel import FactorModel, LabelPrediction
 from .select import (
     check_lam,
@@ -224,8 +221,7 @@ def _query_eval(dataset, source, q, qcat, selector, k, lam, timing):
     precision = metrics.precision_at_k(selected, lambda i: dataset.categories[i] == qcat, k)
     if dataset.subtopic_count_per_category.get(qcat, 0) >= 2:
         sr = metrics.subtopic_recall(selected, dataset, qcat, k)
-        # entropy needs an on-topic pick that carries a subtopic label
-        div = metrics.entropy_diversity(selected, dataset, qcat) if metrics._subtopics(selected, dataset, qcat) else 0.0
+        div = metrics.entropy_diversity(selected, dataset, qcat)
     else:
         sr = None
         # no subtopic labels: report mean pairwise squared distance, scaled
@@ -317,6 +313,9 @@ class MultilabelConfig:
 
     def __post_init__(self):
         _check_types(self)
+        for name in ("n_labels", "n_queries", "rank"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.methods:
             raise ValueError("method list must be nonempty")
         for m in self.methods:
@@ -407,7 +406,7 @@ def _pr(pred_set, truth: frozenset) -> tuple[float, float]:
     return inter / len(pred), recall
 
 
-def _doc_scores(pred_set, truth, tree: HierarchyTree | None) -> tuple[float, float, float, float | None, float | None]:
+def _doc_scores(pred_set, truth, tree: metrics.HierarchyTree | None) -> tuple[float, float, float, float | None, float | None]:
     p, r = _pr(pred_set, truth)
     f = metrics.f_score(p, r)
     div = h = None
@@ -451,14 +450,7 @@ def _ml_predictor(method: str, model: FactorModel, config: MultilabelConfig):
 
 
 def run_multilabel_experiment(config: MultilabelConfig) -> list[MultilabelRow]:
-    tree = None
-    if config.hierarchy:
-        edges = metrics.load_hierarchy(config.hierarchy)
-        roots = {p for _, p in edges} - {c for c, _ in edges}
-        if len(roots) != 1:
-            raise ExperimentError(f"hierarchy must have exactly one root, found {sorted(roots)}")
-        tree = metrics.bfs_prune(edges, next(iter(roots)))
-
+    tree = metrics.load_hierarchy(config.hierarchy) if config.hierarchy else None
     if config.synthetic:
         model, X_all, truth_all = make_planted(
             config.n_labels, config.rank, config.d or 2 * config.rank,

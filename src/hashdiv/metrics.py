@@ -4,6 +4,11 @@ tree diversity over a BFS-pruned hierarchy, and the harmonic-mean scores.
 Entropy sign convention: the normalized entropy -sum s_i ln s_i / ln m is
 reported, so all diversity numbers land in [0, 1] (base of the logarithm
 cancels). Pairwise diversity is the mean over unordered pairs.
+
+Entropy diversity is 0.0 when no retrieved on-topic item carries a
+subtopic label. A hierarchy has exactly one root, the one parent that is
+never a child; `load_hierarchy` resolves each label's depth-1 ancestor
+once, by BFS from it, so tree diversity walks nothing.
 """
 
 from __future__ import annotations
@@ -19,29 +24,24 @@ from .data import MISSING, Dataset, ParseError, _lines
 
 @dataclass(frozen=True)
 class HierarchyTree:
-    """Tree obtained by BFS-pruning a category multigraph: each node keeps
-    the parent first reached from the root. `excluded` lists nodes that were
-    unreachable (cycles off the root, orphans)."""
+    """Tree obtained by BFS-pruning a category multigraph: each non-root
+    node keeps the parent first reached from the root and its depth-1
+    ancestor `top`. `excluded` lists the nodes mentioned but not reached."""
 
-    nodes: tuple[int, ...]
     parent: dict[int, int]
     root: int
-    depth: dict[int, int]
+    top: dict[int, int]
+    top_level_count: int
     excluded: tuple[int, ...] = ()
 
     def top_level_ancestor(self, node: int) -> int:
         """Depth-1 ancestor (the node itself if it sits at depth 1)."""
-        if node not in self.depth:
+        top = self.top.get(node)
+        if top is None:
+            if node == self.root:
+                raise ValueError(f"label {node} is the root; no top-level ancestor")
             raise ValueError(f"label {node} is not in the hierarchy tree")
-        if self.depth[node] == 0:
-            raise ValueError(f"label {node} is the root; no top-level ancestor")
-        while self.depth[node] > 1:
-            node = self.parent[node]
-        return node
-
-    @property
-    def top_level_count(self) -> int:
-        return sum(1 for n in self.nodes if self.depth[n] == 1)
+        return top
 
 
 def precision_at_k(retrieved, relevant, k: int) -> float:
@@ -82,17 +82,15 @@ def _normalized_entropy(counts: list[int], m: int) -> float:
 
 def entropy_diversity(retrieved, dataset: Dataset, category: int) -> float:
     """Normalized entropy of the subtopic distribution of the retrieved
-    items belonging to `category`. Needs m >= 2 subtopics and at least one
-    labeled item among the retrieved."""
+    items belonging to `category`, 0.0 when none of them carries a
+    subtopic label. Needs m >= 2 subtopics."""
     m = dataset.subtopic_count_per_category.get(category)
     if m is None:
         raise ValueError(f"unknown category {category}")
     if m < 2:
         raise ValueError(f"entropy diversity undefined for m={m} subtopics")
     counter = _subtopics(retrieved, dataset, category)
-    if not counter:
-        raise ValueError("no retrieved item carries a subtopic label")
-    return _normalized_entropy(list(counter.values()), m)
+    return _normalized_entropy(list(counter.values()), m) if counter else 0.0
 
 
 def mean_pairwise_distance(vectors) -> float:
@@ -141,34 +139,35 @@ def f_score(precision: float, recall: float) -> float:
 def bfs_prune(edges, root: int) -> HierarchyTree:
     """Turn a (child, parent) multi-edge list into a tree: each node keeps
     the parent first reached by BFS from the root, ties broken by ascending
-    parent id. Unreachable nodes are excluded and reported."""
+    parent id. Unreachable nodes (cycles off the root, orphans) are excluded."""
+    root = int(root)
     children: dict[int, list[int]] = {}
-    mentioned = {int(root)}
+    mentioned = {root}
     for child, parent in edges:
         children.setdefault(int(parent), []).append(int(child))
         mentioned.add(int(child))
         mentioned.add(int(parent))
     parent_of: dict[int, int] = {}
-    depth = {int(root): 0}
-    level = [int(root)]
+    top: dict[int, int] = {}
+    level = [root]
     while level:
         next_level: list[int] = []
         for u in sorted(level):
             for c in sorted(children.get(u, ())):
-                if c not in depth:
+                if c != root and c not in top:
                     parent_of[c] = u
-                    depth[c] = depth[u] + 1
+                    top[c] = c if u == root else top[u]
                     next_level.append(c)
         level = next_level
-    nodes = tuple(sorted(depth))
-    excluded = tuple(sorted(mentioned - set(nodes)))
-    return HierarchyTree(nodes=nodes, parent=parent_of, root=int(root), depth=depth, excluded=excluded)
+    excluded = tuple(sorted(mentioned - top.keys() - {root}))
+    return HierarchyTree(parent=parent_of, root=root, top=top, top_level_count=len(set(top.values())), excluded=excluded)
 
 
-def load_hierarchy(path):
-    """Edge list file: one 'child parent' pair of integer ids per nonblank
-    line, read as `data.load_dense` reads its lines; a faulty line raises
-    ParseError."""
+def load_hierarchy(path) -> HierarchyTree:
+    """`bfs_prune` of an edge list file from its one root: one 'child parent'
+    pair of integer ids per nonblank line, read as `data.load_dense` reads
+    its lines. A faulty line raises ParseError, and a file without exactly
+    one root ValueError."""
     path = Path(path)
     edges = []
     for line_no, line in _lines(path):
@@ -177,4 +176,7 @@ def load_hierarchy(path):
         except ValueError:
             raise ParseError(path, line_no, f"expected 'child parent' integer ids, got {line!r}") from None
         edges.append((child, parent))
-    return edges
+    roots = sorted({p for _, p in edges} - {c for c, _ in edges})
+    if len(roots) != 1:
+        raise ValueError(f"hierarchy must have exactly one root, found {roots}")
+    return bfs_prune(edges, roots[0])

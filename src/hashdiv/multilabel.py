@@ -207,8 +207,11 @@ def predict_diverse(model: FactorModel, index: lsh.LshIndex, x, alpha: int, lam:
     """Diverse label prediction: query the label index with the normalized
     embedded query H^T x, then greedily pick alpha diverse labels from the
     collided candidates (from every label when alpha >= n_labels).
-    eval_count = candidate count."""
+    eval_count = candidate count. `index` must come from
+    `build_label_index(model, ...)`; one of another shape is refused."""
     _check_request(alpha, lam)
+    if (index.dataset.n, index.dataset.d) != model.W.shape:
+        raise ValueError(f"label index over a {index.dataset.vectors.shape} label matrix, the model's W is {model.W.shape}")
     embedded = _embed(model, x)
     if embedded is None:
         return _nothing()

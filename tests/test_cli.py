@@ -254,6 +254,29 @@ def test_multilabel_synthetic_d_below_twice_the_rank_is_one_error_line(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--n-labels", "0"), ("--rank", "0"), ("--rank", "-2"), ("--n-queries", "-3")])
+def test_multilabel_count_below_one_is_one_error_line(tmp_path, capsys, flag, value):
+    out = tmp_path / "r.csv"
+    assert main(["multilabel", "--synthetic", "--n-queries", "5", "--methods", "exact", flag, value, "--out", str(out)]) == 1
+    name = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err.splitlines() == [f"error: {name} must be >= 1, got {value}"]
+    assert not out.exists() and not Path(f"{out}.json").exists()
+
+
+@pytest.mark.parametrize("text, found", [("1 0\n2 5\n", "[0, 5]"), ("1 0\n0 1\n2 1\n", "[]")])
+def test_multilabel_hierarchy_without_one_root_refused_before_any_index(tmp_path, capsys, monkeypatch, text, found):
+    # two roots, then a lone candidate root that lies on a cycle
+    hierarchy, out = tmp_path / "h.txt", tmp_path / "ml.csv"
+    hierarchy.write_text(text)
+    built = []
+    monkeypatch.setattr(multilabel, "build_label_index", lambda *args, **kwargs: built.append(args))
+    rc = main(["multilabel", "--synthetic", "--n-labels", "50", "--n-queries", "5", "--methods", "exact,lshsdiv",
+               "--hierarchy", str(hierarchy), "--out", str(out)])
+    assert rc == 1 and built == []
+    assert capsys.readouterr().err.splitlines() == [f"error: hierarchy must have exactly one root, found {found}"]
+    assert not out.exists()
+
+
 def test_retrieve_tag_overflow_fails_before_any_cell(toy_paths, tmp_path, capsys):
     data, queries = toy_paths
     out = tmp_path / "o.csv"

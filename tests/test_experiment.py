@@ -455,10 +455,17 @@ class TestMultilabelExperiment:
             run_multilabel_experiment(config)
 
     def test_no_queries_is_an_error_not_a_nan_row(self, tmp_path):
-        config = MultilabelConfig(out=str(tmp_path / "m.csv"), synthetic=True, n_labels=50, n_queries=0,
-                                  rank=4, methods=("exact",), timing=False)
-        with pytest.raises(ExperimentError, match="no queries to run"):
-            run_multilabel_experiment(config)
+        # refused by the config, before a split can come out empty
+        with pytest.raises(ValueError, match="^n_queries must be >= 1, got 0$"):
+            MultilabelConfig(out=str(tmp_path / "m.csv"), synthetic=True, n_labels=50, n_queries=0,
+                             rank=4, methods=("exact",), timing=False)
+
+    @pytest.mark.parametrize("name, value", [("n_labels", 0), ("n_labels", -1), ("n_queries", -3), ("rank", 0), ("rank", -2)])
+    @pytest.mark.parametrize("mode", [{"synthetic": True}, {"data": "x.svm", "d": 4}])
+    def test_counts_below_one_refused_in_both_modes(self, tmp_path, name, value, mode):
+        # n_labels=0 once divided by zero, rank=0 ran an all-zero model
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {value}$"):
+            MultilabelConfig(out=str(tmp_path / "m.csv"), **mode, **{name: value})
 
     @pytest.mark.parametrize("d, used", [(None, 8), (8, 8), (11, 11)])
     def test_synthetic_d_is_used_as_given_or_twice_the_rank(self, tmp_path, d, used):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hashdiv.data import Dataset, ParseError, normalize_rows
+from hashdiv.data import MISSING, Dataset, ParseError, normalize_rows
 from hashdiv.metrics import (
     bfs_prune,
     entropy_diversity,
@@ -89,9 +89,14 @@ class TestEntropyDiversity:
         with pytest.raises(ValueError, match="m="):
             entropy_diversity([0, 1], ds, 0)
 
-    def test_no_labeled_items_rejected(self):
-        with pytest.raises(ValueError, match="no retrieved item"):
-            entropy_diversity([], self.ds, 0)
+    def test_no_labeled_items_score_zero(self):
+        assert entropy_diversity([], self.ds, 0) == 0.0
+
+    def test_on_topic_picks_without_a_subtopic_label_score_zero(self):
+        # item 2 is on topic but unlabeled, item 3 labeled but off topic
+        ds = labeled_dataset(categories=[0, 0, 0, 1], subtopics=[0, 1, MISSING, 2])
+        assert entropy_diversity([2, 3], ds, 0) == 0.0
+        assert entropy_diversity([2, 3, 0, 1], ds, 0) == pytest.approx(1.0)
 
     def test_permutation_invariant(self):
         a = entropy_diversity([0, 2, 3, 6], self.ds, 0)
@@ -158,12 +163,72 @@ class TestMeanPairwiseDistance:
         assert mean_pairwise_distance(pts) == pytest.approx(ref)
 
 
+def reference_prune(edges, root):
+    """bfs_prune as it was before the tree kept its depth-1 map: BFS
+    depths and first-reached parents (ascending ids), then `excluded` as
+    the mentioned nodes without a depth."""
+    children, mentioned = {}, {root}
+    for child, parent in edges:
+        children.setdefault(parent, []).append(child)
+        mentioned |= {child, parent}
+    parent_of, depth, level = {}, {root: 0}, [root]
+    while level:
+        next_level = []
+        for u in sorted(level):
+            for c in sorted(children.get(u, ())):
+                if c not in depth:
+                    parent_of[c], depth[c] = u, depth[u] + 1
+                    next_level.append(c)
+        level = next_level
+    return parent_of, depth, tuple(sorted(mentioned - set(depth)))
+
+
+def reference_top_level_ancestor(parent_of, depth, node):
+    """Walk `parent` up to a root child, as the tree once did per call."""
+    if node not in depth:
+        raise ValueError(f"label {node} is not in the hierarchy tree")
+    if depth[node] == 0:
+        raise ValueError(f"label {node} is the root; no top-level ancestor")
+    while depth[node] > 1:
+        node = parent_of[node]
+    return node
+
+
+def reference_tree_diversity(labels, parent_of, depth):
+    """Normalized entropy over the depth-1 nodes, counted afresh."""
+    m = sum(1 for v in depth.values() if v == 1)
+    if not labels:
+        raise ValueError("no predicted labels")
+    if m < 2:
+        raise ValueError(f"tree diversity undefined with {m} top-level categories")
+    counts = {}
+    for lab in labels:
+        top = reference_top_level_ancestor(parent_of, depth, lab)
+        counts[top] = counts.get(top, 0) + 1
+    s = np.array(list(counts.values()), dtype=float) / len(labels)
+    return float(-(s * np.log(s)).sum() / np.log(m))
+
+
+def outcome(fn, *args):
+    """fn(*args), or the message of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"error: {exc}"
+
+
+# (child, parent) multigraphs over a few ids: repeated parents, cycles off
+# the root 0 and orphans all come up
+multigraphs = st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=40)
+
+
 class TestBfsPrune:
     def test_tree_unchanged(self):
         edges = [(1, 0), (2, 0), (3, 1)]
         tree = bfs_prune(edges, 0)
         assert tree.parent == {1: 0, 2: 0, 3: 1}
-        assert tree.depth == {0: 0, 1: 1, 2: 1, 3: 2}
+        assert tree.top == {1: 1, 2: 2, 3: 1}
+        assert tree.top_level_count == 2
         assert tree.excluded == ()
 
     def test_diamond_keeps_bfs_first_parent(self):
@@ -176,24 +241,52 @@ class TestBfsPrune:
         edges = [(1, 0), (5, 4), (4, 5)]
         tree = bfs_prune(edges, 0)
         assert tree.excluded == (4, 5)
-        assert 4 not in tree.depth
+        assert 4 not in tree.top and 4 not in tree.parent
+        with pytest.raises(ValueError, match="label 4 is not in the hierarchy tree"):
+            tree.top_level_ancestor(4)
 
     def test_edge_count_and_acyclicity(self):
         rng = np.random.default_rng(2)
         edges = [(int(c), int(rng.integers(0, c))) for c in range(1, 40) for _ in range(2)]
         tree = bfs_prune(edges, 0)
-        assert len(tree.parent) == len(tree.nodes) - 1
-        for node in tree.nodes:
-            seen = set()
-            while node != tree.root:
+        assert tree.parent.keys() == tree.top.keys()
+        for start in tree.parent:
+            node, seen = start, set()
+            while tree.parent[node] != tree.root:
                 assert node not in seen
                 seen.add(node)
                 node = tree.parent[node]
+            assert tree.top[start] == node
+
+    @given(multigraphs, st.lists(st.integers(0, 13), max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_walking_reference(self, edges, labels):
+        tree = bfs_prune(edges, 0)
+        parent_of, depth, excluded = reference_prune(edges, 0)
+        assert (tree.parent, tree.root, tree.excluded) == (parent_of, 0, excluded)
+        assert tree.top_level_count == sum(1 for v in depth.values() if v == 1)
+        for node in range(14):
+            assert outcome(tree.top_level_ancestor, node) == outcome(reference_top_level_ancestor, parent_of, depth, node)
+        got = outcome(tree_diversity, labels, tree)
+        want = outcome(reference_tree_diversity, labels, parent_of, depth)
+        assert got == (pytest.approx(want, abs=1e-15) if isinstance(want, float) else want)
 
     def test_load_hierarchy(self, tmp_path):
         p = tmp_path / "h.txt"
         p.write_text("1 0\n2 0\n3 1\n")
-        assert load_hierarchy(p) == [(1, 0), (2, 0), (3, 1)]
+        tree = load_hierarchy(p)
+        assert (tree.root, tree.parent, tree.top) == (0, {1: 0, 2: 0, 3: 1}, {1: 1, 2: 2, 3: 1})
+
+    @pytest.mark.parametrize("text, found", [
+        ("1 0\n2 5\n", "[0, 5]"),  # two roots
+        ("1 0\n0 1\n2 1\n", "[]"),  # the only candidate root, 0, lies on a cycle
+        ("\n", "[]"),
+    ])
+    def test_load_hierarchy_needs_exactly_one_root(self, tmp_path, text, found):
+        p = tmp_path / "h.txt"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=f"^hierarchy must have exactly one root, found {re.escape(found)}$"):
+            load_hierarchy(p)
 
     @pytest.mark.parametrize("text, line", [("1 0\nx 0\n", 2), ("1 0\n\n2 0.5\n", 3), ("1 0\n3\n", 2), ("1 0 2\n", 1)])
     def test_load_hierarchy_bad_line_is_named(self, tmp_path, text, line):
@@ -207,7 +300,7 @@ class TestBfsPrune:
         # ParseError that carries its line number
         p = tmp_path / "h.txt"
         p.write_text("1 0\r\n\r\n  2 0  \r\n", newline="")
-        assert load_hierarchy(p) == [(1, 0), (2, 0)]
+        assert load_hierarchy(p).parent == {1: 0, 2: 0}
         p.write_text("1 0\r\n\r\n2 x\r\n", newline="")
         with pytest.raises(ParseError) as info:
             load_hierarchy(p)
@@ -233,3 +326,7 @@ class TestTreeDiversity:
     def test_unknown_label(self):
         with pytest.raises(ValueError, match="not in the hierarchy"):
             tree_diversity([99], self.tree)
+
+    def test_root_label(self):
+        with pytest.raises(ValueError, match="is the root"):
+            tree_diversity([10, 0], self.tree)

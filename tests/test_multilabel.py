@@ -174,6 +174,17 @@ class TestPredictDiverse:
         np.testing.assert_allclose(pred.scores, expected, atol=1e-12)
 
 
+    @pytest.mark.parametrize("n_labels, rank", [(500, 8), (300, 10)])
+    def test_index_over_another_label_matrix_refused(self, n_labels, rank):
+        # a 500-label index once raised IndexError from model.W[res.ids]
+        model, X, _ = make_planted(300, 8, 20, 1, n_clusters=5, seed=0)
+        other, _, _ = make_planted(n_labels, rank, 20, 1, n_clusters=5, seed=1)
+        index = build_label_index(other, 8, 4, seed=0)
+        message = f"label index over a ({n_labels}, {rank}) label matrix, the model's W is (300, 8)"
+        for x in (X[0], np.zeros(20)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                predict_diverse(model, index, x, alpha=4, lam=0.5)
+
     def test_row_whose_norm_overflows_is_indexed_by_its_direction(self):
         rng = np.random.default_rng(4)
         W = rng.standard_normal((40, 6))
