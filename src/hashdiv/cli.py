@@ -32,9 +32,10 @@ def _add_config_flags(parser: argparse.ArgumentParser, cls) -> None:
     """`--config` plus one flag per field of the config dataclass `cls`:
     `--field-name` (`--lambda` for `lam`), a bool that defaults to False
     is a flag that sets it, one that defaults to True is `--no-field-name`,
-    `tuple[T, ...]` takes a comma list of T and `T | None` takes a T. The
-    field's metadata holds the remaining argparse keywords. An unset flag
-    stores nothing, so it never overrides the config file."""
+    `tuple[T, ...]` takes a comma list of T (of str for `T = Literal[names]`,
+    whose help lists the names) and `T | None` takes a T. The field's
+    metadata holds the remaining argparse keywords. An unset flag stores
+    nothing, so it never overrides the config file."""
     parser.add_argument("--config", help=f"JSON file of {cls.__name__} fields; flags override")
     hints = typing.get_type_hints(cls)
     for f in dataclasses.fields(cls):
@@ -47,6 +48,8 @@ def _add_config_flags(parser: argparse.ArgumentParser, cls) -> None:
                 flag = "--no-" + flag[2:]
         elif typing.get_origin(hint) is tuple:
             item = typing.get_args(hint)[0]
+            if typing.get_origin(item) is typing.Literal:
+                kwargs["help"], item = "comma list from: " + ",".join(typing.get_args(item)), str
             kwargs["type"] = lambda text, item=item: tuple(item(t.strip()) for t in text.split(",") if t.strip())
         else:  # T or T | None
             kwargs["type"] = next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))

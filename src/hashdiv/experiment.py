@@ -19,6 +19,7 @@ import sys
 import time
 import typing
 from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 
@@ -49,24 +50,18 @@ HASHES = ("nh", *KINDS)
 ML_METHODS = ("exact", "mmr", *KINDS)
 
 
-class ExperimentError(RuntimeError):
-    pass
-
-
 def _each_query(fn, n: int, context: str) -> list:
     """[fn(0), ..., fn(n - 1)], one query at a time, so a time measured
-    inside fn is one request's latency. Any error but an ExperimentError
-    is re-raised as one naming `context` and the query."""
+    inside fn is one request's latency. Any error is re-raised as a
+    ValueError naming `context` and the query."""
     if n == 0:
-        raise ExperimentError(f"({context}): no queries to run")
+        raise ValueError(f"({context}): no queries to run")
     out = []
     for i in range(n):
         try:
             out.append(fn(i))
-        except ExperimentError:
-            raise
         except Exception as exc:
-            raise ExperimentError(f"({context}, query={i}): {exc}") from exc
+            raise ValueError(f"({context}, query={i}): {exc}") from exc
     return out
 
 
@@ -97,20 +92,25 @@ def _is_a(value, types: tuple) -> bool:
 def _check_types(config) -> None:
     """The one type rule of the config dataclasses: each field of
     `config`, and each item of a `tuple[T, ...]` field, must be an
-    instance of its annotated type (`_is_a`; `T | None` also takes None),
-    else ValueError names the field. A tuple field takes only a list or a
-    tuple, so that a string or a number is refused instead of being split
-    into characters or failing to iterate, and is made a tuple."""
+    instance of its annotated type (`_is_a`; `T | None` also takes None;
+    `Literal[names]` takes a str among `names`), else ValueError names the
+    field. A tuple field takes only a nonempty list or tuple, so that a
+    string or a number is refused instead of being split into characters
+    or failing to iterate, and is made a tuple."""
     hints = typing.get_type_hints(type(config))
     for f in dataclasses.fields(config):
         hint, value = hints[f.name], getattr(config, f.name)
         if typing.get_origin(hint) is tuple:
             if not isinstance(value, (list, tuple)):
                 raise ValueError(f"config field {f.name!r} must be a list, got {type(value).__name__} {value!r}")
+            if not value:
+                raise ValueError(f"config field {f.name!r} must be a nonempty list")
             item = typing.get_args(hint)[0]
+            names = typing.get_args(item) if typing.get_origin(item) is Literal else ()
             for v in value:
-                if not _is_a(v, (item,)):
-                    raise ValueError(f"config field {f.name!r} must be a list of {item.__name__}, "
+                if not (isinstance(v, str) and v in names if names else _is_a(v, (item,))):
+                    expected = "names from " + ",".join(names) if names else item.__name__
+                    raise ValueError(f"config field {f.name!r} must be a list of {expected}, "
                                      f"got {type(v).__name__} {v!r} in it")
             setattr(config, f.name, tuple(value))
         elif not _is_a(value, types := typing.get_args(hint) or (hint,)):
@@ -123,10 +123,6 @@ def _check_types(config) -> None:
 _NO_TIMING = {"help": "report 0.0 times for byte-reproducible output"}
 
 
-def _list_help(names) -> dict:
-    return {"help": "comma list from: " + ",".join(names)}
-
-
 @dataclass
 class ExperimentConfig:
     """Declarative description of one retrieval experiment grid."""
@@ -134,8 +130,8 @@ class ExperimentConfig:
     data: str
     queries: str
     out: str
-    methods: tuple[str, ...] = field(default=("nn",), metadata=_list_help(METHODS))
-    hashes: tuple[str, ...] = field(default=("nh", "lshdiv"), metadata=_list_help(HASHES))
+    methods: tuple[Literal[METHODS], ...] = ("nn",)
+    hashes: tuple[Literal[HASHES], ...] = ("nh", "lshdiv")
     ks: tuple[int, ...] = field(default=(10,), metadata={"help": "comma list of result sizes, e.g. 10,20,30"})
     lam: float = 0.5
     l: int = 16
@@ -146,18 +142,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_types(self)
-        if not self.methods:
-            raise ValueError("method list must be nonempty")
-        if not self.hashes:
-            raise ValueError("hash list must be nonempty")
-        if not self.ks or any(k < 1 for k in self.ks):
-            raise ValueError("k list must be nonempty with k >= 1")
-        for m in self.methods:
-            if m not in METHODS:
-                raise ValueError(f"unknown method {m!r}, expected one of {METHODS}")
-        for h in self.hashes:
-            if h not in HASHES:
-                raise ValueError(f"unknown hash {h!r}, expected one of {HASHES}")
+        if min(self.ks) < 1:
+            raise ValueError(f"every k must be >= 1, got {min(self.ks)}")
         check_lam(self.lam)
         check_seed(self.seed)
 
@@ -236,13 +222,13 @@ def run_retrieval_experiment(config: ExperimentConfig) -> list[ResultRow]:
     queries = load_dense(config.queries)
     for path, points in ((config.data, dataset), (config.queries, queries)):
         if points.n == 0:
-            raise ExperimentError(f"{path} holds no points")
+            raise ValueError(f"{path} holds no points")
     if queries.d != dataset.d:
-        raise ExperimentError(f"query dimension {queries.d} != dataset dimension {dataset.d}")
+        raise ValueError(f"query dimension {queries.d} != dataset dimension {dataset.d}")
     if queries.categories is None or (queries.categories == MISSING).any():
-        raise ExperimentError("query has no category label; precision is undefined")
+        raise ValueError("query has no category label; precision is undefined")
     if dataset.categories is None:
-        raise ExperimentError("dataset has no category labels; precision is undefined")
+        raise ValueError("dataset has no category labels; precision is undefined")
     qcats = queries.categories.tolist()
 
     # every family and its table layout first, so one that cannot be built
@@ -301,7 +287,7 @@ class MultilabelConfig:
     n_queries: int = 200
     rank: int = 20
     ridge: float = 1.0
-    methods: tuple[str, ...] = field(default=("exact", "lshsdiv"), metadata=_list_help(ML_METHODS))
+    methods: tuple[Literal[ML_METHODS], ...] = ("exact", "lshsdiv")
     alpha: int = 10
     pool: int = 30
     lam: float = 0.7
@@ -316,11 +302,6 @@ class MultilabelConfig:
         for name in ("n_labels", "n_queries", "rank"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not self.methods:
-            raise ValueError("method list must be nonempty")
-        for m in self.methods:
-            if m not in ML_METHODS:
-                raise ValueError(f"unknown multilabel method {m!r}, expected one of {ML_METHODS}")
         if self.synthetic == (self.data is not None):
             raise ValueError("give either a data file or synthetic mode, not both")
         if self.synthetic and (self.test is not None or self.factors is not None):
@@ -463,7 +444,7 @@ def run_multilabel_experiment(config: MultilabelConfig) -> list[MultilabelRow]:
         dataset = load_sparse(config.data, d=config.d)
         n_labels = max((max(s) for s in dataset.label_sets if s), default=-1) + 1
         if n_labels < 1:
-            raise ExperimentError("no labels found in the data file")
+            raise ValueError("no labels found in the data file")
         train_idx, val_idx, test_idx = _split_indices(dataset.n, config.seed)
         test_ds = dataset
         if config.test is not None:
@@ -472,7 +453,7 @@ def run_multilabel_experiment(config: MultilabelConfig) -> list[MultilabelRow]:
         if config.factors:
             model = multilabel.load_factors(config.factors)
             if model.d != config.d:
-                raise ExperimentError(f"factors file {config.factors} has {model.d} features, the data {config.d}")
+                raise ValueError(f"factors file {config.factors} has {model.d} features, the data {config.d}")
         else:
             Y = _label_matrix([dataset.label_sets[i] for i in train_idx], n_labels)
             model = multilabel.fit_lowrank_ridge(dataset.vectors[train_idx], Y, config.rank, config.ridge)
@@ -480,6 +461,14 @@ def run_multilabel_experiment(config: MultilabelConfig) -> list[MultilabelRow]:
         truth_val = [dataset.label_sets[i] for i in val_idx]
         X_test = test_ds.vectors[test_idx]
         truth_test = [test_ds.label_sets[i] for i in test_idx]
+
+    if tree is not None:
+        # a tree that cannot score every label fails here, not after the
+        # label indexes and the validation predictions
+        try:
+            metrics.tree_diversity(range(model.n_labels), tree)
+        except ValueError as exc:
+            raise ValueError(f"hierarchy {config.hierarchy}: {exc}") from None
 
     # every label index first, so one that cannot be built fails before any
     # query runs

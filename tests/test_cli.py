@@ -15,6 +15,7 @@ from conftest import edit_index_blob
 from hashdiv import lsh, multilabel
 from hashdiv.cli import build_parser, main
 from hashdiv.data import load_dense
+from hashdiv.experiment import HASHES, METHODS, ML_METHODS, ExperimentConfig, MultilabelConfig
 
 
 @pytest.fixture
@@ -277,6 +278,30 @@ def test_multilabel_hierarchy_without_one_root_refused_before_any_index(tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode, clusters, tree_labels, cause", [
+    ("synthetic", 2, 40, "label 40 is not in the hierarchy tree"),
+    ("synthetic", 1, 50, "tree diversity undefined with 1 top-level categories"),
+    ("libsvm", 2, 1, "label 1 is not in the hierarchy tree"),
+])
+def test_multilabel_hierarchy_that_cannot_score_every_label_refused_before_any_index(
+        tmp_path, capsys, monkeypatch, mode, clusters, tree_labels, cause):
+    # `clusters` top-level categories under root 999999, labels 0..tree_labels-1 spread over them
+    hierarchy, out = tmp_path / "t.txt", tmp_path / "ml.csv"
+    hierarchy.write_text("".join([f"{1000 + c} 999999\n" for c in range(clusters)]
+                                 + [f"{i} {1000 + i % clusters}\n" for i in range(tree_labels)]))
+    built = []
+    monkeypatch.setattr(multilabel, "build_label_index", lambda *args, **kwargs: built.append(args))
+    if mode == "synthetic":
+        given = ["--synthetic", "--n-labels", "50", "--n-queries", "5", "--l", "4", "--L", "2"]
+    else:  # labels 0 and 1
+        _write_docs(tmp_path / "docs.svm")
+        given = ["--data", str(tmp_path / "docs.svm"), "--d", "6", "--rank", "2", "--alpha", "1", "--pool", "2"]
+    rc = main(["multilabel", *given, "--methods", "exact,lshsdiv", "--hierarchy", str(hierarchy), "--out", str(out)])
+    assert rc == 1 and built == []
+    assert capsys.readouterr().err.splitlines() == [f"error: hierarchy {hierarchy}: {cause}"]
+    assert not out.exists() and not Path(f"{out}.json").exists()
+
+
 def test_retrieve_tag_overflow_fails_before_any_cell(toy_paths, tmp_path, capsys):
     data, queries = toy_paths
     out = tmp_path / "o.csv"
@@ -429,6 +454,53 @@ def test_config_field_of_the_wrong_type_is_one_error_line(tmp_path, capsys, comm
     config.write_text(json.dumps({**required, **values}))
     assert main([command, "--config", str(config)]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+_REGISTRIES = {("retrieve", "methods"): METHODS, ("retrieve", "hashes"): HASHES, ("multilabel", "methods"): ML_METHODS}
+
+
+def _list_refusal(key, names, items) -> str:
+    """The message that refuses `items` as config field `key`."""
+    if not items:
+        return f"config field {key!r} must be a nonempty list"
+    bad = items[-1]
+    expected = "names from " + ",".join(names) if names else "int"
+    return f"config field {key!r} must be a list of {expected}, got {type(bad).__name__} {bad!r} in it"
+
+
+@pytest.mark.parametrize("command, key", [*_REGISTRIES, ("retrieve", "ks")])
+@pytest.mark.parametrize("item, text", [(None, ","), ("bogus", "bogus"), (True, "True")])
+def test_list_field_refusal_is_one_error_line_naming_the_field(tmp_path, capsys, command, key, item, text):
+    cls, required = {"retrieve": (ExperimentConfig, ["--data", "d.csv", "--queries", "q.csv"]),
+                     "multilabel": (MultilabelConfig, ["--synthetic"])}[command]
+    names = _REGISTRIES.get((command, key))
+    items = [] if item is None else [names[0] if names else 5, item]
+    values = {"data": "d.csv", "queries": "q.csv"} if command == "retrieve" else {"synthetic": True}
+    with pytest.raises(ValueError, match=f"^{re.escape(_list_refusal(key, names, items))}$"):
+        cls.from_dict({**values, "out": "o.csv", key: items})
+
+    # the flag takes a comma list of text, so True arrives as the name 'True'
+    out = tmp_path / "o.csv"
+    argv = [command, *required, f"--{key}", text, "--out", str(out)]
+    if names or item is None:
+        assert main(argv) == 1
+        message = _list_refusal(key, names, [] if item is None else [text])
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    else:  # argparse makes each --ks item an int, so it refuses the flag itself
+        with pytest.raises(SystemExit, match="^2$"):
+            main(argv)
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "argument --ks:" in errors[0]
+    assert not out.exists() and not Path(f"{out}.json").exists()
+
+
+@pytest.mark.parametrize("command, key", list(_REGISTRIES))
+def test_name_list_flag_help_lists_exactly_the_registry(monkeypatch, command, key):
+    monkeypatch.setenv("COLUMNS", "200")
+    verbs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    help_text = verbs.choices[command].format_help()
+    lines = [line.split() for line in help_text.splitlines() if line.strip().startswith(f"--{key} ")]
+    assert lines == [[f"--{key}", key.upper(), "comma", "list", "from:", ",".join(_REGISTRIES[command, key])]]
 
 
 def _surface(parser, path=()):

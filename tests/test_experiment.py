@@ -12,7 +12,6 @@ from hashdiv import experiment, hashing, lsh
 from hashdiv.data import ToyConfig, make_toy, save_dense
 from hashdiv.experiment import (
     ExperimentConfig,
-    ExperimentError,
     MultilabelConfig,
     MultilabelRow,
     ResultRow,
@@ -51,23 +50,26 @@ def base_config(toy_files, out, **kw):
 
 class TestConfig:
     def test_empty_methods_rejected(self):
-        with pytest.raises(ValueError, match="method"):
+        with pytest.raises(ValueError, match="^config field 'methods' must be a nonempty list$"):
             ExperimentConfig(data="x", queries="q", out="o", methods=())
 
     def test_unknown_method(self):
-        with pytest.raises(ValueError, match="unknown method"):
+        with pytest.raises(ValueError, match="^config field 'methods' must be a list of names from "
+                                             "nn,rerank,greedy,mmr,qprel, got str 'fancy' in it$"):
             ExperimentConfig(data="x", queries="q", out="o", methods=("fancy",))
 
     def test_unknown_hash(self):
-        with pytest.raises(ValueError, match="unknown hash"):
+        with pytest.raises(ValueError, match="^config field 'hashes' must be a list of names from "
+                                             "nh,lshdiv,lshsdiv,pcahash, got str 'md5' in it$"):
             ExperimentConfig(data="x", queries="q", out="o", hashes=("md5",))
 
     @pytest.mark.parametrize("cls, fields, message", [
-        (ExperimentConfig, {"hashes": ()}, "hash list must be nonempty"),
-        (ExperimentConfig, {"ks": ()}, "k list must be nonempty with k >= 1"),
-        (ExperimentConfig, {"ks": (5, 0)}, "k list must be nonempty with k >= 1"),
-        (MultilabelConfig, {"methods": ()}, "method list must be nonempty"),
-        (MultilabelConfig, {"methods": ("exact", "nn")}, "unknown multilabel method 'nn'"),
+        (ExperimentConfig, {"hashes": ()}, "config field 'hashes' must be a nonempty list$"),
+        (ExperimentConfig, {"ks": ()}, "config field 'ks' must be a nonempty list$"),
+        (ExperimentConfig, {"ks": (5, 0)}, "every k must be >= 1, got 0$"),
+        (MultilabelConfig, {"methods": ()}, "config field 'methods' must be a nonempty list$"),
+        (MultilabelConfig, {"methods": ("exact", "nn")}, "config field 'methods' must be a list of names from "
+                                                         "exact,mmr,lshdiv,lshsdiv,pcahash, got str 'nn' in it$"),
         (MultilabelConfig, {"synthetic": False, "data": "x.svm"}, "LIBSVM data files need the feature dimension d"),
         (MultilabelConfig, {"alpha": 0}, r"need pool >= alpha >= 1"),
         (MultilabelConfig, {"alpha": 10, "pool": 9}, r"need pool >= alpha >= 1"),
@@ -120,7 +122,8 @@ class TestConfig:
         (ExperimentConfig, {"lam": True}, "config field 'lam' must be float, got bool True"),
         (ExperimentConfig, {"alpha": 4.0}, "config field 'alpha' must be int or None, got float 4.0"),
         (ExperimentConfig, {"timing": 0}, "config field 'timing' must be bool, got int 0"),
-        (ExperimentConfig, {"methods": ["nn", 1]}, "config field 'methods' must be a list of str, got int 1 in it"),
+        (ExperimentConfig, {"methods": ["nn", 1]},
+         "config field 'methods' must be a list of names from nn,rerank,greedy,mmr,qprel, got int 1 in it"),
         # "10" once ended in a TypeError from the first comparison with it
         (MultilabelConfig, {"alpha": "10"}, "config field 'alpha' must be int, got str '10'"),
         (MultilabelConfig, {"test": 3}, "config field 'test' must be str or None, got int 3"),
@@ -288,7 +291,7 @@ class TestRetrievalRuns:
         monkeypatch.setattr(lsh, "build", lambda *args, **kwargs: built.append(args))
         config = base_config(toy_files, tmp_path / "o.csv", hashes=("nh", "lshsdiv"), **{unlabeled: str(path)})
         cause = "dataset has no category labels" if unlabeled == "data" else "query has no category label"
-        with pytest.raises(ExperimentError, match=f"^{cause}; precision is undefined$"):
+        with pytest.raises(ValueError, match=f"^{cause}; precision is undefined$"):
             run_retrieval_experiment(config)
         assert built == []
 
@@ -297,7 +300,7 @@ class TestRetrievalRuns:
         path = tmp_path / "empty.csv"
         path.write_text("")
         config = base_config(toy_files, tmp_path / "o.csv", **{empty: str(path)})
-        with pytest.raises(ExperimentError, match=f"^{re.escape(str(path))} holds no points$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} holds no points$"):
             run_retrieval_experiment(config)
 
     @pytest.mark.parametrize("unlabeled", ["one", "all"])
@@ -311,7 +314,7 @@ class TestRetrievalRuns:
         path = tmp_path / "queries.csv"
         path.write_text("\n".join(rows) + "\n")
         config = base_config(toy_files, tmp_path / "o.csv", queries=str(path))
-        with pytest.raises(ExperimentError, match="^query has no category label; precision is undefined$"):
+        with pytest.raises(ValueError, match="^query has no category label; precision is undefined$"):
             run_retrieval_experiment(config)
 
 
@@ -451,7 +454,7 @@ class TestMultilabelExperiment:
         config = MultilabelConfig(out=str(tmp_path / "m.csv"), synthetic=True, n_labels=50, n_queries=5,
                                   rank=4, methods=("exact",), timing=False)
         with mock.patch("hashdiv.multilabel.predict_exact", fail_third), \
-                pytest.raises(ExperimentError, match=r"^\(method=exact, split=validation, query=2\): boom$"):
+                pytest.raises(ValueError, match=r"^\(method=exact, split=validation, query=2\): boom$"):
             run_multilabel_experiment(config)
 
     def test_no_queries_is_an_error_not_a_nan_row(self, tmp_path):
