@@ -28,14 +28,27 @@ from .experiment import (
 from .hashing import KINDS, PLAIN, new_family
 
 
+def _read_as(kind):
+    """A flag's reader of `kind` values: `kind(text)`, or the text itself
+    where `kind` cannot read it, for the configs' one type rule to refuse
+    in the words it gives the same value from a `--config` file."""
+    def read(text: str):
+        try:
+            return kind(text)
+        except ValueError:
+            return text
+    return read
+
+
 def _add_config_flags(parser: argparse.ArgumentParser, cls) -> None:
     """`--config` plus one flag per field of the config dataclass `cls`:
     `--field-name` (`--lambda` for `lam`), a bool that defaults to False
     is a flag that sets it, one that defaults to True is `--no-field-name`,
     `tuple[T, ...]` takes a comma list of T (of str for `T = Literal[names]`,
-    whose help lists the names) and `T | None` takes a T. The field's
-    metadata holds the remaining argparse keywords. An unset flag stores
-    nothing, so it never overrides the config file."""
+    whose help lists the names) and `T | None` takes a T; text that is no
+    T is passed on as text (`_read_as`). The field's metadata holds the
+    remaining argparse keywords. An unset flag stores nothing, so it never
+    overrides the config file."""
     parser.add_argument("--config", help=f"JSON file of {cls.__name__} fields; flags override")
     hints = typing.get_type_hints(cls)
     for f in dataclasses.fields(cls):
@@ -50,9 +63,9 @@ def _add_config_flags(parser: argparse.ArgumentParser, cls) -> None:
             item = typing.get_args(hint)[0]
             if typing.get_origin(item) is typing.Literal:
                 kwargs["help"], item = "comma list from: " + ",".join(typing.get_args(item)), str
-            kwargs["type"] = lambda text, item=item: tuple(item(t.strip()) for t in text.split(",") if t.strip())
+            kwargs["type"] = lambda text, read=_read_as(item): tuple(read(t.strip()) for t in text.split(",") if t.strip())
         else:  # T or T | None
-            kwargs["type"] = next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+            kwargs["type"] = _read_as(next(t for t in typing.get_args(hint) or (hint,) if t is not type(None)))
         parser.add_argument(flag, **kwargs)
 
 
@@ -107,12 +120,15 @@ def _cmd_index_query(args) -> int:
     dataset = load_dense(args.data)
     index = lsh.load_index(args.index, dataset)
     queries = load_dense(args.queries)
+    lines = (json.dumps({"query_id": i, "candidates": cand.ids.tolist(), "touched": cand.touched}) + "\n"
+             for i, cand in enumerate(lsh.query(index, q) for q in queries.vectors))
+    # the first query meets the query rule before --out is opened, so a
+    # query file that the rule refuses leaves no file behind
+    first = next(lines, "")
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        for i in range(queries.n):
-            cand = lsh.query(index, queries.vectors[i])
-            rec = {"query_id": i, "candidates": cand.ids.tolist(), "touched": cand.touched}
-            out.write(json.dumps(rec) + "\n")
+        out.write(first)
+        out.writelines(lines)
     finally:
         if out is not sys.stdout:
             out.close()

@@ -169,7 +169,8 @@ def retrieve(source: LshIndex | Dataset, q: np.ndarray, select, k: int, lam: flo
     """One request: the union of q's buckets in the index `source` (every
     point when `source` is a Dataset), gathered and passed to `select` as
     a SelectionProblem. Returns the selection and the candidate count; an
-    empty union gives an empty, underfilled selection and count 0. A query
+    empty union is the selector's case like any other pool, which answers
+    it with an empty, underfilled selection, and its count is 0. A query
     that is not a 1-d array of the points' dimension, or that is NaN,
     infinite or zero, and a k below 1 or a lam outside [0, 1] raise
     ValueError on both paths, an empty union included. The problem is
@@ -182,8 +183,6 @@ def retrieve(source: LshIndex | Dataset, q: np.ndarray, select, k: int, lam: flo
         ids = query(source, q).ids
         vectors = source.dataset.dense_rows(ids)
     problem = SelectionProblem(q, ids, vectors, k, lam)  # checks k and lam, also for an empty union
-    if problem.size == 0:
-        return SelectionResult(ids=problem.ids, underfilled=True), 0
     return select(problem), problem.size
 
 

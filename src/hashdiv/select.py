@@ -577,8 +577,6 @@ def select_qp_rel(problem: SelectionProblem, max_iter: int = 500, tol: float = 1
     which rounding does not read. With fewer candidates than k the whole
     pool is returned underfilled (the relaxation is only solvable for
     k <= n)."""
-    if problem.size == 0:
-        return _result(problem, [])
     if problem.k >= problem.size:
         return _result(problem, list(range(problem.size)))
     alpha = _relaxed_alpha(problem, max_iter, tol)[0]

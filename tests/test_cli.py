@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -145,6 +146,26 @@ def test_index_query_out_of_range_id_is_one_error_line(toy_paths, tmp_path, caps
     assert captured.err.splitlines() == ["error: corrupt index blob: a point id lies outside [0, 400)"]
 
 
+def test_index_query_refused_query_file_leaves_no_out_file(toy_paths, tmp_path, capsys):
+    # an 8-d index and 3-d queries: the first query is refused before --out
+    # is opened; a query file with no points still gets an empty --out
+    data, _ = toy_paths
+    idx, q3, empty = tmp_path / "index.bin", tmp_path / "q3.csv", tmp_path / "empty.csv"
+    assert main(["index", "build", "--data", str(data), "--l", "10", "--L", "4", "--out", str(idx)]) == 0
+    assert main(["toy-gen", "--out", str(tmp_path / "d3.csv"), "--queries-out", str(q3), "--n-per-class", "5",
+                 "--n-queries", "3", "--d", "3"]) == 0
+    empty.write_text("")
+    capsys.readouterr()
+    out = tmp_path / "q3.jsonl"
+    assert main(["index", "query", "--index", str(idx), "--data", str(data), "--queries", str(q3), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: query must be a 1-d array of 8 coordinates, got shape (3,)"]
+    assert not out.exists()
+    out = tmp_path / "empty.jsonl"
+    assert main(["index", "query", "--index", str(idx), "--data", str(data), "--queries", str(empty),
+                 "--out", str(out)]) == 0
+    assert out.read_text() == ""
+
+
 def test_retrieve_grid_and_determinism(toy_paths, tmp_path):
     data, queries = toy_paths
     out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -274,7 +295,7 @@ def test_multilabel_hierarchy_without_one_root_refused_before_any_index(tmp_path
     rc = main(["multilabel", "--synthetic", "--n-labels", "50", "--n-queries", "5", "--methods", "exact,lshsdiv",
                "--hierarchy", str(hierarchy), "--out", str(out)])
     assert rc == 1 and built == []
-    assert capsys.readouterr().err.splitlines() == [f"error: hierarchy must have exactly one root, found {found}"]
+    assert capsys.readouterr().err.splitlines() == [f"error: hierarchy {hierarchy}: must have exactly one root, found {found}"]
     assert not out.exists()
 
 
@@ -330,12 +351,20 @@ def test_index_build_basis_captures_the_top_energy(tmp_path, capsys):
     assert abs(energy - np.sum(s[:4] ** 2)) <= 1e-12 * s[0] ** 2
 
 
-def test_tune_outputs_json(toy_paths, capsys):
+def test_tune_outputs_json(toy_paths, capsys, monkeypatch):
     data, _ = toy_paths
     assert main(["tune", "--data", str(data), "--target-recall", "0.8", "--seed", "0"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
     assert {"l", "L", "feasible", "recall"} <= set(payload)
-    assert payload["feasible"]
+    assert payload["feasible"] and captured.err == ""
+    # no pair reaches the target: the best-recall pair, with a warning
+    best = lsh.TuneResult(l=8, L=1, feasible=False, recall=0.5, mean_candidates=3.0, expected_touched=3.0)
+    monkeypatch.setattr(lsh, "tune", lambda *args, **kwargs: best)
+    assert main(["tune", "--data", str(data)]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == dataclasses.asdict(best)
+    assert captured.err.splitlines() == ["warning: no (l, L) pair reached the target recall; best effort returned"]
 
 
 def test_multilabel_synthetic(tmp_path):
@@ -479,19 +508,69 @@ def test_list_field_refusal_is_one_error_line_naming_the_field(tmp_path, capsys,
     with pytest.raises(ValueError, match=f"^{re.escape(_list_refusal(key, names, items))}$"):
         cls.from_dict({**values, "out": "o.csv", key: items})
 
-    # the flag takes a comma list of text, so True arrives as the name 'True'
+    # the flag takes a comma list of text, so True arrives as the text 'True'
     out = tmp_path / "o.csv"
-    argv = [command, *required, f"--{key}", text, "--out", str(out)]
-    if names or item is None:
-        assert main(argv) == 1
-        message = _list_refusal(key, names, [] if item is None else [text])
-        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
-    else:  # argparse makes each --ks item an int, so it refuses the flag itself
-        with pytest.raises(SystemExit, match="^2$"):
-            main(argv)
-        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-        assert len(errors) == 1 and "argument --ks:" in errors[0]
+    assert main([command, *required, f"--{key}", text, "--out", str(out)]) == 1
+    message = _list_refusal(key, names, [] if item is None else [text])
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not out.exists() and not Path(f"{out}.json").exists()
+
+
+_REQUIRED = {"retrieve": {"data": "d.csv", "queries": "q.csv"}, "multilabel": {"synthetic": True}}
+
+
+def _flag(key: str) -> str:
+    return "--" + ("lambda" if key == "lam" else key.replace("_", "-"))
+
+
+def _flags(values: dict) -> list:
+    """The command line that gives the config fields `values`: True is a
+    bare flag, a list a comma list."""
+    argv = []
+    for key, value in values.items():
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        argv += [_flag(key)] if value is True else [_flag(key), text]
+    return argv
+
+
+@pytest.mark.parametrize("command, key, text, value", [
+    ("retrieve", "ks", "5,true", [5, "true"]),
+    ("retrieve", "l", "x", "x"),
+    ("retrieve", "lam", "x", "x"),
+    ("retrieve", "alpha", "4.5", "4.5"),
+    ("multilabel", "rank", "x", "x"),
+    ("multilabel", "pool", "x", "x"),
+    ("multilabel", "d", "2.0", "2.0"),
+])
+def test_flag_value_refused_in_the_words_of_the_config_file(tmp_path, capsys, command, key, text, value):
+    # a derived flag hands a value its type cannot read to the configs' one
+    # type rule, so the flag and the same value in --config give one line
+    out = tmp_path / "o.csv"
+    required = {**_REQUIRED[command], "out": str(out)}
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({**required, key: value}))
+    assert main([command, "--config", str(config)]) == 1
+    from_file = capsys.readouterr().err.splitlines()
+    assert len(from_file) == 1 and from_file[0].startswith(f"error: config field {key!r} must be ")
+    assert main([command, *_flags(required), _flag(key), text]) == 1
+    assert capsys.readouterr().err.splitlines() == from_file
+    assert not out.exists() and not Path(f"{out}.json").exists()
+
+
+@pytest.mark.parametrize("command, values", [
+    ("retrieve", {"data": "d.csv", "queries": "q.csv", "methods": ["nn", "qprel"], "hashes": ["nh"], "ks": [5, 10],
+                  "lam": 1, "l": 12, "L": 3, "alpha": 4, "seed": 7}),
+    ("multilabel", {"data": "x.svm", "d": 40, "test": "t.svm", "factors": "f.bin", "hierarchy": "h.txt",
+                    "n_labels": 300, "n_queries": 6, "rank": 5, "ridge": 0.5, "methods": ["exact"], "alpha": 3,
+                    "pool": 9, "lam": 0.25, "l": 10, "L": 2, "seed": 1, "predictions_json": "p.json"}),
+])
+def test_every_derived_flag_parses_to_the_config_of_the_file(command, values):
+    # one valid value for every non-bool field, as flags and as a config
+    cls = {"retrieve": ExperimentConfig, "multilabel": MultilabelConfig}[command]
+    values = {"out": "o.csv", **values}
+    assert set(values) == {f.name for f in dataclasses.fields(cls) if f.type != "bool"}
+    args = vars(build_parser().parse_args([command, *_flags(values)]))
+    assert cls.from_dict({}, **{k: args[k] for k in values}) == cls.from_dict(values)
 
 
 @pytest.mark.parametrize("command, key", list(_REGISTRIES))

@@ -181,6 +181,8 @@ def test_toy_config_validation():
             ToyConfig(n_per_class=1, class_centers=((1.0, 0.0), (0.0, 1.0)), spread=spread, seed=0)
     with pytest.raises(ValueError, match="distinct"):
         ToyConfig(n_per_class=1, class_centers=((1.0, 0.0), (1.0, 0.0)), spread=0.1, seed=0)
+    with pytest.raises(ValueError, match="^exactly two class centers required$"):
+        ToyConfig(n_per_class=1, class_centers=((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)), spread=0.1, seed=0)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**63, 1.0])

@@ -303,6 +303,13 @@ class TestRetrievalRuns:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))} holds no points$"):
             run_retrieval_experiment(config)
 
+    def test_query_dimension_must_equal_the_data_dimension(self, toy_files, tmp_path):
+        path = tmp_path / "q3.csv"
+        save_dense(make_toy(ToyConfig(n_per_class=2, class_centers=toy_centers(3), spread=0.25, seed=1)), path)
+        config = base_config(toy_files, tmp_path / "o.csv", queries=str(path))
+        with pytest.raises(ValueError, match="^query dimension 3 != dataset dimension 8$"):
+            run_retrieval_experiment(config)
+
     @pytest.mark.parametrize("unlabeled", ["one", "all"])
     def test_unlabeled_query_is_refused(self, toy_files, tmp_path, unlabeled):
         # a row without the "category:subtopic:" prefix; the file has no
@@ -409,6 +416,13 @@ class TestMultilabelExperiment:
         rows = run_multilabel_experiment(config)
         assert rows[0].diversity is not None
         assert rows[0].precision > 0.5  # planted block structure is easy
+
+    def test_data_file_without_labels_refused(self, tmp_path):
+        data = tmp_path / "docs.svm"
+        data.write_text("1:0.5 2:0.5\n3:1.0\n")
+        config = MultilabelConfig(out=str(tmp_path / "m.csv"), data=str(data), d=4, methods=("exact",))
+        with pytest.raises(ValueError, match="^no labels found in the data file$"):
+            run_multilabel_experiment(config)
 
     def test_prediction_outputs(self, tmp_path):
         jpath = tmp_path / "p.json"

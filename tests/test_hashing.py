@@ -104,10 +104,19 @@ class TestNewFamily:
     def test_l_bound(self):
         with pytest.raises(ValueError, match="l=65"):
             new_family(PLAIN, 65, 1, 8)
+        # and the kind and dimension checks beside it
+        with pytest.raises(ValueError, match=r"^unknown hash kind 'lsh', expected one of \("):
+            new_family("lsh", 8, 1, 8)
+        with pytest.raises(ValueError, match="^d must be >= 1$"):
+            new_family(PLAIN, 8, 1, 0)
 
     def test_pca_requires_data_or_basis(self):
         with pytest.raises(ValueError, match="dataset or a precomputed basis"):
             new_family(PCA, 8, 2, 16, alpha=4)
+        # a basis fixes alpha to its width
+        basis = TruncatedBasis(U=np.eye(16)[:, :4], singular_values=np.ones(4))
+        with pytest.raises(ValueError, match="^alpha=3 does not match basis with 4 columns$"):
+            new_family(PCA, 8, 2, 16, alpha=3, basis=basis)
 
     def test_pca_planes_live_in_data_subspace(self):
         # dataset confined to a 2-dim subspace: every effective normal U r
@@ -258,6 +267,10 @@ class TestHashMatrixOracle:
 class TestCollisionLaw:
     def test_estimate_equal(self):
         assert estimate_collision_rate([1.0, 1.0], [2.0, 2.0], trials=100, seed=0) == 1.0
+
+    def test_no_trials_refused(self):
+        with pytest.raises(ValueError, match="^trials must be >= 1$"):
+            estimate_collision_rate([1.0, 0.0], [0.0, 1.0], trials=0)
 
     def test_estimate_antipodal(self):
         assert estimate_collision_rate([1.0, 0.5], [-1.0, -0.5], trials=100, seed=0) == 0.0

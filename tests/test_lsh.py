@@ -301,12 +301,10 @@ class TestRetrieve:
         every = np.arange(n)
         for select in SELECTORS:
             res, count = lsh.retrieve(index, q, select, k, lam)
+            # an empty union is the selector's case too
+            want = select(SelectionProblem(query=q, ids=cand, vectors=ds.dense_rows(cand), k=k, lam=lam))
             assert count == cand.size
-            if cand.size == 0:
-                assert res.ids.size == 0 and res.underfilled
-            else:
-                want = select(SelectionProblem(query=q, ids=cand, vectors=ds.dense_rows(cand), k=k, lam=lam))
-                assert np.array_equal(res.ids, want.ids) and res.underfilled == want.underfilled
+            assert np.array_equal(res.ids, want.ids) and res.underfilled == want.underfilled
             # no index: the selector over every point
             res, count = lsh.retrieve(ds, q, select, k, lam)
             want = select(SelectionProblem(query=q, ids=every, vectors=ds.vectors, k=k, lam=lam))
@@ -370,10 +368,12 @@ class TestRetrieve:
     def test_empty_union(self):
         ds = Dataset(vectors=np.array([[1.0] + [0.0] * 15]))
         index = lsh.build(ds, new_family(PLAIN, 64, 1, 16, seed=3))
-        # the antipode flips every one of the 64 sign bits
+        # the antipode flips every one of the 64 sign bits; each selector
+        # answers the empty pool itself
         for select in SELECTORS:
-            res, count = lsh.retrieve(index, -ds.vectors[0], select, 5, 0.5)
-            assert res.ids.size == 0 and res.underfilled and count == 0
+            seen = []
+            res, count = lsh.retrieve(index, -ds.vectors[0], lambda p: seen.append(p.size) or select(p), 5, 0.5)
+            assert res.ids.size == 0 and res.underfilled and count == 0 and seen == [0]
 
     @pytest.mark.parametrize("k, lam, cause", [
         (0, 0.5, "k must be >= 1"), (0, 7.5, "k must be >= 1"), (-3, 0.5, "k must be >= 1"),

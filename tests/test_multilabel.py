@@ -42,6 +42,9 @@ class TestFactorIO:
         path.write_bytes(blob[:-8])
         with pytest.raises(ValueError, match="size mismatch"):
             load_factors(path)
+        path.write_bytes(b"HDVX" + blob[4:])
+        with pytest.raises(ValueError, match=r"^not a factor-model file \(bad magic\)$"):
+            load_factors(path)
 
     @pytest.mark.parametrize("size", [4, 20])
     def test_truncated_header_rejected(self, tmp_path, size):
@@ -54,6 +57,8 @@ class TestFactorIO:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             FactorModel(W=np.array([[np.nan]]), H=np.ones((1, 1)))
+        with pytest.raises(ValueError, match=r"^W must be \(L, k\) and H \(d, k\) with matching k$"):
+            FactorModel(W=np.ones((3, 2)), H=np.ones((4, 3)))
 
 
 class TestFitLowRankRidge:
@@ -86,6 +91,8 @@ class TestFitLowRankRidge:
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
             fit_lowrank_ridge(np.eye(3), np.eye(3), k=4, ridge=1.0)
+        with pytest.raises(ValueError, match="^X and Y disagree on the number of rows$"):
+            fit_lowrank_ridge(np.eye(3), np.eye(4), k=2, ridge=1.0)
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)

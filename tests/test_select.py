@@ -565,6 +565,10 @@ class TestQpRelax:
         prob = SelectionProblem(np.array([1.0, 0.0]), np.empty(0, dtype=int), np.empty((0, 2)), k=1, lam=0.5)
         with pytest.raises(ValueError):
             qp_relax_solve(prob)
+        # select_qp_rel returns a pool of at most k whole; the solver refuses it
+        prob = SelectionProblem(np.array([1.0, 0.0]), [0, 1], np.eye(2), k=3, lam=0.5)
+        with pytest.raises(ValueError, match="^k=3 exceeds candidate count 2$"):
+            qp_relax_solve(prob)
 
     @given(
         st.integers(0, 2**31 - 1),
@@ -1014,6 +1018,8 @@ class TestProblemValidation:
             SelectionProblem(np.ones(2), [0, 2, 1], np.ones((3, 2)), k=1, lam=0.5)
         with pytest.raises(ValueError, match="1-d"):
             SelectionProblem(np.ones(2), 0, np.ones((1, 2)), k=1, lam=0.5)
+        with pytest.raises(ValueError, match="^ids and vectors disagree on candidate count$"):
+            SelectionProblem(np.ones(2), [0, 1], np.ones((3, 2)), k=1, lam=0.5)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_candidate_row_rejected(self, bad):
