@@ -431,6 +431,7 @@ def _ml_predictor(method: str, model: FactorModel, config: MultilabelConfig):
 
 
 def run_multilabel_experiment(config: MultilabelConfig) -> list[MultilabelRow]:
+    tree = metrics.load_hierarchy(config.hierarchy) if config.hierarchy else None
     if config.synthetic:
         model, X_all, truth_all = make_planted(
             config.n_labels, config.rank, config.d or 2 * config.rank,
@@ -461,9 +462,13 @@ def run_multilabel_experiment(config: MultilabelConfig) -> list[MultilabelRow]:
         X_test = test_ds.vectors[test_idx]
         truth_test = [test_ds.label_sets[i] for i in test_idx]
 
-    # a tree that cannot score every label fails here, not after the label
-    # indexes and the validation predictions
-    tree = metrics.load_hierarchy(config.hierarchy, range(model.n_labels)) if config.hierarchy else None
+    if tree is not None:
+        # a tree that cannot score every label fails here, not after the
+        # label indexes and the validation predictions
+        try:
+            metrics.tree_diversity(range(model.n_labels), tree)
+        except ValueError as exc:
+            raise metrics.hierarchy_refusal(config.hierarchy, exc) from None
 
     # every label index first, so one that cannot be built fails before any
     # query runs

@@ -163,13 +163,16 @@ def bfs_prune(edges, root: int) -> HierarchyTree:
     return HierarchyTree(parent=parent_of, root=root, top=top, top_level_count=len(set(top.values())), excluded=excluded)
 
 
-def load_hierarchy(path, labels=()) -> HierarchyTree:
+def hierarchy_refusal(path, cause) -> ValueError:
+    """The error that refuses a hierarchy file, naming it: `hierarchy <path>: <cause>`."""
+    return ValueError(f"hierarchy {path}: {cause}")
+
+
+def load_hierarchy(path) -> HierarchyTree:
     """`bfs_prune` of an edge list file from its one root: one 'child parent'
     pair of integer ids per nonblank line, read as `data.load_dense` reads
-    its lines. A faulty line raises ParseError, naming the file and line.
-    A file without exactly one root, or whose tree cannot score the label
-    ids `labels` together by `tree_diversity`, raises ValueError that
-    names the file as `hierarchy <path>: <cause>`."""
+    its lines. A faulty line raises ParseError, naming the file and line,
+    and a file without exactly one root the `hierarchy_refusal`."""
     path = Path(path)
     edges = []
     for line_no, line in _lines(path):
@@ -179,12 +182,6 @@ def load_hierarchy(path, labels=()) -> HierarchyTree:
             raise ParseError(path, line_no, f"expected 'child parent' integer ids, got {line!r}") from None
         edges.append((child, parent))
     roots = sorted({p for _, p in edges} - {c for c, _ in edges})
-    try:
-        if len(roots) != 1:
-            raise ValueError(f"must have exactly one root, found {roots}")
-        tree = bfs_prune(edges, roots[0])
-        if labels:
-            tree_diversity(labels, tree)
-    except ValueError as exc:
-        raise ValueError(f"hierarchy {path}: {exc}") from None
-    return tree
+    if len(roots) != 1:
+        raise hierarchy_refusal(path, f"must have exactly one root, found {roots}")
+    return bfs_prune(edges, roots[0])

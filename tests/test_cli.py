@@ -13,7 +13,7 @@ import pytest
 
 import hashdiv
 from conftest import edit_index_blob
-from hashdiv import lsh, multilabel
+from hashdiv import experiment, lsh, multilabel
 from hashdiv.cli import build_parser, main
 from hashdiv.data import load_dense
 from hashdiv.experiment import HASHES, METHODS, ML_METHODS, ExperimentConfig, MultilabelConfig
@@ -297,6 +297,32 @@ def test_multilabel_hierarchy_without_one_root_refused_before_any_index(tmp_path
     assert rc == 1 and built == []
     assert capsys.readouterr().err.splitlines() == [f"error: hierarchy {hierarchy}: must have exactly one root, found {found}"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["synthetic", "libsvm"])
+@pytest.mark.parametrize("text", [None, "1 0\n2 5\n"], ids=["missing", "two-roots"])
+def test_multilabel_hierarchy_refused_before_the_model(tmp_path, capsys, monkeypatch, mode, text):
+    # a missing or two-root file is refused before the planted model is made
+    # or the factors are fitted, as none of its errors depend on the model
+    hierarchy, out = tmp_path / "h.txt", tmp_path / "ml.csv"
+    if text is not None:
+        hierarchy.write_text(text)
+    made = []
+    monkeypatch.setattr(experiment, "make_planted", lambda *args, **kwargs: made.append(args))
+    monkeypatch.setattr(multilabel, "fit_lowrank_ridge", lambda *args, **kwargs: made.append(args))
+    if mode == "synthetic":
+        given = ["--synthetic", "--n-labels", "50", "--n-queries", "5"]
+    else:
+        _write_docs(tmp_path / "docs.svm")
+        given = ["--data", str(tmp_path / "docs.svm"), "--d", "6", "--rank", "2", "--alpha", "1", "--pool", "2"]
+    rc = main(["multilabel", *given, "--methods", "exact", "--hierarchy", str(hierarchy), "--out", str(out)])
+    assert rc == 1 and made == []
+    err = capsys.readouterr().err.splitlines()
+    if text is None:
+        assert len(err) == 1 and err[0].startswith("error: [Errno 2] No such file or directory") and str(hierarchy) in err[0]
+    else:
+        assert err == [f"error: hierarchy {hierarchy}: must have exactly one root, found [0, 5]"]
+    assert not out.exists() and not Path(f"{out}.json").exists()
 
 
 @pytest.mark.parametrize("mode, clusters, tree_labels, cause", [

@@ -288,18 +288,6 @@ class TestBfsPrune:
         with pytest.raises(ValueError, match=f"^hierarchy {re.escape(str(p))}: must have exactly one root, found {re.escape(found)}$"):
             load_hierarchy(p)
 
-    @pytest.mark.parametrize("text, labels, cause", [
-        ("1 0\n2 0\n3 1\n4 2\n", range(4, 6), "label 5 is not in the hierarchy tree"),
-        ("1 0\n2 0\n3 1\n4 2\n", range(3), "label 0 is the root; no top-level ancestor"),
-        ("1 0\n2 1\n", range(1, 3), "tree diversity undefined with 1 top-level categories"),
-    ])
-    def test_load_hierarchy_refuses_labels_it_cannot_score(self, tmp_path, text, labels, cause):
-        p = tmp_path / "h.txt"
-        p.write_text(text)
-        with pytest.raises(ValueError, match=f"^hierarchy {re.escape(str(p))}: {re.escape(cause)}$"):
-            load_hierarchy(p, labels)
-        assert load_hierarchy(p).root == 0  # no labels given, none checked
-
     @pytest.mark.parametrize("text, line", [("1 0\nx 0\n", 2), ("1 0\n\n2 0.5\n", 3), ("1 0\n3\n", 2), ("1 0 2\n", 1)])
     def test_load_hierarchy_bad_line_is_named(self, tmp_path, text, line):
         p = tmp_path / "h.txt"
