@@ -25,12 +25,13 @@ with the ambient normals, d * L * l multiply-adds. It walks the rows in
 blocks whose float64 projections onto those tables' planes fit a fixed
 byte budget, writing each block's keys into the output, so its working
 memory is bounded by the keys it returns, not by n * L * l. `hash_matrix`
-runs it over all L tables, and `hash_table` over one (the index build
-hashes table by table, so it never holds the (n, L) keys). A row's
-projections do not depend on the other rows of its block, so the keys do
-not depend on the block size. `hash_vector`, the per-request hash, is its
-own one-row path: the kernel's operations on a one-row block, without the
-block loop, so its keys are those of `hash_matrix(family, x[None])[0]`.
+is that kernel; it runs over all L tables, or over a slice of them (the
+index build hashes table by table, so it never holds the (n, L) keys). A
+row's projections do not depend on the other rows of its block, so the
+keys do not depend on the block size. `hash_vector`, the per-request
+hash, is its own one-row path: the kernel's operations on a one-row
+block, without the block loop, so its keys are those of
+`hash_matrix(family, x[None])[0]`.
 
 Drawn plane (t, b) of a seed is
 Generator(Philox(SeedSequence(seed, spawn_key=(t, b)))).standard_normal(dim):
@@ -217,32 +218,22 @@ def new_family(
     return HashFamily(kind=kind, l=l, L=L, d=d, alpha=alpha, seed=seed, hyperplanes=planes, basis=basis)
 
 
-def _hash_tables(family: HashFamily, vectors: np.ndarray, first: int, stop: int) -> np.ndarray:
-    """Keys of every row of the dense (n, d) `vectors` under tables
-    first..stop-1: (n, stop - first) uint64. The one hashing kernel."""
+def hash_matrix(family: HashFamily, vectors: np.ndarray, tables: slice = slice(None)) -> np.ndarray:
+    """Keys of every row of the dense (n, d) `vectors` under the k tables
+    that the slice `tables` selects, all L by default: (n, k) uint64. The
+    one hashing kernel."""
     if vectors.shape[1] != family.d:
         raise ValueError(f"point dimension {vectors.shape[1]} != family dimension {family.d}")
     n, l = vectors.shape[0], family.l
-    planes = family._planes[:, first * l : stop * l]
+    planes = family._planes.reshape(family.d, family.L, l)[:, tables].reshape(family.d, -1)
+    width = planes.shape[1] // l
     block = max(1, _BLOCK_BYTES // (8 * max(planes.shape[1], family.d)))
-    keys = np.empty((n, stop - first), dtype=np.uint64)
+    keys = np.empty((n, width), dtype=np.uint64)
     for lo in range(0, n, block):
         z = vectors[lo : lo + block]
-        bits = (z @ planes >= 0.0).reshape(z.shape[0], stop - first, l)
+        bits = (z @ planes >= 0.0).reshape(z.shape[0], width, l)
         np.matmul(bits, family._pow2, out=keys[lo : lo + block])
     return keys
-
-
-def hash_matrix(family: HashFamily, vectors: np.ndarray) -> np.ndarray:
-    """Keys for every row of the dense (n, d) `vectors` under every table:
-    (n, L) uint64."""
-    return _hash_tables(family, vectors, 0, family.L)
-
-
-def hash_table(family: HashFamily, vectors: np.ndarray, t: int) -> np.ndarray:
-    """Keys for every row of the dense (n, d) `vectors` under table t:
-    (n,) uint64, equal to hash_matrix(family, vectors)[:, t]."""
-    return _hash_tables(family, vectors, t, t + 1)[:, 0]
 
 
 def hash_vector(family: HashFamily, x: np.ndarray) -> np.ndarray:
@@ -253,14 +244,3 @@ def hash_vector(family: HashFamily, x: np.ndarray) -> np.ndarray:
     if z.shape[1] != family.d:
         raise ValueError(f"point dimension {z.shape[1]} != family dimension {family.d}")
     return (z @ family._planes >= 0.0).reshape(family.L, family.l) @ family._pow2
-
-
-def estimate_collision_rate(a, b, trials: int, seed: int = 0) -> float:
-    """Monte Carlo check of the collision law: fraction of `trials`
-    independent Gaussian hyperplanes on which sign(r.a) == sign(r.b)."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    r = np.random.default_rng(seed).standard_normal((trials, a.size))
-    return float(np.mean((r @ a >= 0.0) == (r @ b >= 0.0)))

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, check_seed
-from .hashing import KINDS, PLAIN, HashFamily, hash_matrix, hash_table, hash_vector, new_family
+from .hashing import KINDS, PLAIN, HashFamily, hash_matrix, hash_vector, new_family
 from .linalg import TruncatedBasis
 from .select import SelectionProblem, SelectionResult, check_query, select_nn
 
@@ -121,7 +121,7 @@ def build(dataset: Dataset, family: HashFamily) -> LshIndex:
     bucket_keys, starts = [], []
     first = np.ones(n, dtype=bool)  # every table opens a bucket
     for t in range(L):
-        keys = hash_table(family, dataset.vectors, t)
+        keys = hash_matrix(family, dataset.vectors, slice(t, t + 1))[:, 0]
         order = ids[t * n : (t + 1) * n]
         order[:] = np.argsort(keys.astype(key_type, copy=False), kind="stable")
         sorted_keys = keys[order]

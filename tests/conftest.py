@@ -56,6 +56,13 @@ def pair_at_angle(theta_deg: float, d: int = 8) -> tuple[np.ndarray, np.ndarray]
     return a, b
 
 
+def bit_agreement(keys: np.ndarray, l: int) -> np.ndarray:
+    """Fraction of the sign bits of each row of keys[1:], l per key, equal to
+    those of keys[0]: one minus the popcount of the XORed keys over the
+    bits."""
+    return 1.0 - np.bitwise_count(keys[1:] ^ keys[0]).sum(axis=1) / (l * keys.shape[1])
+
+
 _HEADER_FIELDS = ("magic", "kind", "n", "d", "L", "l", "alpha", "seed", "buckets", "digest", "body_crc", "header_crc")
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import hashdiv as hd
-from conftest import clustered_dataset, pair_at_angle, toy_centers, unit_vector
+from conftest import bit_agreement, clustered_dataset, pair_at_angle, toy_centers, unit_vector
 from hashdiv.data import Dataset, ToyConfig, make_toy, save_dense
 from hashdiv.experiment import ExperimentConfig, emit, make_planted, run_retrieval_experiment
 from hashdiv.metrics import bfs_prune, entropy_diversity, f_score, h_score, subtopic_recall
@@ -30,7 +30,9 @@ class TestC01CollisionLaw:
         worst = 0.0
         for theta in (15.0, 45.0, 60.0, 90.0, 150.0):
             a, b = pair_at_angle(theta)
-            est = hd.estimate_collision_rate(a, b, trials=50_000, seed=int(theta))
+            # 50 bits in each of 1,000 tables: 50,000 of the library's planes
+            family = hd.new_family(hd.PLAIN, 50, 1_000, a.size, seed=int(theta))
+            est = bit_agreement(hd.hash_matrix(family, np.stack([a, b])), family.l)[0]
             worst = max(worst, abs(est - (1.0 - theta / 180.0)))
         elapsed = time.perf_counter() - t0
         report(
@@ -55,10 +57,9 @@ class TestC02HammingConcentration:
             dirs = rng.standard_normal((m, d - 1))
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
             X = np.cos(phi) * q + np.sin(phi) * (dirs @ basis[:, 1:].T)
-            planes = rng.standard_normal((l, d))
-            bits_q = planes @ q >= 0
-            bits_x = planes @ X.T >= 0
-            ham = np.mean(bits_x != bits_q[:, None], axis=0)
+            # the l bits as 64 tables of 64 of the library's planes
+            family = hd.new_family(hd.PLAIN, 64, l // 64, d, seed=seed)
+            ham = 1.0 - bit_agreement(hd.hash_matrix(family, np.vstack([q, X])), family.l)
             within += int(np.sum(np.abs(ham - p) <= bound))
             total += m
         elapsed = time.perf_counter() - t0

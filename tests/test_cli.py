@@ -488,6 +488,25 @@ def test_bad_config_reports_error_not_traceback(tmp_path, argv, cause):
     assert "Traceback" not in proc.stderr
 
 
+def test_index_query_into_a_pipe_closed_early_is_no_error(tmp_path):
+    data, queries, index = tmp_path / "data.csv", tmp_path / "queries.csv", tmp_path / "i.bin"
+    # a few hundred queries of about 2 KB of candidates each: more than the
+    # 64 KiB pipe buffer, so the query is still writing when the pipe closes
+    assert main(["toy-gen", "--out", str(data), "--queries-out", str(queries), "--n-per-class", "500",
+                 "--n-queries", "300"]) == 0
+    assert main(["index", "build", "--data", str(data), "--l", "4", "--L", "4", "--out", str(index)]) == 0
+    src = Path(__file__).resolve().parent.parent / "src"
+    with subprocess.Popen(
+        [sys.executable, "-m", "hashdiv.cli", "index", "query", "--index", str(index), "--data", str(data),
+         "--queries", str(queries)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(src)},
+    ) as proc:
+        assert proc.stdout.readline().startswith(b'{"query_id": 0,')
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
+
+
 @pytest.mark.parametrize("key, value", [("ks", "25"), ("ks", 10), ("methods", "nn")])
 def test_config_list_field_given_as_a_scalar_is_one_error_line(tmp_path, capsys, key, value):
     config = tmp_path / "c.json"
@@ -651,8 +670,8 @@ def test_public_api_is_pinned():
     public = {n for n in dir(hashdiv)
               if not n.startswith("__") and not isinstance(getattr(hashdiv, n), types.ModuleType)}
     assert public == {
-        "FactorModel", "PLAIN", "SelectionProblem", "build", "build_label_index", "estimate_collision_rate",
-        "h_score", "mean_pairwise_distance", "new_family", "precision_at_k", "predict_diverse", "predict_exact",
+        "FactorModel", "PLAIN", "SelectionProblem", "build", "build_label_index", "h_score", "hash_matrix",
+        "mean_pairwise_distance", "new_family", "precision_at_k", "predict_diverse", "predict_exact",
         "qp_relax_solve", "query", "select_greedy_div", "select_mmr", "select_nn", "select_qp_rel", "select_rerank",
         "tune",
     }

@@ -176,6 +176,8 @@ def test_make_toy_unit_norm():
 
 
 def test_toy_config_validation():
+    with pytest.raises(ValueError, match="^n_per_class must be >= 0$"):
+        ToyConfig(n_per_class=-1)
     for spread in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="spread must be finite and > 0"):
             ToyConfig(n_per_class=1, class_centers=((1.0, 0.0), (0.0, 1.0)), spread=spread, seed=0)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import edit_index_blob, pair_at_angle, unit_vector
+from conftest import bit_agreement, edit_index_blob, pair_at_angle, unit_vector
 from hashdiv import hashing, lsh
 from hashdiv.data import Dataset, normalize_rows
 from hashdiv.hashing import (
@@ -14,9 +14,7 @@ from hashdiv.hashing import (
     PCA,
     PCA_DIRECT,
     PLAIN,
-    estimate_collision_rate,
     hash_matrix,
-    hash_table,
     hash_vector,
     new_family,
 )
@@ -117,6 +115,11 @@ class TestNewFamily:
         basis = TruncatedBasis(U=np.eye(16)[:, :4], singular_values=np.ones(4))
         with pytest.raises(ValueError, match="^alpha=3 does not match basis with 4 columns$"):
             new_family(PCA, 8, 2, 16, alpha=3, basis=basis)
+        # the data or the basis must live in the family's dimension
+        with pytest.raises(ValueError, match="^basis dimension 16 != family dimension 12$"):
+            new_family(PCA, 8, 2, 12, basis=basis)
+        with pytest.raises(ValueError, match="^dataset dimension 16 != family dimension 12$"):
+            new_family(PCA, 8, 2, 12, dataset=Dataset(vectors=np.eye(16)))
 
     def test_pca_planes_live_in_data_subspace(self):
         # dataset confined to a 2-dim subspace: every effective normal U r
@@ -172,6 +175,8 @@ class TestHashPoint:
         fam = new_family(PLAIN, 8, 2, 8, seed=0)
         with pytest.raises(ValueError, match="dimension"):
             hash_vector(fam, np.ones(9))
+        with pytest.raises(ValueError, match="^point dimension 9 != family dimension 8$"):
+            hash_matrix(fam, np.ones((3, 9)))
 
     def test_bulk_matches_single(self, small_toy):
         fam = new_family(PLAIN, 10, 3, small_toy.d, seed=8)
@@ -246,11 +251,11 @@ class TestHashMatrixOracle:
         budget = hashing._BLOCK_BYTES if rows_per_block is None else rows_per_block * 8 * max(L * l, d)
         with mock.patch.object(hashing, "_BLOCK_BYTES", budget):
             keys = hash_matrix(fam, x)
-            tables = [hash_table(fam, x, t) for t in range(L)]
+            tables = [hash_matrix(fam, x, slice(t, t + 1)) for t in range(L)]
         assert keys.dtype == np.uint64 and keys.shape == (n, L)
         assert np.array_equal(keys, reference_keys(fam, x))
         for t in range(L):
-            assert tables[t].dtype == np.uint64 and np.array_equal(tables[t], keys[:, t])
+            assert tables[t].dtype == np.uint64 and np.array_equal(tables[t], keys[:, t : t + 1])
         for i in range(n):
             assert np.array_equal(hash_vector(fam, x[i]), keys[i])
 
@@ -264,29 +269,30 @@ class TestHashMatrixOracle:
         assert np.array_equal(keys[17], hash_vector(fam, x[17]))
 
 
+def agreement(a, b, l: int, L: int, seed: int) -> float:
+    """Fraction of the l * L plain sign bits of a equal to those of b."""
+    family = new_family(PLAIN, l, L, len(a), seed=seed)
+    return float(bit_agreement(hash_matrix(family, np.stack([a, b])), l)[0])
+
+
 class TestCollisionLaw:
     def test_estimate_equal(self):
-        assert estimate_collision_rate([1.0, 1.0], [2.0, 2.0], trials=100, seed=0) == 1.0
-
-    def test_no_trials_refused(self):
-        with pytest.raises(ValueError, match="^trials must be >= 1$"):
-            estimate_collision_rate([1.0, 0.0], [0.0, 1.0], trials=0)
+        assert agreement([1.0, 1.0], [2.0, 2.0], 50, 2, seed=0) == 1.0
 
     def test_estimate_antipodal(self):
-        assert estimate_collision_rate([1.0, 0.5], [-1.0, -0.5], trials=100, seed=0) == 0.0
+        assert agreement([1.0, 0.5], [-1.0, -0.5], 50, 2, seed=0) == 0.0
 
     def test_estimate_60_degrees(self):
         a, b = pair_at_angle(60.0)
-        est = estimate_collision_rate(a, b, trials=50_000, seed=12)
+        est = agreement(a, b, 50, 1_000, seed=12)
         assert abs(est - 2.0 / 3.0) <= 0.01
 
     @pytest.mark.parametrize("theta", [15.0, 45.0, 60.0, 90.0, 150.0])
     def test_binomial_concentration(self, theta):
         a, b = pair_at_angle(theta)
-        trials = 20_000
-        est = estimate_collision_rate(a, b, trials=trials, seed=int(theta))
-        assert abs(est - (1.0 - theta / 180.0)) <= 4.0 * np.sqrt(0.25 / trials)
-
+        l, L = 40, 500
+        est = agreement(a, b, l, L, seed=int(theta))
+        assert abs(est - (1.0 - theta / 180.0)) <= 4.0 * np.sqrt(0.25 / (l * L))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -301,8 +307,7 @@ class TestCollisionLaw:
         px, py = U.T @ x, U.T @ y
         assume(min(np.linalg.norm(px) / np.linalg.norm(x), np.linalg.norm(py) / np.linalg.norm(y)) > 0.1)
         keys = hash_matrix(new_family(PCA, l, L, d, seed=seed, basis=basis), np.stack([x, y]))
-        bits = (keys[:, :, None] >> np.arange(l, dtype=np.uint64)) & np.uint64(1)
-        agree = float(np.mean(bits[0] == bits[1]))
+        agree = bit_agreement(keys, l)[0]
         theta = np.arccos(np.clip(px @ py / (np.linalg.norm(px) * np.linalg.norm(py)), -1.0, 1.0))
         # 5 binomial standard deviations of a mean over l * L bits, at worst p = 1/2
         assert abs(agree - (1.0 - theta / np.pi)) <= 5.0 * np.sqrt(0.25 / (l * L))
@@ -321,14 +326,13 @@ class TestHammingConcentration:
         q = unit_vector(rng, d)
         basis = np.linalg.qr(np.column_stack([q, rng.standard_normal((d, d - 1))]))[0]
         phi = np.arccos(1 - r**2 / 2)
-        within = 0
-        for i in range(m):
-            u = unit_vector(rng, d - 1)
-            x = np.cos(phi) * q + np.sin(phi) * (basis[:, 1:] @ u)
-            planes = rng.standard_normal((l, d))
-            ham = np.mean((planes @ q >= 0) != (planes @ x >= 0))
-            within += abs(ham - p) <= bound
-        assert within / m >= 0.95
+        dirs = rng.standard_normal((m, d - 1))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        X = np.cos(phi) * q + np.sin(phi) * (dirs @ basis[:, 1:].T)
+        # the l bits as 64 tables of 64 planes
+        family = new_family(PLAIN, 64, l // 64, d, seed=123)
+        ham = 1.0 - bit_agreement(hash_matrix(family, np.vstack([q, X])), family.l)
+        assert np.mean(np.abs(ham - p) <= bound) >= 0.95
 
 
 class TestSerialization:

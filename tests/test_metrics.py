@@ -39,6 +39,10 @@ class TestPrecision:
     def test_underfill_counts_as_miss(self):
         assert precision_at_k([1], {1}.__contains__, 4) == 0.25
 
+    def test_k_below_one_refused(self):
+        with pytest.raises(ValueError, match="^k must be >= 1$"):
+            precision_at_k([1], {1}.__contains__, 0)
+
     def test_callable_predicate(self):
         assert precision_at_k([2, 4, 5], lambda i: i % 2 == 0, 3) == pytest.approx(2 / 3)
 
@@ -88,6 +92,8 @@ class TestEntropyDiversity:
         ds = labeled_dataset(categories=[0, 0], subtopics=[0, 0])
         with pytest.raises(ValueError, match="m="):
             entropy_diversity([0, 1], ds, 0)
+        with pytest.raises(ValueError, match="^unknown category 42$"):
+            entropy_diversity([0, 1], self.ds, 42)
 
     def test_no_labeled_items_score_zero(self):
         assert entropy_diversity([], self.ds, 0) == 0.0

@@ -112,6 +112,10 @@ class TestPredictExact:
         assert pred.labels.tolist() == [1]
         assert pred.eval_count == 3
 
+    def test_alpha_below_one_refused(self):
+        with pytest.raises(ValueError, match="^alpha must be >= 1$"):
+            predict_exact(FactorModel(W=np.eye(3), H=np.eye(3)), np.ones(3), alpha=0)
+
     def test_alpha_equals_all_labels_sorted_by_score(self):
         rng = np.random.default_rng(2)
         model = FactorModel(W=rng.standard_normal((6, 4)), H=rng.standard_normal((5, 4)))
