@@ -18,7 +18,7 @@ import typing
 import numpy as np
 
 from . import lsh
-from .data import Dataset, ToyConfig, load_dense, make_toy, save_dense
+from .data import Dataset, ParseError, ToyConfig, check_points, load_dense, make_toy, save_dense
 from .experiment import (
     ExperimentConfig,
     MultilabelConfig,
@@ -75,7 +75,10 @@ def _config(cls, args):
     values = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            values = json.load(fh)
+            try:
+                values = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ParseError(args.config, exc.lineno, exc.msg) from None
     names = {f.name for f in dataclasses.fields(cls)}
     return cls.from_dict(values, **{k: v for k, v in vars(args).items() if k in names})
 
@@ -104,7 +107,7 @@ def _cmd_toy_gen(args) -> int:
 
 
 def _cmd_index_build(args) -> int:
-    dataset = load_dense(args.data)
+    dataset = check_points(load_dense(args.data), args.data)
     family = new_family(args.kind, args.l, args.L, dataset.d, alpha=args.alpha, seed=args.seed, dataset=dataset)
     index = lsh.build(dataset, family)
     lsh.save_index(index, args.out)
@@ -118,7 +121,7 @@ def _cmd_index_build(args) -> int:
 
 
 def _cmd_index_query(args) -> int:
-    dataset = load_dense(args.data)
+    dataset = check_points(load_dense(args.data), args.data)
     index = lsh.load_index(args.index, dataset)
     queries = load_dense(args.queries)
     lines = (json.dumps({"query_id": i, "candidates": cand.ids.tolist(), "touched": cand.touched}) + "\n"
@@ -147,7 +150,7 @@ def _run_experiment(cls, experiment, args) -> int:
 
 
 def _cmd_tune(args) -> int:
-    dataset = load_dense(args.data)
+    dataset = check_points(load_dense(args.data), args.data)
     result = lsh.tune(dataset, args.target_recall, args.epsilon, seed=args.seed)
     print(json.dumps(dataclasses.asdict(result)))
     if not result.feasible:

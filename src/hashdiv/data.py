@@ -107,6 +107,14 @@ class Dataset:
         return {c: len(subs) for c, subs in counts.items()}
 
 
+def check_points(dataset: Dataset, path) -> Dataset:
+    """`dataset`, read from the file `path`; ValueError naming the file if
+    it holds no points."""
+    if dataset.n == 0:
+        raise ValueError(f"{path} holds no points")
+    return dataset
+
+
 _BLOCK = 1 << 13  # values per block of squares in `_normalize` (64 KiB)
 
 

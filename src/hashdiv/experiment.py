@@ -24,7 +24,7 @@ from typing import Literal
 import numpy as np
 
 from . import lsh, metrics, multilabel
-from .data import MISSING, check_seed, load_dense, load_sparse
+from .data import MISSING, check_points, check_seed, load_dense, load_sparse
 from .hashing import KINDS, new_family
 from .multilabel import FactorModel, LabelPrediction
 from .select import (
@@ -218,11 +218,8 @@ def _query_eval(dataset, source, q, qcat, selector, k, lam, timing):
 
 
 def run_retrieval_experiment(config: ExperimentConfig) -> list[ResultRow]:
-    dataset = load_dense(config.data)
-    queries = load_dense(config.queries)
-    for path, points in ((config.data, dataset), (config.queries, queries)):
-        if points.n == 0:
-            raise ValueError(f"{path} holds no points")
+    dataset = check_points(load_dense(config.data), config.data)
+    queries = check_points(load_dense(config.queries), config.queries)
     if queries.d != dataset.d:
         raise ValueError(f"query dimension {queries.d} != dataset dimension {dataset.d}")
     if queries.categories is None or (queries.categories == MISSING).any():
@@ -441,14 +438,14 @@ def run_multilabel_experiment(config: MultilabelConfig) -> list[MultilabelRow]:
         X_val, truth_val = X_all[half:], truth_all[half:]
         X_test, truth_test = X_all[:half], truth_all[:half]
     else:
-        dataset = load_sparse(config.data, d=config.d)
+        dataset = check_points(load_sparse(config.data, d=config.d), config.data)
         n_labels = max((max(s) for s in dataset.label_sets if s), default=-1) + 1
         if n_labels < 1:
             raise ValueError("no labels found in the data file")
         train_idx, val_idx, test_idx = _split_indices(dataset.n, config.seed)
         test_ds = dataset
         if config.test is not None:
-            test_ds = load_sparse(config.test, d=config.d)
+            test_ds = check_points(load_sparse(config.test, d=config.d), config.test)
             test_idx = np.arange(test_ds.n)
         if config.factors:
             model = multilabel.load_factors(config.factors)

@@ -59,14 +59,17 @@ class FactorModel:
 
     def _document(self, x) -> np.ndarray:
         """x as a float array, or ValueError unless it is a 1-d array of
-        the model's d features."""
+        the model's d features, every one finite: the one document rule."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.d,):
             raise ValueError(f"document must be a 1-d array of {self.d} features, got shape {x.shape}")
+        if not np.isfinite(x).all():
+            raise ValueError(f"document feature {np.flatnonzero(~np.isfinite(x))[0]} is NaN or infinite")
         return x
 
     def scores(self, x) -> np.ndarray:
-        """All label scores W (H^T x); the exact linear-scan quantity."""
+        """All label scores W (H^T x); the exact linear-scan quantity. A
+        document that `_document` refuses raises ValueError."""
         return self.W @ (self.H.T @ self._document(x))
 
 
@@ -127,26 +130,19 @@ def fit_lowrank_ridge(X, Y, k: int, ridge: float) -> FactorModel:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _embed(model: FactorModel, x) -> tuple[np.ndarray, np.ndarray] | None:
+def _embed(model: FactorModel, x, alpha: int) -> tuple[np.ndarray, np.ndarray] | None:
     """The step every predictor starts from: the embedded query z = H^T x
     and its unit vector, or None when |z| is zero, so no label score can
-    rank. A document that is not a 1-d array of the model's d features,
-    one with a NaN or infinite value, or one whose |z| overflows raises
-    ValueError, and numpy warns of neither."""
-    x = model._document(x)
-    if np.isfinite(x).all():
-        z = model.H.T @ x
-        nz = np.linalg.norm(z)
-        if np.isfinite(nz):
-            return (z, z / nz) if nz > 0 else None
-    raise ValueError("embedded query H^T x has a NaN or infinite coordinate, or its norm overflows")
-
-
-def _check_request(alpha: int, lam: float) -> None:
-    """Refuse a bad alpha or lambda before a zero embedding returns early."""
+    rank. An alpha below 1, a document that `model._document` refuses, or
+    one whose z or |z| overflows raises ValueError, and numpy warns of
+    neither."""
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
-    check_lam(lam)
+    z = model.H.T @ model._document(x)
+    nz = np.linalg.norm(z)
+    if not np.isfinite(nz):
+        raise ValueError("embedded query H^T x or its norm overflows")
+    return (z, z / nz) if nz > 0 else None
 
 
 def _nothing() -> LabelPrediction:
@@ -157,9 +153,7 @@ def _nothing() -> LabelPrediction:
 def predict_exact(model: FactorModel, x, alpha: int) -> LabelPrediction:
     """Top-alpha labels by full linear scan, ties by ascending id;
     eval_count = L_labels."""
-    if alpha < 1:
-        raise ValueError("alpha must be >= 1")
-    embedded = _embed(model, x)
+    embedded = _embed(model, x, alpha)
     if embedded is None:
         return _nothing()
     scores = model.W @ embedded[0]
@@ -174,8 +168,8 @@ def predict_mmr(model: FactorModel, x, alpha: int, lam: float) -> LabelPredictio
     them by their unit-normalized rows (`normalize_rows`, so a row whose
     norm overflows keeps its direction; a zero row stays zero) against the
     unit embedded query. eval_count = L_labels."""
-    _check_request(alpha, lam)
-    embedded = _embed(model, x)
+    check_lam(lam)
+    embedded = _embed(model, x, alpha)
     if embedded is None:
         return _nothing()
     z, q = embedded
@@ -209,10 +203,10 @@ def predict_diverse(model: FactorModel, index: lsh.LshIndex, x, alpha: int, lam:
     collided candidates (from every label when alpha >= n_labels).
     eval_count = candidate count. `index` must come from
     `build_label_index(model, ...)`; one of another shape is refused."""
-    _check_request(alpha, lam)
+    check_lam(lam)
     if (index.dataset.n, index.dataset.d) != model.W.shape:
         raise ValueError(f"label index over a {index.dataset.vectors.shape} label matrix, the model's W is {model.W.shape}")
-    embedded = _embed(model, x)
+    embedded = _embed(model, x, alpha)
     if embedded is None:
         return _nothing()
     z, q = embedded

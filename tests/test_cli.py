@@ -13,7 +13,7 @@ import pytest
 
 import hashdiv
 from conftest import edit_index_blob
-from hashdiv import experiment, lsh, multilabel
+from hashdiv import cli, experiment, lsh, multilabel
 from hashdiv.cli import build_parser, main
 from hashdiv.data import load_dense
 from hashdiv.experiment import HASHES, METHODS, ML_METHODS, ExperimentConfig, MultilabelConfig
@@ -404,11 +404,23 @@ def test_multilabel_synthetic(tmp_path):
     assert len(lines) == 3
 
 
-def test_bad_input_reports_error(tmp_path, capsys):
+def test_bad_input_reports_error(tmp_path, capsys, monkeypatch):
     rc = main(["retrieve", "--data", str(tmp_path / "missing.csv"),
                "--queries", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "o.csv")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+    # a data file with no points is refused by name before any family, index or tune
+    for module, name in ((cli, "new_family"), (lsh, "load_index"), (lsh, "tune")):
+        monkeypatch.setattr(module, name, lambda *args, **kwargs: pytest.fail("ran past an empty data file"))
+    empty, out = tmp_path / "empty.csv", tmp_path / "e.bin"
+    empty.write_text("")
+    for argv in (["index", "build", "--data", str(empty), "--out", str(out)],
+                 ["index", "query", "--index", str(out), "--data", str(empty), "--queries", str(empty)],
+                 ["tune", "--data", str(empty)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines() == [f"error: {empty} holds no points"]
+    assert not out.exists()
 
 
 def _write_docs(path):
@@ -419,15 +431,18 @@ def _write_docs(path):
     path.write_text("\n".join(docs) + "\n")
 
 
-def test_multilabel_empty_test_file_is_an_error(tmp_path, capsys):
-    _write_docs(tmp_path / "docs.svm")
-    (tmp_path / "empty.svm").write_text("")
-    out = tmp_path / "m.csv"
-    rc = main(["multilabel", "--data", str(tmp_path / "docs.svm"), "--d", "6", "--test", str(tmp_path / "empty.svm"),
-               "--rank", "2", "--methods", "exact", "--alpha", "1", "--pool", "2", "--out", str(out)])
-    assert rc == 1
-    assert "error: (method=exact, split=test): no queries to run" in capsys.readouterr().err
-    assert not out.exists()
+def test_multilabel_empty_test_file_is_an_error(tmp_path, capsys, monkeypatch):
+    # refused by name before the model is fitted; an empty --data file too
+    docs, empty, out = tmp_path / "docs.svm", tmp_path / "empty.svm", tmp_path / "m.csv"
+    _write_docs(docs)
+    empty.write_text("")
+    monkeypatch.setattr(multilabel, "fit_lowrank_ridge", lambda *args: pytest.fail("fitted past an empty file"))
+    for data, test in ((docs, empty), (empty, docs)):
+        rc = main(["multilabel", "--data", str(data), "--d", "6", "--test", str(test),
+                   "--rank", "2", "--methods", "exact", "--alpha", "1", "--pool", "2", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {empty} holds no points"]
+        assert not out.exists()
 
 
 def test_multilabel_unseen_feature_document_gets_an_empty_prediction(tmp_path):
@@ -477,9 +492,11 @@ def test_multilabel_factors_of_another_dimension_refused_before_any_index(tmp_pa
     (["retrieve", "--queries", "q.csv", "--out", "x.csv"], "missing required config keys: ['data']"),
     (["multilabel", "--synthetic"], "missing required config keys: ['out']"),
     (["retrieve", "--config", "list.json"], "must be a JSON object of fields, got list"),
+    (["retrieve", "--config", "bad.json"], "error: bad.json:1: Expecting property name enclosed in double quotes"),
 ])
 def test_bad_config_reports_error_not_traceback(tmp_path, argv, cause):
     (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "bad.json").write_text("{bad\n")
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run([sys.executable, "-m", "hashdiv.cli", *argv], cwd=tmp_path, capture_output=True,
                           text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)})

@@ -289,27 +289,35 @@ class TestDegenerateDocuments:
         assert pred.labels.size == 0 and pred.scores.size == 0
         assert pred.eval_count == 0 and pred.underfilled
 
-    @pytest.mark.parametrize("alpha, lam, cause", [
-        (0, 0.5, "alpha must be >= 1"), (3, 5.0, "lambda must lie in"), (3, -0.5, "lambda must lie in"),
-        (3, np.nan, "lambda must lie in"),
+    @pytest.mark.parametrize("method, alpha, lam, cause", [
+        *((method, 0, 0.5, "alpha must be >= 1") for method in PREDICTORS),
+        *((method, 3, lam, "lambda must lie in") for method in ("mmr", "diverse") for lam in (5.0, -0.5, np.nan)),
     ])
-    @pytest.mark.parametrize("method", ["mmr", "diverse"])
     def test_bad_alpha_or_lambda_raises_on_a_zero_embedding(self, model_and_index, method, alpha, lam, cause):
         model, index = model_and_index
+        call = {
+            "exact": lambda: predict_exact(model, np.zeros(4), alpha),
+            "mmr": lambda: predict_mmr(model, np.zeros(4), alpha, lam),
+            "diverse": lambda: predict_diverse(model, index, np.zeros(4), alpha, lam),
+        }[method]
         with pytest.raises(ValueError, match=cause):
-            if method == "mmr":
-                predict_mmr(model, np.zeros(4), alpha, lam)
-            else:
-                predict_diverse(model, index, np.zeros(4), alpha, lam)
+            call()
 
     @pytest.mark.parametrize("at", [0, 3])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("method", PREDICTORS)
+    @pytest.mark.parametrize("method", [*PREDICTORS, "scores"])
     def test_non_finite_document_raises(self, model_and_index, method, bad, at):
+        # feature 3 embeds to zero, and is refused all the same
+        call = {**PREDICTORS, "scores": lambda model, index, x: model.scores(x)}[method]
         x = np.array([0.5, 0.2, 0.1, 0.0])
         x[at] = bad
-        with pytest.raises(ValueError, match=r"^embedded query H\^T x has a NaN or infinite coordinate, or its norm"):
-            PREDICTORS[method](*model_and_index, x)
+        with pytest.raises(ValueError, match=f"^document feature {at} is NaN or infinite$"):
+            call(*model_and_index, x)
+
+    @pytest.mark.parametrize("method", PREDICTORS)
+    def test_finite_document_whose_embedding_overflows_raises(self, model_and_index, method):
+        with pytest.raises(ValueError, match=r"^embedded query H\^T x or its norm overflows$"):
+            PREDICTORS[method](*model_and_index, np.array([1e308, 1e308, 1e308, 0.0]))
 
     @pytest.fixture(scope="class")
     def six_features(self):

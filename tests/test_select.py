@@ -561,6 +561,20 @@ class TestQpRelax:
             )
             assert rep.relaxed_objective <= best + 1e-12
 
+    def test_target_on_the_boundary_of_the_image_reaches_the_optimum(self):
+        # t = lam q / 2 is the image of the k-set {0, 2, 6}, on the boundary
+        # of Z: Newton's line search backtracks there, and Wolfe's algorithm
+        # may finish; which path ends the solve, and in how many steps, is
+        # not pinned here
+        X = np.array([[2, 1, 2], [0, 2, 0], [0, -1, 0], [-2, 2, -2], [-1, -1, 1], [-1, -2, -2], [-1, -2, -1],
+                      [-1, -2, -1], [1, 2, 0]], dtype=float)
+        prob = SelectionProblem((X[0] + X[2] + X[6]) / 0.125, np.arange(9), X, k=3, lam=0.25)
+        best = min(eq2_objective(prob.query, X, s, prob.lam) for s in combinations(range(9), 3))
+        rep = qp_relax_solve(prob)
+        assert rep.converged
+        assert rep.relaxed_objective <= best + 1e-12
+        assert eq2_objective(prob.query, X, select_qp_rel(prob).ids, prob.lam) == best
+
     def test_empty_candidates_rejected(self):
         prob = SelectionProblem(np.array([1.0, 0.0]), np.empty(0, dtype=int), np.empty((0, 2)), k=1, lam=0.5)
         with pytest.raises(ValueError):
