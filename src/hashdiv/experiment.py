@@ -54,8 +54,6 @@ def _each_query(fn, n: int, context: str) -> list:
     """[fn(0), ..., fn(n - 1)], one query at a time, so a time measured
     inside fn is one request's latency. Any error is re-raised as a
     ValueError naming `context` and the query."""
-    if n == 0:
-        raise ValueError(f"({context}): no queries to run")
     out = []
     for i in range(n):
         try:
@@ -344,17 +342,6 @@ def make_planted(
     return model, X, truth
 
 
-def _split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """4:1 train:test split, then 1/5 of train held out for validation."""
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    n_test = max(1, n // 5)
-    test = perm[:n_test]
-    rest = perm[n_test:]
-    n_val = max(1, rest.size // 5)
-    return rest[n_val:], rest[:n_val], test
-
-
 def _label_matrix(label_sets, n_labels: int) -> np.ndarray:
     Y = -np.ones((len(label_sets), n_labels))
     for i, labs in enumerate(label_sets):
@@ -411,7 +398,7 @@ def _choose_cutoff(preds: list[LabelPrediction], truths, tree, alpha: int) -> fl
         for pred, truth in zip(preds, truths):
             p, r, f, div, h = _doc_scores(_pred_sets(pred, cut, alpha).labels, truth, tree)
             vals.append(h if h is not None else f)
-        mean = float(np.mean(vals)) if vals else 0.0
+        mean = float(np.mean(vals))
         if mean > best_val:
             best_val, best_cut = mean, float(cut)
     return best_cut
@@ -441,19 +428,31 @@ def run_multilabel_experiment(config: MultilabelConfig) -> list[MultilabelRow]:
         dataset = check_points(load_sparse(config.data, d=config.d), config.data)
         n_labels = max((max(s) for s in dataset.label_sets if s), default=-1) + 1
         if n_labels < 1:
-            raise ValueError("no labels found in the data file")
-        train_idx, val_idx, test_idx = _split_indices(dataset.n, config.seed)
+            raise ValueError(f"data file {config.data} has no labels")
+        # the one split: test (none with a --test file), validation, training
+        n_test = max(1, dataset.n // 5) if config.test is None else 0
+        perm = np.random.default_rng(config.seed).permutation(dataset.n)
+        test_idx, val_idx, train_idx = np.split(perm, [n_test, n_test + max(1, (dataset.n - n_test) // 5)])
+        if val_idx.size == 0 or (train_idx.size == 0 and not config.factors):
+            part = "validation" if val_idx.size == 0 else "training"
+            raise ValueError(f"data file {config.data} has too few documents ({dataset.n}) to leave any for {part}")
         test_ds = dataset
         if config.test is not None:
             test_ds = check_points(load_sparse(config.test, d=config.d), config.test)
             test_idx = np.arange(test_ds.n)
         if config.factors:
-            model = multilabel.load_factors(config.factors)
+            try:
+                model = multilabel.load_factors(config.factors)
+            except ValueError as exc:
+                raise ValueError(f"factors file {config.factors}: {exc}") from None
             if model.d != config.d:
                 raise ValueError(f"factors file {config.factors} has {model.d} features, the data {config.d}")
         else:
             Y = _label_matrix([dataset.label_sets[i] for i in train_idx], n_labels)
-            model = multilabel.fit_lowrank_ridge(dataset.vectors[train_idx], Y, config.rank, config.ridge)
+            try:
+                model = multilabel.fit_lowrank_ridge(dataset.vectors[train_idx], Y, config.rank, config.ridge)
+            except ValueError as exc:
+                raise ValueError(f"data file {config.data}: {exc}") from None
         X_val = dataset.vectors[val_idx]
         truth_val = [dataset.label_sets[i] for i in val_idx]
         X_test = test_ds.vectors[test_idx]

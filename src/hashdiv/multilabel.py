@@ -118,7 +118,7 @@ def fit_lowrank_ridge(X, Y, k: int, ridge: float) -> FactorModel:
     if Y.shape[0] != n:
         raise ValueError("X and Y disagree on the number of rows")
     if not 1 <= k <= min(d, L):
-        raise ValueError(f"k={k} out of range [1, {min(d, L)}]")
+        raise ValueError(f"rank k={k} out of range [1, {min(d, L)}] for {d} features and {L} labels")
     if ridge <= 0:
         raise ValueError("ridge must be > 0 (guards rank deficiency)")
     A = X.T @ X + ridge * np.eye(d)

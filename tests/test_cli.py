@@ -462,14 +462,63 @@ def test_multilabel_unseen_feature_document_gets_an_empty_prediction(tmp_path):
 @pytest.mark.parametrize("size", [4, 20])
 def test_multilabel_truncated_factor_file_is_one_error_line(tmp_path, capsys, size):
     _write_docs(tmp_path / "docs.svm")
-    (tmp_path / "f.bin").write_bytes((b"HDVM" + bytes(24))[:size])
-    rc = main(["multilabel", "--data", str(tmp_path / "docs.svm"), "--d", "6", "--factors", str(tmp_path / "f.bin"),
+    factors = tmp_path / "f.bin"
+    factors.write_bytes((b"HDVM" + bytes(24))[:size])
+    rc = main(["multilabel", "--data", str(tmp_path / "docs.svm"), "--d", "6", "--factors", str(factors),
                "--out", str(tmp_path / "m.csv")])
     assert rc == 1
     err = capsys.readouterr().err
     assert [line for line in err.splitlines() if "error" in line] == [
-        f"error: truncated factor file: {size} bytes, the header alone is 28"
+        f"error: factors file {factors}: truncated factor file: {size} bytes, the header alone is 28"
     ]
+
+
+def test_multilabel_rank_the_data_cannot_support_names_the_file(tmp_path, capsys):
+    # the default rank 20, over 6 features and the labels 0 and 1
+    docs, out = tmp_path / "docs.svm", tmp_path / "m.csv"
+    _write_docs(docs)
+    rc = main(["multilabel", "--data", str(docs), "--d", "6", "--methods", "exact", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: data file {docs}: rank k=20 out of range [1, 2] for 6 features and 2 labels"
+    ]
+    assert not out.exists() and not Path(f"{out}.json").exists()
+
+
+@pytest.mark.parametrize("n, with_test, part", [(1, False, "validation"), (2, False, "training"), (1, True, "training")])
+def test_multilabel_too_few_documents_refused_before_any_fit(tmp_path, capsys, monkeypatch, n, with_test, part):
+    # one or two documents once ran a model fitted on none, or stopped
+    # after the fit with an error that named neither file nor cause
+    docs, small, out = tmp_path / "docs.svm", tmp_path / "small.svm", tmp_path / "m.csv"
+    _write_docs(docs)
+    small.write_text("".join(docs.read_text().splitlines(keepends=True)[:n]))
+    for module, name in ((multilabel, "fit_lowrank_ridge"), (multilabel, "build_label_index"), (cli, "emit")):
+        monkeypatch.setattr(module, name, lambda *args, **kwargs: pytest.fail("ran past a file of too few documents"))
+    given = ["--test", str(docs)] if with_test else []
+    rc = main(["multilabel", "--data", str(small), "--d", "6", *given, "--rank", "1", "--methods", "exact,lshdiv",
+               "--alpha", "1", "--pool", "2", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: data file {small} has too few documents ({n}) to leave any for {part}"
+    ]
+    assert not out.exists()
+
+
+def test_multilabel_test_file_leaves_every_data_document_to_fit_and_validate(tmp_path, monkeypatch):
+    # with --test, the 40 documents of --data were once cut as if no test
+    # file were given, and the test fifth was neither fitted nor validated on
+    docs, test = tmp_path / "docs.svm", tmp_path / "test.svm"
+    _write_docs(docs)
+    test.write_text("0 1:0.5 2:0.5\n1 4:0.3 5:0.9\n")
+    fit, choose = multilabel.fit_lowrank_ridge, experiment._choose_cutoff
+    fitted, validated = [], []
+    monkeypatch.setattr(multilabel, "fit_lowrank_ridge", lambda X, *args: fitted.append(len(X)) or fit(X, *args))
+    monkeypatch.setattr(experiment, "_choose_cutoff",
+                        lambda preds, *args: validated.append(len(preds)) or choose(preds, *args))
+    rc = main(["multilabel", "--data", str(docs), "--d", "6", "--test", str(test), "--rank", "2", "--methods", "exact",
+               "--alpha", "1", "--pool", "2", "--no-timing", "--out", str(tmp_path / "m.csv")])
+    assert rc == 0
+    assert (fitted, validated) == ([32], [8])
 
 
 def test_multilabel_factors_of_another_dimension_refused_before_any_index(tmp_path, capsys, monkeypatch):

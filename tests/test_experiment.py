@@ -6,10 +6,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import toy_centers
 from hashdiv import experiment, hashing, lsh
-from hashdiv.data import ToyConfig, make_toy, save_dense
+from hashdiv.data import ToyConfig, load_sparse, make_toy, save_dense
 from hashdiv.experiment import (
     ExperimentConfig,
     MultilabelConfig,
@@ -20,7 +22,7 @@ from hashdiv.experiment import (
     run_retrieval_experiment,
     write_predictions_json,
 )
-from hashdiv.multilabel import LabelPrediction, predict_exact
+from hashdiv.multilabel import FactorModel, LabelPrediction, predict_exact, save_factors
 
 
 @pytest.fixture(scope="module")
@@ -379,6 +381,18 @@ class TestEmit:
         assert lines[1] == "exact,10,0.300,0.200,0.240,,,1.500"
 
 
+def _split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Oracle for the (train, validation, test) split of a run without
+    --test: 4:1 train:test, then 1/5 of train held out for validation."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n)
+    n_test = max(1, n // 5)
+    test = perm[:n_test]
+    rest = perm[n_test:]
+    n_val = max(1, rest.size // 5)
+    return rest[n_val:], rest[:n_val], test
+
+
 class TestMultilabelExperiment:
     def test_synthetic_run(self, tmp_path):
         config = MultilabelConfig(
@@ -421,7 +435,7 @@ class TestMultilabelExperiment:
         data = tmp_path / "docs.svm"
         data.write_text("1:0.5 2:0.5\n3:1.0\n")
         config = MultilabelConfig(out=str(tmp_path / "m.csv"), data=str(data), d=4, methods=("exact",))
-        with pytest.raises(ValueError, match="^no labels found in the data file$"):
+        with pytest.raises(ValueError, match=f"^data file {re.escape(str(data))} has no labels$"):
             run_multilabel_experiment(config)
 
     def test_prediction_outputs(self, tmp_path):
@@ -470,6 +484,61 @@ class TestMultilabelExperiment:
         with mock.patch("hashdiv.multilabel.predict_exact", fail_third), \
                 pytest.raises(ValueError, match=r"^\(method=exact, split=validation, query=2\): boom$"):
             run_multilabel_experiment(config)
+
+    @given(n=st.integers(1, 200), seed=st.integers(0, 2**32), with_test=st.booleans(), with_factors=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_split_is_refused_or_covers_the_data_file(self, tmp_path_factory, n, seed, with_test, with_factors):
+        root = tmp_path_factory.mktemp("split")
+        data, test, factors = root / "docs.svm", root / "test.svm", root / "f.bin"
+        # distinct documents: data file ids 0..n-1, test file ids n, n+1, n+2
+        data.write_text("".join(f"0 1:1 2:{i + 1}\n" for i in range(n)))
+        test.write_text("".join(f"0 1:{j + 1} 3:1\n" for j in range(3)))
+        rows = np.vstack([load_sparse(data, d=3).vectors, load_sparse(test, d=3).vectors])
+        ids = {tuple(x): i for i, x in enumerate(rows.tolist())}
+        model = FactorModel(W=np.ones((1, 1)), H=np.ones((3, 1)))
+        save_factors(model, factors)
+        fitted, validated, seen = [], [], []
+
+        def fit(X, *args):
+            fitted.extend(ids[tuple(x)] for x in X.tolist())
+            return model
+
+        def predictor(method, model, config):
+            return lambda x: seen.append(ids[tuple(x.tolist())]) or LabelPrediction(np.array([0]), np.array([0.0]), 1)
+
+        def choose(*args):
+            validated.extend(seen)
+            seen.clear()
+            return 0.0
+
+        config = MultilabelConfig(out=str(root / "m.csv"), data=str(data), d=3, methods=("exact",), alpha=1, pool=1,
+                                  seed=seed, test=str(test) if with_test else None,
+                                  factors=str(factors) if with_factors else None, timing=False)
+        with mock.patch("hashdiv.multilabel.fit_lowrank_ridge", fit), \
+                mock.patch("hashdiv.experiment._ml_predictor", predictor), \
+                mock.patch("hashdiv.experiment._choose_cutoff", choose):
+            try:
+                run_multilabel_experiment(config)
+            except ValueError as exc:
+                # a validation part needs n >= 2 with a test fifth, a fitted
+                # model one more document for training
+                assert n < 2 + (not with_test) - with_factors
+                assert re.fullmatch(rf"data file {re.escape(str(data))} has too few documents \({n}\) "
+                                    r"to leave any for (validation|training)", str(exc))
+                assert fitted == validated == seen == []
+                return
+        assert n >= 2 + (not with_test) - with_factors
+        if with_test:
+            assert seen == [n, n + 1, n + 2]
+            tested = []
+        else:
+            tested = seen
+            train, val, test_part = (part.tolist() for part in _split_indices(n, seed))
+            assert (validated, tested) == (val, test_part)
+            assert fitted == ([] if with_factors else train)
+        if not with_factors:
+            # disjoint, and together every document of the data file
+            assert sorted(fitted + validated + tested) == list(range(n))
 
     def test_no_queries_is_an_error_not_a_nan_row(self, tmp_path):
         # refused by the config, before a split can come out empty

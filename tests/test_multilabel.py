@@ -89,7 +89,7 @@ class TestFitLowRankRidge:
             fit_lowrank_ridge(np.eye(3), np.eye(3), k=2, ridge=0.0)
 
     def test_k_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^rank k=4 out of range \[1, 3\] for 3 features and 3 labels$"):
             fit_lowrank_ridge(np.eye(3), np.eye(3), k=4, ridge=1.0)
         with pytest.raises(ValueError, match="^X and Y disagree on the number of rows$"):
             fit_lowrank_ridge(np.eye(3), np.eye(4), k=2, ridge=1.0)
