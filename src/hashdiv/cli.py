@@ -8,6 +8,7 @@ stdout for the inspection verbs), so the tool composes in pipelines.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -83,6 +84,25 @@ def _config(cls, args):
     return cls.from_dict(values, **{k: v for k, v in vars(args).items() if k in names})
 
 
+def _check_out_dirs(values) -> None:
+    """Refuse each output path of `values` (the parsed flags, or a config)
+    whose directory does not exist, naming the flag, so that a run that
+    cannot write its results neither reads an input nor writes a file."""
+    for name in ("out", "queries_out", "predictions_json"):
+        path = getattr(values, name, None)
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"--{name.replace('_', '-')} {path}: directory {os.path.dirname(path)} does not exist")
+
+
+@contextlib.contextmanager
+def _naming(role: str, path):
+    """Prefix a ValueError raised inside with `<role> file <path>: `."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{role} file {path}: {exc}") from None
+
+
 def _cmd_toy_gen(args) -> int:
     d = args.d
     if d < 1:
@@ -122,20 +142,22 @@ def _cmd_index_build(args) -> int:
 
 def _cmd_index_query(args) -> int:
     dataset = check_points(load_dense(args.data), args.data)
-    index = lsh.load_index(args.index, dataset)
+    with _naming("index", args.index):
+        index = lsh.load_index(args.index, dataset)
     queries = load_dense(args.queries)
     lines = (json.dumps({"query_id": i, "candidates": cand.ids.tolist(), "touched": cand.touched}) + "\n"
              for i, cand in enumerate(lsh.query(index, q) for q in queries.vectors))
-    # the first query meets the query rule before --out is opened, so a
-    # query file that the rule refuses leaves no file behind
-    first = next(lines, "")
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        out.write(first)
-        out.writelines(lines)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    with _naming("queries", args.queries):
+        # the first query meets the query rule before --out is opened, so a
+        # query file that the rule refuses leaves no file behind
+        first = next(lines, "")
+        out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+        try:
+            out.write(first)
+            out.writelines(lines)
+        finally:
+            if out is not sys.stdout:
+                out.close()
     return 0
 
 
@@ -143,6 +165,7 @@ def _run_experiment(cls, experiment, args) -> int:
     """Run the experiment that the config dataclass `cls` describes, then
     write its CSV and the full-precision `<out>.json` twin."""
     config = _config(cls, args)
+    _check_out_dirs(config)  # the paths a --config file gives
     rows = experiment(config)
     emit(rows, config.out)
     print(f"wrote {len(rows)} rows to {config.out} and {config.out}.json", file=sys.stderr)
@@ -213,6 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_out_dirs(args)
         code = args.fn(args)
         sys.stdout.flush()  # so that a closed pipe raises here, not at exit
         return code

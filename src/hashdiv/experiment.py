@@ -219,11 +219,11 @@ def run_retrieval_experiment(config: ExperimentConfig) -> list[ResultRow]:
     dataset = check_points(load_dense(config.data), config.data)
     queries = check_points(load_dense(config.queries), config.queries)
     if queries.d != dataset.d:
-        raise ValueError(f"query dimension {queries.d} != dataset dimension {dataset.d}")
+        raise ValueError(f"queries file {config.queries}: query dimension {queries.d} != dataset dimension {dataset.d}")
     if queries.categories is None or (queries.categories == MISSING).any():
-        raise ValueError("query has no category label; precision is undefined")
+        raise ValueError(f"queries file {config.queries}: query has no category label; precision is undefined")
     if dataset.categories is None:
-        raise ValueError("dataset has no category labels; precision is undefined")
+        raise ValueError(f"data file {config.data}: dataset has no category labels; precision is undefined")
     qcats = queries.categories.tolist()
 
     # every family and its table layout first, so one that cannot be built
@@ -297,6 +297,8 @@ class MultilabelConfig:
         for name in ("n_labels", "n_queries", "rank"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0 < self.ridge < np.inf:  # also refuses NaN
+            raise ValueError(f"ridge must be finite and > 0, got {self.ridge}")
         if self.synthetic == (self.data is not None):
             raise ValueError("give either a data file or synthetic mode, not both")
         if self.synthetic and (self.test is not None or self.factors is not None):

@@ -119,7 +119,7 @@ def fit_lowrank_ridge(X, Y, k: int, ridge: float) -> FactorModel:
         raise ValueError("X and Y disagree on the number of rows")
     if not 1 <= k <= min(d, L):
         raise ValueError(f"rank k={k} out of range [1, {min(d, L)}] for {d} features and {L} labels")
-    if ridge <= 0:
+    if not ridge > 0:  # also refuses NaN
         raise ValueError("ridge must be > 0 (guards rank deficiency)")
     A = X.T @ X + ridge * np.eye(d)
     M = np.linalg.solve(A, X.T @ Y)  # (d, L)

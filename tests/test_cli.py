@@ -19,6 +19,16 @@ from hashdiv.data import load_dense
 from hashdiv.experiment import HASHES, METHODS, ML_METHODS, ExperimentConfig, MultilabelConfig
 
 
+_SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _cli_process(argv, cwd, **env) -> subprocess.CompletedProcess:
+    """`python -m hashdiv.cli *argv` run in `cwd`, with this checkout's
+    source on PYTHONPATH and `env` added to the environment."""
+    return subprocess.run([sys.executable, "-m", "hashdiv.cli", *argv], cwd=cwd, capture_output=True, text=True,
+                          timeout=300, env={**os.environ, "PYTHONPATH": str(_SRC), **env})
+
+
 @pytest.fixture
 def toy_paths(tmp_path):
     data = tmp_path / "data.csv"
@@ -119,6 +129,36 @@ def test_index_build_and_query(toy_paths, tmp_path, capsys):
     assert rec["touched"] >= len(rec["candidates"])
 
 
+@pytest.mark.parametrize("kind, alpha", [("lshsdiv", "4"), ("pcahash", "8")])
+def test_index_build_and_query_over_a_pca_kind(toy_paths, tmp_path, kind, alpha):
+    data, queries = toy_paths
+    idx, out = tmp_path / "index.bin", tmp_path / "cand.jsonl"
+    assert main(["index", "build", "--data", str(data), "--kind", kind, "--alpha", alpha, "--l", "6", "--L", "4",
+                 "--out", str(idx)]) == 0
+    assert main(["index", "query", "--index", str(idx), "--data", str(data), "--queries", str(queries),
+                 "--out", str(out)]) == 0
+    index = lsh.load_index(idx, load_dense(data))
+    assert index.family.kind == kind
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r["query_id"] for r in records] == list(range(20))
+    assert [r["candidates"] for r in records] == [lsh.query(index, q).ids.tolist() for q in load_dense(queries).vectors]
+
+
+def test_index_query_cut_index_is_one_error_line(toy_paths, tmp_path, capsys):
+    data, queries = toy_paths
+    idx, cut, out = tmp_path / "index.bin", tmp_path / "cut.bin", tmp_path / "cut.jsonl"
+    assert main(["index", "build", "--data", str(data), "--l", "10", "--L", "4", "--out", str(idx)]) == 0
+    blob = idx.read_bytes()
+    cut.write_bytes(blob[:200])
+    capsys.readouterr()
+    assert main(["index", "query", "--index", str(cut), "--data", str(data), "--queries", str(queries),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: index file {cut}: truncated index blob: 200 bytes, its header describes {len(blob)}"
+    ]
+    assert not out.exists()
+
+
 def test_index_query_unknown_family_kind_is_one_error_line(toy_paths, tmp_path, capsys):
     data, queries = toy_paths
     idx = tmp_path / "index.bin"
@@ -128,7 +168,7 @@ def test_index_query_unknown_family_kind_is_one_error_line(toy_paths, tmp_path, 
     rc = main(["index", "query", "--index", str(idx), "--data", str(data), "--queries", str(queries)])
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
-    assert captured.err.splitlines() == ["error: corrupt index blob: unknown kind code 7"]
+    assert captured.err.splitlines() == [f"error: index file {idx}: corrupt index blob: unknown kind code 7"]
 
 
 def test_index_query_out_of_range_id_is_one_error_line(toy_paths, tmp_path, capsys):
@@ -143,7 +183,7 @@ def test_index_query_out_of_range_id_is_one_error_line(toy_paths, tmp_path, caps
     rc = main(["index", "query", "--index", str(idx), "--data", str(data), "--queries", str(queries)])
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
-    assert captured.err.splitlines() == ["error: corrupt index blob: a point id lies outside [0, 400)"]
+    assert captured.err.splitlines() == [f"error: index file {idx}: corrupt index blob: a point id lies outside [0, 400)"]
 
 
 def test_index_query_refused_query_file_leaves_no_out_file(toy_paths, tmp_path, capsys):
@@ -158,7 +198,9 @@ def test_index_query_refused_query_file_leaves_no_out_file(toy_paths, tmp_path, 
     capsys.readouterr()
     out = tmp_path / "q3.jsonl"
     assert main(["index", "query", "--index", str(idx), "--data", str(data), "--queries", str(q3), "--out", str(out)]) == 1
-    assert capsys.readouterr().err.splitlines() == ["error: query must be a 1-d array of 8 coordinates, got shape (3,)"]
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: queries file {q3}: query must be a 1-d array of 8 coordinates, got shape (3,)"
+    ]
     assert not out.exists()
     out = tmp_path / "empty.jsonl"
     assert main(["index", "query", "--index", str(idx), "--data", str(data), "--queries", str(empty),
@@ -203,6 +245,23 @@ def test_retrieve_qprel_over_every_point_needs_no_flag(toy_paths, tmp_path):
                "--methods", "qprel", "--hashes", "nh", "--ks", "5", "--out", str(out)])
     assert rc == 0
     assert [row["candidate_fraction"] for row in json.loads((tmp_path / "o.csv.json").read_text())] == [1.0]
+
+
+@pytest.mark.parametrize("unlabeled", ["data", "queries"])
+def test_retrieve_unlabeled_file_is_one_error_line_naming_it(toy_paths, tmp_path, capsys, unlabeled):
+    # refused before any family or index is built, so no progress line either
+    files = dict(zip(("data", "queries"), toy_paths))
+    path = tmp_path / "unlabeled.csv"
+    path.write_text("".join(line.split(":", 2)[2] + "\n" for line in files[unlabeled].read_text().splitlines()))
+    files[unlabeled] = path
+    out = tmp_path / "o.csv"
+    capsys.readouterr()
+    assert main(["retrieve", "--data", str(files["data"]), "--queries", str(files["queries"]), "--hashes", "lshsdiv",
+                 "--l", "6", "--L", "4", "--out", str(out)]) == 1
+    cause = {"data": f"data file {path}: dataset has no category labels",
+             "queries": f"queries file {path}: query has no category label"}[unlabeled]
+    assert capsys.readouterr().err.splitlines() == [f"error: {cause}; precision is undefined"]
+    assert not out.exists() and not Path(f"{out}.json").exists()
 
 
 def test_retrieve_unbuildable_family_fails_before_any_cell(toy_paths, tmp_path, capsys):
@@ -282,6 +341,22 @@ def test_multilabel_count_below_one_is_one_error_line(tmp_path, capsys, flag, va
     assert main(["multilabel", "--synthetic", "--n-queries", "5", "--methods", "exact", flag, value, "--out", str(out)]) == 1
     name = flag[2:].replace("-", "_")
     assert capsys.readouterr().err.splitlines() == [f"error: {name} must be >= 1, got {value}"]
+    assert not out.exists() and not Path(f"{out}.json").exists()
+
+
+@pytest.mark.parametrize("mode, ridge, shown", [
+    ("synthetic", "-1", "-1.0"), ("synthetic", "inf", "inf"), ("libsvm", "nan", "nan"), ("libsvm", "0", "0.0"),
+])
+def test_multilabel_ridge_not_finite_and_positive_is_one_error_line(tmp_path, capsys, mode, ridge, shown):
+    # -1 once ran and wrote a row; nan once stopped in the fit's eigensolver
+    out = tmp_path / "r.csv"
+    if mode == "synthetic":
+        given = ["--synthetic", "--n-labels", "50", "--n-queries", "5"]
+    else:
+        _write_docs(tmp_path / "docs.svm")
+        given = ["--data", str(tmp_path / "docs.svm"), "--d", "6", "--rank", "2", "--alpha", "1", "--pool", "2"]
+    assert main(["multilabel", *given, "--methods", "exact", "--ridge", ridge, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: ridge must be finite and > 0, got {shown}"]
     assert not out.exists() and not Path(f"{out}.json").exists()
 
 
@@ -393,6 +468,14 @@ def test_tune_outputs_json(toy_paths, capsys, monkeypatch):
     assert captured.err.splitlines() == ["warning: no (l, L) pair reached the target recall; best effort returned"]
 
 
+def test_tune_nan_epsilon_is_one_error_line(toy_paths, capsys):
+    data, _ = toy_paths
+    capsys.readouterr()
+    assert main(["tune", "--data", str(data), "--epsilon", "nan"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == ["error: epsilon must be positive, got nan"]
+
+
 def test_multilabel_synthetic(tmp_path):
     out = tmp_path / "ml.csv"
     rc = main(["multilabel", "--synthetic", "--n-labels", "300", "--n-queries", "15",
@@ -421,6 +504,32 @@ def test_bad_input_reports_error(tmp_path, capsys, monkeypatch):
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.splitlines() == [f"error: {empty} holds no points"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    ("toy-gen --out o.csv --queries-out {}", "--queries-out"),
+    ("index build --data data.csv --out {}", "--out"),
+    ("index query --index index.bin --data data.csv --queries queries.csv --out {}", "--out"),
+    ("retrieve --data data.csv --queries queries.csv --out {}", "--out"),
+    ("retrieve --config c.json", "--out"),
+    ("multilabel --synthetic --predictions-json p.json --out {}", "--out"),
+    ("multilabel --synthetic --predictions-json {} --out o.csv", "--predictions-json"),
+], ids=["toy-gen", "index-build", "index-query", "retrieve", "retrieve-config", "multilabel", "multilabel-predictions"])
+def test_output_in_a_missing_directory_refused_before_any_input_is_read(toy_paths, tmp_path, capsys, monkeypatch,
+                                                                         argv, flag):
+    # toy-gen once wrote --out and multilabel --predictions-json before the
+    # refusal, and retrieve ran its whole grid first
+    monkeypatch.chdir(tmp_path)
+    missing = os.path.join("no-such-dir", "x.out")
+    assert main(["index", "build", "--data", "data.csv", "--l", "10", "--L", "4", "--out", "index.bin"]) == 0
+    Path("c.json").write_text(json.dumps({"data": "data.csv", "queries": "queries.csv", "out": missing}))
+    before = sorted(tmp_path.iterdir())
+    for module, name in ((cli, "load_dense"), (cli, "make_toy"), (experiment, "load_dense"), (experiment, "make_planted")):
+        monkeypatch.setattr(module, name, lambda *args, **kwargs: pytest.fail("read an input before refusing an output"))
+    capsys.readouterr()
+    assert main(argv.format(missing).split()) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {flag} {missing}: directory no-such-dir does not exist"]
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def _write_docs(path):
@@ -546,12 +655,12 @@ def test_multilabel_factors_of_another_dimension_refused_before_any_index(tmp_pa
 def test_bad_config_reports_error_not_traceback(tmp_path, argv, cause):
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "bad.json").write_text("{bad\n")
-    src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run([sys.executable, "-m", "hashdiv.cli", *argv], cwd=tmp_path, capture_output=True,
-                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+    proc = _cli_process(argv, tmp_path)
     assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error:") and cause in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["bad.json", "list.json"]
 
 
 def test_index_query_into_a_pipe_closed_early_is_no_error(tmp_path):
@@ -561,11 +670,10 @@ def test_index_query_into_a_pipe_closed_early_is_no_error(tmp_path):
     assert main(["toy-gen", "--out", str(data), "--queries-out", str(queries), "--n-per-class", "500",
                  "--n-queries", "300"]) == 0
     assert main(["index", "build", "--data", str(data), "--l", "4", "--L", "4", "--out", str(index)]) == 0
-    src = Path(__file__).resolve().parent.parent / "src"
     with subprocess.Popen(
         [sys.executable, "-m", "hashdiv.cli", "index", "query", "--index", str(index), "--data", str(data),
          "--queries", str(queries)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(_SRC)},
     ) as proc:
         assert proc.stdout.readline().startswith(b'{"query_id": 0,')
         proc.stdout.close()
@@ -744,10 +852,9 @@ def test_public_api_is_pinned():
 
 
 def test_import_loads_no_scipy():
-    src = Path(__file__).resolve().parent.parent / "src"
     code = "import sys, hashdiv, hashdiv.cli, hashdiv.experiment; print(sorted(m for m in sys.modules if 'scipy' in m))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
-                          env={**os.environ, "PYTHONPATH": str(src)})
+                          env={**os.environ, "PYTHONPATH": str(_SRC)})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -786,7 +893,15 @@ def test_toy_benchmark_script(tmp_path):
 def test_outputs_byte_identical_across_processes(tmp_path):
     # two interpreters with different string hashing must write the same
     # bytes: no output may depend on set or dict order keyed on str hashes
-    src = Path(__file__).resolve().parent.parent / "src"
+    assert main(["toy-gen", "--out", str(tmp_path / "t.csv"), "--n-per-class", "100"]) == 0
+    (tmp_path / "dup.csv").write_text((tmp_path / "t.csv").read_text() * 2)
+    _write_docs(tmp_path / "docs.svm")
+    (tmp_path / "test.svm").write_text("0 1:0.5 2:0.5\n1 4:0.3 5:0.9\n0 2:0.7 3:0.1\n1 5:0.3 6:0.9\n")
+    # 10 clusters under one root over 500 labels
+    (tmp_path / "tree.txt").write_text("".join([f"{c} 999999\n" for c in range(1000, 1010)]
+                                               + [f"{i} {1000 + i % 10}\n" for i in range(500)]))
+    libsvm = ["multilabel", "--data", "../docs.svm", "--d", "6", "--methods", "exact,mmr,lshdiv", "--pool", "4",
+              "--alpha", "2", "--rank", "2", "--l", "4", "--L", "2", "--no-timing"]
     runs = (
         ["toy-gen", "--out", "data.csv", "--queries-out", "queries.csv", "--n-per-class", "100", "--n-queries", "8",
          "--d", "16"],
@@ -794,18 +909,25 @@ def test_outputs_byte_identical_across_processes(tmp_path):
          "--methods", "nn,rerank,greedy,mmr,qprel", "--hashes", "nh,lshdiv,lshsdiv,pcahash", "--l", "10", "--L", "6"],
         ["multilabel", "--synthetic", "--n-labels", "500", "--n-queries", "10", "--no-timing", "--out", "m.csv",
          "--methods", "exact,mmr,lshdiv,lshsdiv,pcahash", "--predictions-json", "p.json"],
+        ["tune", "--data", "../dup.csv"],  # every point twice
+        [*libsvm, "--out", "svm.csv"],
+        [*libsvm, "--test", "../test.svm", "--out", "st.csv"],
+        ["multilabel", "--synthetic", "--n-labels", "500", "--n-queries", "20", "--methods", "exact,mmr,lshsdiv",
+         "--l", "8", "--L", "4", "--hierarchy", "../tree.txt", "--no-timing", "--out", "tree.csv"],
     )
 
     def outputs(hash_seed):
         cwd = tmp_path / f"hashseed{hash_seed}"
         cwd.mkdir()
-        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": str(hash_seed)}
+        stdout = []
         for argv in runs:
-            proc = subprocess.run([sys.executable, "-m", "hashdiv.cli", *argv], cwd=cwd, capture_output=True,
-                                  text=True, timeout=300, env=env)
+            proc = _cli_process(argv, cwd, PYTHONHASHSEED=str(hash_seed))
             assert proc.returncode == 0, proc.stderr
-        return {path.name: path.read_bytes() for path in cwd.iterdir()}
+            stdout.append(proc.stdout)
+        return stdout, {path.name: path.read_bytes() for path in cwd.iterdir()}
 
     first = outputs(1)
-    assert sorted(first) == ["data.csv", "m.csv", "m.csv.json", "p.json", "queries.csv", "r.csv", "r.csv.json"]
+    assert [bool(text) for text in first[0]] == [False, False, False, True, False, False, False]
+    assert sorted(first[1]) == ["data.csv", "m.csv", "m.csv.json", "p.json", "queries.csv", "r.csv", "r.csv.json",
+                                "st.csv", "st.csv.json", "svm.csv", "svm.csv.json", "tree.csv", "tree.csv.json"]
     assert outputs(2) == first

@@ -292,8 +292,9 @@ class TestRetrievalRuns:
         monkeypatch.setattr(experiment, "new_family", lambda *args, **kwargs: built.append(args))
         monkeypatch.setattr(lsh, "build", lambda *args, **kwargs: built.append(args))
         config = base_config(toy_files, tmp_path / "o.csv", hashes=("nh", "lshsdiv"), **{unlabeled: str(path)})
-        cause = "dataset has no category labels" if unlabeled == "data" else "query has no category label"
-        with pytest.raises(ValueError, match=f"^{cause}; precision is undefined$"):
+        cause = {"data": f"data file {path}: dataset has no category labels",
+                 "queries": f"queries file {path}: query has no category label"}[unlabeled]
+        with pytest.raises(ValueError, match=f"^{re.escape(cause)}; precision is undefined$"):
             run_retrieval_experiment(config)
         assert built == []
 
@@ -309,7 +310,8 @@ class TestRetrievalRuns:
         path = tmp_path / "q3.csv"
         save_dense(make_toy(ToyConfig(n_per_class=2, class_centers=toy_centers(3), spread=0.25, seed=1)), path)
         config = base_config(toy_files, tmp_path / "o.csv", queries=str(path))
-        with pytest.raises(ValueError, match="^query dimension 3 != dataset dimension 8$"):
+        cause = f"queries file {path}: query dimension 3 != dataset dimension 8"
+        with pytest.raises(ValueError, match=f"^{re.escape(cause)}$"):
             run_retrieval_experiment(config)
 
     @pytest.mark.parametrize("unlabeled", ["one", "all"])
@@ -323,7 +325,8 @@ class TestRetrievalRuns:
         path = tmp_path / "queries.csv"
         path.write_text("\n".join(rows) + "\n")
         config = base_config(toy_files, tmp_path / "o.csv", queries=str(path))
-        with pytest.raises(ValueError, match="^query has no category label; precision is undefined$"):
+        cause = f"queries file {path}: query has no category label; precision is undefined"
+        with pytest.raises(ValueError, match=f"^{re.escape(cause)}$"):
             run_retrieval_experiment(config)
 
 

@@ -85,8 +85,9 @@ class TestFitLowRankRidge:
         assert resid < 1e-6
 
     def test_zero_ridge_rejected(self):
-        with pytest.raises(ValueError, match="ridge"):
-            fit_lowrank_ridge(np.eye(3), np.eye(3), k=2, ridge=0.0)
+        for ridge in (0.0, np.nan):
+            with pytest.raises(ValueError, match="^ridge must be > 0"):
+                fit_lowrank_ridge(np.eye(3), np.eye(3), k=2, ridge=ridge)
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError, match=r"^rank k=4 out of range \[1, 3\] for 3 features and 3 labels$"):
