@@ -14,9 +14,9 @@ A kind's position in KINDS is its code in the index blob (see lsh).
 Bit b of table t is 1 iff the projection is >= 0; the tie at exactly 0 is a
 measure-zero event for continuous data but the convention is fixed so keys
 are reproducible. A key packs l <= 64 bits into one uint64, bit b at
-position b, by one integer product of the bits with the powers of two.
-This module keeps the planes and the keys only: the table tags of an
-index and the rule of which (l, L) fit one index belong to lsh.
+position b. This module keeps the planes and the keys only: the table
+tags of an index and the rule of which (l, L) fit one index belong to
+lsh.
 
 One kernel hashes a dense (n, d) array under a run of tables, for every
 kind: as sign(r . (U^T x)) = sign((U r) . x) (Charikar, STOC 2002), a
@@ -26,11 +26,16 @@ blocks whose float64 projections onto those tables' planes fit a fixed
 byte budget, writing each block's keys into the output, so its working
 memory is bounded by the keys it returns, not by n * L * l. `hash_matrix`
 is that kernel; it runs over all L tables, or over a slice of them (the
-index build hashes table by table, so it never holds the (n, L) keys). A
-row's projections do not depend on the other rows of its block, so the
-keys do not depend on the block size. `hash_vector`, the per-request
-hash, is its own one-row path: the kernel's operations on a one-row
-block, without the block loop, so its keys are those of
+index build hashes table by table, so it never holds the (n, L) keys). It
+writes a block's projections and sign bits into two buffers allocated
+once a call, the bits padded to a word of 8, 16, 32 or 64, and one
+little-endian `np.packbits` of the block's bits reads as its keys in that
+word. A row's projections do not depend on the other rows of its block,
+so the keys do not depend on the block size. `hash_vector`, the
+per-request hash, is its own one-row path: one product with every
+table's planes and one integer product of the sign bits with the powers
+of two, without the block loop and its buffers, which cost more than the
+arithmetic on one row. Both set bit b to 2^b, so its keys are those of
 `hash_matrix(family, x[None])[0]`.
 
 Drawn plane (t, b) of a seed is
@@ -227,19 +232,30 @@ def hash_matrix(family: HashFamily, vectors: np.ndarray, tables: slice = slice(N
     n, l = vectors.shape[0], family.l
     planes = family._planes.reshape(family.d, family.L, l)[:, tables].reshape(family.d, -1)
     width = planes.shape[1] // l
-    block = max(1, _BLOCK_BYTES // (8 * max(planes.shape[1], family.d)))
+    block = max(1, min(n, _BLOCK_BYTES // (8 * max(planes.shape[1], family.d))))
+    # a key's bits padded to the smallest word of 8, 16, 32 or 64 that
+    # holds l: the padding stays False, so one little-endian packbits of a
+    # block's bits reads as its keys in that word
+    word = max(8, 1 << (l - 1).bit_length())
+    proj = np.empty((block, planes.shape[1]))
+    bits = np.zeros((block, width, word), dtype=bool)
     keys = np.empty((n, width), dtype=np.uint64)
     for lo in range(0, n, block):
         z = vectors[lo : lo + block]
-        bits = (z @ planes >= 0.0).reshape(z.shape[0], width, l)
-        np.matmul(bits, family._pow2, out=keys[lo : lo + block])
+        m = z.shape[0]
+        np.matmul(z, planes, out=proj[:m])
+        np.greater_equal(proj[:m].reshape(m, width, l), 0.0, out=bits[:m, :, :l])
+        packed = np.packbits(bits[:m].reshape(-1), bitorder="little")
+        keys[lo : lo + m] = packed.view(f"<u{word // 8}").reshape(m, width)
     return keys
 
 
 def hash_vector(family: HashFamily, x: np.ndarray) -> np.ndarray:
     """Keys of a single point for all L tables: (L,) uint64, equal to
-    hash_matrix(family, x[None])[0]. The kernel's steps on one row, without
-    its block loop, which costs more than the arithmetic on one row."""
+    hash_matrix(family, x[None])[0]. The kernel's product and comparison
+    on one row, packed by one integer product with the powers of two,
+    without the block loop and buffers, which cost more than the
+    arithmetic on one row."""
     z = x.reshape(1, -1)
     if z.shape[1] != family.d:
         raise ValueError(f"point dimension {z.shape[1]} != family dimension {family.d}")

@@ -41,7 +41,7 @@ import numpy as np
 from .data import Dataset, check_seed
 from .hashing import KINDS, PLAIN, HashFamily, hash_matrix, hash_vector, new_family
 from .linalg import TruncatedBasis
-from .select import SelectionProblem, SelectionResult, check_query, select_nn
+from .select import SelectionProblem, SelectionResult, check_query, check_scale, top_k
 
 _MAGIC = b"HDV5"
 # magic, kind code (the kind's position in KINDS), n, d, L, l, alpha (0 for
@@ -205,8 +205,60 @@ _TUNE_AT_K = 10
 
 # bytes that the work arrays of one slice of tune's (query, point) pairs
 # may hold together: a slice holds _TUNE_BYTES // 64 pairs, and fewer
-# than 64 bytes a pair are alive at once
+# than 64 bytes a pair are alive at once; also the bytes of one block of
+# the ground truth's float64 scores, _TUNE_BYTES // (8 n) queries against
+# all n points
 _TUNE_BYTES = 1 << 19
+
+
+def _true_neighbors(vectors: np.ndarray, q_ids: np.ndarray, k: int) -> np.ndarray:
+    """(q_ids.size, min(k, n - 1)) intp: the leave-one-out ground truth of
+    each query point q_ids[j], the ids that `select_nn` ranks first among
+    all n points for k + 1 (nearest first, ties to the lowest id), with
+    q_ids[j] removed and cut to min(k, n - 1). Vectors so large that a
+    squared distance could overflow float64 raise select_nn's ValueError,
+    before any product.
+
+    The queries go in blocks of _TUNE_BYTES // (8 n). One BLAS product
+    scores a block against every point by approx = |q|^2 - 2 q.x + |x|^2,
+    and one partition finds each row's (k + 1)-th smallest, kth. Only the
+    points with approx <= kth + 2F are re-ranked, by select_nn's own
+    distance sum((x - q)^2) and `top_k`, so the ids equal select_nn's.
+    F bounds |approx - ex| over every pair, ex that distance as computed
+    (see below). The k + 1 points of smallest approx have approx <= kth,
+    so ex <= kth + F: the (k + 1)-th smallest ex is at most kth + F, and
+    every point of select_nn's k + 1 has ex <= kth + F, so approx <=
+    kth + 2F, and is kept."""
+    x = np.asarray(vectors, dtype=float)
+    n, d = x.shape
+    sq = np.einsum("ij,ij->i", x, x)   # warns of no overflow
+    top = float(sq.max())   # the queries' squared norms among them
+    check_scale(top, 4)
+    q = x[q_ids]
+    # B = top, u = eps / 2: the squared norms and q.x (in any order of
+    # summation) err by at most d u B each, and the two sums of approx,
+    # whose terms are below 4B, by 7 u B; each of ex's d squared
+    # differences errs by 3u relative and their sum by (d - 1) u more,
+    # with ex <= 4B. So |approx - ex| <= (8d + 15) u B, and F =
+    # 8 (d + 4) eps B is twice that, room for the rounding of B and of
+    # kth + 2F. A product that underflows errs by at most half the
+    # smallest subnormal, so F also adds 8 (d + 4) of those.
+    two_f = 16 * (d + 4) * (np.finfo(float).eps * top + np.finfo(float).smallest_subnormal)
+    kth_at = min(k + 1, n) - 1
+    truth = np.empty((q_ids.size, min(k, n - 1)), dtype=np.intp)
+    rows = max(1, _TUNE_BYTES // (8 * n))
+    for lo in range(0, q_ids.size, rows):
+        approx = q[lo : lo + rows] @ x.T
+        approx *= -2.0
+        approx += sq[q_ids[lo : lo + rows], None]
+        approx += sq
+        bound = np.partition(approx, kth_at, axis=1)[:, kth_at] + two_f
+        for qi, qv, scores, cut, out in zip(q_ids[lo:], q[lo:], approx, bound, truth[lo:]):
+            near = np.flatnonzero(scores <= cut)
+            diff = x[near] - qv
+            nearest = near[top_k(np.einsum("ij,ij->i", diff, diff), near, k + 1)]
+            out[:] = nearest[nearest != qi][: out.size]
+    return truth
 
 
 def _shared_prefix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -253,6 +305,14 @@ def tune(dataset: Dataset, target_recall: float, epsilon: float = 1.0, *, seed: 
     prefix or the max rises. The pairs are scored in slices of
     _TUNE_BYTES // 64 pairs, so the memory stays the keys, the max and
     one slice even when every point shares one bucket.
+
+    The ground truth (`_true_neighbors`) is, to the id, what one
+    `select_nn` over every point gives each query, from one BLAS product
+    per block of queries and an exact re-rank of the few points that
+    product cannot tell apart. It runs before the hashing, so its blocks
+    of at most _TUNE_BYTES do not add to the keys' peak. Vectors so large
+    that a squared distance could overflow float64 raise select_nn's
+    ValueError, before any product.
     """
     if not 0.0 < target_recall < 1.0:
         raise ValueError("target_recall must lie strictly between 0 and 1")
@@ -265,20 +325,14 @@ def tune(dataset: Dataset, target_recall: float, epsilon: float = 1.0, *, seed: 
     rng = np.random.default_rng(seed)
     q_ids = rng.choice(n, size=min(_TUNE_QUERIES, n), replace=False)
     q_ids.sort()
-    qvecs = dataset.dense_rows(q_ids)
     nq = q_ids.size
+    # before the keys exist, so that its blocks do not add to their peak
+    true_nn = _true_neighbors(dataset.vectors, q_ids, _TUNE_AT_K)
+    at_k = true_nn.shape[1]
 
     max_l, max_L = _L_GRID[-1], _TABLE_GRID[-1]
     # (n, max_L); the family's planes are not kept past the hashing
     all_keys = hash_matrix(new_family(PLAIN, max_l, max_L, dataset.d, seed=seed), dataset.vectors)
-
-    # leave-one-out ground truth: the nearest neighbors excluding the query
-    everyone = np.arange(n)
-    at_k = min(_TUNE_AT_K, n - 1)
-    true_nn = np.empty((nq, at_k), dtype=np.intp)
-    for row, qi, qv in zip(true_nn, q_ids, qvecs):
-        nearest = select_nn(SelectionProblem(qv, everyone, dataset.vectors, _TUNE_AT_K + 1, 0.0)).ids
-        row[:] = nearest[nearest != qi][: row.size]
 
     # per l, table count L and query: hits among true_nn, union size and
     # touched entries, from the pairs in each query's range of the table

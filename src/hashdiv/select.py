@@ -114,17 +114,22 @@ class QpSolveReport:
 _MAX = np.finfo(float).max
 
 
-def _check_scale(problem: SelectionProblem, most: int) -> None:
+def check_scale(top: float, most: int) -> None:
     """Raise ValueError unless `most` * B is at most half the largest
-    float64, B the largest squared norm among the candidates (the
-    problem's `_sq_max`) and the query (the square of its `_q_norm`). A
-    selector passes the bound on its scores and sums in units of B
-    (|x.y| <= B, |x - y|^2 <= 4B), so none of them overflows into a quiet
-    wrong pick, with room left for rounding. A squared norm that
+    float64, B = `top` the largest squared norm among the candidates and
+    the query. A caller passes the bound on its scores and sums in units
+    of B (|x.y| <= B, |x - y|^2 <= 4B), so none of them overflows into a
+    quiet wrong pick, with room left for rounding. A squared norm that
     overflowed is inf and fails, and a Python float product overflows to
     inf without a warning."""
-    if not max(problem._sq_max, problem._q_norm * problem._q_norm) <= _MAX / (2 * most):
+    if not top <= _MAX / (2 * most):
         raise ValueError("candidate or query vectors too large: their selection scores would overflow float64")
+
+
+def _check_scale(problem: SelectionProblem, most: int) -> None:
+    """check_scale with B from the problem: its candidates' `_sq_max` and
+    the square of its query's `_q_norm`."""
+    check_scale(max(problem._sq_max, problem._q_norm * problem._q_norm), most)
 
 
 def _sq_dists_to_query(problem: SelectionProblem) -> np.ndarray:

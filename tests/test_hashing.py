@@ -269,6 +269,27 @@ class TestHashMatrixOracle:
         assert np.array_equal(keys[17], hash_vector(fam, x[17]))
 
 
+    @pytest.mark.parametrize("n", [0, 37])
+    @pytest.mark.parametrize("l", [1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64])
+    def test_keys_at_every_word_boundary(self, l, n):
+        # blocks of 8 rows, so 37 rows leave a partial last block of 5; every
+        # fifth row is zero, whose projections are exactly 0 and set every bit
+        L, d = 3, 5
+        fam = new_family(PLAIN, l, L, d, seed=l)
+        x = np.random.default_rng(l).standard_normal((n, d))
+        x[::5] = 0.0
+        with mock.patch.object(hashing, "_BLOCK_BYTES", 8 * 8 * max(L * l, d)):
+            keys = hash_matrix(fam, x)
+            tables = [hash_matrix(fam, x, slice(t, t + 1)) for t in range(L)]
+        assert keys.dtype == np.uint64 and keys.shape == (n, L)
+        assert np.array_equal(keys, reference_keys(fam, x))
+        assert (keys[::5] == np.uint64((1 << l) - 1)).all()
+        for t in range(L):
+            assert tables[t].dtype == np.uint64 and np.array_equal(tables[t], keys[:, t : t + 1])
+        for i in range(n):
+            assert np.array_equal(hash_vector(fam, x[i]), keys[i])
+
+
 def agreement(a, b, l: int, L: int, seed: int) -> float:
     """Fraction of the l * L plain sign bits of a equal to those of b."""
     family = new_family(PLAIN, l, L, len(a), seed=seed)

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -92,18 +93,24 @@ class TestBuild:
 
     @pytest.mark.parametrize("L, n, fits", [(1, 2**31 - 1, True), (1, 2**31, False), (4, 2**29, False)])
     def test_ids_must_fit_int32(self, L, n, fits):
-        # refused from (l, L, n) alone, before any table or id is allocated
+        # refused from (l, L, n) alone, before any table or id is allocated;
+        # the traced window holds only the call, and the message is matched
+        # after it, so pytest's own allocations are not counted
+        refusal = None
         tracemalloc.start()
         try:
-            if fits:
+            try:
                 lsh.check_tables(16, L, n)
-            else:
-                with pytest.raises(ValueError, match=rf"^L={L} tables of n={n} points hold {L * n} ids, "
-                                                     r"more than the 2147483647"):
-                    lsh.check_tables(16, L, n)
+            except ValueError as e:
+                refusal = e
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        if fits:
+            assert refusal is None
+        else:
+            assert refusal is not None
+            assert re.match(rf"L={L} tables of n={n} points hold {L * n} ids, more than the 2147483647", str(refusal))
         assert peak < 2**14
 
     def test_single_point(self):
@@ -436,6 +443,16 @@ class TestTune:
         with pytest.raises(ValueError, match=message):
             lsh.tune(ds, 0.8, epsilon)
 
+    def test_vectors_whose_distances_overflow_refused_without_a_warning(self):
+        # rows of norm 1e160: a squared distance would overflow float64
+        rng = np.random.default_rng(5)
+        ds = Dataset(vectors=1e160 * normalize_rows(rng.standard_normal((40, 6))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^candidate or query vectors too large: "
+                                                 r"their selection scores would overflow float64$"):
+                lsh.tune(ds, 0.8, seed=1)
+
     @pytest.mark.parametrize("seed", [-1, 2**63])
     def test_seed_outside_the_family_range_rejected(self, toy_1k, seed):
         # the family's seed rule, checked before the sample is drawn
@@ -634,6 +651,52 @@ def oracle_dataset(data) -> Dataset:
 # 320 bytes are 5 pairs a slice, fewer than most buckets hold, so a
 # query's bucket is split across several slices
 _FEW_PAIRS = 320
+
+
+def truth_by_select_nn(vectors, q_ids, k=10):
+    """Tune's leave-one-out ground truth, one select_nn over every point per
+    query: the reference that lsh._true_neighbors must match exactly."""
+    n = vectors.shape[0]
+    truth = np.empty((q_ids.size, min(k, n - 1)), dtype=np.intp)
+    for row, qi in zip(truth, q_ids):
+        nearest = select_nn(SelectionProblem(vectors[qi], np.arange(n), vectors, k + 1, 0.0)).ids
+        row[:] = nearest[nearest != qi][: row.size]
+    return truth
+
+
+class TestTuneTruth:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_select_nn_per_query(self, data):
+        shape = data.draw(st.sampled_from(["oracle", "integer", "few"]))
+        if shape == "oracle":
+            vectors = oracle_dataset(data).vectors
+        else:
+            n = data.draw(st.integers(1, 12 if shape == "few" else 100))
+            d = data.draw(st.integers(1, 6))
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            if shape == "integer":
+                # many exact distance ties, and twins; scaled by 0.1 and
+                # moved off the origin, the ties and near ties of the
+                # distances lie far below the rounding of |x|^2 - 2 q.x + |q|^2
+                scale = data.draw(st.sampled_from([1.0, 0.1]))
+                vectors = rng.integers(-2, 3, (n, d)) * scale + data.draw(st.sampled_from([0.0, 3.7, 1e3]))
+            else:
+                vectors = rng.standard_normal((n, d))
+        n = vectors.shape[0]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        q_ids = np.sort(rng.choice(n, size=min(64, n), replace=False))
+        with pytest.MonkeyPatch.context() as mp:
+            if data.draw(st.booleans()):  # one query a block
+                mp.setattr(lsh, "_TUNE_BYTES", 8)
+            got = lsh._true_neighbors(vectors, q_ids, 10)
+        want = truth_by_select_nn(vectors, q_ids)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_matches_select_nn_on_clustered_sample(self):
+        ds = clustered_dataset(4096)
+        q_ids = np.sort(np.random.default_rng(42).choice(ds.n, size=64, replace=False))
+        assert np.array_equal(lsh._true_neighbors(ds.vectors, q_ids, 10), truth_by_select_nn(ds.vectors, q_ids))
 
 
 class TestTuneOracle:
