@@ -24,14 +24,17 @@ family folds its basis U into its planes once, so a row costs one product
 with the ambient normals, d * L * l multiply-adds. It walks the rows in
 blocks whose float64 projections onto those tables' planes fit a fixed
 byte budget, writing each block's keys into the output, so its working
-memory is bounded by the keys it returns, not by n * L * l. `hash_matrix`
-is that kernel; it runs over all L tables, or over a slice of them (the
-index build hashes table by table, so it never holds the (n, L) keys). It
-writes a block's projections and sign bits into two buffers allocated
-once a call, the bits padded to a word of 8, 16, 32 or 64, and one
+memory is bounded by the keys it returns, not by n * L * l. It writes a
+block's projections and sign bits into two buffers allocated once a
+call, the bits padded to a word of 8, 16, 32 or 64, and one
 little-endian `np.packbits` of the block's bits reads as its keys in that
 word. A row's projections do not depend on the other rows of its block,
-so the keys do not depend on the block size. `hash_vector`, the
+so the keys do not depend on the block size. Three functions run it:
+`hash_matrix` over all L tables or a slice of them, as uint64;
+`hash_groups` over a group of tables per pass, in the narrowest word that
+holds l bits, for the index build, which so never holds the (n, L) keys;
+and `hash_plain_bits` over a run of key bits of the plain kind's tables,
+drawing only those planes, for the tuner. `hash_vector`, the
 per-request hash, is its own one-row path: one product with every
 table's planes and one integer product of the sign bits with the powers
 of two, without the block loop and its buffers, which cost more than the
@@ -41,7 +44,8 @@ arithmetic on one row. Both set bit b to 2^b, so its keys are those of
 Drawn plane (t, b) of a seed is
 Generator(Philox(SeedSequence(seed, spawn_key=(t, b)))).standard_normal(dim):
 it depends only on (seed, t, b), so an (l, L) family is a bit-exact prefix
-of any larger one with the same seed, which `lsh.tune` relies on. Building
+of any larger one with the same seed, and any run of a table's bits can be
+drawn alone, which `lsh.tune` relies on. Building
 a SeedSequence and a Philox per plane costs about ten times the draw, so
 `new_family` builds neither. It runs numpy's SeedSequence mixing as uint32
 array arithmetic over every (t, b) at once, which yields each plane's
@@ -129,13 +133,14 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ r >> np.uint32(16)
 
 
-def _philox_keys(seed: int, L: int, l: int) -> np.ndarray:
-    """(L * l, 2) uint64: row t * l + b is the key that
-    Philox(SeedSequence(seed, spawn_key=(t, b))) takes, its
+def _philox_keys(seed: int, L: int, bits: range) -> np.ndarray:
+    """(L * len(bits), 2) uint64: row t * len(bits) + j is the key that
+    Philox(SeedSequence(seed, spawn_key=(t, bits[j]))) takes, its
     generate_state(2, uint64), by numpy's algorithm on uint32 arrays over
     every (t, b) at once. The entropy is the seed's 32-bit words, low
     first, zero-padded to the pool size (so seed < 2**128), then t and b."""
-    t, b = np.divmod(np.arange(L * l, dtype=np.uint32), np.uint32(l))
+    t, b = np.divmod(np.arange(L * len(bits), dtype=np.uint32), np.uint32(len(bits)))
+    b += np.uint32(bits.start)
     steps = _hash_steps(_INIT_A, _MULT_A)
     pool = [_hashmix(np.uint32([seed >> s & 0xFFFFFFFF]), steps) for s in range(0, 32 * _POOL_SIZE, 32)]
     for src in range(_POOL_SIZE):
@@ -147,24 +152,25 @@ def _philox_keys(seed: int, L: int, l: int) -> np.ndarray:
             pool[dst] = _mix(pool[dst], _hashmix(word, steps))
     steps = _hash_steps(_INIT_B, _MULT_B)
     state = [_hashmix(word, steps).astype(np.uint64) for word in pool]
-    keys = np.empty((L * l, 2), dtype=np.uint64)
+    keys = np.empty((t.size, 2), dtype=np.uint64)
     keys[:, 0] = state[0] | state[1] << np.uint64(32)
     keys[:, 1] = state[2] | state[3] << np.uint64(32)
     return keys
 
 
-def _gaussian_planes(seed: int, L: int, l: int, dim: int) -> np.ndarray:
-    """(L, l, dim) standard normal planes, plane (t, b) drawn as by a new
-    Philox generator keyed by (seed, t, b) (see the module docstring)."""
+def _gaussian_planes(seed: int, L: int, bits: range, dim: int) -> np.ndarray:
+    """(L, len(bits), dim) standard normal planes, plane (t, bits[j])
+    drawn as by a new Philox generator keyed by (seed, t, bits[j]) (see
+    the module docstring)."""
     bitgen = np.random.Philox(0)
     draw = np.random.Generator(bitgen).standard_normal
     fresh = bitgen.state  # counter 0, buffer empty
-    planes = np.empty((L * l, dim))
-    for key, row in zip(_philox_keys(seed, L, l), planes):
+    planes = np.empty((L * len(bits), dim))
+    for key, row in zip(_philox_keys(seed, L, bits), planes):
         fresh["state"]["key"] = key
         bitgen.state = fresh
         draw(out=row)
-    return planes.reshape(L, l, dim)
+    return planes.reshape(L, len(bits), dim)
 
 
 def new_family(
@@ -219,35 +225,96 @@ def new_family(
             raise ValueError(f"{PCA_DIRECT} needs alpha >= l, got alpha={alpha}, l={l}")
         planes = np.eye(alpha)[np.arange(L * l) % alpha].reshape(L, l, alpha)
     else:
-        planes = _gaussian_planes(seed, L, l, alpha or d)
+        planes = _gaussian_planes(seed, L, range(l), alpha or d)
     return HashFamily(kind=kind, l=l, L=L, d=d, alpha=alpha, seed=seed, hyperplanes=planes, basis=basis)
 
 
-def hash_matrix(family: HashFamily, vectors: np.ndarray, tables: slice = slice(None)) -> np.ndarray:
-    """Keys of every row of the dense (n, d) `vectors` under the k tables
-    that the slice `tables` selects, all L by default: (n, k) uint64. The
-    one hashing kernel."""
-    if vectors.shape[1] != family.d:
-        raise ValueError(f"point dimension {vectors.shape[1]} != family dimension {family.d}")
-    n, l = vectors.shape[0], family.l
-    planes = family._planes.reshape(family.d, family.L, l)[:, tables].reshape(family.d, -1)
-    width = planes.shape[1] // l
-    block = max(1, min(n, _BLOCK_BYTES // (8 * max(planes.shape[1], family.d))))
+def _block_rows(n: int, cols: int, d: int) -> int:
+    """Rows of a block whose widest float64 array, its projections onto
+    `cols` planes or its rows of dimension d, fits _BLOCK_BYTES (all n
+    rows if they fit, and at least one)."""
+    return max(1, min(n, _BLOCK_BYTES // (8 * max(cols, d))))
+
+
+def _hash_rows(vectors: np.ndarray, planes: np.ndarray, l: int, out: np.ndarray, rows: int) -> np.ndarray:
+    """The one hashing kernel: writes into `out`, (n, k) of an unsigned
+    type at least as wide as the word that holds l bits (a strided view
+    will do), the l-bit keys of the rows of the dense (n, d) `vectors`
+    under the k tables whose ambient normals are the columns of `planes`,
+    (d, k * l), table after table; `rows` rows a block. Returns out."""
+    n, width = out.shape
     # a key's bits padded to the smallest word of 8, 16, 32 or 64 that
     # holds l: the padding stays False, so one little-endian packbits of a
     # block's bits reads as its keys in that word
     word = max(8, 1 << (l - 1).bit_length())
-    proj = np.empty((block, planes.shape[1]))
-    bits = np.zeros((block, width, word), dtype=bool)
-    keys = np.empty((n, width), dtype=np.uint64)
-    for lo in range(0, n, block):
-        z = vectors[lo : lo + block]
+    proj = np.empty((rows, planes.shape[1]))
+    bits = np.zeros((rows, width, word), dtype=bool)
+    for lo in range(0, n, rows):
+        z = vectors[lo : lo + rows]
         m = z.shape[0]
         np.matmul(z, planes, out=proj[:m])
         np.greater_equal(proj[:m].reshape(m, width, l), 0.0, out=bits[:m, :, :l])
         packed = np.packbits(bits[:m].reshape(-1), bitorder="little")
-        keys[lo : lo + m] = packed.view(f"<u{word // 8}").reshape(m, width)
-    return keys
+        out[lo : lo + m] = packed.view(f"<u{word // 8}").reshape(m, width)
+    return out
+
+
+def _check_dimension(family: HashFamily, vectors: np.ndarray) -> None:
+    if vectors.shape[1] != family.d:
+        raise ValueError(f"point dimension {vectors.shape[1]} != family dimension {family.d}")
+
+
+def hash_matrix(family: HashFamily, vectors: np.ndarray, tables: slice = slice(None)) -> np.ndarray:
+    """Keys of every row of the dense (n, d) `vectors` under the k tables
+    that the slice `tables` selects, all L by default: (n, k) uint64."""
+    _check_dimension(family, vectors)
+    n, l = vectors.shape[0], family.l
+    planes = family._planes.reshape(family.d, family.L, l)[:, tables].reshape(family.d, -1)
+    keys = np.empty((n, planes.shape[1] // l), dtype=np.uint64)
+    return _hash_rows(vectors, planes, l, keys, _block_rows(n, planes.shape[1], family.d))
+
+
+def hash_groups(family: HashFamily, vectors: np.ndarray):
+    """Keys of every row of the dense (n, d) `vectors` under every table,
+    a group of tables per pass over the rows: yields (t, keys), keys a
+    (k, n) array in the narrowest unsigned type that holds l bits whose
+    row j is table t + j's keys, equal to hash_matrix(family, vectors,
+    slice(t, t + k)).T. A group holds G = 8 // (that type's bytes) tables,
+    at most L and n, so its keys take no more bytes than one table's
+    uint64 keys, and G * l <= 64. A pass's row block holds at most
+    min(n * l, _BLOCK_BYTES / 8) float64 projections, the bound of a
+    one-table pass of hash_matrix. One buffer holds every group: a yielded
+    array is overwritten by the next group. A dimension mismatch raises at
+    the first group."""
+    _check_dimension(family, vectors)
+    n, d, l, L = vectors.shape[0], family.d, family.l, family.L
+    key_type = np.min_scalar_type((1 << l) - 1)
+    group = max(1, min(L, 8 // key_type.itemsize, n))
+    rows = max(1, min(n * l, _BLOCK_BYTES // 8) // max(group * l, d))
+    keys = np.empty((group, n), dtype=key_type)
+    planes = family._planes.reshape(d, L, l)
+    for t in range(0, L, group):
+        part = keys[: min(group, L - t)]
+        _hash_rows(vectors, planes[:, t : t + part.shape[0]].reshape(d, -1), l, part.T, rows)
+        yield t, part
+
+
+def hash_plain_bits(vectors: np.ndarray, seed: int, L: int, bits: range, out: np.ndarray) -> np.ndarray:
+    """Writes into `out`, (n, L) of an unsigned type at least as wide as the
+    word that holds len(bits) bits (a strided view will do), bits `bits`,
+    a run within [0, 64), of the L tables of the plain families of `seed`
+    over the dense (n, d) `vectors`: bit bits.start + j of table t at
+    position j. Returns out. Plane (t, b) depends only on (seed, t, b), so
+    this is hash_matrix(new_family(PLAIN, bits.stop, L, d, seed=seed),
+    vectors) >> bits.start, with only the planes of `bits` drawn and
+    projected: `lsh.tune` hashes its keys' low half, and their high half
+    only when its grid can use it, each straight into its half."""
+    if bits.step != 1 or not 0 <= bits.start < bits.stop <= 64:
+        raise ValueError(f"bits {bits} is not a run of key bits within [0, 64)")
+    seed = check_seed(seed)
+    n, d = vectors.shape
+    planes = np.ascontiguousarray(_gaussian_planes(seed, L, bits, d).reshape(L * len(bits), d).T)
+    return _hash_rows(vectors, planes, len(bits), out, _block_rows(n, planes.shape[1], d))
 
 
 def hash_vector(family: HashFamily, x: np.ndarray) -> np.ndarray:
@@ -257,6 +324,5 @@ def hash_vector(family: HashFamily, x: np.ndarray) -> np.ndarray:
     without the block loop and buffers, which cost more than the
     arithmetic on one row."""
     z = x.reshape(1, -1)
-    if z.shape[1] != family.d:
-        raise ValueError(f"point dimension {z.shape[1]} != family dimension {family.d}")
+    _check_dimension(family, z)
     return (z @ family._planes >= 0.0).reshape(family.L, family.l) @ family._pow2

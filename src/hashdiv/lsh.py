@@ -12,17 +12,20 @@ keys (t << l) | key, so one ascending `keys` array holds every table and
 one binary search finds a query's L keys. The bucket of keys[j] is
 ids[offsets[j]:offsets[j + 1]]. Table t's buckets fill ids[t*n:(t+1)*n],
 ids ascending inside each bucket; offsets and ids are int32. Build hashes
-and sorts one table at a time into its slice of ids, so the (n, L) keys
-never exist. This module alone knows the layout: `build` and
-`index_from_bytes` make the tags and keep them on the index (hash keys
-carry none), and `check_tables` is the one rule of which (l, L) fit it.
+a group of tables per pass over the rows, their keys in the narrowest
+word that holds l bits, and sorts one table at a time into its slice of
+ids, so the (n, L) keys never exist. This module alone knows the layout:
+`build` and `index_from_bytes` make the tags and keep them on the index
+(hash keys carry none), and `check_tables` is the one rule of which (l,
+L) fit it.
 
 The tuner reads its grid from the same kind of sorted tables: sorted by
 their low 8 key bits, each table holds the points that can share a
 sampled query's bucket at any grid l in one range, and only the (query,
-point) pairs inside those ranges are scored. Its memory is the sample's
-keys, a (64, n) uint8 running maximum (a quarter of the keys) and one
-slice of pairs within a fixed byte budget.
+point) pairs inside those ranges are scored. It hashes the low 32 key
+bits first, and the high 32 only when a grid l above 32 can be picked.
+Its memory is the sample's keys, a (64, n) uint8 running maximum (a
+quarter of the keys) and one slice of pairs within a fixed byte budget.
 
 This module alone reads and writes the index blob: one header holding the
 family's fields and the dataset's digest, then for the pca kinds the
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, check_seed
-from .hashing import KINDS, PLAIN, HashFamily, hash_matrix, hash_vector, new_family
+from .hashing import KINDS, PLAIN, HashFamily, hash_groups, hash_plain_bits, hash_vector, new_family
 from .linalg import TruncatedBasis
 from .select import SelectionProblem, SelectionResult, check_query, check_scale, top_k
 
@@ -104,7 +107,16 @@ def check_tables(l: int, L: int, n: int) -> None:
 
 
 def build(dataset: Dataset, family: HashFamily) -> LshIndex:
-    """Hash all points into every table. Deterministic for a fixed family."""
+    """Hash all points into every table. Deterministic for a fixed family.
+
+    `hashing.hash_groups` hashes G tables per pass over the rows (8 at l
+    <= 8, 4 at l <= 16, 2 at l <= 32, else 1), their keys in the narrowest
+    unsigned word that holds l bits, so a group's keys take no more than
+    one table's uint64 keys. Each table is then sorted alone, by a stable
+    argsort written straight into its slice of ids, and its bucket keys
+    and offsets are appended to arrays that grow in place. Beside the
+    index, the work space is one group's keys, one table's sort and one
+    row block's projections."""
     if dataset.n == 0:
         raise ValueError("cannot index an empty dataset")
     if dataset.d != family.d:
@@ -112,27 +124,34 @@ def build(dataset: Dataset, family: HashFamily) -> LshIndex:
     n, L = dataset.n, family.L
     check_tables(family.l, L, n)
     tags = _tags(family)
-    # one table at a time, so only one table's keys and sort are alive
-    # beside the index
     ids = np.empty(L * n, dtype=np.int32)
-    # numpy's stable sort is a radix sort on 8- and 16-bit integers, so the
-    # keys are sorted in the narrowest unsigned type that holds l bits
-    key_type = np.min_scalar_type((1 << family.l) - 1)
-    bucket_keys, starts = [], []
+    # grown table by table in place: numpy resizes by realloc, so no
+    # bucket is held twice, as a concatenation of per-table pieces would
+    keys = np.empty(0, dtype=np.uint64)
+    offsets = np.empty(0, dtype=np.int32)
     first = np.ones(n, dtype=bool)  # every table opens a bucket
-    for t in range(L):
-        keys = hash_matrix(family, dataset.vectors, slice(t, t + 1))[:, 0]
-        order = ids[t * n : (t + 1) * n]
-        order[:] = np.argsort(keys.astype(key_type, copy=False), kind="stable")
-        sorted_keys = keys[order]
-        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
-        starts.append((np.flatnonzero(first) + t * n).astype(np.int32))
-        bucket_keys.append(sorted_keys[first] | tags[t])
-        del keys, sorted_keys  # before the next table's keys are hashed
-    keys = np.concatenate(bucket_keys)
-    del bucket_keys  # before the offsets are concatenated
-    starts.append(np.array([L * n], dtype=np.int32))
-    return LshIndex(family, dataset, keys, np.concatenate(starts), ids, tags)
+    # a group of tables a pass, their keys in the narrowest unsigned type
+    # that holds l bits (numpy's stable sort is a radix sort on 8- and
+    # 16-bit integers), then one table's sort at a time: beside the index,
+    # a group's keys take no more than one table's uint64 keys
+    for t0, group in hash_groups(family, dataset.vectors):
+        for t, table_keys in enumerate(group, t0):
+            order = ids[t * n : (t + 1) * n]
+            order[:] = table_keys.argsort(kind="stable")
+            sorted_keys = table_keys[order]
+            np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+            starts = np.flatnonzero(first)
+            b = keys.size
+            # no view of keys or offsets outlives a statement, so they may
+            # be resized without numpy's reference check
+            keys.resize(b + starts.size, refcheck=False)
+            offsets.resize(b + starts.size, refcheck=False)
+            keys[b:] = sorted_keys[first] | tags[t]
+            offsets[b:] = starts + t * n
+            del sorted_keys, starts  # before the next table's sort
+    offsets.resize(keys.size + 1, refcheck=False)
+    offsets[-1] = L * n
+    return LshIndex(family, dataset, keys, offsets, ids, tags)
 
 
 def _check_query(q, d: int) -> np.ndarray:
@@ -290,7 +309,13 @@ def tune(dataset: Dataset, target_recall: float, epsilon: float = 1.0, *, seed: 
     that `check_tables` accepts are returned.
 
     Because hyperplane (t, b) depends only on (seed, t, b), every grid pair
-    is a prefix of the one maximal family, so the dataset is hashed once.
+    is a prefix of the one maximal family, so the dataset is hashed once,
+    in two halves: the low 32 bits of every table first, which give
+    recall at (32, 32). Below the target, no pair of a longer l can be
+    picked (see the proof in the code), so the grid stops at l = 32 and
+    the high 32 bits are never drawn or projected; otherwise they are
+    hashed alone, straight into the keys' high halves
+    (`hashing.hash_plain_bits`).
     Point i shares query q's bucket at (l, table t) iff their table-t keys
     agree on the low l bits, so one shared-prefix length per (q, i, t)
     answers every l; its running max over tables gives the union for
@@ -330,14 +355,33 @@ def tune(dataset: Dataset, target_recall: float, epsilon: float = 1.0, *, seed: 
     true_nn = _true_neighbors(dataset.vectors, q_ids, _TUNE_AT_K)
     at_k = true_nn.shape[1]
 
-    max_l, max_L = _L_GRID[-1], _TABLE_GRID[-1]
-    # (n, max_L); the family's planes are not kept past the hashing
-    all_keys = hash_matrix(new_family(PLAIN, max_l, max_L, dataset.d, seed=seed), dataset.vectors)
+    max_L = _TABLE_GRID[-1]
+    # (n, max_L) keys of every grid pair, hashed half by half straight into
+    # their low and high 32 bits (little-endian, so that the first uint32
+    # of each key is its low half on any host); the low half first
+    all_keys = np.zeros((n, max_L), dtype="<u8")
+    low, high = all_keys.view("<u4").reshape(n, max_L, 2).transpose(2, 0, 1)
+    hash_plain_bits(dataset.vectors, seed, max_L, range(32), out=low)
+    # recall at (32, max_L), the number the grid computes there: the true
+    # neighbours that share a query's whole low half in some table.
+    # Below the target, no pair of a longer l can be picked: at a fixed L
+    # recall never rises with l, and at a fixed l it never falls with L, so
+    # every such pair misses the target, and feasibility asks for the
+    # target plus a margin >= 0; a pair that fits at some l fits at every
+    # shorter l, with at least its recall, and argmax ties go to the
+    # shorter l, so none is the best-recall fallback either. Then the grid
+    # stops at 32 and the high half is never hashed.
+    shared = (all_keys[true_nn] == all_keys[q_ids, None]).any(axis=2).sum(axis=1)
+    if (shared / (at_k or 1)).mean() < target_recall:
+        grid = tuple(l for l in _L_GRID if l <= 32)
+    else:
+        grid = _L_GRID
+        hash_plain_bits(dataset.vectors, seed, max_L, range(32, 64), out=high)
 
     # per l, table count L and query: hits among true_nn, union size and
     # touched entries, from the pairs in each query's range of the table
     # sorted by its low _L_GRID[0] key bits
-    ls = np.array(_L_GRID)
+    ls = np.array(grid)
     low_bits = np.uint64((1 << _L_GRID[0]) - 1)
     hits, cands, touched = (np.empty((ls.size, max_L, nq)) for _ in range(3))
     longest = np.zeros((nq, n), dtype=np.uint8)   # longest prefix that q shares with i in any table so far
@@ -401,7 +445,7 @@ def tune(dataset: Dataset, target_recall: float, epsilon: float = 1.0, *, seed: 
     margin = 1.64 * recalls.std(axis=-1) / np.sqrt(nq)
     mean_cand = cands.mean(axis=-1)
     mean_touched = touched.mean(axis=-1)
-    fits = np.array([[not _misfit(l, L, n) for L in _TABLE_GRID] for l in _L_GRID])
+    fits = np.array([[not _misfit(l, L, n) for L in _TABLE_GRID] for l in grid])
     feasible = fits & (recall >= target_recall + margin)
     candidate_cap = 4.0 * n ** (1.0 / (1.0 + epsilon))
     for ok in (feasible & (mean_cand <= candidate_cap), feasible):
@@ -412,7 +456,7 @@ def tune(dataset: Dataset, target_recall: float, epsilon: float = 1.0, *, seed: 
         pick = np.argmax(np.where(fits, recall, -1.0))
     li, Li = np.unravel_index(pick, recall.shape)
     return TuneResult(
-        _L_GRID[li], _TABLE_GRID[Li], bool(feasible[li, Li]),
+        grid[li], _TABLE_GRID[Li], bool(feasible[li, Li]),
         float(recall[li, Li]), float(mean_cand[li, Li]), float(mean_touched[li, Li]),
     )
 

@@ -14,7 +14,9 @@ from hashdiv.hashing import (
     PCA,
     PCA_DIRECT,
     PLAIN,
+    hash_groups,
     hash_matrix,
+    hash_plain_bits,
     hash_vector,
     new_family,
 )
@@ -288,6 +290,49 @@ class TestHashMatrixOracle:
             assert tables[t].dtype == np.uint64 and np.array_equal(tables[t], keys[:, t : t + 1])
         for i in range(n):
             assert np.array_equal(hash_vector(fam, x[i]), keys[i])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        start=st.integers(0, 63),
+        width=st.integers(1, 64),
+        L=st.integers(1, 6),
+        n=st.integers(0, 30),
+        d=st.integers(1, 8),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    def test_plain_bits_are_a_shifted_slice_of_the_family_keys(self, start, width, L, n, d, seed):
+        stop = min(64, start + width)
+        x = np.random.default_rng(seed % 2**32).standard_normal((n, d))
+        want = hash_matrix(new_family(PLAIN, stop, L, d, seed=seed), x) >> np.uint64(start)
+        got = hash_plain_bits(x, seed, L, range(start, stop), out=np.zeros((n, L), dtype=np.uint64))
+        assert np.array_equal(got, want)
+        if stop - start <= 32:   # into every other uint32, as tune writes the halves of its keys
+            halves = np.zeros((n, L, 2), dtype=np.uint32)
+            hash_plain_bits(x, seed, L, range(start, stop), out=halves[:, :, 1])
+            assert np.array_equal(halves[:, :, 1], want) and not halves[:, :, 0].any()
+
+    @pytest.mark.parametrize("bits", [range(0), range(5, 5), range(-1, 8), range(60, 65), range(0, 32, 2)])
+    def test_plain_bits_outside_one_key_refused(self, bits):
+        with pytest.raises(ValueError, match=r"is not a run of key bits within \[0, 64\)$"):
+            hash_plain_bits(np.ones((2, 3)), 0, 2, bits, out=np.zeros((2, 2), dtype=np.uint64))
+
+    @pytest.mark.parametrize("l, L, n, groups", [
+        (8, 17, 40, [8, 8, 1]),
+        (16, 8, 40, [4, 4]),
+        (16, 8, 3, [3, 3, 2]),   # a group holds at most n tables
+        (17, 5, 40, [2, 2, 1]),
+        (44, 3, 40, [1, 1, 1]),
+    ])
+    def test_groups_hold_a_word_of_keys(self, l, L, n, groups):
+        fam = new_family(PLAIN, l, L, 5, seed=l)
+        x = np.random.default_rng(l).standard_normal((n, 5))
+        keys = hash_matrix(fam, x)
+        got = [(t, part.copy()) for t, part in hash_groups(fam, x)]   # the buffer is reused
+        assert [part.shape[0] for _, part in got] == groups
+        assert [t for t, _ in got] == np.cumsum([0] + groups[:-1]).tolist()
+        for t, part in got:
+            assert part.dtype == np.min_scalar_type((1 << l) - 1) and part.shape[1] == n
+            assert np.array_equal(part.T, keys[:, t : t + part.shape[0]])
 
 
 def agreement(a, b, l: int, L: int, seed: int) -> float:

@@ -8,9 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import clustered_dataset, edit_index_blob, toy_centers
-from hashdiv import lsh
+from hashdiv import hashing, lsh
 from hashdiv.data import Dataset, ToyConfig, make_toy, normalize_rows
 from hashdiv.hashing import KINDS, PCA, PCA_DIRECT, PLAIN, hash_matrix, new_family
+from hashdiv.linalg import TruncatedBasis
 from hashdiv.select import (
     SelectionProblem,
     select_greedy_div,
@@ -58,7 +59,63 @@ def build_all_tables(dataset, family):
     return sorted_keys[starts], offsets, (order % dataset.n).astype(np.int32)
 
 
+def build_per_table(dataset, family):
+    """Reference build, one table a pass: each table's keys from
+    hash_matrix's one-table slice, a stable argsort of them, its buckets
+    tagged and appended."""
+    n, l = dataset.n, family.l
+    bucket_keys, offsets, ids = [], [], []
+    for t in range(family.L):
+        keys = hash_matrix(family, dataset.vectors, slice(t, t + 1))[:, 0]
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        first = np.ones(n, dtype=bool)
+        first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+        bucket_keys.append(sorted_keys[first] | np.uint64(t) << np.uint64(l))
+        offsets.append(np.flatnonzero(first) + t * n)
+        ids.append(order)
+    offsets.append([family.L * n])
+    return (np.concatenate(bucket_keys), np.concatenate(offsets).astype(np.int32),
+            np.concatenate(ids).astype(np.int32))
+
+
+# key widths on each side of the 8-, 16-, 32- and 64-bit words, and so of
+# the group sizes 8, 4, 2 and 1 tables
+WORD_EDGES = (1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64)
+
+
 class TestBuild:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_per_table_build_at_every_boundary(self, data):
+        # with the block budget at 64 r floats, a group of G * l = 64 planes
+        # hashes r rows a block, so n on each side of r, 2r, ... ends on a
+        # full or a partial block; n on each side of G = 1, 2, 4 and 8 caps
+        # the group at n, and L on each side of a multiple of G ends on a
+        # full or a partial group
+        kind = data.draw(st.sampled_from(KINDS))
+        l = data.draw(st.sampled_from(WORD_EDGES))
+        L = data.draw(st.sampled_from([L for L in (*range(1, 10), 17) if not lsh._misfit(l, L, 1)]))
+        n = data.draw(st.one_of(st.integers(1, 10), st.sampled_from([15, 16, 17, 31, 32, 33, 63, 64, 65])))
+        d = data.draw(st.integers(l if kind == PCA_DIRECT else 1, 64 if kind == PCA_DIRECT else 6))
+        rows = data.draw(st.sampled_from([None, 1, 2, 3]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        points = rng.standard_normal((n, d))
+        points[rng.random(n) < 0.3] = points[0]  # duplicates tie inside a bucket
+        points[rng.random(n) < 0.1] = 0.0  # every projection is exactly 0
+        basis = None
+        if kind != PLAIN:
+            alpha = data.draw(st.integers(l if kind == PCA_DIRECT else 1, d))
+            basis = TruncatedBasis(U=np.linalg.qr(rng.standard_normal((d, alpha)))[0], singular_values=np.ones(alpha))
+        ds = Dataset(vectors=points)
+        family = new_family(kind, l, L, d, seed=data.draw(st.integers(0, 99)), basis=basis)
+        with pytest.MonkeyPatch.context() as mp:
+            if rows is not None:
+                mp.setattr(hashing, "_BLOCK_BYTES", 8 * 64 * rows)
+            index = lsh.build(ds, family)
+        for got, want in zip((index.keys, index.offsets, index.ids), build_per_table(ds, family)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_matches_all_tables_argsort(self, data):
@@ -75,13 +132,15 @@ class TestBuild:
         for got, want in zip((index.keys, index.offsets, index.ids), build_all_tables(ds, family)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
-    def test_peak_memory_is_about_the_index(self):
-        # the index it returns and 1 MiB of work space; a build that holds
-        # the (n, L) keys (1.2 MiB here) or the n x L*l float projections
-        # (20 MiB) fails
-        n, L = 20_000, 8
+    @pytest.mark.parametrize("l, L", [(16, 8), (12, 17), (44, 10)])
+    def test_peak_memory_is_about_the_index(self, l, L):
+        # the index it returns and 1 MiB of work space, with keys sorted as
+        # two and as eight bytes; a build that holds the (n, L) keys (1.2
+        # MiB and more here), the n x L*l float projections (20 MiB and
+        # more) or its bucket keys twice (1.6 MiB at (44, 10)) fails
+        n = 20_000
         ds = Dataset(vectors=normalize_rows(np.random.default_rng(0).standard_normal((n, 24))))
-        family = new_family(PLAIN, 16, L, 24, seed=0)
+        family = new_family(PLAIN, l, L, 24, seed=0)
         tracemalloc.start()
         try:
             index = lsh.build(ds, family)
@@ -425,6 +484,15 @@ class TestRetrieve:
         assert np.array_equal(res.ids, select_greedy_div(public).ids)
 
 
+def near_duplicates(n_base=20, copies=16, d=16, noise=2e-3, seed=3) -> Dataset:
+    """n_base unit rows, each repeated `copies` times with Gaussian noise,
+    normalized: true neighbours collide on long keys."""
+    rng = np.random.default_rng(seed)
+    base = normalize_rows(rng.standard_normal((n_base, d)))
+    return Dataset(vectors=normalize_rows(np.repeat(base, copies, axis=0)
+                                          + noise * rng.standard_normal((n_base * copies, d))))
+
+
 class TestTune:
     def test_recall_boundary_rejected(self, toy_1k):
         with pytest.raises(ValueError):
@@ -468,9 +536,7 @@ class TestTune:
     def test_near_duplicate_pick_fits_one_index(self):
         # (64, 2) touches the fewest entries among the pairs that reach the
         # target, but its tagged keys need 65 bits
-        rng = np.random.default_rng(3)
-        base = normalize_rows(rng.standard_normal((20, 16)))
-        ds = Dataset(vectors=normalize_rows(np.repeat(base, 16, axis=0) + 2e-3 * rng.standard_normal((320, 16))))
+        ds = near_duplicates()
         res = lsh.tune(ds, 0.95, seed=3)
         lsh.check_tables(res.l, res.L, ds.n)
         assert (res.l, res.L, res.feasible) == (60, 2, True)
@@ -489,10 +555,7 @@ class TestTune:
     def test_every_pick_on_near_duplicates_fits_one_index(self, n_base, copies, d, noise, target, seed):
         # near-duplicates collide on long keys, where the pairs that do not
         # fit one index lie
-        rng = np.random.default_rng(seed)
-        base = normalize_rows(rng.standard_normal((n_base, d)))
-        pts = normalize_rows(np.repeat(base, copies, axis=0) + noise * rng.standard_normal((n_base * copies, d)))
-        ds = Dataset(vectors=pts)
+        ds = near_duplicates(n_base, copies, d, noise, seed)
         res = lsh.tune(ds, target, seed=seed)
         lsh.check_tables(res.l, res.L, ds.n)
 
@@ -730,6 +793,94 @@ class TestTuneOracle:
         assert np.median(low_bucket_sizes(sample, 3)) > _FEW_PAIRS // 64
         monkeypatch.setattr(lsh, "_TUNE_BYTES", _FEW_PAIRS)
         assert lsh.tune(sample, 0.8, seed=3) == tune_by_sets(sample, 0.8, seed=3)
+
+
+def tune_and_projections(dataset, target, **kwargs):
+    """tune's result and the (d, k) planes of each of its hashing kernel's
+    calls, in order."""
+    projected = []
+    kernel = hashing._hash_rows
+
+    def spy(vectors, planes, l, out, rows):
+        projected.append(planes.copy())
+        return kernel(vectors, planes, l, out, rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hashing, "_hash_rows", spy)
+        result = lsh.tune(dataset, target, **kwargs)
+    return result, projected
+
+
+class TestTuneStages:
+    """tune hashes the low 32 key bits of every table first, and the high
+    32 only when recall at (32, 32) reaches the target; either way its
+    pick is the set-based tuner's over the full 64-bit keys."""
+
+    @pytest.mark.parametrize("dataset, target, seed, high, feasible", [
+        # recall at 32 bits is far below the target
+        pytest.param(Dataset(vectors=np.random.default_rng(0).standard_normal((100, 8))), 0.5, 1, False, True,
+                     id="gaussian"),
+        # the pick, (60, 2), needs all 64 bits
+        pytest.param(near_duplicates(), 0.95, 3, True, True, id="near-duplicates"),
+        # fewer than 10 true neighbours, or none
+        pytest.param(Dataset(vectors=np.ones((1, 3))), 0.8, 0, False, False, id="n1"),
+        pytest.param(Dataset(vectors=np.random.default_rng(1).standard_normal((2, 3))), 0.8, 0, False, False,
+                     id="n2"),
+        pytest.param(Dataset(vectors=np.repeat(np.random.default_rng(2).standard_normal((1, 4)), 7, axis=0)),
+                     0.8, 0, True, True, id="n7-twins"),
+        pytest.param(Dataset(vectors=np.random.default_rng(3).standard_normal((11, 5))), 0.5, 2, False, False,
+                     id="n11"),
+        # no pair clears the target by its margin: the best-recall fallback,
+        # on both sides; in 7 groups of 11 equal rows and one of 10, the
+        # sampled queries of the 10 miss their 10th neighbour, and recall
+        # at (32, 32) is 0.9875
+        pytest.param(Dataset(vectors=np.random.default_rng(4).standard_normal((80, 6))), 0.99, 5, False, False,
+                     id="unreachable-32-bits"),
+        pytest.param(Dataset(vectors=np.repeat(normalize_rows(np.random.default_rng(5).standard_normal((8, 16))),
+                                               [11] * 7 + [10], axis=0)),
+                     0.985, 0, True, False, id="unreachable-64-bits"),
+    ])
+    def test_matches_set_based_tuner_on_both_sides(self, dataset, target, seed, high, feasible):
+        got, projected = tune_and_projections(dataset, target, seed=seed)
+        assert got == tune_by_sets(dataset, target, seed=seed)
+        assert got.feasible == feasible
+        assert [planes.shape[1] for planes in projected] == [32 * 32] * (1 + high)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_stops_at_32_bits_only_below_the_target(self, data):
+        # the 32-bit stage is taken exactly when the set-based recall at
+        # (32, 32) is below the target
+        ds = oracle_dataset(data)
+        seed = data.draw(st.integers(0, 50))
+        target = data.draw(st.sampled_from([0.3, 0.8, 0.95]))
+        got, projected = tune_and_projections(ds, target, seed=seed)
+        assert got == tune_by_sets(ds, target, seed=seed)
+        keys = hash_matrix(new_family(PLAIN, 32, 32, ds.d, seed=seed), ds.vectors)
+        q_ids = np.sort(np.random.default_rng(seed).choice(ds.n, size=min(64, ds.n), replace=False))
+        truth = truth_by_select_nn(ds.vectors, q_ids)
+        hits = [sum(bool((keys[j] == keys[q]).any()) for j in row) for q, row in zip(q_ids, truth)]
+        recall = (np.array(hits) / (truth.shape[1] or 1)).mean()
+        assert len(projected) == (1 if recall < target else 2)
+
+    def test_clustered_sample_projects_32_bits_a_table(self):
+        # recall at (32, 32) is 0.42 here, below the target 0.8
+        ds = clustered_dataset(4096)
+        got, projected = tune_and_projections(ds, 0.8, seed=42)
+        assert (got.l, got.L, got.feasible) == (12, 17, True)
+        family = new_family(PLAIN, 32, 32, ds.d, seed=42)
+        assert len(projected) == 1 and np.array_equal(projected[0], family._planes)
+
+    def test_four_distinct_rows_project_each_of_the_64_bits_once(self):
+        # every true neighbour is a copy of its query, so recall at (32,
+        # 32) is 1 and the high bits are hashed, each plane once
+        rng = np.random.default_rng(0)
+        ds = Dataset(vectors=normalize_rows(rng.standard_normal((4, 24)))[rng.integers(0, 4, 4096)])
+        _, projected = tune_and_projections(ds, 0.8, seed=42)
+        planes = new_family(PLAIN, 64, 32, ds.d, seed=42).hyperplanes   # (32, 64, d)
+        assert len(projected) == 2
+        for half, bits in zip(projected, (slice(0, 32), slice(32, 64))):
+            assert np.array_equal(half.T, planes[:, bits].reshape(32 * 32, ds.d))
 
 
 class TestSparseData:
