@@ -153,8 +153,8 @@ def normalize_rows(x: np.ndarray) -> np.ndarray:
 
 def _lines(path: Path):
     """(1-based line number, stripped text) of each nonblank line of the
-    UTF-8 text file `path`, LF or CRLF."""
-    for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    UTF-8 text file `path`, LF or CRLF, with or without a byte-order mark."""
+    for line_no, raw in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), 1):
         line = raw.strip()
         if line:
             yield line_no, line

@@ -12,7 +12,7 @@ keys (t << l) | key, so one ascending `keys` array holds every table and
 one binary search finds a query's L keys. The bucket of keys[j] is
 ids[offsets[j]:offsets[j + 1]]. Table t's buckets fill ids[t*n:(t+1)*n],
 ids ascending inside each bucket; offsets and ids are int32. Build hashes
-a group of tables per pass over the rows, their keys in the narrowest
+a group of tables per `hash_matrix` call, their keys in the narrowest
 word that holds l bits, and sorts one table at a time into its slice of
 ids, so the (n, L) keys never exist. This module alone knows the layout:
 `build` and `index_from_bytes` make the tags and keep them on the index
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, check_seed
-from .hashing import KINDS, PLAIN, HashFamily, hash_groups, hash_plain_bits, hash_vector, new_family
+from .hashing import KINDS, PLAIN, HashFamily, hash_matrix, hash_vector, new_family
 from .linalg import TruncatedBasis
 from .select import SelectionProblem, SelectionResult, check_query, check_scale, top_k
 
@@ -109,14 +109,14 @@ def check_tables(l: int, L: int, n: int) -> None:
 def build(dataset: Dataset, family: HashFamily) -> LshIndex:
     """Hash all points into every table. Deterministic for a fixed family.
 
-    `hashing.hash_groups` hashes G tables per pass over the rows (8 at l
-    <= 8, 4 at l <= 16, 2 at l <= 32, else 1), their keys in the narrowest
-    unsigned word that holds l bits, so a group's keys take no more than
-    one table's uint64 keys. Each table is then sorted alone, by a stable
-    argsort written straight into its slice of ids, and its bucket keys
-    and offsets are appended to arrays that grow in place. Beside the
-    index, the work space is one group's keys, one table's sort and one
-    row block's projections."""
+    `hashing.hash_matrix` hashes G tables per pass over the rows (8 at l
+    <= 8, 4 at l <= 16, 2 at l <= 32, else 1, at most L and n), their
+    keys in the narrowest unsigned word that holds l bits, so a group's
+    keys take no more than one table's uint64 keys. Each table is then
+    sorted alone, by a stable argsort written straight into its slice of
+    ids, and its bucket keys and offsets are appended to arrays that grow
+    in place. Beside the index, the work space is one group's keys, one
+    table's sort and one row block's projections."""
     if dataset.n == 0:
         raise ValueError("cannot index an empty dataset")
     if dataset.d != family.d:
@@ -130,12 +130,14 @@ def build(dataset: Dataset, family: HashFamily) -> LshIndex:
     keys = np.empty(0, dtype=np.uint64)
     offsets = np.empty(0, dtype=np.int32)
     first = np.ones(n, dtype=bool)  # every table opens a bucket
-    # a group of tables a pass, their keys in the narrowest unsigned type
-    # that holds l bits (numpy's stable sort is a radix sort on 8- and
-    # 16-bit integers), then one table's sort at a time: beside the index,
-    # a group's keys take no more than one table's uint64 keys
-    for t0, group in hash_groups(family, dataset.vectors):
-        for t, table_keys in enumerate(group, t0):
+    # a group of tables a pass, in the narrowest unsigned type that holds
+    # l bits: numpy's stable sort is a radix sort on 8- and 16-bit integers
+    key_type = np.min_scalar_type((1 << family.l) - 1)
+    group = np.empty((min(L, 8 // key_type.itemsize, n), n), dtype=key_type)
+    for t0 in range(0, L, group.shape[0]):
+        part = group[: L - t0]
+        hash_matrix(family, dataset.vectors, slice(t0, t0 + part.shape[0]), out=part.T)
+        for t, table_keys in enumerate(part, t0):
             order = ids[t * n : (t + 1) * n]
             order[:] = table_keys.argsort(kind="stable")
             sorted_keys = table_keys[order]
@@ -310,12 +312,12 @@ def tune(dataset: Dataset, target_recall: float, epsilon: float = 1.0, *, seed: 
 
     Because hyperplane (t, b) depends only on (seed, t, b), every grid pair
     is a prefix of the one maximal family, so the dataset is hashed once,
-    in two halves: the low 32 bits of every table first, which give
-    recall at (32, 32). Below the target, no pair of a longer l can be
-    picked (see the proof in the code), so the grid stops at l = 32 and
-    the high 32 bits are never drawn or projected; otherwise they are
-    hashed alone, straight into the keys' high halves
-    (`hashing.hash_plain_bits`).
+    in two halves, each by `hash_matrix` straight into its half of the
+    keys: the low 32 bits of every table first, under the (32, 32)
+    family, which give recall at (32, 32). Below the target, no pair of a
+    longer l can be picked (see the proof in the code), so the grid stops
+    at l = 32 and the high 32 bits are never projected; otherwise they
+    are hashed alone, as bits 32 to 64 of the (64, 32) family.
     Point i shares query q's bucket at (l, table t) iff their table-t keys
     agree on the low l bits, so one shared-prefix length per (q, i, t)
     answers every l; its running max over tables gives the union for
@@ -361,7 +363,7 @@ def tune(dataset: Dataset, target_recall: float, epsilon: float = 1.0, *, seed: 
     # of each key is its low half on any host); the low half first
     all_keys = np.zeros((n, max_L), dtype="<u8")
     low, high = all_keys.view("<u4").reshape(n, max_L, 2).transpose(2, 0, 1)
-    hash_plain_bits(dataset.vectors, seed, max_L, range(32), out=low)
+    hash_matrix(new_family(PLAIN, 32, max_L, dataset.d, seed=seed), dataset.vectors, out=low)
     # recall at (32, max_L), the number the grid computes there: the true
     # neighbours that share a query's whole low half in some table.
     # Below the target, no pair of a longer l can be picked: at a fixed L
@@ -376,7 +378,7 @@ def tune(dataset: Dataset, target_recall: float, epsilon: float = 1.0, *, seed: 
         grid = tuple(l for l in _L_GRID if l <= 32)
     else:
         grid = _L_GRID
-        hash_plain_bits(dataset.vectors, seed, max_L, range(32, 64), out=high)
+        hash_matrix(new_family(PLAIN, 64, max_L, dataset.d, seed=seed), dataset.vectors, bits=slice(32, 64), out=high)
 
     # per l, table count L and query: hits among true_nn, union size and
     # touched entries, from the pairs in each query's range of the table

@@ -42,6 +42,9 @@ class FactorModel:
     def __post_init__(self):
         if self.W.ndim != 2 or self.H.ndim != 2 or self.W.shape[1] != self.H.shape[1]:
             raise ValueError("W must be (L, k) and H (d, k) with matching k")
+        if 0 in self.W.shape or 0 in self.H.shape:
+            raise ValueError(f"a factor model needs at least one label, feature and factor, "
+                             f"got W of shape {self.W.shape} and H of shape {self.H.shape}")
         if not (np.isfinite(self.W).all() and np.isfinite(self.H).all()):
             raise ValueError("factor matrices must be finite")
 

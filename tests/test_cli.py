@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 import types
@@ -628,6 +629,23 @@ def test_multilabel_test_file_leaves_every_data_document_to_fit_and_validate(tmp
                "--alpha", "1", "--pool", "2", "--no-timing", "--out", str(tmp_path / "m.csv")])
     assert rc == 0
     assert (fitted, validated) == ([32], [8])
+
+
+@pytest.mark.parametrize("labels, rank", [(0, 2), (2, 0)])
+def test_multilabel_factors_of_no_labels_or_rank_0_is_one_error_line(tmp_path, capsys, labels, rank):
+    # no labels once died dividing by zero labels, and rank 0 wrote a row
+    # from an all-zero model
+    docs, factors, out = tmp_path / "docs.svm", tmp_path / "f0.bin", tmp_path / "o.csv"
+    _write_docs(docs)
+    factors.write_bytes(b"HDVM" + struct.pack("<QQQ", labels, 6, rank) + bytes(8 * (labels + 6) * rank))
+    rc = main(["multilabel", "--data", str(docs), "--d", "6", "--factors", str(factors), "--methods", "exact",
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: factors file {factors}: a factor model needs at least one label, feature and factor, "
+        f"got W of shape ({labels}, {rank}) and H of shape (6, {rank})"
+    ]
+    assert not out.exists() and not Path(f"{out}.json").exists()
 
 
 def test_multilabel_factors_of_another_dimension_refused_before_any_index(tmp_path, capsys, monkeypatch):

@@ -98,6 +98,28 @@ def test_load_dense_crlf(tmp_path):
     assert load_dense(p).n == 2
 
 
+@pytest.mark.parametrize("read, text, bad", [
+    (load_dense, "0:1:1.0,0\n\n1:0:0,2\n", "0,1\n1,x\n"),
+    (lambda p: load_sparse(p, d=10), "1,2 3:0.5 7:1.2\n\n0 1:1\n", "0 1:1\n1 2:x\n"),
+], ids=["dense", "sparse"])
+def test_loaders_read_a_byte_order_mark(tmp_path, read, text, bad):
+    # a UTF-8 byte-order mark is not part of the first line, and line
+    # numbers still count from it
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    want, got = read(plain), read(marked)
+    np.testing.assert_array_equal(got.vectors, want.vectors)
+    for name in ("categories", "subtopics", "label_sets"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None) and (a is None or list(a) == list(b))
+    marked.write_text(bad, encoding="utf-8-sig")
+    with pytest.raises(ParseError) as info:
+        read(marked)
+    assert info.value.line_no == 2
+
+
 def test_dense_roundtrip(tmp_path):
     p = tmp_path / "a.csv"
     p.write_text("0:1:0.3,0.4,0.5\n1:0:-1,2,0.25\n")

@@ -14,9 +14,7 @@ from hashdiv.hashing import (
     PCA,
     PCA_DIRECT,
     PLAIN,
-    hash_groups,
     hash_matrix,
-    hash_plain_bits,
     hash_vector,
     new_family,
 )
@@ -180,6 +178,28 @@ class TestHashPoint:
         with pytest.raises(ValueError, match="^point dimension 9 != family dimension 8$"):
             hash_matrix(fam, np.ones((3, 9)))
 
+    @pytest.mark.parametrize("call, shape", [
+        (lambda fam: hash_matrix(fam, np.ones(8)), (8,)),
+        (lambda fam: hash_matrix(fam, np.ones((2, 2, 2))), (2, 2, 2)),
+        (lambda fam: hash_matrix(fam, np.ones((0, 8, 1))), (0, 8, 1)),
+        (lambda fam: hash_vector(fam, np.ones((2, 4))), (2, 4)),
+        (lambda fam: hash_vector(fam, np.ones((1, 8))), (1, 8)),
+        (lambda fam: hash_vector(fam, np.float64(1.0)), ()),
+    ])
+    def test_array_of_another_shape_refused_naming_it(self, call, shape):
+        # a d-8 family: the refused (2, 4) holds 8 values, and (1, 8) is one
+        # row, not one point
+        with pytest.raises(ValueError, match=rf"^expected .+, got shape {re.escape(str(shape))}$"):
+            call(new_family(PLAIN, 8, 2, 8, seed=0))
+
+    def test_array_likes_hash_as_arrays(self):
+        fam = new_family(PLAIN, 8, 2, 3, seed=0)
+        rows = [[1.0, -2.0, 0.5], [0, 1, 0]]
+        assert np.array_equal(hash_matrix(fam, rows), hash_matrix(fam, np.array(rows, dtype=float)))
+        assert np.array_equal(hash_vector(fam, rows[1]), hash_matrix(fam, rows)[1])
+        with pytest.raises(ValueError, match="^point dimension 2 != family dimension 3$"):
+            hash_matrix(fam, [[1.0, 2.0]])
+
     def test_bulk_matches_single(self, small_toy):
         fam = new_family(PLAIN, 10, 3, small_toy.d, seed=8)
         keys = hash_matrix(fam, small_toy.vectors)
@@ -229,8 +249,32 @@ def reference_keys(family, vectors) -> np.ndarray:
     return keys
 
 
+def block_budget(rows: int, k: int, m: int, d: int) -> int:
+    """A _BLOCK_BYTES under which hash_matrix hashes k tables of m bits
+    over d-dimensional rows `rows` rows a block, when it has n rows with
+    n m >= rows max(k m, d)."""
+    return rows * 8 * max(k * m, d)
+
+
+# unsigned types and the key widths on each side of their 8-, 16-, 32- and
+# 64-bit words
+UNSIGNED = (np.uint8, np.uint16, np.uint32, np.uint64)
+WORD_EDGES = (1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64)
+
+
+def out_array(n: int, k: int, dtype, layout: str) -> np.ndarray:
+    """An (n, k) array of dtype to write keys into, filled with ones so
+    that an unwritten key shows: contiguous, every other column of a wider
+    array, or the transpose of a (k, n) array."""
+    if layout == "strided":
+        return np.ones((n, 2 * k), dtype=dtype)[:, 1::2]
+    if layout == "transposed":
+        return np.ones((k, n), dtype=dtype).T
+    return np.ones((n, k), dtype=dtype)
+
+
 class TestHashMatrixOracle:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_matches_brute_force(self, data):
         kind = data.draw(st.sampled_from(KINDS))
@@ -250,38 +294,56 @@ class TestHashMatrixOracle:
             U = np.linalg.qr(rng.standard_normal((d, alpha)))[0]
             basis = TruncatedBasis(U=U, singular_values=np.ones(alpha))
         fam = new_family(kind, l, L, d, seed=data.draw(st.integers(0, 99)), basis=basis)
-        budget = hashing._BLOCK_BYTES if rows_per_block is None else rows_per_block * 8 * max(L * l, d)
-        with mock.patch.object(hashing, "_BLOCK_BYTES", budget):
+        # a slice of the tables, with a step, and a run of the key bits
+        t0 = data.draw(st.integers(0, L - 1))
+        tables = slice(t0, data.draw(st.integers(t0 + 1, L)), data.draw(st.integers(1, 3)))
+        b0 = data.draw(st.integers(0, l - 1))
+        bits = data.draw(st.sampled_from([slice(None), slice(b0, data.draw(st.integers(b0 + 1, l)))]))
+        run = range(l)[bits]
+        k, m = len(range(L)[tables]), len(run)
+        narrowest = np.min_scalar_type((1 << m) - 1).itemsize
+        dtype = data.draw(st.sampled_from([t for t in UNSIGNED if np.dtype(t).itemsize >= narrowest]))
+        out = out_array(n, k, dtype, data.draw(st.sampled_from(["contiguous", "strided", "transposed"])))
+        budget = lambda k, m: hashing._BLOCK_BYTES if rows_per_block is None else block_budget(rows_per_block, k, m, d)
+        with mock.patch.object(hashing, "_BLOCK_BYTES", budget(L, l)):
             keys = hash_matrix(fam, x)
-            tables = [hash_matrix(fam, x, slice(t, t + 1)) for t in range(L)]
+        with mock.patch.object(hashing, "_BLOCK_BYTES", budget(1, l)):
+            tables_one = [hash_matrix(fam, x, slice(t, t + 1)) for t in range(L)]
+        with mock.patch.object(hashing, "_BLOCK_BYTES", budget(k, m)):
+            cut = hash_matrix(fam, x, tables, bits, out=out)
+        want = reference_keys(fam, x)
         assert keys.dtype == np.uint64 and keys.shape == (n, L)
-        assert np.array_equal(keys, reference_keys(fam, x))
+        assert np.array_equal(keys, want)
         for t in range(L):
-            assert tables[t].dtype == np.uint64 and np.array_equal(tables[t], keys[:, t : t + 1])
+            assert tables_one[t].dtype == np.uint64 and np.array_equal(tables_one[t], keys[:, t : t + 1])
+        assert cut is out
+        mask = np.uint64((1 << m) - 1) if m < 64 else ~np.uint64(0)
+        assert np.array_equal(cut, want[:, tables] >> np.uint64(run.start) & mask)
         for i in range(n):
             assert np.array_equal(hash_vector(fam, x[i]), keys[i])
 
     def test_rows_cross_block_boundaries(self):
-        # l=64, L=32 leaves 16 rows per block, so 40 rows fill three blocks
+        # l=64, L=32 leaves one row a block, so 40 rows fill 40 blocks
         fam = new_family(PLAIN, 64, 32, 6, seed=2)
-        assert hashing._BLOCK_BYTES // (8 * 64 * 32) == 16
+        assert min(40 * 64, hashing._BLOCK_BYTES // 8) // (64 * 32) == 1
         x = np.random.default_rng(4).standard_normal((40, 6))
         keys = hash_matrix(fam, x)
         assert np.array_equal(keys, reference_keys(fam, x))
         assert np.array_equal(keys[17], hash_vector(fam, x[17]))
 
-
     @pytest.mark.parametrize("n", [0, 37])
-    @pytest.mark.parametrize("l", [1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64])
+    @pytest.mark.parametrize("l", WORD_EDGES)
     def test_keys_at_every_word_boundary(self, l, n):
-        # blocks of 8 rows, so 37 rows leave a partial last block of 5; every
-        # fifth row is zero, whose projections are exactly 0 and set every bit
+        # blocks of 8 rows (of 7 at l = 1, where 37 l < 8 d), so 37 rows
+        # leave a partial last block; every fifth row is zero, whose
+        # projections are exactly 0 and set every bit
         L, d = 3, 5
         fam = new_family(PLAIN, l, L, d, seed=l)
         x = np.random.default_rng(l).standard_normal((n, d))
         x[::5] = 0.0
-        with mock.patch.object(hashing, "_BLOCK_BYTES", 8 * 8 * max(L * l, d)):
+        with mock.patch.object(hashing, "_BLOCK_BYTES", block_budget(8, L, l, d)):
             keys = hash_matrix(fam, x)
+        with mock.patch.object(hashing, "_BLOCK_BYTES", block_budget(8, 1, l, d)):
             tables = [hash_matrix(fam, x, slice(t, t + 1)) for t in range(L)]
         assert keys.dtype == np.uint64 and keys.shape == (n, L)
         assert np.array_equal(keys, reference_keys(fam, x))
@@ -300,39 +362,55 @@ class TestHashMatrixOracle:
         d=st.integers(1, 8),
         seed=st.integers(0, 2**63 - 1),
     )
-    def test_plain_bits_are_a_shifted_slice_of_the_family_keys(self, start, width, L, n, d, seed):
+    def test_bits_are_a_shifted_slice_of_a_shorter_family_keys(self, start, width, L, n, d, seed):
+        # plane (t, b) depends only on (seed, t, b): bits [start, stop) of
+        # the 64-bit family are the keys of the stop-bit family shifted down
         stop = min(64, start + width)
         x = np.random.default_rng(seed % 2**32).standard_normal((n, d))
         want = hash_matrix(new_family(PLAIN, stop, L, d, seed=seed), x) >> np.uint64(start)
-        got = hash_plain_bits(x, seed, L, range(start, stop), out=np.zeros((n, L), dtype=np.uint64))
-        assert np.array_equal(got, want)
+        family = new_family(PLAIN, 64, L, d, seed=seed)
+        assert np.array_equal(hash_matrix(family, x, bits=slice(start, stop)), want)
         if stop - start <= 32:   # into every other uint32, as tune writes the halves of its keys
             halves = np.zeros((n, L, 2), dtype=np.uint32)
-            hash_plain_bits(x, seed, L, range(start, stop), out=halves[:, :, 1])
+            hash_matrix(family, x, bits=slice(start, stop), out=halves[:, :, 1])
             assert np.array_equal(halves[:, :, 1], want) and not halves[:, :, 0].any()
 
-    @pytest.mark.parametrize("bits", [range(0), range(5, 5), range(-1, 8), range(60, 65), range(0, 32, 2)])
-    def test_plain_bits_outside_one_key_refused(self, bits):
-        with pytest.raises(ValueError, match=r"is not a run of key bits within \[0, 64\)$"):
-            hash_plain_bits(np.ones((2, 3)), 0, 2, bits, out=np.zeros((2, 2), dtype=np.uint64))
+    @pytest.mark.parametrize("m", WORD_EDGES)
+    def test_narrowest_word_that_holds_the_run(self, m):
+        # m key bits fit the unsigned word of 8, 16, 32 or 64 bits that
+        # holds m; the next narrower one is refused
+        fam = new_family(PLAIN, 64, 3, 5, seed=m)
+        x = np.random.default_rng(m).standard_normal((21, 5))
+        word = np.min_scalar_type((1 << m) - 1)
+        got = hash_matrix(fam, x, bits=slice(64 - m, 64), out=np.empty((21, 3), dtype=word))
+        assert np.array_equal(got, hash_matrix(fam, x) >> np.uint64(64 - m))
+        if word.itemsize > 1:
+            with pytest.raises(ValueError, match=f"needs unsigned words of at least {8 * word.itemsize} bits$"):
+                hash_matrix(fam, x, bits=slice(0, m), out=np.empty((21, 3), dtype=f"u{word.itemsize // 2}"))
 
-    @pytest.mark.parametrize("l, L, n, groups", [
-        (8, 17, 40, [8, 8, 1]),
-        (16, 8, 40, [4, 4]),
-        (16, 8, 3, [3, 3, 2]),   # a group holds at most n tables
-        (17, 5, 40, [2, 2, 1]),
-        (44, 3, 40, [1, 1, 1]),
+    @pytest.mark.parametrize("bits", [slice(0, 0), slice(5, 5), slice(9, None), slice(-1, 2), slice(0, 8, 2),
+                                      slice(None, None, -1)])
+    def test_bits_that_are_not_a_run_refused(self, bits):
+        fam = new_family(PLAIN, 8, 2, 3, seed=0)
+        message = rf"^bits={re.escape(str(bits))} is not a non-empty run of the family's 8 key bits$"
+        with pytest.raises(ValueError, match=message):
+            hash_matrix(fam, np.ones((2, 3)), bits=bits)
+
+    @pytest.mark.parametrize("out", [
+        np.zeros((4, 2), dtype=np.uint64),   # n + 1 rows
+        np.zeros((3, 3), dtype=np.uint64),   # k + 1 tables
+        np.zeros((2, 3), dtype=np.uint64),   # (k, n), not transposed
+        np.zeros(6, dtype=np.uint64),
+        np.zeros((3, 2), dtype=np.int64),
+        np.zeros((3, 2)),
+        np.zeros((3, 2), dtype=np.uint8),    # 9 bits need 16
     ])
-    def test_groups_hold_a_word_of_keys(self, l, L, n, groups):
-        fam = new_family(PLAIN, l, L, 5, seed=l)
-        x = np.random.default_rng(l).standard_normal((n, 5))
-        keys = hash_matrix(fam, x)
-        got = [(t, part.copy()) for t, part in hash_groups(fam, x)]   # the buffer is reused
-        assert [part.shape[0] for _, part in got] == groups
-        assert [t for t, _ in got] == np.cumsum([0] + groups[:-1]).tolist()
-        for t, part in got:
-            assert part.dtype == np.min_scalar_type((1 << l) - 1) and part.shape[1] == n
-            assert np.array_equal(part.T, keys[:, t : t + part.shape[0]])
+    def test_out_that_cannot_hold_the_keys_refused(self, out):
+        fam = new_family(PLAIN, 9, 2, 3, seed=0)
+        with pytest.raises(ValueError, match=rf"^out of shape {re.escape(str(out.shape))} and type {out.dtype} "
+                                             r"cannot hold \(3, 2\) keys of 9 bits"):
+            hash_matrix(fam, np.ones((3, 3)), out=out)
+        assert not out.any()
 
 
 def agreement(a, b, l: int, L: int, seed: int) -> float:

@@ -132,6 +132,32 @@ class TestBuild:
         for got, want in zip((index.keys, index.offsets, index.ids), build_all_tables(ds, family)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
+    @pytest.mark.parametrize("l, L, n, groups", [
+        (8, 17, 40, [8, 8, 1]),
+        (16, 8, 40, [4, 4]),
+        (16, 8, 3, [3, 3, 2]),   # a group holds at most n tables
+        (17, 5, 40, [2, 2, 1]),
+        (44, 3, 40, [1, 1, 1]),
+    ])
+    def test_groups_hold_a_word_of_keys(self, l, L, n, groups, monkeypatch):
+        # one hash_matrix call a group of tables, their keys in the
+        # narrowest unsigned word that holds l bits
+        calls = []
+
+        def spy(family, vectors, tables=slice(None), bits=slice(None), out=None):
+            calls.append((tables, out.dtype, out.shape))
+            return hash_matrix(family, vectors, tables, bits, out)
+
+        monkeypatch.setattr(lsh, "hash_matrix", spy)
+        ds = Dataset(vectors=np.random.default_rng(l).standard_normal((n, 5)))
+        family = new_family(PLAIN, l, L, 5, seed=l)
+        index = lsh.build(ds, family)
+        starts = np.cumsum([0] + groups[:-1]).tolist()
+        word = np.min_scalar_type((1 << l) - 1)
+        assert calls == [(slice(t, t + g), word, (n, g)) for t, g in zip(starts, groups)]
+        for got, want in zip((index.keys, index.offsets, index.ids), build_per_table(ds, family)):
+            assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("l, L", [(16, 8), (12, 17), (44, 10)])
     def test_peak_memory_is_about_the_index(self, l, L):
         # the index it returns and 1 MiB of work space, with keys sorted as
@@ -796,17 +822,16 @@ class TestTuneOracle:
 
 
 def tune_and_projections(dataset, target, **kwargs):
-    """tune's result and the (d, k) planes of each of its hashing kernel's
+    """tune's result and the (d, k) planes of each of its hash_matrix
     calls, in order."""
     projected = []
-    kernel = hashing._hash_rows
 
-    def spy(vectors, planes, l, out, rows):
-        projected.append(planes.copy())
-        return kernel(vectors, planes, l, out, rows)
+    def spy(family, vectors, tables=slice(None), bits=slice(None), out=None):
+        projected.append(family._planes.reshape(family.d, family.L, family.l)[:, tables, bits].reshape(family.d, -1))
+        return hash_matrix(family, vectors, tables, bits, out)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hashing, "_hash_rows", spy)
+        mp.setattr(lsh, "hash_matrix", spy)
         result = lsh.tune(dataset, target, **kwargs)
     return result, projected
 

@@ -312,6 +312,15 @@ class TestBfsPrune:
             load_hierarchy(p)
         assert (info.value.path, info.value.line_no) == (str(p), 3)
 
+    def test_load_hierarchy_reads_a_byte_order_mark(self, tmp_path):
+        p = tmp_path / "h.txt"
+        p.write_text("1 0\n2 0\n", encoding="utf-8-sig")
+        assert load_hierarchy(p).parent == {1: 0, 2: 0}
+        p.write_text("1 0\n\n2 x\n", encoding="utf-8-sig")
+        with pytest.raises(ParseError) as info:
+            load_hierarchy(p)
+        assert (info.value.path, info.value.line_no) == (str(p), 3)
+
 
 class TestTreeDiversity:
     def setup_method(self):

@@ -1,4 +1,5 @@
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -59,6 +60,19 @@ class TestFactorIO:
             FactorModel(W=np.array([[np.nan]]), H=np.ones((1, 1)))
         with pytest.raises(ValueError, match=r"^W must be \(L, k\) and H \(d, k\) with matching k$"):
             FactorModel(W=np.ones((3, 2)), H=np.ones((4, 3)))
+
+    @pytest.mark.parametrize("w, h", [((0, 2), (4, 2)), ((3, 0), (4, 0)), ((3, 2), (0, 2))])
+    def test_zero_dimension_rejected(self, tmp_path, w, h):
+        # no labels, no factors or no features: a run would divide by zero
+        # labels or score every document 0
+        message = (rf"^a factor model needs at least one label, feature and factor, "
+                   rf"got W of shape {re.escape(str(w))} and H of shape {re.escape(str(h))}$")
+        with pytest.raises(ValueError, match=message):
+            FactorModel(W=np.ones(w), H=np.ones(h))
+        path = tmp_path / "m.bin"
+        path.write_bytes(b"HDVM" + struct.pack("<QQQ", w[0], h[0], w[1]) + bytes(8 * (w[0] + h[0]) * w[1]))
+        with pytest.raises(ValueError, match=message):
+            load_factors(path)
 
 
 class TestFitLowRankRidge:
