@@ -53,6 +53,7 @@ field holds (`data.check_seed`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,12 +226,25 @@ def new_family(
 
 def _check_points(family: HashFamily, points, ndim: int) -> np.ndarray:
     """points as a float array, refused unless it has ndim axes, the last
-    of the family's dimension."""
+    of the family's dimension, and every coordinate finite; the refusal of
+    a NaN or an inf names the first bad row of an (n, d) array. A NaN or an
+    inf is never summed away, so a finite sum (of one point, its hypot,
+    which cannot overflow where the norm does not) proves every coordinate
+    finite, and only a bad coordinate or a sum beyond float64 needs the
+    scan: the check makes no (n, d) temporary and warns of no overflow."""
     points = np.asarray(points, dtype=float)
     if points.ndim != ndim:
         raise ValueError(f"expected {('one point', 'an (n, d) array of points')[ndim - 1]}, got shape {points.shape}")
     if points.shape[-1] != family.d:
         raise ValueError(f"point dimension {points.shape[-1]} != family dimension {family.d}")
+    if ndim == 1:
+        total = math.hypot(*points.tolist())
+    else:
+        with np.errstate(over="ignore"):
+            total = points.sum()
+    if not math.isfinite(total) and not np.isfinite(points).all():
+        where = "" if ndim == 1 else f" {np.flatnonzero(~np.isfinite(points).all(axis=1))[0]}"
+        raise ValueError(f"point{where} has a NaN or infinite coordinate")
     return points
 
 
@@ -246,7 +260,9 @@ def hash_matrix(family: HashFamily, vectors, tables: slice = slice(None), bits: 
 
     The rows go in blocks of min(n m, _BLOCK_BYTES / 8) // max(k m, d),
     at least one: a block's float64 projections hold no more than one
-    table's n m, and its rows take no more than _BLOCK_BYTES."""
+    table's n m, and its rows take no more than _BLOCK_BYTES. A row with
+    a NaN or infinite coordinate raises ValueError naming the first such
+    row, before any product; a zero row sets every bit."""
     vectors = _check_points(family, vectors, 2)
     n, d, l = vectors.shape[0], family.d, family.l
     run = range(l)[bits]
@@ -283,6 +299,7 @@ def hash_vector(family: HashFamily, x) -> np.ndarray:
     hash_matrix(family, x[None])[0]. The same product and comparison on
     one row, packed by one integer product with the powers of two,
     without the block loop and buffers, which cost more than the
-    arithmetic on one row."""
+    arithmetic on one row. A NaN or infinite coordinate raises ValueError
+    before the product."""
     z = _check_points(family, x, 1)
     return (z @ family._planes >= 0.0).reshape(family.L, family.l) @ family._pow2

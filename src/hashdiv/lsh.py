@@ -395,10 +395,13 @@ def tune(dataset: Dataset, target_recall: float, epsilon: float = 1.0, *, seed: 
     rows = np.arange(nq)
     # the loop calls the methods argsort and repeat: through np.argsort and
     # np.repeat it left about 9 KB of objects on Python's free lists, which
-    # the tracemalloc peak of a later build counted
+    # the tracemalloc peak of a later build counted. Its running sums are
+    # np.add.accumulate, the same integers: ndarray.cumsum left about
+    # 59-byte objects alive, a count that moved with the string hash seed,
+    # so that peak differed between processes
 
     def at_least(hist: np.ndarray) -> np.ndarray:
-        return hist.reshape(nq, 65)[:, ::-1].cumsum(axis=1)[:, ::-1][:, ls].T   # (len(ls), nq): count of prefix >= l
+        return np.add.accumulate(hist.reshape(nq, 65)[:, ::-1], axis=1)[:, ::-1][:, ls].T   # (len(ls), nq): count of prefix >= l
 
     for t in range(max_L):
         keys = all_keys[:, t]
@@ -412,7 +415,7 @@ def tune(dataset: Dataset, target_recall: float, epsilon: float = 1.0, *, seed: 
         # all queries' pairs in one flat run: query j's are pairs
         # [ends[j] - size[j], ends[j]), pair p joining j to point
         # order[p + shift[j]]
-        ends = size.cumsum()
+        ends = np.add.accumulate(size)
         shift = start - (ends - size)
         total = int(ends[-1])
         for lo in range(0, total, per_slice):

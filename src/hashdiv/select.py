@@ -1,10 +1,14 @@
 """Retrieval / diversification strategies over a candidate set.
 
 All selectors consume a SelectionProblem whose candidates are kept in
-ascending-id order, and every strategy is a pure deterministic function of
-its input. One ranking rule, the k best first with ties to the lowest id,
-lives in top_k: nn, rerank's pool and qprel's rounding rank through it, as
-do the multilabel MMR pool and cutoff. Greedy, MMR and rerank also break
+ascending-id order, and every strategy, qp_relax_solve too, is a pure
+deterministic function of that problem alone: the relaxed solve stops by
+fixed rules (_WOLFE_VERTICES, _WOLFE_TOL, _NEWTON_STEPS, _NEWTON_TOL).
+Every selector answers an empty pool with an empty, underfilled result,
+whatever its query; only a nonempty pool's scores can overflow. One
+ranking rule, the k best first with ties to the lowest id, lives in
+top_k: nn, rerank's pool and qprel's rounding rank through it, as do the
+multilabel MMR pool and cutoff. Greedy, MMR and rerank also break
 their score ties by ascending id, twin candidates included. qprel does not
 for exact twins on Wolfe's path: its oracle's partition order decides
 which copies enter a k-set, so their weights, and the picks, need not
@@ -128,8 +132,10 @@ def check_scale(top: float, most: int) -> None:
 
 def _check_scale(problem: SelectionProblem, most: int) -> None:
     """check_scale with B from the problem: its candidates' `_sq_max` and
-    the square of its query's `_q_norm`."""
-    check_scale(max(problem._sq_max, problem._q_norm * problem._q_norm), most)
+    the square of its query's `_q_norm`. An empty pool has no scores to
+    overflow, so it passes whatever its query."""
+    if problem.size:
+        check_scale(max(problem._sq_max, problem._q_norm * problem._q_norm), most)
 
 
 def _sq_dists_to_query(problem: SelectionProblem) -> np.ndarray:
@@ -435,6 +441,8 @@ def _wolfe(X: np.ndarray, t: np.ndarray, k: int, S: np.ndarray, v: np.ndarray, m
 
 _NEWTON_STEPS = 20   # successful solves take at most about 7
 _NEWTON_TOL = 1e-13  # on |(X^T a - t, sum(a) - k)| relative to |(t, k)|
+_WOLFE_VERTICES = 500  # vertices Wolfe's algorithm adds past its first
+_WOLFE_TOL = 1e-8      # on its Frank-Wolfe gap relative to max(1, |f|)
 
 
 def _min_norm_alpha(X: np.ndarray, t: np.ndarray, k: int) -> np.ndarray | None:
@@ -501,8 +509,7 @@ def _min_norm_alpha(X: np.ndarray, t: np.ndarray, k: int) -> np.ndarray | None:
     return None
 
 
-def _relaxed_alpha(problem: SelectionProblem, max_iter: int,
-                   tol: float) -> tuple[np.ndarray, int, np.ndarray, np.ndarray, float]:
+def _relaxed_alpha(problem: SelectionProblem) -> tuple[np.ndarray, int, np.ndarray, np.ndarray, float]:
     """The solve that qp_relax_solve describes, without its certificate:
     returns alpha, the count of vertices added, and the X and t it was
     solved on with the power of two they were divided by."""
@@ -526,11 +533,11 @@ def _relaxed_alpha(problem: SelectionProblem, max_iter: int,
     if p @ v <= 0.0:  # p.v, the least p.(z - t) over Z, is positive only when t lies outside Z
         alpha = _min_norm_alpha(X, t, k)
     if alpha is None:
-        alpha, it = _wolfe(X, t, k, S, v, max_iter, tol)
+        alpha, it = _wolfe(X, t, k, S, v, _WOLFE_VERTICES, _WOLFE_TOL)
     return alpha, it, X, t, scale
 
 
-def qp_relax_solve(problem: SelectionProblem, max_iter: int = 500, tol: float = 1e-8) -> QpSolveReport:
+def qp_relax_solve(problem: SelectionProblem) -> QpSolveReport:
     """Minimize f(a) = lam * c^T a + |X^T a|^2 over the capped simplex
     {sum a = k, 0 <= a <= 1}.
 
@@ -545,9 +552,9 @@ def qp_relax_solve(problem: SelectionProblem, max_iter: int = 500, tol: float = 
     that Frank-Wolfe steps to from a = k/m and stopped on the Frank-Wolfe
     gap, or where the factor finds the corral dependent up to rounding.
     `iterations` counts the vertices added past that first one, and
-    max_iter bounds it. The returned alpha is sum_j lam_j 1[S_j] over the
-    corral's k-sets S_j, with exactly 1.0 where a candidate lies in every
-    one, so ties among the ones go by id.
+    _WOLFE_VERTICES bounds it. The returned alpha is sum_j lam_j 1[S_j]
+    over the corral's k-sets S_j, with exactly 1.0 where a candidate lies
+    in every one, so ties among the ones go by id.
 
     When t lies in Z, every a with X^T a = t is optimal, and alpha is the
     least-norm one, the projection of a = k/m onto the optimal set
@@ -559,12 +566,12 @@ def qp_relax_solve(problem: SelectionProblem, max_iter: int = 500, tol: float = 
     the larger of the largest candidate norm and |t|, so a problem scaled
     by a power of two gets the same alpha. relaxed_objective, gap and
     converged are computed from the returned alpha, converged being
-    gap <= tol * max(1, |f|) on the scaled problem; select_qp_rel runs the
-    same solve and skips this certificate. Vectors so large that
+    gap <= _WOLFE_TOL * max(1, |f|) on the scaled problem; select_qp_rel
+    runs the same solve and skips this certificate. Vectors so large that
     a vertex, a corral Gram entry (up to (k sqrt(B) + |t|)^2), the gap or
     the Newton Gram over m rows could overflow float64 raise ValueError.
     """
-    alpha, it, X, t, scale = _relaxed_alpha(problem, max_iter, tol)
+    alpha, it, X, t, scale = _relaxed_alpha(problem)
     k = problem.k
     # the certificate, from alpha
     p = X.T @ alpha - t
@@ -572,10 +579,10 @@ def qp_relax_solve(problem: SelectionProblem, max_iter: int = 500, tol: float = 
     f = float(p @ p - t @ t)
     gap = 2.0 * float(g @ alpha - np.partition(g, k - 1)[:k].sum())
     return QpSolveReport(alpha=alpha, relaxed_objective=f * scale * scale, iterations=it,
-                         converged=gap <= tol * max(1.0, abs(f)), gap=gap * scale * scale)
+                         converged=gap <= _WOLFE_TOL * max(1.0, abs(f)), gap=gap * scale * scale)
 
 
-def select_qp_rel(problem: SelectionProblem, max_iter: int = 500, tol: float = 1e-8) -> SelectionResult:
+def select_qp_rel(problem: SelectionProblem) -> SelectionResult:
     """Round the relaxed solution: keep the k largest fractional weights
     (ties by ascending id). The weights are qp_relax_solve's alpha, bit for
     bit, from the same solve without the certificate (objective and gap),
@@ -584,5 +591,5 @@ def select_qp_rel(problem: SelectionProblem, max_iter: int = 500, tol: float = 1
     k <= n)."""
     if problem.k >= problem.size:
         return _result(problem, list(range(problem.size)))
-    alpha = _relaxed_alpha(problem, max_iter, tol)[0]
+    alpha = _relaxed_alpha(problem)[0]
     return _result(problem, top_k(-alpha, problem.ids, problem.k))

@@ -89,12 +89,12 @@ class TestC03QpRelaxation:
             X = q + 0.3 * rng.standard_normal((n, 6))
             X /= np.linalg.norm(X, axis=1, keepdims=True)
             problem = hd.SelectionProblem(query=q, ids=np.arange(n), vectors=X, k=k, lam=lam)
-            rep = hd.qp_relax_solve(problem, max_iter=3000, tol=1e-12)
+            rep = hd.qp_relax_solve(problem)
             optimum = min(eq2_objective(q, X, s, lam) for s in combinations(range(n), k))
             # 1e-12 float guard: when the relaxed optimum is itself integral
             # the two sides agree to roundoff
             sound += rep.relaxed_objective <= optimum + 1e-12
-            res = hd.select_qp_rel(problem, max_iter=3000, tol=1e-12)
+            res = hd.select_qp_rel(problem)
             rounded = eq2_objective(q, X, res.ids.tolist(), lam)
             close += rounded <= optimum + 0.10 * abs(optimum)
         elapsed = time.perf_counter() - t0

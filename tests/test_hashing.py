@@ -192,6 +192,37 @@ class TestHashPoint:
         with pytest.raises(ValueError, match=rf"^expected .+, got shape {re.escape(str(shape))}$"):
             call(new_family(PLAIN, 8, 2, 8, seed=0))
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_nan_or_infinite_coordinate_refused(self, kind, bad):
+        # [nan, 0, 0, 0] once hashed to key 0 in every table and [inf, 1, 1, 1]
+        # got keys too; hash_matrix names the first bad row, as Dataset does,
+        # and refuses before it writes a key
+        rng = np.random.default_rng(5)
+        ds = Dataset(vectors=normalize_rows(rng.standard_normal((30, 4))))
+        fam = new_family(kind, 4, 3, 4, alpha=None if kind == PLAIN else 4, seed=2, dataset=ds)
+        for row in ([bad, 0.0, 0.0, 0.0], [bad, 1.0, 1.0, 1.0], [0.0, 0.0, 0.0, bad]):
+            with pytest.raises(ValueError, match="^point has a NaN or infinite coordinate$"):
+                hash_vector(fam, row)
+            rows = np.ones((6, 4))
+            rows[4], rows[2] = row, row
+            out = np.full((6, 3), 7, dtype=np.uint8)
+            with pytest.raises(ValueError, match="^point 2 has a NaN or infinite coordinate$"):
+                hash_matrix(fam, rows, out=out)
+            assert (out == 7).all()
+
+    def test_finite_points_whose_sum_overflows_still_hash(self):
+        # the sum that proves the points finite overflows to inf here, and
+        # the scan that follows finds every coordinate finite; scaling by a
+        # power of two keeps every projection's sign
+        fam = new_family(PLAIN, 8, 2, 3, seed=0)
+        rows = np.abs(np.random.default_rng(1).standard_normal((40, 3))) + 0.5
+        with np.errstate(over="ignore"):
+            assert not np.isfinite((rows * 2.0**1018).sum())
+        huge = hash_matrix(fam, rows * 2.0**1018)  # pytest turns a RuntimeWarning into an error
+        assert np.array_equal(huge, hash_matrix(fam, rows))
+        assert np.array_equal(hash_vector(fam, rows[0] * 2.0**1018), huge[0])
+
     def test_array_likes_hash_as_arrays(self):
         fam = new_family(PLAIN, 8, 2, 3, seed=0)
         rows = [[1.0, -2.0, 0.5], [0, 1, 0]]

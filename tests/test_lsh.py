@@ -1,6 +1,10 @@
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -719,6 +723,32 @@ class TestTuneMemory:
         finally:
             tracemalloc.stop()
         assert peak < ds.n * 32 * 8 + 2 * lsh._TUNE_BYTES + 2**21
+
+    def test_blocks_a_second_tune_leaves_are_the_same_in_every_process(self):
+        # ndarray.cumsum left about 59-byte objects alive after tune, and
+        # their count moved with the process's string hash seed, and with it
+        # the traced peak of a later build; what is left now (the free lists
+        # of tuples and of numpy's small arrays) repeats
+        code = (
+            "import tracemalloc\n"
+            "import numpy as np\n"
+            "from hashdiv import lsh\n"
+            "from hashdiv.data import Dataset\n"
+            "ds = Dataset(vectors=np.random.default_rng(0).standard_normal((300, 8)))\n"
+            "lsh.tune(ds, 0.8)\n"
+            "tracemalloc.start()\n"
+            "lsh.tune(ds, 0.8)\n"
+            "left = tracemalloc.take_snapshot().filter_traces([tracemalloc.Filter(True, lsh.__file__)])\n"
+            "print(sorted((s.traceback[0].lineno, s.count, s.size) for s in left.statistics('lineno')))\n"
+        )
+        src = str(Path(lsh.__file__).resolve().parents[1])
+        left = set()
+        for hash_seed in ("0", "1", "2"):
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                                  env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed})
+            assert proc.returncode == 0, proc.stderr
+            left.add(proc.stdout)
+        assert len(left) == 1, left
 
 
 def oracle_dataset(data) -> Dataset:

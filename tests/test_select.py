@@ -338,10 +338,6 @@ class TestSelectGreedyDiv:
         prob = SelectionProblem(np.array(q, dtype=float), np.arange(len(X)), np.array(X, dtype=float), k=k, lam=lam)
         assert select_greedy_div(prob).ids.tolist() == fraction_greedy(q, X, k, lam)
 
-    def test_empty_pool(self):
-        res = select_greedy_div(SelectionProblem(np.ones(3), np.empty(0, dtype=int), np.empty((0, 3)), k=4, lam=0.5))
-        assert res.ids.size == 0 and res.underfilled
-
     # 60 rows, d = 16: at 1e155 every squared norm overflows, at 1e153 the
     # running diversity sum does; both once gave a repeated id
     @pytest.mark.parametrize("scale", [1e155, 1e153])
@@ -375,6 +371,17 @@ def test_finite_rows_whose_norms_overflow_are_accepted_then_refused_by_every_sel
     for select in (select_nn, select_rerank, select_greedy_div, select_mmr, select_qp_rel):
         with pytest.raises(ValueError, match="overflow"):
             select(prob)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200])
+def test_an_empty_pool_is_answered_empty_and_underfilled_whatever_its_query(scale):
+    # an empty pool has no scores to overflow, so every selector answers it
+    # before its overflow rule; at 1e200 the query's square overflows, and
+    # nn and mmr once refused it as too large
+    prob = SelectionProblem(scale * np.ones(4), np.empty(0, dtype=int), np.empty((0, 4)), k=3, lam=0.5)
+    for select in (select_nn, select_rerank, select_greedy_div, select_mmr, select_qp_rel):
+        res = select(prob)
+        assert res.ids.size == 0 and res.underfilled, select
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])
@@ -529,24 +536,29 @@ class TestQpRelax:
         q = np.array([1.0, 0.0])
         X = np.array([[1.0, 0.0], [0.0, 1.0]])
         prob = SelectionProblem(q, [0, 1], X, k=1, lam=1.0)
-        rep = qp_relax_solve(prob, max_iter=2000, tol=1e-12)
+        rep = qp_relax_solve(prob)
         assert rep.alpha[0] > rep.alpha[1]
         assert np.isclose(rep.alpha.sum(), 1.0, atol=1e-6)
 
     def test_feasibility(self):
         for seed in range(10):
             prob = random_problem(seed)
-            rep = qp_relax_solve(prob, max_iter=1000, tol=1e-10)
+            rep = qp_relax_solve(prob)
             assert np.isclose(rep.alpha.sum(), prob.k, atol=1e-6)
             assert np.all(rep.alpha >= -1e-9) and np.all(rep.alpha <= 1 + 1e-9)
 
-    def test_objective_monotone_decrease(self):
-        # the solver is deterministic, so max_iter=j stops it after its first
-        # j vertices; tol=0 keeps it from stopping sooner. This clustered
-        # problem takes many vertices, and each one that Wolfe's algorithm
-        # adds lowers the objective, so most steps are strict
+    def test_objective_monotone_decrease(self, monkeypatch):
+        # the solver is deterministic, so a vertex cap of j stops it after
+        # its first j vertices; a gap tolerance of 0 keeps it from stopping
+        # sooner. This clustered problem takes many vertices, and each one
+        # that Wolfe's algorithm adds lowers the objective, so most steps
+        # are strict
         prob = random_problem(15, n=60, k=10, clustered=True)
-        objs = [qp_relax_solve(prob, max_iter=j, tol=0.0).relaxed_objective for j in range(22)]
+        monkeypatch.setattr(select, "_WOLFE_TOL", 0.0)
+        objs = []
+        for j in range(22):
+            monkeypatch.setattr(select, "_WOLFE_VERTICES", j)
+            objs.append(qp_relax_solve(prob).relaxed_objective)
         steps = np.diff(objs)
         assert np.all(steps <= 1e-12)
         assert np.count_nonzero(steps < 0) >= 10
@@ -554,7 +566,7 @@ class TestQpRelax:
     def test_relaxation_lower_bounds_integral(self):
         for seed in range(25):
             prob = random_problem(seed, n=10, k=3, clustered=True)
-            rep = qp_relax_solve(prob, max_iter=3000, tol=1e-12)
+            rep = qp_relax_solve(prob)
             best = min(
                 eq2_objective(prob.query, prob.vectors, s, prob.lam)
                 for s in combinations(range(10), 3)
@@ -613,20 +625,22 @@ class TestQpRelax:
             ids = query(index, q).ids
             prob = SelectionProblem(q, ids, small_toy.dense_rows(ids), k=10, lam=0.5)
             if prob.size > prob.k:
-                reports.append(qp_relax_solve(prob, max_iter=500))
+                reports.append(qp_relax_solve(prob))
         assert len(reports) >= 150
         assert np.mean([r.converged for r in reports]) >= 0.95
         assert np.median([r.iterations for r in reports]) <= 100
 
-    def test_max_iter_zero_returns_a_feasible_unconverged_alpha(self):
+    def test_a_vertex_cap_of_zero_returns_a_feasible_unconverged_alpha(self, monkeypatch):
         # the pool lies to one side of the target, so Wolfe's algorithm runs,
-        # and max_iter=0 stops it at its first vertex
+        # and a cap of 0 vertices stops it at its first vertex
         prob = random_problem(15, n=60, k=10, clustered=True)
-        rep = qp_relax_solve(prob, max_iter=0)
+        full = qp_relax_solve(prob)
+        monkeypatch.setattr(select, "_WOLFE_VERTICES", 0)
+        rep = qp_relax_solve(prob)
         assert rep.iterations == 0 and not rep.converged
         assert abs(rep.alpha.sum() - 10) <= 1e-9
         assert np.all(rep.alpha >= 0.0) and np.all(rep.alpha <= 1.0)
-        assert rep.relaxed_objective > qp_relax_solve(prob).relaxed_objective
+        assert rep.relaxed_objective > full.relaxed_objective
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 10), d=st.integers(1, 3), k=st.integers(1, 9),
@@ -979,8 +993,8 @@ class TestSelectQpRel:
         q = np.array([1.0, 0.0, 0.0])
         X = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]])
         prob = SelectionProblem(q, [0, 1, 2, 3], X, k=1, lam=1.0)
-        rep = qp_relax_solve(prob, max_iter=3000, tol=1e-12)
-        res = select_qp_rel(prob, max_iter=3000, tol=1e-12)
+        rep = qp_relax_solve(prob)
+        res = select_qp_rel(prob)
         assert res.ids.tolist() == [int(np.argmax(rep.alpha))]
 
     @settings(max_examples=100, deadline=None)
@@ -994,9 +1008,12 @@ class TestSelectQpRel:
         k = min(k, m - 1)  # k >= m returns the pool without a solve
         ids = np.cumsum(np.random.default_rng(seed).integers(1, 4, m))
         prob = SelectionProblem(2.0 * t, ids, X, k=k, lam=1.0)
-        alpha = qp_relax_solve(prob, max_iter, tol).alpha
-        want = sorted(range(m), key=lambda i: (-alpha[i], ids[i]))[:k]
-        assert select_qp_rel(prob, max_iter, tol).ids.tolist() == ids[want].tolist()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(select, "_WOLFE_VERTICES", max_iter)
+            mp.setattr(select, "_WOLFE_TOL", tol)
+            alpha = qp_relax_solve(prob).alpha
+            want = sorted(range(m), key=lambda i: (-alpha[i], ids[i]))[:k]
+            assert select_qp_rel(prob).ids.tolist() == ids[want].tolist()
 
     def test_n_equals_k_returns_all(self):
         prob = random_problem(3, n=5, k=5)
@@ -1006,7 +1023,7 @@ class TestSelectQpRel:
         close = 0
         for seed in range(40):
             prob = random_problem(seed, n=12, d=6, k=3, lam=0.5, clustered=True)
-            res = select_qp_rel(prob, max_iter=2000, tol=1e-10)
+            res = select_qp_rel(prob)
             rounded = eq2_objective(prob.query, prob.vectors, res.ids.tolist(), 0.5)
             best = min(
                 eq2_objective(prob.query, prob.vectors, s, 0.5)
